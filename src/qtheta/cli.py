@@ -36,11 +36,11 @@ from .injectivity import CaseInput, classify, nonintegrality_check
 from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
-from .series import INFINITY, PuiseuxSeries, dump_series_text, parse_rational
+from .series import INFINITY, dump_series_text, parse_rational
 from .theta import ThetaIndex, odd_theta_series, total_theta_order, translation_eigenvalue
-from .wronskian import (VerificationFailed, cramer_reconstruction, kernel_components,
-                        modular_wronskian, theta_derivative_matrix, verify_cofactor_orders,
-                        verify_eta_power)
+from .wronskian import (VerificationFailed, _cofactor_order_reports, _dot,
+                        cramer_reconstruction, kernel_components, modular_wronskian,
+                        theta_derivative_matrix, verify_eta_power)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QTHETA_OUTPUT_DIR"
@@ -120,101 +120,70 @@ def _csv_cell(value) -> str:
 
 # -- command implementations --------------------------------------------------
 #
-# Each handler returns (tables, all_passed, discrepancies) where tables is
-# an ordered mapping from table name to a list of uniform row dicts.
+# Each handler returns (tables, all_passed, discrepancies, dumps) where tables
+# is an ordered mapping from table name to a list of uniform row dicts and
+# dumps maps a --dump-series file name to its series.
+#
+# The four verify commands share _run_cases.  Each of their cases takes
+# (config, m, inputs) and returns its own tables and dumps, so the parent
+# computes no series once the cases have run.
 
 
-def _wronskian_case(args) -> dict:
-    m, q_trunc = args
-    report = verify_eta_power(m, q_trunc)
-    return to_jsonable(report)
+def _wronskian_case(job):
+    config, m, _ = job
+    dumps = {}
+    if config.dump_series is not None:
+        dumps[f"wronskian_m{m}.series"] = modular_wronskian(m, config.q_trunc)
+    return {"reports": [to_jsonable(verify_eta_power(m, config.q_trunc))]}, dumps
 
 
-def _orders_case(args) -> list[dict]:
-    m, q_trunc = args
-    rows = []
-    det = theta_derivative_matrix(m, q_trunc).det()
+def _orders_case(job):
+    config, m, _ = job
+    matrix = theta_derivative_matrix(m, config.q_trunc)
+    cofactors = matrix.last_row_cofactors()
     expected = total_theta_order(m)
-    value = det.ord_infty()
+    value = _dot(matrix.entries[-1], cofactors).ord_infty()
     if value != expected:
         raise VerificationFailed(f"m={m}: Wronskian order {value}, expected {expected}")
-    rows.append({"m": m, "check": "wronskian_order",
-                 "value": _rat(value), "expected": _rat(expected), "ok": True})
-    rows.append({"m": m, "check": "wronskian_square_order",
-                 "value": _rat(2 * value), "expected": _rat(2 * expected), "ok": True})
-    if m >= 3:
-        for rep in verify_cofactor_orders(m, q_trunc):
-            rows.append({"m": m, "check": f"cofactor_order_nu_{rep.nu}",
-                         "value": _rat(rep.ord_cofactor), "expected": _rat(rep.ord_expected),
-                         "ok": rep.passed})
-    return rows
-
-
-def _run_parallel(worker, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [worker(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, items))
-
-
-def _cmd_verify_wronskian(config: RunConfig):
-    lo, hi = config.m_range
-    items = [(m, config.q_trunc) for m in range(max(lo, 2), hi + 1)]
-    rows = _run_parallel(_wronskian_case, items, config.jobs)
+    rows = [{"m": m, "check": "wronskian_order",
+             "value": _rat(value), "expected": _rat(expected), "ok": True},
+            {"m": m, "check": "wronskian_square_order",
+             "value": _rat(2 * value), "expected": _rat(2 * expected), "ok": True}]
+    if m < 3:
+        return {"orders": rows}, {}
+    for rep in _cofactor_order_reports(m, config.q_trunc, cofactors):
+        rows.append({"m": m, "check": f"cofactor_order_nu_{rep.nu}",
+                     "value": _rat(rep.ord_cofactor), "expected": _rat(rep.ord_expected),
+                     "ok": rep.passed})
     dumps = {}
     if config.dump_series is not None:
-        for m, _ in items:
-            dumps[f"wronskian_m{m}.series"] = modular_wronskian(m, config.q_trunc)
-    return {"reports": rows}, True, [], dumps
+        for nu, cof in enumerate(cofactors, start=1):
+            dumps[f"cofactor_m{m}_nu{nu}.series"] = cof
+    return {"orders": rows}, dumps
 
 
-def _cmd_verify_orders(config: RunConfig):
-    lo, hi = config.m_range
-    items = [(m, config.q_trunc) for m in range(max(lo, 2), hi + 1)]
-    nested = _run_parallel(_orders_case, items, config.jobs)
-    rows = [row for chunk in nested for row in chunk]
-    dumps = {}
-    if config.dump_series is not None:
-        for m, _ in items:
-            if m < 3:
-                continue
-            matrix = theta_derivative_matrix(m, config.q_trunc)
-            for nu, cof in enumerate(matrix.last_row_cofactors(), start=1):
-                dumps[f"cofactor_m{m}_nu{nu}.series"] = cof
-    return {"orders": rows}, all(r["ok"] for r in rows), [], dumps
-
-
-def _cmd_verify_characters(config: RunConfig):
-    lo, hi = config.m_range
+def _characters_case(job):
+    _, m, _ = job
+    diag = translation_eigenvalues(m)
     eigen_rows = []
-    character_rows = []
     all_ok = True
-    for m in range(max(lo, 2), hi + 1):
-        diag = translation_eigenvalues(m)
-        for mu in range(1, m):
-            expected = diag[mu - 1]
-            # enough of the q-expansion to see at least three residues
-            series = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
-            observed = translation_eigenvalue(series)
-            ok = observed == expected
-            all_ok = all_ok and ok
-            eigen_rows.append({"m": m, "mu": mu, "exponent": _rat(expected.value),
-                               "matches_series": ok})
-        xi = squared_determinant_translation(m)
-        power = squared_determinant_delta_power(m)
-        consistent = xi == power.translation_value
-        all_ok = all_ok and consistent
-        character_rows.append({"m": m, "xi": _rat(xi.value),
-                               "delta_power": power.delta_power,
-                               "consistent": consistent})
-    if not all_ok:
+    for mu in range(1, m):
+        expected = diag[mu - 1]
+        # enough of the q-expansion to see at least three residues
+        series = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
+        observed = translation_eigenvalue(series)
+        ok = observed == expected
+        all_ok = all_ok and ok
+        eigen_rows.append({"m": m, "mu": mu, "exponent": _rat(expected.value),
+                           "matches_series": ok})
+    xi = squared_determinant_translation(m)
+    power = squared_determinant_delta_power(m)
+    consistent = xi == power.translation_value
+    if not (all_ok and consistent):
         raise VerificationFailed("character table mismatch; see report rows")
-    return ({"eigenvalues": eigen_rows, "characters": character_rows},
-            all_ok, [], {})
-
-
-def _series_equal(a: PuiseuxSeries, b: PuiseuxSeries) -> bool:
-    return (a - b).is_zero()
+    character_row = {"m": m, "xi": _rat(xi.value), "delta_power": power.delta_power,
+                     "consistent": consistent}
+    return {"eigenvalues": eigen_rows, "characters": [character_row]}, {}
 
 
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
@@ -224,7 +193,7 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     for nu in range(1, m):
         direct = taylor_coefficient(assembled, nu)
         via = component_taylor_scale(nu, m) * component_taylor(h, nu)
-        if not _series_equal(direct, via):
+        if not (direct - via).is_zero():
             two_path = False
             break
     rows.append({"m": m, "case": label, "check": "two_path_taylor", "ok": two_path})
@@ -239,31 +208,64 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     return rows
 
 
-def _cmd_verify_identities(config: RunConfig):
-    lo, hi = config.m_range
-    rng = random.Random(config.seed)
-    rows = []
-    for m in range(max(lo, 2), hi + 1):
-        for trial in range(config.trials):
-            h = random_components(m, config.q_trunc, rng)
-            rows.extend(_identity_rows_for_components(
-                m, f"random_{trial}", h, config.q_trunc, config.weight_k))
+def _identities_case(job):
+    """Index m's random tuples ``draws`` and its kernel tuple; m None is the --jacobi-file case."""
+    config, m, draws = job
+    if m is None:
+        phi = parse_jacobi_table(Path(config.jacobi_file).read_text())
+        m, q_trunc, weight_k = phi.index_m, phi.n_trunc, phi.weight_k
+        draws = [("jacobi_file", theta_components(phi))]
+    else:
+        q_trunc, weight_k = config.q_trunc, config.weight_k
         if m >= 3:
-            h = kernel_components(m, config.q_trunc)
-            rows.extend(_identity_rows_for_components(
-                m, "kernel", h, config.q_trunc, config.weight_k))
-    if config.jacobi_file is not None:
-        text = Path(config.jacobi_file).read_text()
-        phi = parse_jacobi_table(text)
-        h = theta_components(phi)
-        rows.extend(_identity_rows_for_components(
-            phi.index_m, "jacobi_file", h, phi.n_trunc, phi.weight_k))
+            draws = draws + [("kernel", kernel_components(m, q_trunc))]
+    rows = [row for label, h in draws
+            for row in _identity_rows_for_components(m, label, h, q_trunc, weight_k)]
     failed = [row for row in rows if not row["ok"]]
     if failed:
         raise VerificationFailed(
             f"identity check failed: m={failed[0]['m']} case={failed[0]['case']} "
             f"check={failed[0]['check']}")
-    return {"identities": rows}, True, [], {}
+    return {"identities": rows}, {}
+
+
+CASES = {
+    "verify-wronskian": _wronskian_case,
+    "verify-orders": _orders_case,
+    "verify-characters": _characters_case,
+    "verify-identities": _identities_case,
+}
+
+
+def _run_parallel(worker, items, jobs):
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
+        return [worker(item) for item in items]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(worker, items))
+
+
+def _run_cases(config: RunConfig):
+    """Handler of the four verify commands: one case per index, merged in index order."""
+    lo, hi = config.m_range
+    ms = range(max(lo, 2), hi + 1)
+    if config.command == "verify-identities":
+        # every random tuple is drawn here, in index order, so the seeded
+        # stream is the same for any --jobs
+        rng = random.Random(config.seed)
+        jobs = [(config, m, [(f"random_{trial}", random_components(m, config.q_trunc, rng))
+                             for trial in range(config.trials)]) for m in ms]
+        if config.jacobi_file is not None:
+            jobs.append((config, None, None))
+    else:
+        jobs = [(config, m, None) for m in ms]
+    tables, dumps = {}, {}
+    for case_tables, case_dumps in _run_parallel(CASES[config.command], jobs, config.jobs):
+        for name, rows in case_tables.items():
+            tables.setdefault(name, []).extend(rows)
+        dumps.update(case_dumps)
+    all_passed = all(row.get("ok", True) for rows in tables.values() for row in rows)
+    return tables, all_passed, [], dumps
 
 
 def _verdict_row(verdict) -> dict:
@@ -325,10 +327,10 @@ def _cmd_sweep(config: RunConfig):
 
 
 HANDLERS = {
-    "verify-wronskian": _cmd_verify_wronskian,
-    "verify-orders": _cmd_verify_orders,
-    "verify-characters": _cmd_verify_characters,
-    "verify-identities": _cmd_verify_identities,
+    "verify-wronskian": _run_cases,
+    "verify-orders": _run_cases,
+    "verify-characters": _run_cases,
+    "verify-identities": _run_cases,
     "classify": _cmd_classify,
     "sweep": _cmd_sweep,
 }
@@ -507,12 +509,15 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     command = args.command
     config = RunConfig(command=command)
-    if command in ("verify-wronskian", "verify-orders", "verify-characters",
-                   "verify-identities"):
+    if command in CASES:
         config.m_range = parse_range(args.m)
+        if config.m_range[1] < 2:
+            raise ValueError(f"--m {args.m} has no index m >= 2 to check")
         config.q_trunc = parse_rational(args.q_trunc)
         if config.q_trunc <= 0:
             raise ValueError("q_trunc must be positive")
+        if args.jobs < 1:
+            raise ValueError("--jobs must be at least 1")
         config.output = args.output
         config.format = args.format
         config.jobs = args.jobs

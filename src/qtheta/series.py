@@ -259,18 +259,6 @@ class PuiseuxSeries:
             raise ValueError("cannot extend a certified truncation")
         return PuiseuxSeries(self._terms, new_trunc, self.base_denom)
 
-    def agrees_with(self, other: PuiseuxSeries) -> bool:
-        """True when both series have identical coefficients strictly below
-        the smaller of the two truncations."""
-        window = min(self.trunc, other.trunc)
-        for e, c in self._terms.items():
-            if e < window and other._terms.get(e) != c:
-                return False
-        for e, c in other._terms.items():
-            if e < window and self._terms.get(e) != c:
-                return False
-        return True
-
 
 # -- text format -------------------------------------------------------------
 #

@@ -44,6 +44,15 @@ def vandermonde(nodes: list[Fraction]) -> Fraction:
     return out
 
 
+def _dot(xs, ys) -> PuiseuxSeries:
+    """sum_i xs[i] * ys[i], accumulated left to right."""
+    acc = None
+    for x, y in zip(xs, ys):
+        term = x * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
 class SeriesMatrix:
     """Rectangular matrix of PuiseuxSeries with exact determinant machinery."""
 
@@ -61,30 +70,18 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> PuiseuxSeries:
         return self.entries[i][j]
 
-    def transpose(self) -> SeriesMatrix:
-        return SeriesMatrix([[self.entries[i][j] for i in range(self.rows)]
-                             for j in range(self.cols)])
-
     def __matmul__(self, other: SeriesMatrix) -> SeriesMatrix:
         if self.cols != other.rows:
             raise ValueError("inner dimensions differ")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = None
-                for t in range(self.cols):
-                    term = self.entries[i][t] * other.entries[t][j]
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(out)
+        return SeriesMatrix([[_dot(row, [other.entries[t][j] for t in range(other.rows)])
+                              for j in range(other.cols)] for row in self.entries])
 
     def _prefix_minors(self, size: int) -> dict[int, PuiseuxSeries]:
         """Determinants of all submatrices on rows 0..s-1 and column sets of size s.
 
         Keyed by column bitmask; computed bottom-up by expansion along the
-        last row of each submatrix.  Shared by det, cofactors, and adjugate.
+        last row of each submatrix.  Every minor in this module comes from
+        here: cofactors (and through them det), adjugate, partial kernels.
         """
         minors: dict[int, PuiseuxSeries] = {}
         for j in range(self.cols):
@@ -118,11 +115,10 @@ class SeriesMatrix:
         return minors
 
     def det(self) -> PuiseuxSeries:
+        """Expansion of the last row against ``last_row_cofactors()``."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows == 1:
-            return self.entries[0][0]
-        return self._prefix_minors(self.rows)[(1 << self.cols) - 1]
+        return _dot(self.entries[-1], self.last_row_cofactors())
 
     def last_row_cofactors(self) -> list[PuiseuxSeries]:
         """Signed cofactors along the last row, scaled so that
@@ -291,14 +287,22 @@ def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:
     """
     if m < 3:
         raise ValueError("m must be at least 3 for nontrivial minors")
-    q_trunc = Fraction(q_trunc)
-    order_sum = total_theta_order(m)
-    max_order = order_sum - Fraction(1, 4 * m)
-    if q_trunc <= max_order:
+    _check_cofactor_window(m, q_trunc)  # before the minor table, which grows as 2^(m-1)
+    return _cofactor_order_reports(
+        m, q_trunc, theta_derivative_matrix(m, q_trunc).last_row_cofactors())
+
+
+def _check_cofactor_window(m: int, q_trunc) -> None:
+    max_order = total_theta_order(m) - Fraction(1, 4 * m)
+    if Fraction(q_trunc) <= max_order:
         raise VerificationFailed(
-            f"m={m}: window {q_trunc} cannot reach cofactor order {max_order}")
-    matrix = theta_derivative_matrix(m, q_trunc)
-    cofactors = matrix.last_row_cofactors()
+            f"m={m}: window {Fraction(q_trunc)} cannot reach cofactor order {max_order}")
+
+
+def _cofactor_order_reports(m: int, q_trunc, cofactors) -> list[CofactorOrderReport]:
+    """The checks of ``verify_cofactor_orders`` on cofactors already computed."""
+    _check_cofactor_window(m, q_trunc)
+    order_sum = total_theta_order(m)
     nodes = [Fraction(mu * mu, 4 * m) for mu in range(1, m)]
     reports = []
     for nu in range(1, m):
@@ -357,12 +361,14 @@ def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
         raise ValueError("columns must be residues in 1..m-1")
     matrix = theta_derivative_matrix(m, q_trunc)
     columns = sorted(columns)
+    sub = SeriesMatrix([[matrix.entry(row, c - 1) for c in columns]
+                        for row in range(vanishing_rows)])
+    minors = sub._prefix_minors(vanishing_rows)
+    full = (1 << len(columns)) - 1
     components: list[PuiseuxSeries] = [
         PuiseuxSeries.zero(Fraction(q_trunc), 4 * m) for _ in range(m - 1)]
     for t, col in enumerate(columns):
-        kept = [c for c in columns if c != col]
-        minor = SeriesMatrix([[matrix.entry(row, c - 1) for c in kept]
-                              for row in range(vanishing_rows)]).det()
+        minor = minors[full ^ (1 << t)]
         components[col - 1] = minor if t % 2 == 0 else -minor
     return ThetaComponents(m, tuple(components))
 
@@ -395,23 +401,14 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     q_trunc = Fraction(q_trunc)
     matrix = theta_derivative_matrix(m, q_trunc)
     n = m - 1
-    system = [None] * n
-    for row in range(n):
-        acc = None
-        for col in range(n):
-            term = matrix.entry(row, col) * h.components[col]
-            acc = term if acc is None else acc + term
-        system[row] = acc
-    det = matrix.det()
+    system = [_dot(row, h.components) for row in matrix.entries]
     adj = matrix.adjugate()
+    # the last column of adj(M) is exactly matrix.last_row_cofactors()
+    cofactors = [adj.entry(mu, n - 1) for mu in range(n)]
+    det = _dot(matrix.entries[n - 1], cofactors)
     window = None
     for mu in range(n):
-        lhs = det * h.components[mu]
-        acc = None
-        for nu in range(n):
-            term = adj.entry(mu, nu) * system[nu]
-            acc = term if acc is None else acc + term
-        diff = lhs - acc
+        diff = det * h.components[mu] - _dot(adj.entries[mu], system)
         window = diff.trunc if window is None else min(window, diff.trunc)
         if not diff.is_zero():
             e = diff.ord_infty()
@@ -423,7 +420,6 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     if kernel_case:
         lam = eta_power_exponent(m)
         eta_power = eta(q_trunc) ** lam
-        cofactors = matrix.last_row_cofactors()
         top = system[n - 1]
         lhs_list = [h.components[mu] * eta_power for mu in range(n)]
         rhs_list = [cofactors[mu] * top for mu in range(n)]

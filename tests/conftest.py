@@ -41,3 +41,18 @@ def assert_agree(a: PuiseuxSeries, b: PuiseuxSeries):
     """Exact coefficient equality below the common certified window."""
     diff = a - b
     assert diff.is_zero(), f"first mismatch at {diff.ord_infty()}: {diff.leading_term()}"
+
+
+def laplace_det(rows):
+    """Determinant by Laplace expansion along the first row.
+
+    Independent of SeriesMatrix: recursion on plain lists of series.
+    """
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j, entry in enumerate(rows[0]):
+        term = entry * laplace_det([row[:j] + row[j + 1:] for row in rows[1:]])
+        term = term if j % 2 == 0 else -term
+        acc = term if acc is None else acc + term
+    return acc

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import JacobiFormData, dump_jacobi_table, parse_series_text
+from qtheta import JacobiFormData, cli, dump_jacobi_table, parse_series_text
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -25,6 +25,70 @@ class TestParsing:
     def test_bad_q_trunc(self):
         with pytest.raises(SystemExit):
             run_cli("verify-wronskian", "--m", "2", "--q-trunc", "0")
+
+    @pytest.mark.parametrize("jobs, status", [("-1", 2), ("0", 2), ("1", 0), ("2", 0)])
+    def test_jobs_validated(self, jobs, status, tmp_path):
+        out = tmp_path / "r.txt"
+        try:
+            code = run_cli("verify-wronskian", "--m", "2", "--q-trunc", "4",
+                           "--jobs", jobs, "--output", str(out))
+        except SystemExit as error:
+            code = error.code
+        assert code == status
+        assert out.exists() == (status == 0)
+
+    @pytest.mark.parametrize("argv", [("verify-orders", "--m", "1..1"),
+                                      ("verify-wronskian", "--m", "0..1"),
+                                      ("verify-characters", "--m", "-3..1"),
+                                      ("verify-identities", "--m", "1")])
+    def test_range_without_cases_rejected(self, argv, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--output", str(tmp_path / "r.txt"))
+        assert exit_info.value.code == 2
+        assert not (tmp_path / "r.txt").exists()
+
+
+class TestParallelRuns:
+    @staticmethod
+    def no_pool(*args, **kwargs):
+        raise AssertionError("no worker pool expected")
+
+    @pytest.mark.parametrize("cpus", [1, None])
+    def test_workers_clamped_to_cpu_count(self, cpus, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", self.no_pool)
+        assert cli._run_parallel(abs, [-1, -2], 2) == [1, 2]
+
+    def test_workers_clamped_to_case_count(self, monkeypatch):
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", self.no_pool)
+        assert cli._run_parallel(abs, [-3], 2) == [3]
+
+    @pytest.mark.parametrize("argv", [
+        ("verify-wronskian", "--m", "2..4", "--q-trunc", "6", "--dump-series"),
+        ("verify-orders", "--m", "2..5", "--q-trunc", "6", "--dump-series"),
+        ("verify-characters", "--m", "2..7"),
+        ("verify-identities", "--m", "2..4", "--q-trunc", "6", "--trials", "2",
+         "--seed", "3", "--jacobi-file"),
+    ])
+    def test_jobs_do_not_change_reports_or_dumps(self, argv, tmp_path):
+        table = tmp_path / "form.jacobi"
+        table.write_text(dump_jacobi_table(
+            JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
+        outputs = []
+        for jobs in ("1", "2"):
+            report, dumps = tmp_path / f"report{jobs}.json", tmp_path / f"dumps{jobs}"
+            args = list(argv)
+            if argv[-1] == "--dump-series":
+                args.append(str(dumps))
+            elif argv[-1] == "--jacobi-file":
+                args.append(str(table))
+            assert run_cli(*args, "--format", "json", "--jobs", jobs,
+                           "--output", str(report)) == 0
+            files = sorted(dumps.iterdir()) if dumps.exists() else []
+            outputs.append((report.read_bytes(), [(f.name, f.read_bytes()) for f in files]))
+        assert outputs[0] == outputs[1]
+        if argv[-1] == "--dump-series":
+            assert outputs[0][1]
 
 
 class TestVerifyWronskian:

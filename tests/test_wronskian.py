@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_agree, random_series
+from conftest import assert_agree, laplace_det, random_series
 from qtheta import (PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
                     cramer_reconstruction, eta, eta_power_exponent, kernel_components,
                     modular_wronskian, odd_theta_series, partial_kernel_components,
@@ -90,6 +90,37 @@ class TestDeterminant:
                   - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
                   + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0]))
         assert_agree(matrix.det(), direct)
+
+
+class TestLaplaceOracle:
+    """det, cofactors and adjugate against a plain Laplace expansion."""
+
+    @staticmethod
+    def without(entries, row, col):
+        return [r[:col] + r[col + 1:] for i, r in enumerate(entries) if i != row]
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_matrices(self, n):
+        rng = random.Random(83 + n)
+        for _ in range(3):
+            entries = [[random_series(rng, trunc=F(rng.randint(3, 6)), base_denom=4,
+                                      max_terms=4) for _ in range(n)] for _ in range(n)]
+            matrix = SeriesMatrix(entries)
+            assert_agree(matrix.det(), laplace_det(entries))
+            for j, cof in enumerate(matrix.last_row_cofactors()):
+                minor = laplace_det(self.without(entries, n - 1, j))
+                assert_agree(cof, minor if (n - 1 + j) % 2 == 0 else -minor)
+            adj = matrix.adjugate()
+            for i in range(n):
+                for j in range(n):
+                    minor = laplace_det(self.without(entries, i, j))
+                    assert_agree(adj.entry(j, i), minor if (i + j) % 2 == 0 else -minor)
+
+    def test_adjugate_last_column_is_last_row_cofactors(self):
+        for m, window in ((3, 5), (4, 8), (5, 12), (6, 8), (7, 5)):
+            matrix = theta_derivative_matrix(m, window)
+            adj = matrix.adjugate()
+            assert [adj.entry(j, m - 2) for j in range(m - 1)] == matrix.last_row_cofactors()
 
 
 class TestModularWronskian:
@@ -256,6 +287,21 @@ class TestPartialKernel:
                 term = matrix.entry(rows, col) * h.components[col]
                 acc = term if acc is None else acc + term
             assert not acc.is_zero()
+
+    def test_matches_per_column_determinants(self):
+        # one maximal-minor pass gives exactly the series of one det per column
+        for m in (4, 5, 6):
+            matrix = theta_derivative_matrix(m, 8)
+            for rows in range(1, m - 1):
+                for columns in (list(range(1, rows + 2)), list(range(m - rows - 1, m))):
+                    h = partial_kernel_components(m, 8, rows, columns)
+                    for t, col in enumerate(columns):
+                        kept = [c for c in columns if c != col]
+                        minor = SeriesMatrix([[matrix.entry(row, c - 1) for c in kept]
+                                              for row in range(rows)]).det()
+                        assert h.components[col - 1] == (minor if t % 2 == 0 else -minor)
+                    assert all(h.components[c - 1].is_zero()
+                               for c in range(1, m) if c not in columns)
 
     def test_column_choice(self):
         h = partial_kernel_components(5, 8, 1, columns=[2, 4])
