@@ -10,10 +10,11 @@ Subcommands run the exact checks and write deterministic reports:
     sweep               a grid of cases plus the integrality discrepancy table
 
 Reports contain no floating point: every rational is rendered "num/den".
-Identical configurations produce byte-identical output.  Exit status 0
-means every check passed; discrepancy flags are informational and never
-affect the exit status.  On a failed check a machine-readable failure
-record is written and the exit status is 1.
+Identical arguments produce byte-identical output.  Exit status 0 means
+every check passed; discrepancy flags are informational and never affect
+the exit status.  On a failed check a machine-readable failure record is
+written and the exit status is 1.  Malformed input exits 2 with a usage
+error and checks nothing.
 """
 
 from __future__ import annotations
@@ -39,34 +40,11 @@ from .jacobi import (component_taylor, component_taylor_scale, from_theta_compon
 from .series import INFINITY, dump_series_text, parse_rational
 from .theta import ThetaIndex, odd_theta_series, total_theta_order, translation_eigenvalue
 from .wronskian import (VerificationFailed, _cofactor_order_reports, _dot,
-                        cramer_reconstruction, kernel_components, modular_wronskian,
-                        theta_derivative_matrix, verify_eta_power)
+                        cramer_reconstruction, kernel_components, theta_derivative_matrix,
+                        verify_eta_power)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QTHETA_OUTPUT_DIR"
-
-
-@dataclasses.dataclass
-class RunConfig:
-    """Everything a run needs; two equal configs produce identical bytes."""
-
-    command: str
-    m_range: tuple[int, int] | None = None
-    k_range: tuple[int, int] | None = None
-    m_offset_range: tuple[int, int] | None = None
-    n_values: tuple[int, ...] = (1,)
-    k: int | None = None
-    m: int | None = None
-    level: int | None = None
-    q_trunc: Fraction = Fraction(12)
-    weight_k: int = 3
-    trials: int = 5
-    seed: int = 0
-    jobs: int = 1
-    output: Path | None = None
-    format: str = "text"
-    dump_series: Path | None = None
-    jacobi_file: Path | None = None
 
 
 def parse_range(text: str) -> tuple[int, int]:
@@ -79,6 +57,11 @@ def parse_range(text: str) -> tuple[int, int]:
     if hi < lo:
         raise ValueError(f"empty range {text!r}")
     return lo, hi
+
+
+def parse_levels(text: str) -> tuple[int, ...]:
+    """'1,6,4' -> (1, 6, 4)."""
+    return tuple(int(x) for x in text.split(","))
 
 
 def _rat(x) -> str:
@@ -120,26 +103,27 @@ def _csv_cell(value) -> str:
 
 # -- command implementations --------------------------------------------------
 #
-# Each handler returns (tables, all_passed, discrepancies, dumps) where tables
-# is an ordered mapping from table name to a list of uniform row dicts and
-# dumps maps a --dump-series file name to its series.
+# Each handler takes the parsed arguments and returns (tables, discrepancies,
+# dumps) where tables is an ordered mapping from table name to a list of
+# uniform row dicts and dumps maps a --dump-series file name to its series.
+# A row with an "ok" field that is false fails the run.
 #
 # The four verify commands share _run_cases.  Each of their cases takes
-# (config, m, inputs) and returns its own tables and dumps, so the parent
+# (args, m, inputs) and returns its own tables and dumps, so the parent
 # computes no series once the cases have run.
 
 
 def _wronskian_case(job):
-    config, m, _ = job
+    args, m, _ = job
     dumps = {}
-    if config.dump_series is not None:
-        dumps[f"wronskian_m{m}.series"] = modular_wronskian(m, config.q_trunc)
-    return {"reports": [to_jsonable(verify_eta_power(m, config.q_trunc))]}, dumps
+    if args.dump_series is not None:
+        dumps[f"wronskian_m{m}.series"] = theta_derivative_matrix(m, args.q_trunc).det()
+    return {"reports": [to_jsonable(verify_eta_power(m, args.q_trunc))]}, dumps
 
 
 def _orders_case(job):
-    config, m, _ = job
-    matrix = theta_derivative_matrix(m, config.q_trunc)
+    args, m, _ = job
+    matrix = theta_derivative_matrix(m, args.q_trunc)
     cofactors = matrix.last_row_cofactors()
     expected = total_theta_order(m)
     value = _dot(matrix.entries[-1], cofactors).ord_infty()
@@ -151,12 +135,12 @@ def _orders_case(job):
              "value": _rat(2 * value), "expected": _rat(2 * expected), "ok": True}]
     if m < 3:
         return {"orders": rows}, {}
-    for rep in _cofactor_order_reports(m, config.q_trunc, cofactors):
+    for rep in _cofactor_order_reports(m, args.q_trunc, cofactors):
         rows.append({"m": m, "check": f"cofactor_order_nu_{rep.nu}",
                      "value": _rat(rep.ord_cofactor), "expected": _rat(rep.ord_expected),
                      "ok": rep.passed})
     dumps = {}
-    if config.dump_series is not None:
+    if args.dump_series is not None:
         for nu, cof in enumerate(cofactors, start=1):
             dumps[f"cofactor_m{m}_nu{nu}.series"] = cof
     return {"orders": rows}, dumps
@@ -210,13 +194,13 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
 
 def _identities_case(job):
     """Index m's random tuples ``draws`` and its kernel tuple; m None is the --jacobi-file case."""
-    config, m, draws = job
+    args, m, draws = job
     if m is None:
-        phi = parse_jacobi_table(Path(config.jacobi_file).read_text())
+        phi = parse_jacobi_table(args.jacobi_file.read_text())
         m, q_trunc, weight_k = phi.index_m, phi.n_trunc, phi.weight_k
         draws = [("jacobi_file", theta_components(phi))]
     else:
-        q_trunc, weight_k = config.q_trunc, config.weight_k
+        q_trunc, weight_k = args.q_trunc, args.weight_k
         if m >= 3:
             draws = draws + [("kernel", kernel_components(m, q_trunc))]
     rows = [row for label, h in draws
@@ -245,27 +229,26 @@ def _run_parallel(worker, items, jobs):
         return list(pool.map(worker, items))
 
 
-def _run_cases(config: RunConfig):
+def _run_cases(args: argparse.Namespace):
     """Handler of the four verify commands: one case per index, merged in index order."""
-    lo, hi = config.m_range
+    lo, hi = args.m
     ms = range(max(lo, 2), hi + 1)
-    if config.command == "verify-identities":
+    if args.command == "verify-identities":
         # every random tuple is drawn here, in index order, so the seeded
         # stream is the same for any --jobs
-        rng = random.Random(config.seed)
-        jobs = [(config, m, [(f"random_{trial}", random_components(m, config.q_trunc, rng))
-                             for trial in range(config.trials)]) for m in ms]
-        if config.jacobi_file is not None:
-            jobs.append((config, None, None))
+        rng = random.Random(args.seed)
+        jobs = [(args, m, [(f"random_{trial}", random_components(m, args.q_trunc, rng))
+                           for trial in range(args.trials)]) for m in ms]
+        if args.jacobi_file is not None:
+            jobs.append((args, None, None))
     else:
-        jobs = [(config, m, None) for m in ms]
+        jobs = [(args, m, None) for m in ms]
     tables, dumps = {}, {}
-    for case_tables, case_dumps in _run_parallel(CASES[config.command], jobs, config.jobs):
+    for case_tables, case_dumps in _run_parallel(CASES[args.command], jobs, args.jobs):
         for name, rows in case_tables.items():
             tables.setdefault(name, []).extend(rows)
         dumps.update(case_dumps)
-    all_passed = all(row.get("ok", True) for rows in tables.values() for row in rows)
-    return tables, all_passed, [], dumps
+    return tables, [], dumps
 
 
 def _verdict_row(verdict) -> dict:
@@ -274,40 +257,40 @@ def _verdict_row(verdict) -> dict:
     return row
 
 
-def _cmd_classify(config: RunConfig):
-    verdict = classify(CaseInput(config.k, config.m, config.level))
+def _cmd_classify(args: argparse.Namespace):
+    verdict = classify(CaseInput(args.k, args.m, args.N))
     discrepancies = list(verdict.discrepancy_flags)
     tables = {"verdicts": [_verdict_row(verdict)]}
-    if config.m > 3:
-        report = nonintegrality_check(config.m)
+    if args.m > 3:
+        report = nonintegrality_check(args.m)
         tables["nonintegrality"] = [to_jsonable(report) | {"discrepancy": report.discrepancy}]
         if report.discrepancy:
-            discrepancies.append(f"m={config.m}: integrality discrepancy")
+            discrepancies.append(f"m={args.m}: integrality discrepancy")
     ok = (not verdict.any_part) or verdict.window_ok
     if not ok:
         raise VerificationFailed(
-            f"window check failed for accepted case k={config.k} m={config.m}")
-    return tables, True, discrepancies, {}
+            f"window check failed for accepted case k={args.k} m={args.m}")
+    return tables, discrepancies, {}
 
 
-def _cmd_sweep(config: RunConfig):
-    k_lo, k_hi = config.k_range
+def _cmd_sweep(args: argparse.Namespace):
+    k_lo, k_hi = args.k
     rows = []
     discrepancies = []
     ms_seen = set()
     for k in range(k_lo, k_hi + 1):
         if k % 2 == 0:
             continue
-        if config.m_offset_range is not None:
-            off_lo, off_hi = config.m_offset_range
+        if args.m_offset is not None:
+            off_lo, off_hi = args.m_offset
             ms = range(k + off_lo, k + off_hi + 1)
         else:
-            ms = range(config.m_range[0], config.m_range[1] + 1)
+            ms = range(args.m[0], args.m[1] + 1)
         for m in ms:
             if m < 3:
                 continue
             ms_seen.add(m)
-            for n_level in config.n_values:
+            for n_level in args.N:
                 verdict = classify(CaseInput(k, m, n_level))
                 if verdict.any_part and not verdict.window_ok:
                     raise VerificationFailed(
@@ -323,7 +306,7 @@ def _cmd_sweep(config: RunConfig):
         if report.discrepancy:
             discrepancies.append(f"m={m}: (m-2)(m-1)(2m-3)/m is an integer")
     tables = {"verdicts": rows, "nonintegrality": integrality_rows}
-    return tables, True, sorted(set(discrepancies)), {}
+    return tables, sorted(set(discrepancies)), {}
 
 
 HANDLERS = {
@@ -339,14 +322,14 @@ HANDLERS = {
 # -- rendering -----------------------------------------------------------------
 
 
-def _render_json(config, tables, all_passed, discrepancies) -> str:
+def _render_json(args, tables, all_passed, discrepancies) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "command": config.command,
+        "command": args.command,
         "parameters": {
-            "q_trunc": _rat(config.q_trunc),
-            "seed": config.seed,
-            "trials": config.trials,
+            "q_trunc": _rat(args.q_trunc),
+            "seed": args.seed,
+            "trials": args.trials,
         },
         "results": tables,
         "all_passed": all_passed,
@@ -373,8 +356,8 @@ def _render_csv(tables) -> str:
     return out.getvalue()
 
 
-def _render_text(config, tables, all_passed, discrepancies) -> str:
-    lines = [f"command: {config.command}"]
+def _render_text(args, tables, all_passed, discrepancies) -> str:
+    lines = [f"command: {args.command}"]
     for name, rows in tables.items():
         lines.append(f"[{name}]")
         for row in rows:
@@ -389,61 +372,41 @@ def _render_text(config, tables, all_passed, discrepancies) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _output_target(config: RunConfig) -> Path | None:
-    if config.output is not None:
-        return Path(config.output)
-    env_dir = os.environ.get(OUTPUT_DIR_ENV)
-    if env_dir:
-        ext = {"json": "json", "csv": "csv", "text": "txt"}[config.format]
-        return Path(env_dir) / f"{config.command}.{ext}"
-    return None
-
-
-def _write(config: RunConfig, payload: str) -> None:
-    target = _output_target(config)
-    if target is None:
-        sys.stdout.write(payload)
+def _write(args, payload: str, stream) -> None:
+    """Write to --output, else into $QTHETA_OUTPUT_DIR, else to ``stream``."""
+    if args.output is not None:
+        target = args.output
+    elif os.environ.get(OUTPUT_DIR_ENV):
+        ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
+        target = Path(os.environ[OUTPUT_DIR_ENV]) / f"{args.command}.{ext}"
     else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(payload)
+        stream.write(payload)
+        return
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(payload)
 
 
-def _write_failure(config: RunConfig, error: Exception) -> None:
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "command": config.command,
-        "all_passed": False,
-        "failure": str(error),
-    }
-    payload = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    target = _output_target(config)
-    if target is None:
-        sys.stderr.write(payload)
-    else:
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(payload)
-
-
-def run(config: RunConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
-    handler = HANDLERS[config.command]
     try:
-        tables, all_passed, discrepancies, dumps = handler(config)
+        tables, discrepancies, dumps = HANDLERS[args.command](args)
     except VerificationFailed as error:
-        _write_failure(config, error)
+        record = {"schema_version": SCHEMA_VERSION, "command": args.command,
+                  "all_passed": False, "failure": str(error)}
+        _write(args, json.dumps(record, indent=2, sort_keys=True) + "\n", sys.stderr)
         return 1
-    if config.dump_series is not None and dumps:
-        dump_dir = Path(config.dump_series)
-        dump_dir.mkdir(parents=True, exist_ok=True)
+    all_passed = all(row.get("ok", True) for rows in tables.values() for row in rows)
+    if args.dump_series is not None and dumps:
+        args.dump_series.mkdir(parents=True, exist_ok=True)
         for name, series in sorted(dumps.items()):
-            (dump_dir / name).write_text(dump_series_text(series))
-    if config.format == "json":
-        payload = _render_json(config, tables, all_passed, discrepancies)
-    elif config.format == "csv":
+            (args.dump_series / name).write_text(dump_series_text(series))
+    if args.format == "json":
+        payload = _render_json(args, tables, all_passed, discrepancies)
+    elif args.format == "csv":
         payload = _render_csv(tables)
     else:
-        payload = _render_text(config, tables, all_passed, discrepancies)
-    _write(config, payload)
+        payload = _render_text(args, tables, all_passed, discrepancies)
+    _write(args, payload, sys.stdout)
     return 0 if all_passed else 1
 
 
@@ -455,25 +418,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qtheta",
         description="Exact q-expansion checks for theta Wronskians, eta powers, "
                     "and odd-weight Jacobi form operators.")
+    # Every report prints q_trunc, seed and trials, so the commands without
+    # those flags take these values too.  The flags default to SUPPRESS,
+    # which leaves these as the only defaults.
+    parser.set_defaults(q_trunc=Fraction(12), seed=0, trials=5,
+                        dump_series=None, jacobi_file=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_m=True):
-        if needs_m:
-            p.add_argument("--m", default="2..8", help="index range, e.g. 2..8 or 5")
-        p.add_argument("--q-trunc", default="12", help="certified window, e.g. 40 or 81/2")
+    def output_flags(p):
         p.add_argument("--output", type=Path, default=None,
                        help=f"report path (default: stdout, or ${OUTPUT_DIR_ENV})")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+
+    def common(p):
+        p.add_argument("--m", type=parse_range, default="2..8",
+                       help="index range, e.g. 2..8 or 5")
+        p.add_argument("--q-trunc", type=parse_rational, default=argparse.SUPPRESS,
+                       help="certified window, e.g. 40 or 81/2")
+        output_flags(p)
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
     p = sub.add_parser("verify-wronskian", help="eta-power identity per index")
     common(p)
-    p.add_argument("--dump-series", type=Path, default=None,
+    p.add_argument("--dump-series", type=Path, default=argparse.SUPPRESS,
                    help="directory for Wronskian series dumps")
 
     p = sub.add_parser("verify-orders", help="vanishing orders and leading coefficients")
     common(p)
-    p.add_argument("--dump-series", type=Path, default=None,
+    p.add_argument("--dump-series", type=Path, default=argparse.SUPPRESS,
                    help="directory for cofactor series dumps")
 
     p = sub.add_parser("verify-characters", help="translation eigenvalues and characters")
@@ -482,77 +454,64 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-identities",
                        help="two-path Taylor identity, kernel equivalence, Cramer")
     common(p)
-    p.add_argument("--trials", type=int, default=5, help="random tuples per index")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=argparse.SUPPRESS,
+                   help="random tuples per index")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--weight-k", type=int, default=3, help="odd weight for the operators")
-    p.add_argument("--jacobi-file", type=Path, default=None,
+    p.add_argument("--jacobi-file", type=Path, default=argparse.SUPPRESS,
                    help="coefficient table to ingest and validate")
 
     p = sub.add_parser("classify", help="applicability verdict for one case")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--N", type=int, required=True)
-    p.add_argument("--output", type=Path, default=None)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    output_flags(p)
 
     p = sub.add_parser("sweep", help="classify a grid of cases")
-    p.add_argument("--k", default="3..21", help="weight range (odd values used)")
-    p.add_argument("--m", default=None, help="absolute index range, e.g. 4..41")
-    p.add_argument("--m-offset", default=None,
+    p.add_argument("--k", type=parse_range, default="3..21",
+                   help="weight range (odd values used)")
+    p.add_argument("--m", type=parse_range, default=None,
+                   help="absolute index range, e.g. 4..41")
+    p.add_argument("--m-offset", type=parse_range, default=None,
                    help="index range relative to k, e.g. 1..20 for m in k+1..k+20")
-    p.add_argument("--N", default="1", help="comma-separated levels, e.g. 1,6,4")
-    p.add_argument("--output", type=Path, default=None)
-    p.add_argument("--format", choices=("json", "csv", "text"), default="text")
+    p.add_argument("--N", type=parse_levels, default="1",
+                   help="comma-separated levels, e.g. 1,6,4")
+    output_flags(p)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = args.command
-    config = RunConfig(command=command)
-    if command in CASES:
-        config.m_range = parse_range(args.m)
-        if config.m_range[1] < 2:
-            raise ValueError(f"--m {args.m} has no index m >= 2 to check")
-        config.q_trunc = parse_rational(args.q_trunc)
-        if config.q_trunc <= 0:
+def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check the parsed arguments; raises ValueError on malformed input, else returns them."""
+    if args.command in CASES:
+        if args.m[1] < 2:
+            raise ValueError(f"--m {args.m[0]}..{args.m[1]} has no index m >= 2 to check")
+        if args.q_trunc <= 0:
             raise ValueError("q_trunc must be positive")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
-        config.output = args.output
-        config.format = args.format
-        config.jobs = args.jobs
-        config.dump_series = getattr(args, "dump_series", None)
-        if command == "verify-identities":
-            config.trials = args.trials
-            config.seed = args.seed
-            config.weight_k = args.weight_k
-            config.jacobi_file = args.jacobi_file
-    elif command == "classify":
-        config.k, config.m, config.level = args.k, args.m, args.N
-        config.output = args.output
-        config.format = args.format
-    elif command == "sweep":
-        config.k_range = parse_range(args.k)
-        if args.m_offset is not None:
-            config.m_offset_range = parse_range(args.m_offset)
-        elif args.m is not None:
-            config.m_range = parse_range(args.m)
-        else:
+        if args.command == "verify-identities" and (args.weight_k < 1
+                                                     or args.weight_k % 2 == 0):
+            raise ValueError("--weight-k must be a positive odd integer")
+    elif args.command == "classify":
+        CaseInput(args.k, args.m, args.N)  # its InvalidInput is a ValueError
+    elif args.command == "sweep":
+        if args.m is None and args.m_offset is None:
             raise ValueError("sweep needs --m or --m-offset")
-        config.n_values = tuple(int(x) for x in args.N.split(","))
-        config.output = args.output
-        config.format = args.format
-    return config
+        if min(args.N) < 1:
+            raise ValueError("--N levels must be positive integers")
+        if any(k % 2 for k in range(args.k[0], min(args.k[1], 2) + 1)):
+            raise ValueError("--k includes an odd weight below 3")
+    return args
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = config_from_args(args)
+        config_from_args(args)
     except ValueError as error:
         parser.error(str(error))
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .series import PuiseuxSeries, parse_rational
-from .theta import ThetaIndex, ThetaTwoVar, theta_series, odd_theta_series
+from .theta import ThetaIndex, ThetaTwoVar, _residues, theta_series, odd_theta_series
 
 
 class InvariantViolation(ValueError):
@@ -139,8 +139,9 @@ class JacobiFormData:
         for (mu, disc), value in closed.items():
             if not value:
                 continue
-            for r in _class_representatives(m, mu, disc, n_trunc):
-                coeffs[((disc + r * r) // (4 * m), r)] = value
+            for r in _residues(m, mu, n_trunc - Fraction(disc, 4 * m)):
+                if disc + r * r >= 0:
+                    coeffs[((disc + r * r) // (4 * m), r)] = value
         return cls(weight_k, index_m, level_N, n_trunc, coeffs, weak=weak)
 
     @classmethod
@@ -154,20 +155,6 @@ class JacobiFormData:
                     f"q-exponent {e} is not an integer Fourier index")
             coeffs[(int(e), r)] = c
         return cls(weight_k, index_m, level_N, tv.q_trunc, coeffs, weak=weak)
-
-
-def _class_representatives(m: int, mu: int, disc: int, n_trunc: Fraction):
-    """All r = mu mod 2m with (disc + r^2)/(4m) a nonnegative integer < n_trunc."""
-    bound = 4 * m * n_trunc - disc
-    if bound <= 0:
-        return
-    r_cap = math.isqrt(math.ceil(bound)) + 1
-    step = 2 * m
-    start = mu % step
-    for r in range(start - step * ((r_cap + start) // step + 1), r_cap + 1, step):
-        n_times_4m = disc + r * r
-        if n_times_4m >= 0 and Fraction(n_times_4m, 4 * m) < n_trunc:
-            yield r
 
 
 @dataclass(frozen=True)

@@ -271,8 +271,10 @@ def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or 'a' into an exact Fraction."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
     return Fraction(int(text))
 
 

@@ -2,16 +2,19 @@
 
 The central object for index m is the (m-1) x (m-1) matrix whose (j, mu)
 entry is (q d/dq)^(j-1) applied to the odd theta series of residue mu.
-Its determinant agrees exactly with the modular Wronskian
+Its determinant is the Wronskian W that every check and every
+``--dump-series`` file uses.  It agrees exactly with the modular Wronskian
 det(F, DF, D^2 F, ..., D^(m-2) F) built from the weight-stepping modular
 derivative (row reduction removes the Eisenstein corrections without
-changing the determinant when derivatives are normalized as q d/dq).
+changing the determinant when derivatives are normalized as q d/dq);
+``modular_wronskian`` computes that second route and is kept as an
+independent oracle for the tests.
 
 The verification entry points certify, on an explicit exponent window,
-that the Wronskian is a constant multiple of the Dedekind eta function
-raised to (m-1)(2m-1), and that the vanishing orders and leading
-coefficients of the determinant and its last-row cofactors match the
-closed Vandermonde formulas.
+that W is a constant multiple of the Dedekind eta function raised to
+(m-1)(2m-1), and that the vanishing orders and leading coefficients of
+the determinant and its last-row cofactors match the closed Vandermonde
+formulas.
 """
 
 from __future__ import annotations
@@ -220,7 +223,7 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
         raise ValueError("q_trunc must be positive")
     lam = eta_power_exponent(m)
     internal = q_trunc + Fraction(lam, 24) + 2
-    wronskian = modular_wronskian(m, internal)
+    wronskian = theta_derivative_matrix(m, internal).det()
     eta_power = eta(internal) ** lam
     quotient = wronskian / eta_power
 

@@ -47,6 +47,21 @@ class TestParsing:
         assert exit_info.value.code == 2
         assert not (tmp_path / "r.txt").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ("verify-wronskian", "--m", "2", "--q-trunc", "1/0"),
+        ("classify", "--k", "4", "--m", "5", "--N", "1"),
+        ("classify", "--k", "3", "--m", "2", "--N", "1"),
+        ("sweep", "--k", "3..5", "--m", "4..6", "--N", "0"),
+        ("sweep", "--k", "1..5", "--m", "4..6"),
+        ("verify-identities", "--m", "3", "--q-trunc", "6", "--weight-k", "4"),
+    ])
+    def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--output", str(tmp_path / "r.txt"))
+        assert exit_info.value.code == 2
+        assert "usage: qtheta" in capsys.readouterr().err
+        assert not (tmp_path / "r.txt").exists()
+
 
 class TestParallelRuns:
     @staticmethod
@@ -205,6 +220,7 @@ class TestClassifyAndSweep:
         verdict = doc["results"]["verdicts"][0]
         assert (verdict["part_i"], verdict["part_ii"], verdict["part_iii"]) == \
             (False, True, True)
+        assert doc["parameters"] == {"q_trunc": "12/1", "seed": 0, "trials": 5}
 
     def test_sweep_reports_discrepancy_without_failing(self, tmp_path):
         out = tmp_path / "sweep.json"

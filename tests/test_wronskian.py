@@ -138,6 +138,13 @@ class TestModularWronskian:
             w = modular_wronskian(m, 8)
             det = theta_derivative_matrix(m, 8).det()
             assert_agree(w, det)
+        # verify_eta_power's internal window for q_trunc 12: the same series
+        for m in (2, 3, 4, 5, 6):
+            window = 12 + F(eta_power_exponent(m), 24) + 2
+            w = modular_wronskian(m, window)
+            det = theta_derivative_matrix(m, window).det()
+            assert w == det
+            assert w.base_denom == det.base_denom
 
 
 class TestCofactors:
