@@ -16,7 +16,8 @@ from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      development_operator, dump_jacobi_table, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
-from .modforms import HalfIntWeight, eisenstein_e2, eta, iterated_derivative, modular_derivative
+from .modforms import (HalfIntWeight, eisenstein_e2, eta, eta_power, iterated_derivative,
+                       modular_derivative)
 from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
                      dump_series_text, parse_rational, parse_series_text)
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,
@@ -24,7 +25,7 @@ from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
                         VerificationFailed, WronskianReport, cramer_reconstruction,
                         eta_power_exponent, kernel_components, modular_wronskian,
-                        partial_kernel_components, theta_derivative_matrix, vandermonde,
-                        verify_cofactor_orders, verify_eta_power)
+                        partial_kernel_components, theta_derivative_matrix, theta_wronskian,
+                        vandermonde, verify_cofactor_orders, verify_eta_power)
 
 __version__ = "0.1.0"

@@ -41,7 +41,7 @@ from .series import INFINITY, dump_series_text, parse_rational
 from .theta import ThetaIndex, odd_theta_series, total_theta_order, translation_eigenvalue
 from .wronskian import (VerificationFailed, _cofactor_order_reports, _dot,
                         cramer_reconstruction, kernel_components, theta_derivative_matrix,
-                        verify_eta_power)
+                        theta_wronskian, verify_eta_power)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QTHETA_OUTPUT_DIR"
@@ -117,7 +117,7 @@ def _wronskian_case(job):
     args, m, _ = job
     dumps = {}
     if args.dump_series is not None:
-        dumps[f"wronskian_m{m}.series"] = theta_derivative_matrix(m, args.q_trunc).det()
+        dumps[f"wronskian_m{m}.series"] = theta_wronskian(m, args.q_trunc)
     return {"reports": [to_jsonable(verify_eta_power(m, args.q_trunc))]}, dumps
 
 
@@ -196,7 +196,7 @@ def _identities_case(job):
     """Index m's random tuples ``draws`` and its kernel tuple; m None is the --jacobi-file case."""
     args, m, draws = job
     if m is None:
-        phi = parse_jacobi_table(args.jacobi_file.read_text())
+        phi = args.jacobi_form
         m, q_trunc, weight_k = phi.index_m, phi.n_trunc, phi.weight_k
         draws = [("jacobi_file", theta_components(phi))]
     else:
@@ -481,7 +481,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
-    """Check the parsed arguments; raises ValueError on malformed input, else returns them."""
+    """Check the parsed arguments; raises ValueError on malformed input, else returns them.
+
+    verify-identities also gains ``jacobi_form``, its parsed --jacobi-file
+    table or None, so a bad table is rejected before any case runs.
+    """
     if args.command in CASES:
         if args.m[1] < 2:
             raise ValueError(f"--m {args.m[0]}..{args.m[1]} has no index m >= 2 to check")
@@ -489,9 +493,8 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError("q_trunc must be positive")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
-        if args.command == "verify-identities" and (args.weight_k < 1
-                                                     or args.weight_k % 2 == 0):
-            raise ValueError("--weight-k must be a positive odd integer")
+        if args.command == "verify-identities":
+            _check_identities_args(args)
     elif args.command == "classify":
         CaseInput(args.k, args.m, args.N)  # its InvalidInput is a ValueError
     elif args.command == "sweep":
@@ -501,7 +504,33 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError("--N levels must be positive integers")
         if any(k % 2 for k in range(args.k[0], min(args.k[1], 2) + 1)):
             raise ValueError("--k includes an odd weight below 3")
+        odd = [k for k in range(args.k[0], args.k[1] + 1) if k % 2]
+        if not odd:
+            raise ValueError(f"--k {args.k[0]}..{args.k[1]} has no odd weight to check")
+        top = args.m[1] if args.m_offset is None else odd[-1] + args.m_offset[1]
+        if top < 3:
+            raise ValueError("the sweep grid has no index m >= 3 to check")
     return args
+
+
+def _check_identities_args(args: argparse.Namespace) -> None:
+    """Validate verify-identities input and parse its --jacobi-file into ``args.jacobi_form``."""
+    if args.weight_k < 1 or args.weight_k % 2 == 0:
+        raise ValueError("--weight-k must be a positive odd integer")
+    if args.trials < 0:
+        raise ValueError("--trials must be nonnegative")
+    if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
+        raise ValueError("no case to check: every index is below 3, --trials is 0 "
+                         "and there is no --jacobi-file")
+    args.jacobi_form = None
+    if args.jacobi_file is not None:
+        try:
+            args.jacobi_form = parse_jacobi_table(args.jacobi_file.read_text())
+        except KeyError as error:
+            raise ValueError(f"--jacobi-file {args.jacobi_file}: "
+                             f"header has no {error.args[0]}= field") from error
+        except (OSError, ValueError) as error:
+            raise ValueError(f"--jacobi-file {args.jacobi_file}: {error}") from error
 
 
 def main(argv=None) -> int:

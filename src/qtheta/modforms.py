@@ -82,6 +82,46 @@ def _eta_cached(trunc: Fraction) -> PuiseuxSeries:
     return PuiseuxSeries({e + shift: c for e, c in product.items()}, trunc, base_denom=24)
 
 
+def eta_power(trunc, lam: int) -> PuiseuxSeries:
+    """eta(trunc) ** lam, from integer coefficients of prod_{n>=1} (1 - q^n)^lam.
+
+    The coefficients f_n follow Miller's recurrence for a power of a
+    series, n f_n = sum_{k=1}^n ((lam+1)k - n) p_k f_(n-k), where p is
+    Euler's pentagonal series sum_k (-1)^k q^(k(3k-1)/2), so only
+    O(sqrt n) of the p_k are nonzero.  The window is the one the series
+    product rules give eta(trunc) ** lam: each factor past the first
+    lifts it by 1/24, unless eta(trunc) has no term at all.
+    """
+    trunc = Fraction(trunc)
+    if trunc <= 0:
+        raise ValueError("trunc must be positive")
+    if not isinstance(lam, int) or lam < 1:
+        raise ValueError("the eta exponent must be a positive integer")
+    shift = Fraction(1, 24)
+    if trunc > shift:
+        trunc += (lam - 1) * shift
+    size = max(0, math.ceil(trunc - lam * shift))  # f_n is needed for n < size
+    pentagonal = []
+    k = 1
+    while k * (3 * k - 1) // 2 < size:
+        sign = -1 if k % 2 else 1
+        pentagonal.append((k * (3 * k - 1) // 2, sign))
+        pentagonal.append((k * (3 * k + 1) // 2, sign))
+        k += 1
+    coeffs = [1] if size else []
+    for n in range(1, size):
+        total = 0
+        for g, sign in pentagonal:
+            if g > n:
+                break
+            total += sign * ((lam + 1) * g - n) * coeffs[n - g]
+        value, remainder = divmod(total, n)
+        assert remainder == 0, "Miller's recurrence must divide exactly"
+        coeffs.append(value)
+    return PuiseuxSeries({Fraction(lam + 24 * n, 24): c
+                          for n, c in enumerate(coeffs) if c}, trunc, base_denom=24)
+
+
 def eisenstein_e2(trunc) -> PuiseuxSeries:
     """1 - 24 * sum_{n>=1} sigma_1(n) q^n below ``trunc``; integer exponents.
 

@@ -3,12 +3,25 @@
 The central object for index m is the (m-1) x (m-1) matrix whose (j, mu)
 entry is (q d/dq)^(j-1) applied to the odd theta series of residue mu.
 Its determinant is the Wronskian W that every check and every
-``--dump-series`` file uses.  It agrees exactly with the modular Wronskian
-det(F, DF, D^2 F, ..., D^(m-2) F) built from the weight-stepping modular
-derivative (row reduction removes the Eisenstein corrections without
-changing the determinant when derivatives are normalized as q d/dq);
-``modular_wronskian`` computes that second route and is kept as an
-independent oracle for the tests.
+``--dump-series`` file uses.  ``theta_wronskian`` computes it as a lattice
+sum: the determinant is multilinear in the columns, and column mu is a
+sum over r = mu mod 2m, so W is the sum over tuples (r_1, ..., r_{m-1})
+of prod r_mu times the Vandermonde product of the r_mu^2/4m, at exponent
+sum r_mu^2/4m.  The sum is exact at every exponent; the series reports
+the window the series-matrix determinant certifies for the same input,
+q_trunc + (m-1)(2m-1)/24 - (m-1)^2/4m once q_trunc passes (m-1)^2/4m
+(for m > 2), and q_trunc otherwise, so reports and dumps do not depend
+on the route.  That W is a multiple of eta^((m-1)(2m-1)), the eta power
+of dimension dim C_(m-1), is the type-C Macdonald identity (Macdonald,
+"Affine root systems and Dedekind's eta-function", Invent. Math. 15,
+1972).
+
+W also agrees exactly with the modular Wronskian det(F, DF, D^2 F, ...,
+D^(m-2) F) built from the weight-stepping modular derivative (row
+reduction removes the Eisenstein corrections without changing the
+determinant when derivatives are normalized as q d/dq).  That route
+(``modular_wronskian``) and ``SeriesMatrix.det`` are kept as independent
+oracles for the tests.
 
 The verification entry points certify, on an explicit exponent window,
 that W is a constant multiple of the Dedekind eta function raised to
@@ -24,9 +37,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .jacobi import ThetaComponents
-from .modforms import HalfIntWeight, eta, modular_derivative
+from .modforms import HalfIntWeight, eta_power, modular_derivative
 from .series import INFINITY, PuiseuxSeries
-from .theta import ThetaIndex, odd_theta_series, total_theta_order
+from .theta import ThetaIndex, _residues, odd_theta_series, total_theta_order
 
 
 class VerificationFailed(Exception):
@@ -168,6 +181,54 @@ def theta_derivative_matrix(m: int, q_trunc) -> SeriesMatrix:
     return SeriesMatrix(rows)
 
 
+def theta_wronskian(m: int, q_trunc) -> PuiseuxSeries:
+    """det(theta_derivative_matrix(m, q_trunc)) as the lattice sum above.
+
+    Each tuple (r_1, ..., r_{m-1}) with r_mu = mu mod 2m adds
+    prod r_mu * V(r_1^2, ..., r_{m-1}^2) at exponent sum r_mu^2/4m, in
+    integers; the sum is divided once by (4m)^C(m-1, 2).  The tuples are
+    enumerated depth first, cut where the partial sum of r^2 plus the
+    least sum the remaining classes can add reaches the window.  The
+    window is the determinant's: past (m-1)^2/4m, the first exponent of
+    the last column, the product rules lift q_trunc by the orders of the
+    other columns.
+    """
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    trunc = Fraction(q_trunc)
+    low = Fraction((m - 1) ** 2, 4 * m)
+    if m > 2 and trunc > low:
+        trunc += Fraction(eta_power_exponent(m), 24) - low
+    grid = 4 * m
+    bound = math.ceil(grid * trunc)  # an integer sum of r^2 is < grid*trunc iff < bound
+    n = m - 1
+    # rest[k]: the least sum of r^2 over the classes after class k + 1
+    rest = [sum(nu * nu for nu in range(k + 2, m)) for k in range(n)]
+    candidates = [sorted(_residues(m, mu, Fraction(bound - rest[mu - 1], grid)),
+                         key=abs) for mu in range(1, m)]
+    sums: dict[int, int] = {}
+
+    def descend(k: int, total: int, weight: int, squares: list[int]) -> None:
+        room = bound - rest[k] - total
+        last = k == n - 1
+        for r in candidates[k]:
+            s = r * r
+            if s >= room:
+                break
+            w = weight * r
+            for t in squares:
+                w *= s - t
+            if last:
+                sums[total + s] = sums.get(total + s, 0) + w
+            else:
+                descend(k + 1, total + s, w, squares + [s])
+
+    descend(0, 0, 1, [])
+    scale = grid ** math.comb(n, 2)
+    return PuiseuxSeries({Fraction(e, grid): Fraction(c, scale)
+                          for e, c in sorted(sums.items()) if c}, trunc, grid)
+
+
 def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     """det(F, DF, ..., D^(m-2)F) for the odd theta tuple F, weights from 3/2.
 
@@ -223,9 +284,8 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
         raise ValueError("q_trunc must be positive")
     lam = eta_power_exponent(m)
     internal = q_trunc + Fraction(lam, 24) + 2
-    wronskian = theta_derivative_matrix(m, internal).det()
-    eta_power = eta(internal) ** lam
-    quotient = wronskian / eta_power
+    wronskian = theta_wronskian(m, internal)
+    quotient = wronskian / eta_power(internal, lam)
 
     ord_w = wronskian.ord_infty()
     ord_expected = total_theta_order(m)
@@ -421,10 +481,9 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     proportionality_ok = None
     constant = None
     if kernel_case:
-        lam = eta_power_exponent(m)
-        eta_power = eta(q_trunc) ** lam
+        eta_lam = eta_power(q_trunc, eta_power_exponent(m))
         top = system[n - 1]
-        lhs_list = [h.components[mu] * eta_power for mu in range(n)]
+        lhs_list = [h.components[mu] * eta_lam for mu in range(n)]
         rhs_list = [cofactors[mu] * top for mu in range(n)]
         for lhs, rhs in zip(lhs_list, rhs_list):
             if not rhs.is_zero():

@@ -207,3 +207,19 @@ def test_criterion_9_ring_law_property_suite():
     assert adjugate_checks == 50
     print("ACCEPTANCE 9 PASS: 500 random triples satisfy the ring, Leibniz, "
           "and division laws exactly; 50 adjugate identities exact")
+
+
+def test_criterion_10_eta_power_identity_up_to_m12():
+    # the lattice-sum Wronskian reaches past the m = 2..8 fixture in seconds
+    start = time.time()
+    for m in range(9, 13):
+        report = verify_eta_power(m, 40)
+        assert report.passed and report.residual_all_zero
+        assert report.constant != 0
+        assert report.residual_max_exponent_checked > 40
+        assert report.eta_exponent == (m - 1) * (2 * m - 1)
+        assert 2 * report.ord_w == F((m - 1) * (2 * m - 1), 12)
+        nodes = [F(mu * mu, 4 * m) for mu in range(1, m)]
+        assert report.leading_coeff == math.factorial(m - 1) * vandermonde(nodes)
+    print(f"ACCEPTANCE 10 PASS: W/eta^((m-1)(2m-1)) constant, order and leading "
+          f"coefficient for m=9..12 at q_trunc=40 [{time.time() - start:.1f}s]")

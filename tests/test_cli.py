@@ -54,6 +54,12 @@ class TestParsing:
         ("sweep", "--k", "3..5", "--m", "4..6", "--N", "0"),
         ("sweep", "--k", "1..5", "--m", "4..6"),
         ("verify-identities", "--m", "3", "--q-trunc", "6", "--weight-k", "4"),
+        ("sweep", "--k", "4..4", "--m", "4..5"),
+        ("sweep", "--k", "3..5", "--m", "1..2"),
+        ("sweep", "--k", "3..5", "--m-offset=-5..-3"),
+        ("verify-identities", "--m", "3", "--q-trunc", "4", "--trials", "-2"),
+        ("verify-identities", "--m", "2", "--trials", "0"),
+        ("verify-identities", "--m", "1..2", "--trials", "0"),
     ])
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -201,13 +207,40 @@ class TestVerifyIdentities:
         rows = json.loads(out.read_text())["results"]["identities"]
         assert any(row["case"] == "jacobi_file" for row in rows)
 
-    def test_invalid_jacobi_file_rejected(self, tmp_path):
+    @staticmethod
+    def assert_table_rejected(tmp_path, capsys, text, message):
         table = tmp_path / "bad.jacobi"
-        table.write_text("k=3 m=2 N=1 trunc=4/1\n1 1 1/1\n")
-        with pytest.raises(Exception):
+        if text is not None:
+            table.write_text(text)
+        with pytest.raises(SystemExit) as exit_info:
             run_cli("verify-identities", "--m", "3..3", "--q-trunc", "6",
                     "--trials", "1", "--jacobi-file", str(table),
                     "--output", str(tmp_path / "x.json"))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qtheta" in err and message in err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_invalid_jacobi_file_rejected(self, tmp_path, capsys):
+        self.assert_table_rejected(tmp_path, capsys, "k=3 m=2 N=1 trunc=4/1\n1 1 1/1\n",
+                                   "odd symmetry fails")
+
+    def test_jacobi_header_without_trunc_rejected(self, tmp_path, capsys):
+        self.assert_table_rejected(tmp_path, capsys, "k=3 m=2 N=1\n",
+                                   "header has no trunc= field")
+
+    def test_missing_jacobi_file_rejected(self, tmp_path, capsys):
+        self.assert_table_rejected(tmp_path, capsys, None, "No such file")
+
+    def test_jacobi_file_parsed_before_cases(self, tmp_path):
+        phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
+        table = tmp_path / "form.jacobi"
+        table.write_text(dump_jacobi_table(phi))
+        args = cli.config_from_args(cli.build_parser().parse_args(
+            ["verify-identities", "--m", "2", "--trials", "0", "--jacobi-file", str(table)]))
+        assert dump_jacobi_table(args.jacobi_form) == dump_jacobi_table(phi)
+        table.unlink()  # the cases read the parsed table, not the file
+        assert cli.run(args) == 0
 
 
 class TestClassifyAndSweep:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree
-from qtheta import (HalfIntWeight, PuiseuxSeries, eisenstein_e2, eta,
+from qtheta import (HalfIntWeight, PuiseuxSeries, eisenstein_e2, eta, eta_power,
                     iterated_derivative, modular_derivative)
 from qtheta import ThetaIndex, odd_theta_series
 
@@ -54,6 +54,29 @@ class TestEta:
     def test_requires_positive_window(self):
         with pytest.raises(ValueError):
             eta(0)
+
+
+class TestEtaPower:
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_matches_repeated_products(self, m):
+        lam = (m - 1) * (2 * m - 1)
+        # windows at and below the first exponent 1/24, small ones, and the
+        # internal windows verify_eta_power uses for q_trunc 12 and 40
+        for trunc in (F(1, 48), F(1, 24), F(1, 12), F(1), F(25, 24), F(7, 2),
+                      12 + F(lam, 24) + 2, 40 + F(lam, 24) + 2):
+            fast, slow = eta_power(trunc, lam), eta(trunc) ** lam
+            assert fast == slow, trunc
+            assert fast.base_denom == slow.base_denom
+
+    def test_small_exponents(self):
+        for lam in (1, 2, 5):
+            for trunc in (F(1, 24), F(1, 7), F(73, 24), F(9)):
+                assert eta_power(trunc, lam) == eta(trunc) ** lam
+
+    @pytest.mark.parametrize("trunc, lam", [(0, 3), (F(-1, 2), 3), (4, 0), (4, F(3))])
+    def test_rejects_bad_arguments(self, trunc, lam):
+        with pytest.raises(ValueError):
+            eta_power(trunc, lam)
 
 
 class TestEisensteinE2:

@@ -10,8 +10,8 @@ from conftest import assert_agree, laplace_det, random_series
 from qtheta import (PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
                     cramer_reconstruction, eta, eta_power_exponent, kernel_components,
                     modular_wronskian, odd_theta_series, partial_kernel_components,
-                    theta_derivative_matrix, vandermonde, verify_cofactor_orders,
-                    verify_eta_power)
+                    theta_derivative_matrix, theta_wronskian, vandermonde,
+                    verify_cofactor_orders, verify_eta_power)
 from qtheta.jacobi import ThetaComponents
 
 F = Fraction
@@ -145,6 +145,31 @@ class TestModularWronskian:
             det = theta_derivative_matrix(m, window).det()
             assert w == det
             assert w.base_denom == det.base_denom
+
+
+class TestThetaWronskian:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_matches_derivative_matrix_determinant(self, m):
+        # every window k/4m up to the last column's first exponent (m-1)^2/4m,
+        # a sparser grid beyond it, and verify_eta_power's q12 window
+        low = (m - 1) ** 2
+        windows = [F(k, 4 * m) for k in [*range(-1, low + 2), *range(low + 2, 32 * m, 5)]]
+        windows.append(12 + F(eta_power_exponent(m), 24) + 2)
+        for window in windows:
+            lattice = theta_wronskian(m, window)
+            det = theta_derivative_matrix(m, window).det()
+            assert lattice == det, window
+            assert lattice.base_denom == det.base_denom
+
+    def test_leading_term_is_vandermonde(self):
+        for m in range(2, 13):
+            nodes = [F(mu * mu, 4 * m) for mu in range(1, m)]
+            lead = theta_wronskian(m, 2 * m).leading_term()
+            assert lead == (sum(nodes), math.factorial(m - 1) * vandermonde(nodes))
+
+    def test_rejects_small_index(self):
+        with pytest.raises(ValueError):
+            theta_wronskian(1, 4)
 
 
 class TestCofactors:
