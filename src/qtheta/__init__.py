@@ -25,7 +25,8 @@ from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
                         VerificationFailed, WronskianReport, cramer_reconstruction,
                         eta_power_exponent, kernel_components, modular_wronskian,
-                        partial_kernel_components, theta_derivative_matrix, theta_wronskian,
+                        partial_kernel_components, theta_adjugate, theta_cofactors,
+                        theta_derivative_matrix, theta_minors, theta_wronskian,
                         vandermonde, verify_cofactor_orders, verify_eta_power)
 
 __version__ = "0.1.0"

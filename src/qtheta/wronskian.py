@@ -1,33 +1,42 @@
-"""Theta-derivative matrices, modular Wronskians, and their verification.
+"""Theta-derivative matrices, their minors, modular Wronskians, and their verification.
 
-The central object for index m is the (m-1) x (m-1) matrix whose (j, mu)
-entry is (q d/dq)^(j-1) applied to the odd theta series of residue mu.
-Its determinant is the Wronskian W that every check and every
-``--dump-series`` file uses.  ``theta_wronskian`` computes it as a lattice
-sum: the determinant is multilinear in the columns, and column mu is a
-sum over r = mu mod 2m, so W is the sum over tuples (r_1, ..., r_{m-1})
-of prod r_mu times the Vandermonde product of the r_mu^2/4m, at exponent
-sum r_mu^2/4m.  The sum is exact at every exponent; the series reports
-the window the series-matrix determinant certifies for the same input,
-q_trunc + (m-1)(2m-1)/24 - (m-1)^2/4m once q_trunc passes (m-1)^2/4m
-(for m > 2), and q_trunc otherwise, so reports and dumps do not depend
-on the route.  That W is a multiple of eta^((m-1)(2m-1)), the eta power
-of dimension dim C_(m-1), is the type-C Macdonald identity (Macdonald,
-"Affine root systems and Dedekind's eta-function", Invent. Math. 15,
-1972).
+The central object for index m is the (m-1) x (m-1) matrix M whose entry
+in row j = 0..m-2 and column mu = 1..m-1 is (q d/dq)^j applied to the odd
+theta series of residue mu.  Every minor of M that a check or a
+``--dump-series`` file uses comes from one integer lattice sum,
+``theta_minors``.  M is multilinear in its columns, and column mu is a
+sum over r = mu mod 2m of r times the powers of r^2/4m at exponent
+r^2/4m.  So the minor on a column set S of size s and the rows
+{0, ..., s} minus d is the sum over tuples (r_mu), mu in S, of
+prod r_mu * V(r_mu^2) * e_(s-d)(r_mu^2) at exponent sum r_mu^2/4m,
+divided once by (4m)^(C(s, 2) + s - d); V is the Vandermonde product and
+e_j the j-th elementary symmetric polynomial.  d = s gives the Wronskian
+W = det M (``theta_wronskian``), the last-row cofactors
+(``theta_cofactors``) and the partial-kernel minors; every d gives one
+column of the adjugate (``theta_adjugate``).
 
-W also agrees exactly with the modular Wronskian det(F, DF, D^2 F, ...,
-D^(m-2) F) built from the weight-stepping modular derivative (row
-reduction removes the Eisenstein corrections without changing the
-determinant when derivatives are normalized as q d/dq).  That route
-(``modular_wronskian``) and ``SeriesMatrix.det`` are kept as independent
-oracles for the tests.
+The sum is exact at every exponent.  Each minor reports the window the
+series-matrix minor certifies for the same input: q_trunc + sum mu^2/4m -
+max mu^2/4m (over mu in S) once q_trunc passes max mu^2/4m, and q_trunc
+otherwise, so reports and dumps do not depend on the route.  That W is a
+multiple of eta^((m-1)(2m-1)), the eta power of dimension dim C_(m-1), is
+the type-C Macdonald identity (Macdonald, "Affine root systems and
+Dedekind's eta-function", Invent. Math. 15, 1972).
+
+Two routes are kept only as independent oracles for the tests (and as
+``perfbench/tracer.py`` targets); no check takes a minor from them.
+``SeriesMatrix`` takes ``det``, ``last_row_cofactors`` and ``adjugate``
+from the bitmask minor table ``_prefix_minors``.  ``modular_wronskian`` is
+det(F, DF, D^2 F, ..., D^(m-2) F) built from the weight-stepping modular
+derivative, equal to W because row reduction removes the Eisenstein
+corrections without changing the determinant when derivatives are
+normalized as q d/dq.
 
 The verification entry points certify, on an explicit exponent window,
 that W is a constant multiple of the Dedekind eta function raised to
-(m-1)(2m-1), and that the vanishing orders and leading coefficients of
-the determinant and its last-row cofactors match the closed Vandermonde
-formulas.
+(m-1)(2m-1), that the vanishing orders and leading coefficients of W and
+its last-row cofactors match the closed Vandermonde formulas, and that
+the adjugate rebuilds a component tuple from the system it solves.
 """
 
 from __future__ import annotations
@@ -70,7 +79,10 @@ def _dot(xs, ys) -> PuiseuxSeries:
 
 
 class SeriesMatrix:
-    """Rectangular matrix of PuiseuxSeries with exact determinant machinery."""
+    """Rectangular matrix of PuiseuxSeries with exact determinant machinery.
+
+    The generic route, kept as the tests' oracle for ``theta_minors``.
+    """
 
     def __init__(self, entries):
         rows = [list(row) for row in entries]
@@ -86,18 +98,12 @@ class SeriesMatrix:
     def entry(self, i: int, j: int) -> PuiseuxSeries:
         return self.entries[i][j]
 
-    def __matmul__(self, other: SeriesMatrix) -> SeriesMatrix:
-        if self.cols != other.rows:
-            raise ValueError("inner dimensions differ")
-        return SeriesMatrix([[_dot(row, [other.entries[t][j] for t in range(other.rows)])
-                              for j in range(other.cols)] for row in self.entries])
-
     def _prefix_minors(self, size: int) -> dict[int, PuiseuxSeries]:
         """Determinants of all submatrices on rows 0..s-1 and column sets of size s.
 
         Keyed by column bitmask; computed bottom-up by expansion along the
-        last row of each submatrix.  Every minor in this module comes from
-        here: cofactors (and through them det), adjugate, partial kernels.
+        last row of each submatrix, 2^cols masks in all.  The cofactors (and
+        through them det) and the adjugate of this class come from here.
         """
         minors: dict[int, PuiseuxSeries] = {}
         for j in range(self.cols):
@@ -153,7 +159,7 @@ class SeriesMatrix:
         return out
 
     def adjugate(self) -> SeriesMatrix:
-        """adj(M) with M @ adj(M) = det(M) * identity."""
+        """adj(M) with M adj(M) = det(M) * identity."""
         if self.rows != self.cols:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
@@ -182,51 +188,105 @@ def theta_derivative_matrix(m: int, q_trunc) -> SeriesMatrix:
 
 
 def theta_wronskian(m: int, q_trunc) -> PuiseuxSeries:
-    """det(theta_derivative_matrix(m, q_trunc)) as the lattice sum above.
+    """det(theta_derivative_matrix(m, q_trunc)): the minor on every column."""
+    return theta_minors(m, q_trunc, range(1, m))[0]
 
-    Each tuple (r_1, ..., r_{m-1}) with r_mu = mu mod 2m adds
-    prod r_mu * V(r_1^2, ..., r_{m-1}^2) at exponent sum r_mu^2/4m, in
-    integers; the sum is divided once by (4m)^C(m-1, 2).  The tuples are
-    enumerated depth first, cut where the partial sum of r^2 plus the
-    least sum the remaining classes can add reaches the window.  The
-    window is the determinant's: past (m-1)^2/4m, the first exponent of
-    the last column, the product rules lift q_trunc by the orders of the
-    other columns.
+
+def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSeries]:
+    """Minors of ``theta_derivative_matrix(m, q_trunc)`` on one column set.
+
+    ``columns`` are residues in 1..m-1; with s of them, the minor for d in
+    ``deleted_rows`` (default only d = s) takes rows {0, ..., s} minus d.
+    Each tuple (r_mu) with r_mu = mu mod 2m, mu in ``columns``, adds
+    prod r_mu * V(r_mu^2) * e_(s-d)(r_mu^2) at exponent sum r_mu^2/4m, in
+    integers; each sum is divided once by (4m)^(C(s, 2) + s - d).  The
+    tuples are enumerated depth first, cut where the partial sum of r^2
+    plus the least sum the remaining classes can add reaches the window;
+    the e_j are formed at the leaves, and only when some d < s asks.
+    The window is the series-matrix minor's: past the largest first
+    exponent max mu^2/4m, the product rules lift q_trunc by the first
+    exponents of the other columns.  An empty column set gives the
+    constant 1, the cofactor ``SeriesMatrix`` gives for a 1 x 1 matrix.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    trunc = Fraction(q_trunc)
-    low = Fraction((m - 1) ** 2, 4 * m)
-    if m > 2 and trunc > low:
-        trunc += Fraction(eta_power_exponent(m), 24) - low
+    columns = sorted(columns)
+    if any(not 1 <= mu <= m - 1 for mu in columns):
+        raise ValueError("columns must be residues in 1..m-1")
+    s = len(columns)
+    if deleted_rows is None:
+        deleted_rows = [s]
+    if not deleted_rows or any(not 0 <= d <= s for d in deleted_rows):
+        raise ValueError("deleted_rows must be a nonempty selection of 0..len(columns)")
+    if s == 0:
+        return [PuiseuxSeries.one() for _ in deleted_rows]
     grid = 4 * m
+    trunc = Fraction(q_trunc)
+    squares = [mu * mu for mu in columns]
+    if trunc > Fraction(max(squares), grid):
+        trunc += Fraction(sum(squares) - max(squares), grid)
     bound = math.ceil(grid * trunc)  # an integer sum of r^2 is < grid*trunc iff < bound
-    n = m - 1
-    # rest[k]: the least sum of r^2 over the classes after class k + 1
-    rest = [sum(nu * nu for nu in range(k + 2, m)) for k in range(n)]
-    candidates = [sorted(_residues(m, mu, Fraction(bound - rest[mu - 1], grid)),
-                         key=abs) for mu in range(1, m)]
-    sums: dict[int, int] = {}
+    # rest[k]: the least sum of r^2 over the classes after position k
+    rest = [sum(squares[k + 1:]) for k in range(s)]
+    candidates = [sorted(_residues(m, mu, Fraction(bound - rest[k], grid)), key=abs)
+                  for k, mu in enumerate(columns)]
+    top = max(s - d for d in deleted_rows)  # the highest e_j asked for
+    sums: list[dict[int, int]] = [{} for _ in range(top + 1)]
 
-    def descend(k: int, total: int, weight: int, squares: list[int]) -> None:
+    def descend(k: int, total: int, weight: int, prior: list[int]) -> None:
         room = bound - rest[k] - total
-        last = k == n - 1
+        last = k == s - 1
         for r in candidates[k]:
-            s = r * r
-            if s >= room:
+            sq = r * r
+            if sq >= room:
                 break
             w = weight * r
-            for t in squares:
-                w *= s - t
-            if last:
-                sums[total + s] = sums.get(total + s, 0) + w
+            for t in prior:
+                w *= sq - t
+            if not last:
+                descend(k + 1, total + sq, w, prior + [sq])
+            elif top:
+                e = total + sq
+                elem = [1] + [0] * top  # e_j of prior + [sq]
+                for t in prior + [sq]:
+                    for j in range(top, 0, -1):
+                        elem[j] += t * elem[j - 1]
+                for sums_j, e_j in zip(sums, elem):
+                    sums_j[e] = sums_j.get(e, 0) + w * e_j
             else:
-                descend(k + 1, total + s, w, squares + [s])
+                sums[0][total + sq] = sums[0].get(total + sq, 0) + w
 
     descend(0, 0, 1, [])
-    scale = grid ** math.comb(n, 2)
-    return PuiseuxSeries({Fraction(e, grid): Fraction(c, scale)
-                          for e, c in sorted(sums.items()) if c}, trunc, grid)
+    base = math.comb(s, 2)
+    out = []
+    for d in deleted_rows:
+        scale = grid ** (base + s - d)
+        out.append(PuiseuxSeries({Fraction(e, grid): Fraction(c, scale)
+                                  for e, c in sorted(sums[s - d].items()) if c}, trunc, grid))
+    return out
+
+
+def theta_cofactors(m: int, q_trunc) -> list[PuiseuxSeries]:
+    """``theta_derivative_matrix(m, q_trunc).last_row_cofactors()`` by ``theta_minors``."""
+    out = []
+    for nu in range(1, m):
+        minor = theta_minors(m, q_trunc, [mu for mu in range(1, m) if mu != nu])[0]
+        out.append(minor if (m + nu) % 2 == 1 else -minor)
+    return out
+
+
+def theta_adjugate(m: int, q_trunc) -> list[list[PuiseuxSeries]]:
+    """The rows of ``theta_derivative_matrix(m, q_trunc).adjugate()`` by ``theta_minors``.
+
+    Entry (j, i) is (-1)^(i+j) times the minor without row i and column
+    j; the minors without column j come from one lattice sum.
+    """
+    n = m - 1
+    adj = []
+    for j in range(n):
+        minors = theta_minors(m, q_trunc, [mu for mu in range(1, m) if mu != j + 1], range(n))
+        adj.append([minor if (i + j) % 2 == 0 else -minor for i, minor in enumerate(minors)])
+    return adj
 
 
 def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
@@ -350,9 +410,7 @@ def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:
     """
     if m < 3:
         raise ValueError("m must be at least 3 for nontrivial minors")
-    _check_cofactor_window(m, q_trunc)  # before the minor table, which grows as 2^(m-1)
-    return _cofactor_order_reports(
-        m, q_trunc, theta_derivative_matrix(m, q_trunc).last_row_cofactors())
+    return _cofactor_order_reports(m, q_trunc, theta_cofactors(m, q_trunc))
 
 
 def _check_cofactor_window(m: int, q_trunc) -> None:
@@ -400,8 +458,7 @@ def kernel_components(m: int, q_trunc) -> ThetaComponents:
     coefficients below the top order vanish and the top one equals the
     determinant itself.
     """
-    matrix = theta_derivative_matrix(m, q_trunc)
-    return ThetaComponents(m, tuple(matrix.last_row_cofactors()))
+    return ThetaComponents(m, tuple(theta_cofactors(m, q_trunc)))
 
 
 def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
@@ -422,16 +479,11 @@ def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
         raise ValueError("need vanishing_rows + 1 distinct columns")
     if any(not 1 <= c <= m - 1 for c in columns):
         raise ValueError("columns must be residues in 1..m-1")
-    matrix = theta_derivative_matrix(m, q_trunc)
     columns = sorted(columns)
-    sub = SeriesMatrix([[matrix.entry(row, c - 1) for c in columns]
-                        for row in range(vanishing_rows)])
-    minors = sub._prefix_minors(vanishing_rows)
-    full = (1 << len(columns)) - 1
     components: list[PuiseuxSeries] = [
         PuiseuxSeries.zero(Fraction(q_trunc), 4 * m) for _ in range(m - 1)]
     for t, col in enumerate(columns):
-        minor = minors[full ^ (1 << t)]
+        minor = theta_minors(m, q_trunc, [c for c in columns if c != col])[0]
         components[col - 1] = minor if t % 2 == 0 else -minor
     return ThetaComponents(m, tuple(components))
 
@@ -465,13 +517,13 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     matrix = theta_derivative_matrix(m, q_trunc)
     n = m - 1
     system = [_dot(row, h.components) for row in matrix.entries]
-    adj = matrix.adjugate()
-    # the last column of adj(M) is exactly matrix.last_row_cofactors()
-    cofactors = [adj.entry(mu, n - 1) for mu in range(n)]
-    det = _dot(matrix.entries[n - 1], cofactors)
+    adj = theta_adjugate(m, q_trunc)
+    # the last column of adj(M) is the last-row cofactor vector
+    cofactors = [adj[mu][n - 1] for mu in range(n)]
+    det = theta_wronskian(m, q_trunc)
     window = None
     for mu in range(n):
-        diff = det * h.components[mu] - _dot(adj.entries[mu], system)
+        diff = det * h.components[mu] - _dot(adj[mu], system)
         window = diff.trunc if window is None else min(window, diff.trunc)
         if not diff.is_zero():
             e = diff.ord_infty()

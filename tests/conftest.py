@@ -56,3 +56,18 @@ def laplace_det(rows):
         term = term if j % 2 == 0 else -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def matmul(a, b):
+    """The product of two matrices given as lists of rows of series."""
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            acc = None
+            for t, entry in enumerate(row):
+                term = entry * b[t][j]
+                acc = term if acc is None else acc + term
+            out_row.append(acc)
+        out.append(out_row)
+    return out

@@ -60,6 +60,9 @@ class TestParsing:
         ("verify-identities", "--m", "3", "--q-trunc", "4", "--trials", "-2"),
         ("verify-identities", "--m", "2", "--trials", "0"),
         ("verify-identities", "--m", "1..2", "--trials", "0"),
+        ("verify-identities", "--m", "3..4", "--q-trunc", "1/100", "--trials", "1"),
+        ("verify-identities", "--m", "6", "--q-trunc", "1/2", "--trials", "1"),
+        ("verify-identities", "--m", "3", "--q-trunc", "1/3", "--trials", "1"),
     ])
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -6,12 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_agree, laplace_det, random_series
+from conftest import assert_agree, laplace_det, matmul, random_series
 from qtheta import (PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
                     cramer_reconstruction, eta, eta_power_exponent, kernel_components,
                     modular_wronskian, odd_theta_series, partial_kernel_components,
-                    theta_derivative_matrix, theta_wronskian, vandermonde,
-                    verify_cofactor_orders, verify_eta_power)
+                    theta_adjugate, theta_cofactors, theta_derivative_matrix, theta_minors,
+                    theta_wronskian, vandermonde, verify_cofactor_orders, verify_eta_power)
 from qtheta.jacobi import ThetaComponents
 
 F = Fraction
@@ -172,6 +172,85 @@ class TestThetaWronskian:
             theta_wronskian(1, 4)
 
 
+def parity_windows(m):
+    """Every window k/4m up to (m-1)^2/4m + 1/4m, where entries are still
+    empty, a coarser grid to 12, and 12 and 20: the verify-identities
+    default and the window of an index-7 --jacobi-file table with n < 20."""
+    low = (m - 1) ** 2
+    return ([F(k, 4 * m) for k in range(-1, low + 2)]
+            + [F(k, 4 * m) for k in range(low + 2, 48 * m, 12 * m)] + [F(12), F(20)])
+
+
+def assert_same_series(engine, oracle, *where):
+    assert engine == oracle, where
+    assert engine.base_denom == oracle.base_denom, where
+
+
+class TestThetaMinors:
+    """The lattice-sum minors against the SeriesMatrix minor tables: terms,
+    trunc and base_denom."""
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_det_cofactors_adjugate(self, m):
+        for window in parity_windows(m):
+            matrix = theta_derivative_matrix(m, window)
+            assert_same_series(theta_wronskian(m, window), matrix.det(), window)
+            for nu, (engine, oracle) in enumerate(zip(theta_cofactors(m, window),
+                                                      matrix.last_row_cofactors()), 1):
+                assert_same_series(engine, oracle, window, nu)
+            oracle = matrix.adjugate()
+            adj = theta_adjugate(m, window)
+            for j in range(m - 1):
+                for i in range(m - 1):
+                    assert_same_series(adj[j][i], oracle.entry(j, i), window, j, i)
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_partial_kernel_minors(self, m):
+        for window in parity_windows(m):
+            matrix = theta_derivative_matrix(m, window)
+            for rows in range(1, m - 1):
+                for columns in (list(range(1, rows + 2)), list(range(m - rows - 1, m))):
+                    h = partial_kernel_components(m, window, rows, columns)
+                    sub = SeriesMatrix([[matrix.entry(row, c - 1) for c in columns]
+                                        for row in range(rows)])
+                    minors = sub._prefix_minors(rows)
+                    full = (1 << len(columns)) - 1
+                    for t, col in enumerate(columns):
+                        minor = minors[full ^ (1 << t)]
+                        assert_same_series(h.components[col - 1],
+                                           minor if t % 2 == 0 else -minor, window, rows, col)
+
+    def test_adjugate_identity_m8(self):
+        # M adj(M) = det(M) I, with det(M) by plain Laplace expansion
+        matrix = theta_derivative_matrix(8, 5)
+        det = laplace_det(matrix.entries)
+        assert not det.is_zero()
+        product = matmul(matrix.entries, theta_adjugate(8, 5))
+        for i in range(7):
+            for j in range(7):
+                if i == j:
+                    assert_agree(product[i][j], det)
+                else:
+                    assert product[i][j].is_zero()
+
+    def test_empty_column_set_is_one(self):
+        assert theta_minors(4, 3, [], [0]) == [PuiseuxSeries.one()]
+        assert theta_cofactors(2, 5) == [PuiseuxSeries.one()]
+        assert theta_adjugate(2, 5) == [[PuiseuxSeries.one()]]
+
+    def test_bad_arguments(self):
+        with pytest.raises(ValueError):
+            theta_minors(1, 4, [])
+        with pytest.raises(ValueError):
+            theta_minors(4, 4, [0, 2])
+        with pytest.raises(ValueError):
+            theta_minors(4, 4, [4])
+        with pytest.raises(ValueError):
+            theta_minors(4, 4, [1, 2], [3])
+        with pytest.raises(ValueError):
+            theta_minors(4, 4, [1, 2], [])
+
+
 class TestCofactors:
     def test_m2_empty_minor(self):
         cof = theta_derivative_matrix(2, 5).last_row_cofactors()
@@ -188,13 +267,13 @@ class TestCofactors:
         for m in (3, 4):
             matrix = theta_derivative_matrix(m, 6)
             det = matrix.det()
-            product = matrix @ matrix.adjugate()
+            product = matmul(matrix.entries, matrix.adjugate().entries)
             for i in range(matrix.rows):
                 for j in range(matrix.cols):
                     if i == j:
-                        assert_agree(product.entry(i, j), det)
+                        assert_agree(product[i][j], det)
                     else:
-                        assert product.entry(i, j).is_zero()
+                        assert product[i][j].is_zero()
 
     def test_adjugate_identity_random(self):
         rng = random.Random(71)
@@ -203,13 +282,13 @@ class TestCofactors:
                         for _ in range(n)] for _ in range(n)]
             matrix = SeriesMatrix(entries)
             det = matrix.det()
-            product = matrix @ matrix.adjugate()
+            product = matmul(matrix.entries, matrix.adjugate().entries)
             for i in range(n):
                 for j in range(n):
                     if i == j:
-                        assert_agree(product.entry(i, j), det)
+                        assert_agree(product[i][j], det)
                     else:
-                        assert product.entry(i, j).is_zero()
+                        assert product[i][j].is_zero()
 
     def test_last_row_cofactors_solve_system(self):
         matrix = theta_derivative_matrix(5, 8)
