@@ -23,9 +23,9 @@ from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,
                     theta_series, total_theta_order, translation_eigenvalue)
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
-                        VerificationFailed, WronskianReport, cramer_reconstruction,
-                        eta_power_exponent, kernel_components, modular_wronskian,
-                        partial_kernel_components, theta_adjugate, theta_cofactors,
+                        ThetaDerivativeMatrix, VerificationFailed, WronskianReport,
+                        cramer_reconstruction, eta_power_exponent, kernel_components,
+                        modular_wronskian, partial_kernel_components,
                         theta_derivative_matrix, theta_minors, theta_wronskian,
                         vandermonde, verify_cofactor_orders, verify_eta_power)
 

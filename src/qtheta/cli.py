@@ -40,11 +40,8 @@ from .jacobi import (component_taylor, component_taylor_scale, from_theta_compon
 from .series import INFINITY, dump_series_text, parse_rational
 from .theta import ThetaIndex, odd_theta_series, total_theta_order, translation_eigenvalue
 from .wronskian import (VerificationFailed, _check_cofactor_window, _cofactor_order_reports,
-                        cramer_reconstruction, kernel_components, theta_cofactors,
+                        cramer_reconstruction, kernel_components, theta_derivative_matrix,
                         theta_wronskian, verify_eta_power)
-# unused here; perfbench/test_perfbench.py checks that the tracer patches
-# and restores this module's name for it
-from .wronskian import theta_derivative_matrix  # noqa: F401
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QTHETA_OUTPUT_DIR"
@@ -136,7 +133,7 @@ def _orders_case(job):
              "value": _rat(2 * value), "expected": _rat(2 * expected), "ok": True}]
     if m < 3:
         return {"orders": rows}, {}
-    cofactors = theta_cofactors(m, args.q_trunc)
+    cofactors = theta_derivative_matrix(m, args.q_trunc).last_row_cofactors()
     for rep in _cofactor_order_reports(m, args.q_trunc, cofactors):
         rows.append({"m": m, "check": f"cofactor_order_nu_{rep.nu}",
                      "value": _rat(rep.ord_cofactor), "expected": _rat(rep.ord_expected),
@@ -531,7 +528,8 @@ def _check_identities_args(args: argparse.Namespace) -> None:
         try:
             _check_cofactor_window(args.m[1], args.q_trunc)
         except VerificationFailed as error:
-            raise ValueError(f"--q-trunc checks nothing: {error}") from error
+            raise ValueError("--q-trunc does not exceed the cofactor orders of the "
+                             f"top index: {error}") from error
     args.jacobi_form = None
     if args.jacobi_file is not None:
         try:

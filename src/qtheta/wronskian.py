@@ -11,9 +11,10 @@ r^2/4m.  So the minor on a column set S of size s and the rows
 prod r_mu * V(r_mu^2) * e_(s-d)(r_mu^2) at exponent sum r_mu^2/4m,
 divided once by (4m)^(C(s, 2) + s - d); V is the Vandermonde product and
 e_j the j-th elementary symmetric polynomial.  d = s gives the Wronskian
-W = det M (``theta_wronskian``), the last-row cofactors
-(``theta_cofactors``) and the partial-kernel minors; every d gives one
-column of the adjugate (``theta_adjugate``).
+W = det M (``theta_wronskian``), the last-row cofactors and the
+partial-kernel minors; every d gives one column of the adjugate.
+``theta_derivative_matrix`` returns a ``ThetaDerivativeMatrix``, whose
+``last_row_cofactors`` and ``adjugate`` take their minors from here.
 
 The sum is exact at every exponent.  Each minor reports the window the
 series-matrix minor certifies for the same input: q_trunc + sum mu^2/4m -
@@ -23,10 +24,11 @@ multiple of eta^((m-1)(2m-1)), the eta power of dimension dim C_(m-1), is
 the type-C Macdonald identity (Macdonald, "Affine root systems and
 Dedekind's eta-function", Invent. Math. 15, 1972).
 
-Two routes are kept only as independent oracles for the tests (and as
-``perfbench/tracer.py`` targets); no check takes a minor from them.
-``SeriesMatrix`` takes ``det``, ``last_row_cofactors`` and ``adjugate``
-from the bitmask minor table ``_prefix_minors``.  ``modular_wronskian`` is
+Two routes are kept only as independent oracles for the tests; no check
+takes a minor from them.  A plain ``SeriesMatrix`` (for instance one built
+from the entries of a ``ThetaDerivativeMatrix``) takes ``det``,
+``last_row_cofactors`` and ``adjugate`` from the bitmask minor table
+``_prefix_minors``.  ``modular_wronskian`` is
 det(F, DF, D^2 F, ..., D^(m-2) F) built from the weight-stepping modular
 derivative, equal to W because row reduction removes the Eisenstein
 corrections without changing the determinant when derivatives are
@@ -81,7 +83,8 @@ def _dot(xs, ys) -> PuiseuxSeries:
 class SeriesMatrix:
     """Rectangular matrix of PuiseuxSeries with exact determinant machinery.
 
-    The generic route, kept as the tests' oracle for ``theta_minors``.
+    The generic route, kept as the tests' oracle for ``theta_minors``;
+    ``ThetaDerivativeMatrix`` replaces its minor table by the lattice sum.
     """
 
     def __init__(self, entries):
@@ -103,7 +106,8 @@ class SeriesMatrix:
 
         Keyed by column bitmask; computed bottom-up by expansion along the
         last row of each submatrix, 2^cols masks in all.  The cofactors (and
-        through them det) and the adjugate of this class come from here.
+        through them det) and the adjugate of a plain ``SeriesMatrix`` come
+        from here; those of a ``ThetaDerivativeMatrix`` do not.
         """
         minors: dict[int, PuiseuxSeries] = {}
         for j in range(self.cols):
@@ -142,6 +146,21 @@ class SeriesMatrix:
             raise ValueError("determinant of a non-square matrix")
         return _dot(self.entries[-1], self.last_row_cofactors())
 
+    def _complement_minors(self, deleted_rows) -> list[list[PuiseuxSeries]]:
+        """Entry [j][t]: the minor without column j and row ``deleted_rows[t]``.
+
+        One bitmask minor table ``_prefix_minors`` per deleted row.
+        """
+        n = self.rows
+        full = (1 << n) - 1
+        table = [[] for _ in range(n)]
+        for deleted in deleted_rows:
+            sub = SeriesMatrix([self.entries[i] for i in range(n) if i != deleted])
+            minors = sub._prefix_minors(n - 1)
+            for j in range(n):
+                table[j].append(minors[full ^ (1 << j)])
+        return table
+
     def last_row_cofactors(self) -> list[PuiseuxSeries]:
         """Signed cofactors along the last row, scaled so that
         det(M) * (last column of M^-1) equals this vector."""
@@ -150,13 +169,8 @@ class SeriesMatrix:
         n = self.rows
         if n == 1:
             return [PuiseuxSeries.one()]
-        minors = self._prefix_minors(n - 1)
-        full = (1 << n) - 1
-        out = []
-        for j in range(n):
-            sign = 1 if (n - 1 + j) % 2 == 0 else -1
-            out.append(sign * minors[full ^ (1 << j)])
-        return out
+        minors = self._complement_minors([n - 1])
+        return [minors[j][0] if (n - 1 + j) % 2 == 0 else -minors[j][0] for j in range(n)]
 
     def adjugate(self) -> SeriesMatrix:
         """adj(M) with M adj(M) = det(M) * identity."""
@@ -165,26 +179,49 @@ class SeriesMatrix:
         n = self.rows
         if n == 1:
             return SeriesMatrix([[PuiseuxSeries.one()]])
-        adj = [[None] * n for _ in range(n)]
-        for deleted in range(n):
-            sub = SeriesMatrix([self.entries[i] for i in range(n) if i != deleted])
-            minors = sub._prefix_minors(n - 1)
-            full = (1 << n) - 1
-            for j in range(n):
-                sign = 1 if (deleted + j) % 2 == 0 else -1
-                adj[j][deleted] = sign * minors[full ^ (1 << j)]
-        return SeriesMatrix(adj)
+        # entry (j, i) is (-1)^(i+j) times the minor without row i and column j
+        minors = self._complement_minors(range(n))
+        return SeriesMatrix([[minor if (i + j) % 2 == 0 else -minor
+                              for i, minor in enumerate(row)] for j, row in enumerate(minors)])
 
 
-def theta_derivative_matrix(m: int, q_trunc) -> SeriesMatrix:
+class ThetaDerivativeMatrix(SeriesMatrix):
+    """``theta_derivative_matrix(m, q_trunc)``: its minors come from ``theta_minors``.
+
+    The entries are built on first use; the cofactors and the adjugate
+    need none of them.  ``det`` stays the expansion of the last row
+    against the cofactors; ``theta_wronskian`` is the lattice sum for it.
+    """
+
+    def __init__(self, m: int, q_trunc):
+        self.m = m
+        self.q_trunc = q_trunc
+        self.rows = self.cols = m - 1
+        self._entries = None
+
+    @property
+    def entries(self) -> list[list[PuiseuxSeries]]:
+        if self._entries is None:
+            base = [odd_theta_series(ThetaIndex(self.m, mu), self.q_trunc)
+                    for mu in range(1, self.m)]
+            rows = [base]
+            for _ in range(self.m - 2):
+                rows.append([entry.q_derivative() for entry in rows[-1]])
+            self._entries = rows
+        return self._entries
+
+    def _complement_minors(self, deleted_rows) -> list[list[PuiseuxSeries]]:
+        """One lattice sum per deleted column gives its minors for every deleted row."""
+        columns = range(1, self.m)
+        return [theta_minors(self.m, self.q_trunc, [mu for mu in columns if mu != nu],
+                             deleted_rows) for nu in columns]
+
+
+def theta_derivative_matrix(m: int, q_trunc) -> ThetaDerivativeMatrix:
     """Entry (j, mu) = (q d/dq)^(j-1) odd theta series of residue mu, both 1..m-1."""
     if m < 2:
         raise ValueError("m must be at least 2")
-    base = [odd_theta_series(ThetaIndex(m, mu), q_trunc) for mu in range(1, m)]
-    rows = [base]
-    for _ in range(m - 2):
-        rows.append([entry.q_derivative() for entry in rows[-1]])
-    return SeriesMatrix(rows)
+    return ThetaDerivativeMatrix(m, q_trunc)
 
 
 def theta_wronskian(m: int, q_trunc) -> PuiseuxSeries:
@@ -264,29 +301,6 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
         out.append(PuiseuxSeries({Fraction(e, grid): Fraction(c, scale)
                                   for e, c in sorted(sums[s - d].items()) if c}, trunc, grid))
     return out
-
-
-def theta_cofactors(m: int, q_trunc) -> list[PuiseuxSeries]:
-    """``theta_derivative_matrix(m, q_trunc).last_row_cofactors()`` by ``theta_minors``."""
-    out = []
-    for nu in range(1, m):
-        minor = theta_minors(m, q_trunc, [mu for mu in range(1, m) if mu != nu])[0]
-        out.append(minor if (m + nu) % 2 == 1 else -minor)
-    return out
-
-
-def theta_adjugate(m: int, q_trunc) -> list[list[PuiseuxSeries]]:
-    """The rows of ``theta_derivative_matrix(m, q_trunc).adjugate()`` by ``theta_minors``.
-
-    Entry (j, i) is (-1)^(i+j) times the minor without row i and column
-    j; the minors without column j come from one lattice sum.
-    """
-    n = m - 1
-    adj = []
-    for j in range(n):
-        minors = theta_minors(m, q_trunc, [mu for mu in range(1, m) if mu != j + 1], range(n))
-        adj.append([minor if (i + j) % 2 == 0 else -minor for i, minor in enumerate(minors)])
-    return adj
 
 
 def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
@@ -410,7 +424,8 @@ def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:
     """
     if m < 3:
         raise ValueError("m must be at least 3 for nontrivial minors")
-    return _cofactor_order_reports(m, q_trunc, theta_cofactors(m, q_trunc))
+    cofactors = theta_derivative_matrix(m, q_trunc).last_row_cofactors()
+    return _cofactor_order_reports(m, q_trunc, cofactors)
 
 
 def _check_cofactor_window(m: int, q_trunc) -> None:
@@ -458,7 +473,7 @@ def kernel_components(m: int, q_trunc) -> ThetaComponents:
     coefficients below the top order vanish and the top one equals the
     determinant itself.
     """
-    return ThetaComponents(m, tuple(theta_cofactors(m, q_trunc)))
+    return ThetaComponents(m, tuple(theta_derivative_matrix(m, q_trunc).last_row_cofactors()))
 
 
 def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
@@ -517,7 +532,7 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     matrix = theta_derivative_matrix(m, q_trunc)
     n = m - 1
     system = [_dot(row, h.components) for row in matrix.entries]
-    adj = theta_adjugate(m, q_trunc)
+    adj = matrix.adjugate().entries
     # the last column of adj(M) is the last-row cofactor vector
     cofactors = [adj[mu][n - 1] for mu in range(n)]
     det = theta_wronskian(m, q_trunc)

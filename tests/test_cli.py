@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import JacobiFormData, cli, dump_jacobi_table, parse_series_text
+from qtheta import JacobiFormData, SeriesMatrix, cli, dump_jacobi_table, parse_series_text
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -113,6 +113,30 @@ class TestParallelRuns:
         assert outputs[0] == outputs[1]
         if argv[-1] == "--dump-series":
             assert outputs[0][1]
+
+
+class TestMinorRoute:
+    @pytest.mark.parametrize("argv", [
+        ("verify-wronskian", "--m", "2..5", "--q-trunc", "6", "--dump-series"),
+        ("verify-orders", "--m", "2..5", "--q-trunc", "6", "--dump-series"),
+        ("verify-identities", "--m", "3..5", "--q-trunc", "6", "--trials", "2",
+         "--seed", "3", "--jacobi-file"),
+    ])
+    def test_no_command_takes_the_bitmask_minor_table(self, argv, tmp_path, monkeypatch):
+        # every minor a command checks or dumps comes from the lattice sum
+        def refuse(matrix, size):
+            raise AssertionError("SeriesMatrix._prefix_minors reached")
+
+        monkeypatch.setattr(SeriesMatrix, "_prefix_minors", refuse)
+        args = list(argv)
+        if argv[-1] == "--dump-series":
+            args.append(str(tmp_path / "dumps"))
+        else:
+            table = tmp_path / "form.jacobi"
+            table.write_text(dump_jacobi_table(
+                JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
+            args.append(str(table))
+        assert run_cli(*args, "--jobs", "1", "--output", str(tmp_path / "r.txt")) == 0
 
 
 class TestVerifyWronskian:

@@ -10,8 +10,8 @@ from conftest import assert_agree, laplace_det, matmul, random_series
 from qtheta import (PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
                     cramer_reconstruction, eta, eta_power_exponent, kernel_components,
                     modular_wronskian, odd_theta_series, partial_kernel_components,
-                    theta_adjugate, theta_cofactors, theta_derivative_matrix, theta_minors,
-                    theta_wronskian, vandermonde, verify_cofactor_orders, verify_eta_power)
+                    theta_derivative_matrix, theta_minors, theta_wronskian, vandermonde,
+                    verify_cofactor_orders, verify_eta_power)
 from qtheta.jacobi import ThetaComponents
 
 F = Fraction
@@ -157,7 +157,8 @@ class TestThetaWronskian:
         windows.append(12 + F(eta_power_exponent(m), 24) + 2)
         for window in windows:
             lattice = theta_wronskian(m, window)
-            det = theta_derivative_matrix(m, window).det()
+            # a plain SeriesMatrix takes its minors from the bitmask table
+            det = SeriesMatrix(theta_derivative_matrix(m, window).entries).det()
             assert lattice == det, window
             assert lattice.base_denom == det.base_denom
 
@@ -194,15 +195,17 @@ class TestThetaMinors:
     def test_det_cofactors_adjugate(self, m):
         for window in parity_windows(m):
             matrix = theta_derivative_matrix(m, window)
-            assert_same_series(theta_wronskian(m, window), matrix.det(), window)
-            for nu, (engine, oracle) in enumerate(zip(theta_cofactors(m, window),
-                                                      matrix.last_row_cofactors()), 1):
-                assert_same_series(engine, oracle, window, nu)
-            oracle = matrix.adjugate()
-            adj = theta_adjugate(m, window)
+            oracle = SeriesMatrix(matrix.entries)
+            det = oracle.det()
+            assert_same_series(theta_wronskian(m, window), det, window)
+            assert_same_series(matrix.det(), det, window)
+            for nu, (engine, expected) in enumerate(zip(matrix.last_row_cofactors(),
+                                                        oracle.last_row_cofactors()), 1):
+                assert_same_series(engine, expected, window, nu)
+            adj, expected = matrix.adjugate(), oracle.adjugate()
             for j in range(m - 1):
                 for i in range(m - 1):
-                    assert_same_series(adj[j][i], oracle.entry(j, i), window, j, i)
+                    assert_same_series(adj.entry(j, i), expected.entry(j, i), window, j, i)
 
     @pytest.mark.parametrize("m", range(3, 8))
     def test_partial_kernel_minors(self, m):
@@ -225,7 +228,7 @@ class TestThetaMinors:
         matrix = theta_derivative_matrix(8, 5)
         det = laplace_det(matrix.entries)
         assert not det.is_zero()
-        product = matmul(matrix.entries, theta_adjugate(8, 5))
+        product = matmul(matrix.entries, matrix.adjugate().entries)
         for i in range(7):
             for j in range(7):
                 if i == j:
@@ -235,8 +238,9 @@ class TestThetaMinors:
 
     def test_empty_column_set_is_one(self):
         assert theta_minors(4, 3, [], [0]) == [PuiseuxSeries.one()]
-        assert theta_cofactors(2, 5) == [PuiseuxSeries.one()]
-        assert theta_adjugate(2, 5) == [[PuiseuxSeries.one()]]
+        matrix = theta_derivative_matrix(2, 5)
+        assert matrix.last_row_cofactors() == [PuiseuxSeries.one()]
+        assert matrix.adjugate().entries == [[PuiseuxSeries.one()]]
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
