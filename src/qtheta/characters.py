@@ -19,14 +19,20 @@ class UnityExponent:
     value: Fraction
 
     def __post_init__(self):
-        v = Fraction(self.value)
-        object.__setattr__(self, "value", v - (v.numerator // v.denominator))
+        v = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
+        if not 0 <= v.numerator < v.denominator:
+            v = Fraction(v.numerator % v.denominator, v.denominator)
+        object.__setattr__(self, "value", v)
 
     def __add__(self, other: UnityExponent) -> UnityExponent:
-        return UnityExponent(self.value + other.value)
+        a, b = self.value, other.value
+        den = a.denominator * b.denominator
+        return UnityExponent(Fraction(
+            (a.numerator * b.denominator + b.numerator * a.denominator) % den, den))
 
     def __mul__(self, n: int) -> UnityExponent:
-        return UnityExponent(self.value * n)
+        den = self.value.denominator
+        return UnityExponent(Fraction(self.value.numerator * n % den, den))
 
     __rmul__ = __mul__
 

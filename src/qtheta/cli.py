@@ -134,7 +134,7 @@ def _orders_case(job):
     if m < 3:
         return {"orders": rows}, {}
     cofactors = theta_derivative_matrix(m, args.q_trunc).last_row_cofactors()
-    for rep in _cofactor_order_reports(m, args.q_trunc, cofactors):
+    for rep in _cofactor_order_reports(m, cofactors):
         rows.append({"m": m, "check": f"cofactor_order_nu_{rep.nu}",
                      "value": _rat(rep.ord_cofactor), "expected": _rat(rep.ord_expected),
                      "ok": rep.passed})
@@ -180,7 +180,7 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
             two_path = False
             break
     rows.append({"m": m, "case": label, "check": "two_path_taylor", "ok": two_path})
-    ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1)
+    ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1, m)
     rows.append({"m": m, "case": label, "check": "kernel_equivalence",
                  "ok": ops_vanish == taylors_vanish})
     if m >= 3:

@@ -248,24 +248,23 @@ def component_taylor_scale(nu: int, m: int) -> Fraction:
     return Fraction(2 * (4 * m) ** (nu - 1), math.factorial(2 * nu - 1))
 
 
-def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int) -> PuiseuxSeries:
-    """The normalized weight-(k + nu) development coefficient of the form.
+def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int) -> PuiseuxSeries:
+    """The normalized weight-(k + nu) development coefficient of an index-m form.
 
     For odd nu this is
         sum_{0 <= j <= nu/2} (-m)^j (k+nu-j-2)! / ((k+2nu-2)! j!)
                              * (q d/dq)^j (taylor coefficient of order nu-2j),
     with the overall constant conventionally set to 1 and all powers of
     2*pi*i absorbed; its vanishing is equivalent to the vanishing of the
-    classical operator.  The index ``m`` is read off the zeta-grid of the
-    input, so the input must come from an index-m assembly.
+    classical operator.  The index ``m`` comes from the caller: a finer
+    grid holds the same series, so the grid cannot determine it.
     """
     if nu % 2 == 0:
         raise EvenIndex("development operators of even index vanish on odd weights")
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
-    if phi_2var.base_denom % 4 != 0:
-        raise ValueError("two-variable input must carry a 4m exponent grid")
-    m = phi_2var.base_denom // 4
+    if m < 1:
+        raise ValueError("m must be a positive integer")
     total = None
     for j in range(nu // 2 + 1):
         order = nu - 2 * j
@@ -277,9 +276,9 @@ def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int) -> PuiseuxSerie
     return total
 
 
-def kernel_equivalence(phi_2var: ThetaTwoVar, k: int, j: int) -> tuple[bool, bool]:
+def kernel_equivalence(phi_2var: ThetaTwoVar, k: int, j: int, m: int) -> tuple[bool, bool]:
     """(all development coefficients of order < 2j+1 vanish,
-        all Taylor coefficients of order < 2j+1 vanish).
+        all Taylor coefficients of order < 2j+1 vanish), for an index-m form.
 
     The two booleans agree for every input because the development
     coefficients are a triangular change of basis of the Taylor ones.
@@ -287,7 +286,7 @@ def kernel_equivalence(phi_2var: ThetaTwoVar, k: int, j: int) -> tuple[bool, boo
     if j < 1:
         raise ValueError("j must be a positive integer")
     operators_vanish = all(
-        development_operator(phi_2var, k, 2 * nu - 1).is_zero() for nu in range(1, j + 1))
+        development_operator(phi_2var, k, 2 * nu - 1, m).is_zero() for nu in range(1, j + 1))
     taylors_vanish = all(
         taylor_coefficient(phi_2var, nu).is_zero() for nu in range(1, j + 1))
     return operators_vanish, taylors_vanish

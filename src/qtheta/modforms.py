@@ -118,8 +118,8 @@ def eta_power(trunc, lam: int) -> PuiseuxSeries:
         value, remainder = divmod(total, n)
         assert remainder == 0, "Miller's recurrence must divide exactly"
         coeffs.append(value)
-    return PuiseuxSeries({Fraction(lam + 24 * n, 24): c
-                          for n, c in enumerate(coeffs) if c}, trunc, base_denom=24)
+    return PuiseuxSeries._make({lam + 24 * n: Fraction(c) for n, c in enumerate(coeffs) if c},
+                               trunc, 24)
 
 
 def eisenstein_e2(trunc) -> PuiseuxSeries:

@@ -6,11 +6,18 @@ positive integer D (the ``base_denom``), together with a certified
 truncation bound ``trunc``: the series is exactly correct for every
 exponent strictly below ``trunc`` and claims nothing at or above it.
 
-Coefficients and exponents are ``fractions.Fraction``; there is no floating
-point anywhere.  Truncation bounds are recomputed pessimistically through
-every operation, so any identity observed on a result is certified on the
-stated window.  Values are immutable after construction and all operations
-are pure, so series may be shared freely across threads or processes.
+Coefficients are ``fractions.Fraction``; there is no floating point
+anywhere.  Exponents are stored as integers on the grid: the term
+c*q^(n/D) is the entry n -> c, and n/D < trunc is n < ceil(trunc*D).
+Operands on different grids meet on the lcm of their D.  ``terms`` is the
+Fraction-keyed view, built on demand.  The public constructor validates
+its input; the ring operations and the package's own producers use the
+trusted constructor ``_make``, which checks nothing.
+
+Truncation bounds are recomputed pessimistically through every operation,
+so any identity observed on a result is certified on the stated window.
+Values are immutable after construction and all operations are pure, so
+series may be shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -24,6 +31,8 @@ INFINITY = math.inf
 
 Exponent = Fraction
 Truncation = Union[Fraction, float]
+
+_ZERO = Fraction(0)
 
 
 class DivisorIndistinguishableFromZero(ArithmeticError):
@@ -44,6 +53,16 @@ def _trunc_add(t: Truncation, x) -> Truncation:
     return t + x
 
 
+def _key_bound(trunc: Truncation, denom: int):
+    """The integer keys n on the 1/denom grid with n/denom < trunc are those below this."""
+    return INFINITY if trunc == INFINITY else math.ceil(trunc * denom)
+
+
+def _rescaled(terms: dict, factor: int) -> dict:
+    """``terms`` (integer keys) moved onto a grid ``factor`` times finer."""
+    return terms if factor == 1 else {n * factor: c for n, c in terms.items()}
+
+
 class PuiseuxSeries:
     """Truncated formal series in q with rational exponents of bounded denominator."""
 
@@ -57,7 +76,7 @@ class PuiseuxSeries:
             e = Fraction(e)
             c = Fraction(c)
             if c and e < trunc:
-                clean[e] = clean.get(e, Fraction(0)) + c
+                clean[e] = clean.get(e, _ZERO) + c
         clean = {e: c for e, c in clean.items() if c}
         if base_denom is None:
             base_denom = math.lcm(1, *(e.denominator for e in clean))
@@ -70,7 +89,18 @@ class PuiseuxSeries:
                     raise ValueError(f"exponent {e} is not a multiple of 1/{base_denom}")
         self.base_denom = base_denom
         self.trunc = trunc
-        self._terms = clean
+        self._terms = {(e * base_denom).numerator: c for e, c in clean.items()}
+
+    @classmethod
+    def _make(cls, terms: dict[int, Fraction], trunc: Truncation,
+              base_denom: int) -> PuiseuxSeries:
+        """Trusted constructor: ``terms`` (kept, not copied) maps int keys below
+        ``_key_bound(trunc, base_denom)`` to nonzero Fractions; nothing is checked."""
+        out = object.__new__(cls)
+        out.base_denom = base_denom
+        out.trunc = trunc
+        out._terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -95,10 +125,13 @@ class PuiseuxSeries:
 
     @property
     def terms(self) -> Mapping[Fraction, Fraction]:
-        return MappingProxyType(self._terms)
+        """Read-only map from Fraction exponents to coefficients, built on each access."""
+        d = self.base_denom
+        return MappingProxyType({Fraction(n, d): c for n, c in self._terms.items()})
 
     def coefficient(self, exponent) -> Fraction:
-        return self._terms.get(Fraction(exponent), Fraction(0))
+        n = Fraction(exponent) * self.base_denom
+        return self._terms.get(n.numerator, _ZERO) if n.denominator == 1 else _ZERO
 
     def is_zero(self) -> bool:
         """True when no nonzero coefficient is known below the truncation."""
@@ -106,18 +139,20 @@ class PuiseuxSeries:
 
     def ord_infty(self) -> Truncation:
         """Exponent of the first nonzero term, or +infinity for an empty series."""
-        return min(self._terms) if self._terms else INFINITY
+        return Fraction(min(self._terms), self.base_denom) if self._terms else INFINITY
 
     def leading_term(self) -> tuple[Fraction, Fraction] | None:
         if not self._terms:
             return None
-        e = min(self._terms)
-        return e, self._terms[e]
+        n = min(self._terms)
+        return Fraction(n, self.base_denom), self._terms[n]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return self.trunc == other.trunc and self._terms == other._terms
+        d = math.lcm(self.base_denom, other.base_denom)
+        return self.trunc == other.trunc and (_rescaled(self._terms, d // self.base_denom)
+                                              == _rescaled(other._terms, d // other.base_denom))
 
     __hash__ = None
 
@@ -125,7 +160,7 @@ class PuiseuxSeries:
         return bool(self._terms)
 
     def __repr__(self) -> str:
-        head = " + ".join(f"({c})*q^({e})" for e, c in sorted(self._terms.items())[:4])
+        head = " + ".join(f"({c})*q^({e})" for e, c in sorted(self.terms.items())[:4])
         if len(self._terms) > 4:
             head += " + ..."
         t = "inf" if self.trunc == INFINITY else str(self.trunc)
@@ -139,15 +174,19 @@ class PuiseuxSeries:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
-        merged = dict(self._terms)
-        for e, c in other._terms.items():
-            merged[e] = merged.get(e, Fraction(0)) + c
-        return PuiseuxSeries(merged, trunc, math.lcm(self.base_denom, other.base_denom))
+        denom = math.lcm(self.base_denom, other.base_denom)
+        bound = _key_bound(trunc, denom)
+        merged = dict(_rescaled(self._terms, denom // self.base_denom))
+        for n, c in _rescaled(other._terms, denom // other.base_denom).items():
+            merged[n] = merged.get(n, _ZERO) + c
+        return PuiseuxSeries._make({n: c for n, c in merged.items() if c and n < bound},
+                                   trunc, denom)
 
     __radd__ = __add__
 
     def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries({e: -c for e, c in self._terms.items()}, self.trunc, self.base_denom)
+        return PuiseuxSeries._make({n: -c for n, c in self._terms.items()},
+                                   self.trunc, self.base_denom)
 
     def __sub__(self, other) -> PuiseuxSeries:
         return self + (-other if isinstance(other, PuiseuxSeries) else -Fraction(other))
@@ -155,31 +194,30 @@ class PuiseuxSeries:
     def __mul__(self, other) -> PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            if not c:
-                return PuiseuxSeries.zero(self.trunc, self.base_denom)
-            return PuiseuxSeries({e: c * v for e, v in self._terms.items()},
-                                 self.trunc, self.base_denom)
+            terms = {n: c * v for n, v in self._terms.items()} if c else {}
+            return PuiseuxSeries._make(terms, self.trunc, self.base_denom)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         # Certified bound: the unknown tail of one factor enters the product
         # shifted by the other factor's lowest exponent (0 if that factor has
         # no known term).
-        ord_a = min(self._terms) if self._terms else Fraction(0)
-        ord_b = min(other._terms) if other._terms else Fraction(0)
+        ord_a = Fraction(min(self._terms), self.base_denom) if self._terms else _ZERO
+        ord_b = Fraction(min(other._terms), other.base_denom) if other._terms else _ZERO
         trunc = min(_trunc_add(self.trunc, ord_b), _trunc_add(other.trunc, ord_a))
         denom = math.lcm(self.base_denom, other.base_denom)
-        a = sorted(self._terms.items())
-        b = sorted(other._terms.items())
-        out: dict[Fraction, Fraction] = {}
-        for ea, ca in a:
-            if b and ea + b[0][0] >= trunc:
+        bound = _key_bound(trunc, denom)
+        a = sorted(_rescaled(self._terms, denom // self.base_denom).items())
+        b = sorted(_rescaled(other._terms, denom // other.base_denom).items())
+        out: dict[int, Fraction] = {}
+        for na, ca in a:
+            if not b or na + b[0][0] >= bound:
                 break
-            for eb, cb in b:
-                e = ea + eb
-                if e >= trunc:
+            for nb, cb in b:
+                n = na + nb
+                if n >= bound:
                     break
-                out[e] = out.get(e, Fraction(0)) + ca * cb
-        return PuiseuxSeries(out, trunc, denom)
+                out[n] = out.get(n, _ZERO) + ca * cb
+        return PuiseuxSeries._make({n: c for n, c in out.items() if c}, trunc, denom)
 
     __rmul__ = __mul__
 
@@ -207,34 +245,37 @@ class PuiseuxSeries:
         if not other._terms:
             raise DivisorIndistinguishableFromZero(
                 "divisor has no nonzero term below its truncation")
-        ord_b = min(other._terms)
-        lead_b = other._terms[ord_b]
-        ord_a = min(self._terms) if self._terms else INFINITY
+        denom = math.lcm(self.base_denom, other.base_denom)
+        divisor = _rescaled(other._terms, denom // other.base_denom)
+        rem = dict(_rescaled(self._terms, denom // self.base_denom))
+        nb_low = min(divisor)
+        lead_b = divisor[nb_low]
+        ord_b = Fraction(nb_low, denom)
+        ord_a = Fraction(min(rem), denom) if rem else INFINITY
         # r(e) needs the dividend at e + ord_b and the divisor up to
         # e + ord_b - ord(r), with ord(r) = ord_a - ord_b.
         trunc = min(_trunc_add(self.trunc, -ord_b),
                     _trunc_add(other.trunc, _trunc_add(-2 * ord_b, ord_a)))
-        denom = math.lcm(self.base_denom, other.base_denom)
-        higher = sorted((e, c) for e, c in other._terms.items() if e != ord_b)
-        rem = dict(self._terms)
-        quot: dict[Fraction, Fraction] = {}
+        bound = _key_bound(trunc, denom)
+        higher = sorted((n, c) for n, c in divisor.items() if n != nb_low)
+        quot: dict[int, Fraction] = {}
         while rem:
-            e = min(rem)
-            eq = e - ord_b
-            if eq >= trunc:
+            n = min(rem)
+            nq = n - nb_low
+            if nq >= bound:
                 break
-            c = rem.pop(e) / lead_b
-            quot[eq] = c
-            for eb, cb in higher:
-                target = eq + eb
-                if target - ord_b >= trunc:
+            c = rem.pop(n) / lead_b
+            quot[nq] = c
+            for nb, cb in higher:
+                target = nq + nb
+                if target - nb_low >= bound:
                     break
-                nv = rem.get(target, Fraction(0)) - c * cb
+                nv = rem.get(target, _ZERO) - c * cb
                 if nv:
                     rem[target] = nv
                 else:
                     rem.pop(target, None)
-        return PuiseuxSeries(quot, trunc, denom)
+        return PuiseuxSeries._make(quot, trunc, denom)
 
     # -- derivations and reshaping ------------------------------------------
 
@@ -244,8 +285,9 @@ class PuiseuxSeries:
         This is the only derivative used in the package; every tau-derivative
         is expressed through it so that all coefficients stay rational.
         """
-        return PuiseuxSeries({e: c * e for e, c in self._terms.items() if e},
-                             self.trunc, self.base_denom)
+        d = self.base_denom
+        return PuiseuxSeries._make({n: c * Fraction(n, d) for n, c in self._terms.items() if n},
+                                   self.trunc, d)
 
     def q_derivative_iterate(self, n: int) -> PuiseuxSeries:
         out = self
@@ -257,7 +299,9 @@ class PuiseuxSeries:
         new_trunc = _as_trunc(new_trunc)
         if new_trunc > self.trunc:
             raise ValueError("cannot extend a certified truncation")
-        return PuiseuxSeries(self._terms, new_trunc, self.base_denom)
+        bound = _key_bound(new_trunc, self.base_denom)
+        return PuiseuxSeries._make({n: c for n, c in self._terms.items() if n < bound},
+                                   new_trunc, self.base_denom)
 
 
 # -- text format -------------------------------------------------------------
@@ -286,9 +330,10 @@ def _rat_str(x: Fraction) -> str:
 def dump_series_text(series: PuiseuxSeries) -> str:
     if series.trunc == INFINITY:
         raise ValueError("only series with a finite truncation can be serialized")
-    lines = [f"D={series.base_denom} trunc={_rat_str(series.trunc)}"]
-    for e in sorted(series.terms):
-        lines.append(f"{_rat_str(series.terms[e])} {_rat_str(e)}")
+    d = series.base_denom
+    lines = [f"D={d} trunc={_rat_str(series.trunc)}"]
+    for n, c in sorted(series._terms.items()):
+        lines.append(f"{_rat_str(c)} {_rat_str(Fraction(n, d))}")
     return "\n".join(lines) + "\n"
 
 

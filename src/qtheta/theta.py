@@ -5,6 +5,11 @@ collects q^(r^2/4m) * zeta^r over all integers r congruent to mu mod 2m.
 Its odd companion, sum of r * q^(r^2/4m) over the same r, is the
 weight-3/2 series whose derivatives fill the Wronskian matrix.  All
 q-exponents live on the grid (1/4m)*Z.
+
+Like ``PuiseuxSeries``, ``ThetaTwoVar`` keys each term c*q^(n/D)*zeta^r
+by the integers (n, r).  The series here are built on those keys through
+the trusted ``_make``: the term r sits at r^2 on the 1/4m grid, and
+r^2/4m < q_trunc is r^2 < ceil(4m*q_trunc).
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .characters import UnityExponent
-from .series import INFINITY, PuiseuxSeries, Truncation, _as_trunc, _trunc_add
+from .series import (_ZERO, INFINITY, PuiseuxSeries, Truncation, _as_trunc, _key_bound,
+                     _trunc_add)
 
 
 class NotAnEigenvector(ValueError):
@@ -42,9 +48,10 @@ class ThetaIndex:
 class ThetaTwoVar:
     """Truncated two-variable expansion: rational q-exponents, integer zeta-exponents.
 
-    Terms map (q_exponent, zeta_exponent) -> coefficient.  The q-exponents
-    are certified below ``q_trunc`` and lie on (1/base_denom)*Z; for each
-    certified q-window the zeta-support is automatically finite.
+    ``terms`` maps (q_exponent, zeta_exponent) -> coefficient.  The
+    q-exponents are certified below ``q_trunc`` and lie on
+    (1/base_denom)*Z; for each certified q-window the zeta-support is
+    automatically finite.
     """
 
     __slots__ = ("base_denom", "q_trunc", "_terms")
@@ -54,46 +61,67 @@ class ThetaTwoVar:
         base_denom = int(base_denom)
         if base_denom < 1:
             raise ValueError("base_denom must be a positive integer")
-        clean: dict[tuple[Fraction, int], Fraction] = {}
+        clean: dict[tuple[int, int], Fraction] = {}
         for (e, r), c in (terms.items() if isinstance(terms, Mapping) else terms):
             e = Fraction(e)
             c = Fraction(c)
-            if (e * base_denom).denominator != 1:
+            n = e * base_denom
+            if n.denominator != 1:
                 raise ValueError(f"q-exponent {e} is not a multiple of 1/{base_denom}")
             if c and e < q_trunc:
-                key = (e, int(r))
-                clean[key] = clean.get(key, Fraction(0)) + c
+                key = (n.numerator, int(r))
+                clean[key] = clean.get(key, _ZERO) + c
         self.base_denom = base_denom
         self.q_trunc = q_trunc
         self._terms = {k: v for k, v in clean.items() if v}
 
+    @classmethod
+    def _make(cls, terms: dict[tuple[int, int], Fraction], q_trunc: Truncation,
+              base_denom: int) -> ThetaTwoVar:
+        """Trusted constructor, as ``PuiseuxSeries._make``, on keys (n, r)."""
+        out = object.__new__(cls)
+        out.base_denom = base_denom
+        out.q_trunc = q_trunc
+        out._terms = terms
+        return out
+
+    def _on_grid(self, denom: int) -> dict[tuple[int, int], Fraction]:
+        f = denom // self.base_denom
+        return self._terms if f == 1 else {(n * f, r): c for (n, r), c in self._terms.items()}
+
     @property
     def terms(self) -> Mapping[tuple[Fraction, int], Fraction]:
-        return MappingProxyType(self._terms)
+        d = self.base_denom
+        return MappingProxyType({(Fraction(n, d), r): c for (n, r), c in self._terms.items()})
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def q_order(self) -> Truncation:
-        return min(e for e, _ in self._terms) if self._terms else INFINITY
+        keys = [n for n, _ in self._terms]
+        return Fraction(min(keys), self.base_denom) if keys else INFINITY
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaTwoVar):
             return NotImplemented
-        return self.q_trunc == other.q_trunc and self._terms == other._terms
+        denom = math.lcm(self.base_denom, other.base_denom)
+        return self.q_trunc == other.q_trunc and self._on_grid(denom) == other._on_grid(denom)
 
     __hash__ = None
 
     def __add__(self, other: ThetaTwoVar) -> ThetaTwoVar:
-        merged = dict(self._terms)
-        for key, c in other._terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + c
-        return ThetaTwoVar(merged, min(self.q_trunc, other.q_trunc),
-                           math.lcm(self.base_denom, other.base_denom))
+        q_trunc = min(self.q_trunc, other.q_trunc)
+        denom = math.lcm(self.base_denom, other.base_denom)
+        bound = _key_bound(q_trunc, denom)
+        merged = dict(self._on_grid(denom))
+        for k, c in other._on_grid(denom).items():
+            merged[k] = merged.get(k, _ZERO) + c
+        return ThetaTwoVar._make({k: c for k, c in merged.items() if c and k[0] < bound},
+                                 q_trunc, denom)
 
     def __neg__(self) -> ThetaTwoVar:
-        return ThetaTwoVar({k: -c for k, c in self._terms.items()},
-                           self.q_trunc, self.base_denom)
+        return ThetaTwoVar._make({k: -c for k, c in self._terms.items()},
+                                 self.q_trunc, self.base_denom)
 
     def __sub__(self, other: ThetaTwoVar) -> ThetaTwoVar:
         return self + (-other)
@@ -102,22 +130,28 @@ class ThetaTwoVar:
         """Multiply by a one-variable series (acting on the q-side only)."""
         ord_self = self.q_order()
         ord_s = s.ord_infty()
-        trunc = min(_trunc_add(self.q_trunc, ord_s if ord_s != INFINITY else Fraction(0)),
-                    _trunc_add(s.trunc, ord_self if ord_self != INFINITY else Fraction(0)))
-        out: dict[tuple[Fraction, int], Fraction] = {}
-        for (e, r), c in self._terms.items():
-            for es, cs in s.terms.items():
-                key = (e + es, r)
-                if key[0] < trunc:
-                    out[key] = out.get(key, Fraction(0)) + c * cs
-        return ThetaTwoVar(out, trunc, math.lcm(self.base_denom, s.base_denom))
+        trunc = min(_trunc_add(self.q_trunc, ord_s if ord_s != INFINITY else _ZERO),
+                    _trunc_add(s.trunc, ord_self if ord_self != INFINITY else _ZERO))
+        denom = math.lcm(self.base_denom, s.base_denom)
+        bound = _key_bound(trunc, denom)
+        factor = denom // s.base_denom
+        series = sorted((n * factor, c) for n, c in s._terms.items())
+        out: dict[tuple[int, int], Fraction] = {}
+        for (n, r), c in self._on_grid(denom).items():
+            for ns, cs in series:
+                key = (n + ns, r)
+                if key[0] >= bound:
+                    break
+                out[key] = out.get(key, _ZERO) + c * cs
+        return ThetaTwoVar._make({k: v for k, v in out.items() if v}, trunc, denom)
 
     def zeta_moment(self, n: int) -> PuiseuxSeries:
         """Collapse the zeta variable: sum of coeff * r^n per q-exponent."""
-        out: dict[Fraction, Fraction] = {}
+        out: dict[int, Fraction] = {}
         for (e, r), c in self._terms.items():
-            out[e] = out.get(e, Fraction(0)) + c * r ** n
-        return PuiseuxSeries(out, self.q_trunc, self.base_denom)
+            out[e] = out.get(e, _ZERO) + c * r ** n
+        return PuiseuxSeries._make({e: c for e, c in out.items() if c},
+                                   self.q_trunc, self.base_denom)
 
     def is_zeta_odd(self) -> bool:
         """True when negating the zeta-exponent negates every coefficient."""
@@ -126,14 +160,14 @@ class ThetaTwoVar:
 
 def _residues(m: int, mu: int, q_trunc: Fraction):
     """All r = mu mod 2m with r^2/(4m) strictly below q_trunc."""
-    bound = 4 * m * q_trunc
+    bound = math.ceil(4 * m * q_trunc)  # an integer r^2 is < 4m*q_trunc iff < bound
     if bound <= 0:
         return
-    r_cap = math.isqrt(math.ceil(bound)) + 1
+    r_cap = math.isqrt(bound) + 1
     step = 2 * m
     start = mu % step
     for r in range(start - step * ((r_cap + start) // step + 1), r_cap + 1, step):
-        if Fraction(r * r, 4 * m) < q_trunc:
+        if r * r < bound:
             yield r
 
 
@@ -141,8 +175,8 @@ def theta_series(idx: ThetaIndex, q_trunc) -> ThetaTwoVar:
     """The two-variable congruent theta series for the given residue class."""
     q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
-    terms = {(Fraction(r * r, 4 * m), r): Fraction(1) for r in _residues(m, mu, q_trunc)}
-    return ThetaTwoVar(terms, q_trunc, 4 * m)
+    return ThetaTwoVar._make({(r * r, r): Fraction(1) for r in _residues(m, mu, q_trunc)},
+                             q_trunc, 4 * m)
 
 
 def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
@@ -154,11 +188,10 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     """
     q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
-    terms: dict[Fraction, Fraction] = {}
+    sums: dict[int, int] = {}
     for r in _residues(m, mu, q_trunc):
-        e = Fraction(r * r, 4 * m)
-        terms[e] = terms.get(e, Fraction(0)) + r
-    return PuiseuxSeries(terms, q_trunc, 4 * m)
+        sums[r * r] = sums.get(r * r, 0) + r
+    return PuiseuxSeries._make({n: Fraction(c) for n, c in sums.items() if c}, q_trunc, 4 * m)
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
@@ -169,13 +202,14 @@ def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
     """
     if s.is_zero():
         raise ValueError("the zero series scales under every eigenvalue")
-    exponents = sorted(s.terms)
-    first = exponents[0]
-    for e in exponents[1:]:
-        if (e - first).denominator != 1:
+    d = s.base_denom
+    numerators = sorted(s._terms)
+    first = numerators[0]
+    for n in numerators[1:]:
+        if (n - first) % d:
             raise NotAnEigenvector(
-                f"exponents {first} and {e} differ by a non-integer")
-    return UnityExponent(first)
+                f"exponents {Fraction(first, d)} and {Fraction(n, d)} differ by a non-integer")
+    return UnityExponent(Fraction(first, d))
 
 
 def total_theta_order(m: int) -> Fraction:

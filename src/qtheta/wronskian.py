@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
@@ -298,8 +299,9 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     out = []
     for d in deleted_rows:
         scale = grid ** (base + s - d)
-        out.append(PuiseuxSeries({Fraction(e, grid): Fraction(c, scale)
-                                  for e, c in sorted(sums[s - d].items()) if c}, trunc, grid))
+        out.append(PuiseuxSeries._make({e: Fraction(c, scale)
+                                        for e, c in sorted(sums[s - d].items()) if c},
+                                       trunc, grid))
     return out
 
 
@@ -425,25 +427,31 @@ def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:
     if m < 3:
         raise ValueError("m must be at least 3 for nontrivial minors")
     cofactors = theta_derivative_matrix(m, q_trunc).last_row_cofactors()
-    return _cofactor_order_reports(m, q_trunc, cofactors)
+    return _cofactor_order_reports(m, cofactors)
 
 
 def _check_cofactor_window(m: int, q_trunc) -> None:
+    """Raise unless q_trunc itself passes every cofactor order of index m."""
     max_order = total_theta_order(m) - Fraction(1, 4 * m)
     if Fraction(q_trunc) <= max_order:
         raise VerificationFailed(
             f"m={m}: window {Fraction(q_trunc)} cannot reach cofactor order {max_order}")
 
 
-def _cofactor_order_reports(m: int, q_trunc, cofactors) -> list[CofactorOrderReport]:
-    """The checks of ``verify_cofactor_orders`` on cofactors already computed."""
-    _check_cofactor_window(m, q_trunc)
+def _cofactor_order_reports(m: int, cofactors) -> list[CofactorOrderReport]:
+    """The checks of ``verify_cofactor_orders`` on cofactors already computed.
+
+    Each order is checked against its cofactor's own certified window.
+    """
     order_sum = total_theta_order(m)
     nodes = [Fraction(mu * mu, 4 * m) for mu in range(1, m)]
     reports = []
     for nu in range(1, m):
         cof = cofactors[nu - 1]
         expected_ord = order_sum - Fraction(nu * nu, 4 * m)
+        if expected_ord >= cof.trunc:
+            raise VerificationFailed(
+                f"m={m} nu={nu}: window {cof.trunc} cannot reach cofactor order {expected_ord}")
         lead = cof.leading_term()
         if lead is None:
             raise VerificationFailed(
@@ -503,6 +511,16 @@ def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
     return ThetaComponents(m, tuple(components))
 
 
+@lru_cache(maxsize=None)
+def _cramer_operators(m: int, q_trunc: Fraction):
+    """(entries of M, adj(M), det(M)) for one (m, window), shared by every tuple
+    checked on it; rows are tuples of immutable series, so no caller can change them."""
+    matrix = theta_derivative_matrix(m, q_trunc)
+    entries = tuple(tuple(row) for row in matrix.entries)
+    adj = tuple(tuple(row) for row in matrix.adjugate().entries)
+    return entries, adj, theta_wronskian(m, q_trunc)
+
+
 @dataclass(frozen=True)
 class CramerReport:
     """Outcome of the adjugate identity and the top-coefficient proportionality."""
@@ -529,13 +547,11 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     if h.index_m != m:
         raise ValueError("component tuple has the wrong index")
     q_trunc = Fraction(q_trunc)
-    matrix = theta_derivative_matrix(m, q_trunc)
+    entries, adj, det = _cramer_operators(m, q_trunc)
     n = m - 1
-    system = [_dot(row, h.components) for row in matrix.entries]
-    adj = matrix.adjugate().entries
+    system = [_dot(row, h.components) for row in entries]
     # the last column of adj(M) is the last-row cofactor vector
     cofactors = [adj[mu][n - 1] for mu in range(n)]
-    det = theta_wronskian(m, q_trunc)
     window = None
     for mu in range(n):
         diff = det * h.components[mu] - _dot(adj[mu], system)

@@ -106,10 +106,10 @@ def test_criterion_4_kernel_triangularity():
         for h, depth in forms:
             assembled = from_theta_components(h, window)
             for j in range(1, m):
-                operators, taylors = kernel_equivalence(assembled, 3, j)
+                operators, taylors = kernel_equivalence(assembled, 3, j, m)
                 assert operators == taylors
             if depth and depth >= 1:
-                prescribed = kernel_equivalence(assembled, 3, depth)
+                prescribed = kernel_equivalence(assembled, 3, depth, m)
                 assert prescribed == (True, True)
     print("ACCEPTANCE 4 PASS: kernel equivalence booleans agree on 50 forms "
           "per m in {3,4,5}, including prescribed vanishing patterns")

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import JacobiFormData, SeriesMatrix, cli, dump_jacobi_table, parse_series_text
+from qtheta import (JacobiFormData, SeriesMatrix, cli, dump_jacobi_table, parse_series_text,
+                    wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -128,6 +129,7 @@ class TestMinorRoute:
             raise AssertionError("SeriesMatrix._prefix_minors reached")
 
         monkeypatch.setattr(SeriesMatrix, "_prefix_minors", refuse)
+        wronskian._cramer_operators.cache_clear()  # so the Cramer matrices are rebuilt here
         args = list(argv)
         if argv[-1] == "--dump-series":
             args.append(str(tmp_path / "dumps"))
@@ -197,6 +199,25 @@ class TestVerifyOrders:
         record = json.loads(out.read_text())
         assert record["all_passed"] is False
         assert "m=10" in record["failure"]
+
+
+    @pytest.mark.parametrize("q_trunc", ["10", "253/100"])
+    def test_cofactor_windows_past_q_trunc(self, q_trunc, tmp_path):
+        # every cofactor order of m = 12 lies above q^10 but inside the
+        # cofactor's own certified window, once q passes 121/48
+        out = tmp_path / "orders.json"
+        code = run_cli("verify-orders", "--m", "12", "--q-trunc", q_trunc,
+                       "--format", "json", "--output", str(out))
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]["orders"]
+        assert len(rows) == 2 + 11 and all(row["ok"] for row in rows)
+
+    def test_window_edge_fails(self, tmp_path):
+        out = tmp_path / "orders.json"
+        code = run_cli("verify-orders", "--m", "12", "--q-trunc", "121/48",
+                       "--format", "json", "--output", str(out))
+        assert code == 1
+        assert "m=12" in json.loads(out.read_text())["failure"]
 
 
 class TestVerifyCharacters:

@@ -188,18 +188,30 @@ class TestDevelopmentOperator:
         for k in (3, 5):
             h = random_components(3, 8, rng)
             tv = from_theta_components(h, 8)
-            assert_agree(development_operator(tv, k, 1),
+            assert_agree(development_operator(tv, k, 1, 3),
                          taylor_coefficient(tv, 1) / k)
 
     def test_zero_form(self):
         tv = ThetaTwoVar({}, 6, 12)
         for nu in (1, 3, 5):
-            assert development_operator(tv, 3, nu).is_zero()
+            assert development_operator(tv, 3, nu, 3).is_zero()
 
     def test_even_index_rejected(self):
         tv = ThetaTwoVar({}, 6, 12)
         with pytest.raises(EvenIndex):
-            development_operator(tv, 3, 2)
+            development_operator(tv, 3, 2, 3)
+
+    def test_index_comes_from_the_caller_not_the_grid(self):
+        # the same components on the 1/40 grid assemble to an equal series;
+        # reading m off the grid would have taken m = 10 for this index-5 form
+        h = random_components(5, 6, random.Random(1))
+        fine = ThetaComponents(5, tuple(PuiseuxSeries(c.terms, c.trunc, 40)
+                                        for c in h.components))
+        tv, tv_fine = from_theta_components(h, 6), from_theta_components(fine, 6)
+        assert tv_fine.base_denom == 40 and tv_fine == tv
+        operator = development_operator(tv, 3, 3, 5)
+        assert development_operator(tv_fine, 3, 3, 5) == operator
+        assert development_operator(tv_fine, 3, 3, 10) != operator
 
     def test_triangularity(self):
         # first two Taylor coefficients vanish, so the order-5 operator is
@@ -209,13 +221,13 @@ class TestDevelopmentOperator:
         assert not chi5.is_zero()
         k = 3
         factor = F(math.factorial(k + 5 - 2), math.factorial(k + 10 - 2))
-        assert_agree(development_operator(tv, k, 5), factor * chi5)
+        assert_agree(development_operator(tv, k, 5, 4), factor * chi5)
 
 
 class TestKernelEquivalence:
     def test_zero_form(self):
         tv = ThetaTwoVar({}, 5, 12)
-        assert kernel_equivalence(tv, 3, 2) == (True, True)
+        assert kernel_equivalence(tv, 3, 2, 3) == (True, True)
 
     def test_generic_form_fails_both(self):
         rng = random.Random(53)
@@ -223,14 +235,14 @@ class TestKernelEquivalence:
         tv = from_theta_components(h, 8)
         first = taylor_coefficient(tv, 1)
         if not first.is_zero():
-            assert kernel_equivalence(tv, 3, 1) == (False, False)
+            assert kernel_equivalence(tv, 3, 1, 3) == (False, False)
 
     def test_prescribed_vanishing(self):
         for m, j in ((4, 1), (5, 2), (5, 3)):
             h = partial_kernel_components(m, 10, j)
             tv = from_theta_components(h, 10)
-            assert kernel_equivalence(tv, 3, j) == (True, True)
-            assert kernel_equivalence(tv, 3, j + 1) == (False, False)
+            assert kernel_equivalence(tv, 3, j, m) == (True, True)
+            assert kernel_equivalence(tv, 3, j + 1, m) == (False, False)
 
     def test_booleans_always_agree(self):
         rng = random.Random(59)
@@ -238,7 +250,7 @@ class TestKernelEquivalence:
             for _ in range(8):
                 h = random_components(m, 7, rng)
                 tv = from_theta_components(h, 7)
-                ops, taylors = kernel_equivalence(tv, 3, m - 1)
+                ops, taylors = kernel_equivalence(tv, 3, m - 1, m)
                 assert ops == taylors
 
 

@@ -1,0 +1,297 @@
+"""The integer-grid series core against a Fraction-keyed reference.
+
+``PuiseuxSeries`` and ``ThetaTwoVar`` store exponents as integer numerators
+on their 1/D grid.  Every operation is compared here with a small
+reference that works on plain Fraction-keyed dicts, on random series whose
+grids D = 1..12 differ, so the lcm refinement is exercised; every result
+is checked against the stored invariants; and computing on a longer window
+and cutting down must agree below the certified window.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from conftest import random_series
+from qtheta import INFINITY, PuiseuxSeries, ThetaIndex, ThetaTwoVar, odd_theta_series, theta_series
+from qtheta.series import _key_bound
+
+F = Fraction
+
+
+# -- the reference: (terms, trunc, D) with Fraction exponents ------------------
+
+
+def ref(s: PuiseuxSeries):
+    return dict(s.terms), s.trunc, s.base_denom
+
+
+def ref_order(terms):
+    return min(terms) if terms else F(0)
+
+
+def ref_clean(terms, trunc):
+    return {e: c for e, c in terms.items() if c and e < trunc}
+
+
+def ref_add(a, b):
+    (ta, tra, da), (tb, trb, db) = a, b
+    out = dict(ta)
+    for e, c in tb.items():
+        out[e] = out.get(e, F(0)) + c
+    trunc = min(tra, trb)
+    return ref_clean(out, trunc), trunc, math.lcm(da, db)
+
+
+def ref_mul(a, b):
+    (ta, tra, da), (tb, trb, db) = a, b
+    trunc = min(tra + ref_order(tb), trb + ref_order(ta))
+    out = {}
+    for ea, ca in ta.items():
+        for eb, cb in tb.items():
+            out[ea + eb] = out.get(ea + eb, F(0)) + ca * cb
+    return ref_clean(out, trunc), trunc, math.lcm(da, db)
+
+
+def ref_div(a, b):
+    """Dense long division: quotient coefficients one grid step at a time."""
+    (ta, tra, da), (tb, trb, db) = a, b
+    denom = math.lcm(da, db)
+    ord_b = min(tb)
+    ord_a = min(ta) if ta else INFINITY
+    trunc = min(tra - ord_b, trb - 2 * ord_b + ord_a if ta else INFINITY)
+    out = {}
+    if ta:
+        e = ord_a - ord_b
+        while e < trunc:
+            known = sum((c * tb.get(e - eq + ord_b, F(0)) for eq, c in out.items()), F(0))
+            out[e] = (ta.get(e + ord_b, F(0)) - known) / tb[ord_b]
+            e += F(1, denom)
+    return ref_clean(out, trunc), trunc, denom
+
+
+def ref_two_var(tv: ThetaTwoVar):
+    return dict(tv.terms), tv.q_trunc, tv.base_denom
+
+
+def ref_mul_series(tv, s):
+    (tt, trt, dt), (ts, trs, ds) = tv, s
+    ord_t = min(e for e, _ in tt) if tt else F(0)
+    trunc = min(trt + ref_order(ts), trs + ord_t)
+    out = {}
+    for (e, r), c in tt.items():
+        for es, cs in ts.items():
+            if e + es < trunc:
+                out[(e + es, r)] = out.get((e + es, r), F(0)) + c * cs
+    return {k: c for k, c in out.items() if c}, trunc, math.lcm(dt, ds)
+
+
+# -- invariants and random inputs --------------------------------------------
+
+
+def check_invariants(s: PuiseuxSeries):
+    """Integer keys on the grid below the certified window, nonzero Fraction values."""
+    bound = _key_bound(s.trunc, s.base_denom)
+    for n, c in s._terms.items():
+        assert type(n) is int and n < bound
+        assert type(c) is Fraction and c
+    for e in s.terms:
+        assert e < s.trunc and (e * s.base_denom).denominator == 1
+
+
+def check_two_var_invariants(tv: ThetaTwoVar):
+    bound = _key_bound(tv.q_trunc, tv.base_denom)
+    for (n, r), c in tv._terms.items():
+        assert type(n) is int and type(r) is int and n < bound
+        assert type(c) is Fraction and c
+
+
+def agrees(s: PuiseuxSeries, expected):
+    check_invariants(s)
+    return (dict(s.terms), s.trunc, s.base_denom) == expected
+
+
+def mixed(rng, max_terms=5, lowest=0, top=30):
+    trunc = F(rng.randint(1, top), rng.randint(1, 4))
+    return random_series(rng, trunc=trunc, base_denom=rng.randint(1, 12),
+                         max_terms=max_terms, lowest=lowest)
+
+
+def random_two_var(rng):
+    denom = rng.randint(1, 12)
+    trunc = F(rng.randint(1, 24), rng.randint(1, 3))
+    terms = {}
+    for _ in range(rng.randint(0, 6)):
+        e = F(rng.randrange(-denom, int(trunc * denom) + 1), denom)
+        terms[(e, rng.randint(-4, 4))] = F(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+    return ThetaTwoVar(terms, trunc, denom)
+
+
+# -- oracle --------------------------------------------------------------------
+
+
+class TestAgainstReference:
+    def test_add_sub_neg(self):
+        rng = random.Random(101)
+        for _ in range(150):
+            a, b = mixed(rng, lowest=-1), mixed(rng, lowest=-1)
+            assert agrees(a + b, ref_add(ref(a), ref(b)))
+            negated = {e: -c for e, c in a.terms.items()}
+            assert agrees(-a, (negated, a.trunc, a.base_denom))
+            assert agrees(a - b, ref_add(ref(a), ref(-b)))
+            assert (a - a).is_zero()
+
+    def test_scalar_mul(self):
+        rng = random.Random(103)
+        for _ in range(100):
+            a = mixed(rng)
+            c = F(rng.randint(-4, 4), rng.randint(1, 3))
+            scaled = {e: c * v for e, v in a.terms.items() if c}
+            assert agrees(a * c, (scaled, a.trunc, a.base_denom))
+            assert agrees(c * a, (scaled, a.trunc, a.base_denom))
+
+    def test_mul(self):
+        rng = random.Random(107)
+        for _ in range(150):
+            a, b = mixed(rng, lowest=-1), mixed(rng, lowest=-1)
+            assert agrees(a * b, ref_mul(ref(a), ref(b)))
+            # (1 + a)(1 - a) = 1 - a^2: the cross terms cancel inside the product
+            plus, minus = a + 1, -a + 1
+            assert agrees(plus * minus, ref_mul(ref(plus), ref(minus)))
+
+    def test_div(self):
+        rng = random.Random(109)
+        done = 0
+        while done < 60:
+            a, b = mixed(rng, max_terms=4, top=8), mixed(rng, max_terms=3, top=8)
+            if b.is_zero():
+                continue
+            assert agrees(a / b, ref_div(ref(a), ref(b)))
+            done += 1
+
+    def test_q_derivative_and_truncate(self):
+        rng = random.Random(113)
+        for _ in range(100):
+            a = mixed(rng, lowest=-1)
+            derived = {e: c * e for e, c in a.terms.items() if e}
+            assert agrees(a.q_derivative(), (derived, a.trunc, a.base_denom))
+            cut = a.trunc - F(rng.randint(0, 12), rng.randint(1, 5))
+            assert agrees(a.truncate(cut), (ref_clean(dict(a.terms), cut), cut, a.base_denom))
+
+    def test_two_var_add_mul_series_zeta_moment(self):
+        rng = random.Random(127)
+        for _ in range(120):
+            x, y, s = random_two_var(rng), random_two_var(rng), mixed(rng, lowest=-1)
+            (tx, trx, dx), (ty, try_, dy) = ref_two_var(x), ref_two_var(y)
+            merged = dict(tx)
+            for k, c in ty.items():
+                merged[k] = merged.get(k, F(0)) + c
+            trunc = min(trx, try_)
+            total = x + y
+            check_two_var_invariants(total)
+            assert ref_two_var(total) == (
+                {k: c for k, c in merged.items() if c and k[0] < trunc}, trunc, math.lcm(dx, dy))
+            product = x.mul_series(s)
+            check_two_var_invariants(product)
+            assert ref_two_var(product) == ref_mul_series(ref_two_var(x), ref(s))
+            n = rng.randint(0, 5)
+            moment = {}
+            for (e, r), c in tx.items():
+                moment[e] = moment.get(e, F(0)) + c * r ** n
+            assert agrees(x.zeta_moment(n), (ref_clean(moment, trx), trx, dx))
+
+    def test_equality_ignores_the_grid(self):
+        rng = random.Random(131)
+        for _ in range(50):
+            a = mixed(rng)
+            finer = PuiseuxSeries(a.terms, a.trunc, a.base_denom * rng.randint(2, 5))
+            assert finer == a and a == finer
+            check_invariants(finer)
+            x = random_two_var(rng)
+            assert ThetaTwoVar(x.terms, x.q_trunc, x.base_denom * 3) == x
+
+
+# -- soundness of the certified windows ----------------------------------------
+
+
+def cut(s: PuiseuxSeries, window) -> PuiseuxSeries:
+    return s.truncate(min(F(window), s.trunc))
+
+
+class TestExtendAndCompare:
+    """A result on a short window equals the long-window result cut down to it."""
+
+    def assert_extends(self, short, long):
+        assert long.trunc >= short.trunc
+        assert long.truncate(short.trunc) == short
+
+    def test_ring_operations(self):
+        rng = random.Random(137)
+        for _ in range(80):
+            a, b = mixed(rng, lowest=-1), mixed(rng, lowest=-1)
+            window = min(a.trunc, b.trunc) * F(rng.randint(1, 9), 10)
+            sa, sb = cut(a, window), cut(b, window)
+            self.assert_extends(sa + sb, a + b)
+            self.assert_extends(sa * sb, a * b)
+            self.assert_extends(sa.q_derivative(), a.q_derivative())
+            if not sb.is_zero():
+                self.assert_extends(sa / sb, a / b)
+
+    def test_two_var_and_theta(self):
+        rng = random.Random(139)
+        for _ in range(60):
+            m = rng.randint(1, 6)
+            idx = ThetaIndex(m, rng.randrange(2 * m))
+            long_window = F(rng.randint(2, 12), rng.randint(1, 3))
+            window = long_window * F(rng.randint(1, 9), 10)
+            self.assert_extends(odd_theta_series(idx, window), odd_theta_series(idx, long_window))
+            s = mixed(rng)
+            short = theta_series(idx, window).mul_series(cut(s, window))
+            full = theta_series(idx, long_window).mul_series(s)
+            check_two_var_invariants(full)
+            assert full.q_trunc >= short.q_trunc
+            assert short.zeta_moment(1) == full.zeta_moment(1).truncate(short.q_trunc)
+
+
+# -- the public contract ---------------------------------------------------------
+
+
+class TestPublicContract:
+    def test_terms_fraction_keyed_and_read_only(self):
+        s = PuiseuxSeries({F(1, 2): 3, F(5, 3): F(-1, 7)}, 4, 6) * PuiseuxSeries.one(9)
+        assert all(type(e) is Fraction and type(c) is Fraction for e, c in s.terms.items())
+        assert dict(s.terms) == {F(1, 2): F(3), F(5, 3): F(-1, 7)}
+        with pytest.raises(TypeError):
+            s.terms[F(1)] = F(1)
+
+    def test_constructor_validates(self):
+        with pytest.raises(ValueError):
+            PuiseuxSeries({F(1, 3): 1}, 5, base_denom=2)
+        for bad in (0, -4):
+            with pytest.raises(ValueError):
+                PuiseuxSeries({}, 5, base_denom=bad)
+
+    def test_coefficient_off_grid_is_zero(self):
+        s = PuiseuxSeries({F(1, 2): 3}, 5, 2)
+        assert s.coefficient(F(1, 2)) == 3 and s.coefficient(F(2, 4)) == 3
+        assert s.coefficient(F(1, 3)) == 0 and s.coefficient(7) == 0
+
+    def test_base_denom_is_the_lcm(self):
+        a = PuiseuxSeries({F(1, 4): 1}, 5, 4)
+        b = PuiseuxSeries({F(1, 6): 1}, 5, 6)
+        assert (a + b).base_denom == (a * b).base_denom == 12
+        assert PuiseuxSeries({F(1, 8): 1, F(1, 6): 2}, 5).base_denom == 24
+
+    def test_two_var_terms_and_constructor(self):
+        tv = ThetaTwoVar({(F(1, 8), 1): 1, (F(9, 8), -3): 2}, 2, 8)
+        assert dict(tv.terms) == {(F(1, 8), 1): F(1), (F(9, 8), -3): F(2)}
+        assert all(type(e) is Fraction and type(r) is int for e, r in tv.terms)
+        with pytest.raises(TypeError):
+            tv.terms[(F(0), 0)] = F(1)
+        with pytest.raises(ValueError):
+            ThetaTwoVar({(F(1, 3), 1): 1}, 2, 8)
+        for bad in (0, -8):
+            with pytest.raises(ValueError):
+                ThetaTwoVar({}, 2, bad)

@@ -349,6 +349,17 @@ class TestVerifyCofactorOrders:
         with pytest.raises(VerificationFailed):
             verify_cofactor_orders(10, F(1, 4))
 
+    @pytest.mark.parametrize("m", [3, 4, 7, 12])
+    def test_window_boundary_is_each_cofactors_own(self, m):
+        # cofactor nu omits column nu, and its lattice window passes its
+        # order exactly when q_trunc passes the largest first exponent left,
+        # (m-1)^2/4m for every nu < m-1: below the orders themselves
+        edge = F((m - 1) ** 2, 4 * m)
+        with pytest.raises(VerificationFailed, match="nu=1: window .* cannot reach"):
+            verify_cofactor_orders(m, edge)
+        reports = verify_cofactor_orders(m, edge + F(1, 1000))
+        assert len(reports) == m - 1 and all(r.passed for r in reports)
+
 
 class TestCramer:
     def test_random_components(self):
