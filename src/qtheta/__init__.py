@@ -16,8 +16,7 @@ from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      development_operator, dump_jacobi_table, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
-from .modforms import (HalfIntWeight, eisenstein_e2, eta, eta_power, iterated_derivative,
-                       modular_derivative)
+from .modforms import HalfIntWeight, eisenstein_e2, eta, eta_power, modular_derivative
 from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
                      dump_series_text, parse_rational, parse_series_text)
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,

@@ -38,18 +38,15 @@ class JacobiFormData:
     """Validated Fourier table of an odd-weight Jacobi form.
 
     ``coeffs`` maps (n, r) to a rational coefficient, for integers n with
-    0 <= n < n_trunc.  By default only holomorphic tables (4mn >= r^2) are
-    accepted and the table must be orbit-complete: within the truncation
-    window, c(n, r) is checked to depend only on (r mod 2m, 4mn - r^2).
-    Weak tables (arbitrary r, possibly negative discriminant) are accepted
-    behind ``weak=True`` for test-vector generation; only the stored
-    entries can then be cross-checked.
+    0 <= n < n_trunc.  Only holomorphic tables (4mn >= r^2) are accepted,
+    and the table must be orbit-complete: within the truncation window,
+    c(n, r) is checked to depend only on (r mod 2m, 4mn - r^2).
     """
 
-    __slots__ = ("weight_k", "index_m", "level_N", "n_trunc", "weak", "_coeffs", "_orbit")
+    __slots__ = ("weight_k", "index_m", "level_N", "n_trunc", "_coeffs", "_orbit")
 
     def __init__(self, weight_k: int, index_m: int, level_N: int, n_trunc,
-                 coeffs: Mapping, weak: bool = False):
+                 coeffs: Mapping):
         if weight_k < 1 or weight_k % 2 == 0:
             raise InvariantViolation("weight_k must be a positive odd integer")
         if index_m < 1 or level_N < 1:
@@ -61,7 +58,6 @@ class JacobiFormData:
         self.index_m = index_m
         self.level_N = level_N
         self.n_trunc = n_trunc
-        self.weak = bool(weak)
         m = index_m
         stored: dict[tuple[int, int], Fraction] = {}
         orbit: dict[tuple[int, int], Fraction] = {}
@@ -74,7 +70,7 @@ class JacobiFormData:
             if n >= n_trunc:
                 continue
             disc = 4 * m * n - r * r
-            if disc < 0 and not weak:
+            if disc < 0:
                 raise InvariantViolation(
                     f"coefficient at (n={n}, r={r}) violates 4mn >= r^2")
             key = (r % (2 * m), disc)
@@ -88,18 +84,15 @@ class JacobiFormData:
             if orbit.get(partner, Fraction(0)) != -value:
                 raise InvariantViolation(
                     f"odd symmetry fails for class (mu={mu}, disc={disc})")
-        if not weak:
-            for n in range(math.ceil(n_trunc)):
-                if n >= n_trunc:
-                    break
-                r_cap = math.isqrt(4 * m * n)
-                for r in range(-r_cap, r_cap + 1):
-                    key = (r % (2 * m), 4 * m * n - r * r)
-                    expected = orbit.get(key, Fraction(0))
-                    if stored.get((n, r), Fraction(0)) != expected:
-                        raise InvariantViolation(
-                            f"c({n},{r}) must depend only on (r mod 2m, 4mn - r^2); "
-                            f"expected {expected}")
+        for n in range(math.ceil(n_trunc)):
+            r_cap = math.isqrt(4 * m * n)
+            for r in range(-r_cap, r_cap + 1):
+                key = (r % (2 * m), 4 * m * n - r * r)
+                expected = orbit.get(key, Fraction(0))
+                if stored.get((n, r), Fraction(0)) != expected:
+                    raise InvariantViolation(
+                        f"c({n},{r}) must depend only on (r mod 2m, 4mn - r^2); "
+                        f"expected {expected}")
         self._coeffs = stored
         self._orbit = orbit
 
@@ -114,7 +107,7 @@ class JacobiFormData:
 
     @classmethod
     def from_orbit_values(cls, weight_k: int, index_m: int, level_N: int, n_trunc,
-                          orbit_values: Mapping, weak: bool = False) -> JacobiFormData:
+                          orbit_values: Mapping) -> JacobiFormData:
         """Build a full table from values on classes (mu, disc).
 
         Values for the negated residue are filled in by odd symmetry; a
@@ -142,11 +135,11 @@ class JacobiFormData:
             for r in _residues(m, mu, n_trunc - Fraction(disc, 4 * m)):
                 if disc + r * r >= 0:
                     coeffs[((disc + r * r) // (4 * m), r)] = value
-        return cls(weight_k, index_m, level_N, n_trunc, coeffs, weak=weak)
+        return cls(weight_k, index_m, level_N, n_trunc, coeffs)
 
     @classmethod
     def from_two_var(cls, tv: ThetaTwoVar, weight_k: int, index_m: int,
-                     level_N: int, weak: bool = False) -> JacobiFormData:
+                     level_N: int) -> JacobiFormData:
         """Read a Fourier table off a two-variable series with integer q-exponents."""
         coeffs = {}
         for (e, r), c in tv.terms.items():
@@ -154,7 +147,7 @@ class JacobiFormData:
                 raise InvariantViolation(
                     f"q-exponent {e} is not an integer Fourier index")
             coeffs[(int(e), r)] = c
-        return cls(weight_k, index_m, level_N, tv.q_trunc, coeffs, weak=weak)
+        return cls(weight_k, index_m, level_N, tv.q_trunc, coeffs)
 
 
 @dataclass(frozen=True)
@@ -334,7 +327,7 @@ def dump_jacobi_table(phi: JacobiFormData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_jacobi_table(text: str, weak: bool = False) -> JacobiFormData:
+def parse_jacobi_table(text: str) -> JacobiFormData:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty coefficient table")
@@ -344,4 +337,4 @@ def parse_jacobi_table(text: str, weak: bool = False) -> JacobiFormData:
         n_text, r_text, c_text = ln.split()
         coeffs[(int(n_text), int(r_text))] = parse_rational(c_text)
     return JacobiFormData(int(fields["k"]), int(fields["m"]), int(fields["N"]),
-                          parse_rational(fields["trunc"]), coeffs, weak=weak)
+                          parse_rational(fields["trunc"]), coeffs)

@@ -41,13 +41,6 @@ class HalfIntWeight:
             raise ValueError(f"{value} is not a half-integer weight")
         return cls(int(twice))
 
-    def plus_two(self) -> HalfIntWeight:
-        return HalfIntWeight(self.twice_weight + 4)
-
-    def __str__(self) -> str:
-        w = self.weight
-        return str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}"
-
 
 def eta(trunc) -> PuiseuxSeries:
     """q^(1/24) * prod_{n>=1} (1 - q^n), expanded below ``trunc``.
@@ -160,15 +153,3 @@ def modular_derivative(f: PuiseuxSeries, kappa) -> PuiseuxSeries:
     needed = f.trunc - min(low, Fraction(0)) if low != INFINITY else f.trunc
     e2 = eisenstein_e2(needed)
     return derivative - (kw.weight / 12) * (e2 * f)
-
-
-def iterated_derivative(f: PuiseuxSeries, kappa, n: int) -> PuiseuxSeries:
-    """n-fold modular derivative starting at weight kappa, weight stepping by 2."""
-    if n < 0:
-        raise ValueError("iteration count must be nonnegative")
-    kw = HalfIntWeight.coerce(kappa)
-    out = f
-    for _ in range(n):
-        out = modular_derivative(out, kw)
-        kw = kw.plus_two()
-    return out

@@ -116,11 +116,6 @@ class PuiseuxSeries:
     def one(cls, trunc: Truncation = INFINITY) -> PuiseuxSeries:
         return cls.constant(1, trunc)
 
-    @classmethod
-    def monomial(cls, coeff, exponent, trunc: Truncation = INFINITY,
-                 base_denom: int | None = None) -> PuiseuxSeries:
-        return cls({Fraction(exponent): Fraction(coeff)}, trunc, base_denom)
-
     # -- inspection --------------------------------------------------------
 
     @property
@@ -190,6 +185,9 @@ class PuiseuxSeries:
 
     def __sub__(self, other) -> PuiseuxSeries:
         return self + (-other if isinstance(other, PuiseuxSeries) else -Fraction(other))
+
+    def __rsub__(self, other) -> PuiseuxSeries:
+        return -self + other
 
     def __mul__(self, other) -> PuiseuxSeries:
         if isinstance(other, (int, Fraction)):

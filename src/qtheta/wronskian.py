@@ -38,7 +38,9 @@ The verification entry points certify, on an explicit exponent window,
 that W is a constant multiple of the Dedekind eta function raised to
 (m-1)(2m-1), that the vanishing orders and leading coefficients of W and
 its last-row cofactors match the closed Vandermonde formulas, and that
-the adjugate rebuilds a component tuple from the system it solves.
+the adjugate rebuilds a component tuple from the system it solves.  One
+check, ``_check_theta_minor``, takes the order and leading coefficient of
+W, the minor on every column, and of cofactor nu, +/- the minor without nu.
 """
 
 from __future__ import annotations
@@ -322,6 +324,30 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     return SeriesMatrix(columns).det()
 
 
+def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
+                       name: str) -> tuple[Fraction, Fraction, Fraction]:
+    """Check the minor on increasing ``columns`` S and rows 0..|S|-1.
+
+    Raises VerificationFailed, prefixed by ``where``, unless its own window
+    passes the order sum_S mu^2/4m, the minor has that order, and its leading
+    coefficient is +/- prod_S mu * V(mu^2/4m), V the Vandermonde product.
+    Returns (order, leading coefficient, expected coefficient > 0).
+    """
+    order = Fraction(sum(mu * mu for mu in columns), 4 * m)
+    if order >= minor.trunc:
+        raise VerificationFailed(
+            f"{where}: window {minor.trunc} cannot reach {name} order {order}")
+    observed = minor.ord_infty()
+    if observed != order:
+        raise VerificationFailed(f"{where}: {name} order {observed}, expected {order}")
+    lead = minor.coefficient(order)
+    expected = math.prod(columns) * vandermonde([Fraction(mu * mu, 4 * m) for mu in columns])
+    if abs(lead) != expected:
+        raise VerificationFailed(
+            f"{where}: leading coefficient {lead}, expected +/-{expected}")
+    return order, lead, expected
+
+
 @dataclass(frozen=True)
 class WronskianReport:
     """Certified comparison of the index-m Wronskian with its eta power."""
@@ -361,16 +387,12 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
     lam = eta_power_exponent(m)
     internal = q_trunc + Fraction(lam, 24) + 2
     wronskian = theta_wronskian(m, internal)
-    quotient = wronskian / eta_power(internal, lam)
-
-    ord_w = wronskian.ord_infty()
-    ord_expected = total_theta_order(m)
-    nodes = [Fraction(mu * mu, 4 * m) for mu in range(1, m)]
-    leading_expected = Fraction(math.factorial(m - 1)) * vandermonde(nodes)
-    lead = wronskian.leading_term()
-    if lead is None:
+    ord_w, lead, leading_expected = _check_theta_minor(
+        m, range(1, m), wronskian, f"m={m}", "Wronskian")
+    if lead != leading_expected:
         raise VerificationFailed(
-            f"m={m}: Wronskian has no nonzero term below {internal}")
+            f"m={m}: leading coefficient {lead}, expected {leading_expected}")
+    quotient = wronskian / eta_power(internal, lam)
     constant = quotient.coefficient(0)
     if constant == 0:
         raise VerificationFailed(
@@ -380,18 +402,12 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
         e = residual[0]
         raise VerificationFailed(
             f"m={m}: residual coefficient {quotient.coefficient(e)} at exponent {e}")
-    if ord_w != ord_expected:
-        raise VerificationFailed(
-            f"m={m}: ord(W) = {ord_w}, expected {ord_expected}")
-    if lead[1] != leading_expected:
-        raise VerificationFailed(
-            f"m={m}: leading coefficient {lead[1]}, expected {leading_expected}")
     return WronskianReport(
         index_m=m,
         eta_exponent=lam,
         ord_w=ord_w,
-        ord_w_expected=ord_expected,
-        leading_coeff=lead[1],
+        ord_w_expected=ord_w,
+        leading_coeff=lead,
         leading_expected=leading_expected,
         constant=constant,
         residual_max_exponent_checked=Fraction(quotient.trunc),
@@ -418,12 +434,7 @@ class CofactorOrderReport:
 
 
 def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:
-    """Check each last-row cofactor against the closed order and leading formulas.
-
-    For nu = 1..m-1 the cofactor vanishes to order
-    sum_{mu=1}^{m-1} mu^2/(4m) - nu^2/(4m), with leading coefficient
-    +/- (m-1)!/nu times the Vandermonde of the remaining nodes.
-    """
+    """Check the order and leading coefficient of each last-row cofactor."""
     if m < 3:
         raise ValueError("m must be at least 3 for nontrivial minors")
     cofactors = theta_derivative_matrix(m, q_trunc).last_row_cofactors()
@@ -439,36 +450,17 @@ def _check_cofactor_window(m: int, q_trunc) -> None:
 
 
 def _cofactor_order_reports(m: int, cofactors) -> list[CofactorOrderReport]:
-    """The checks of ``verify_cofactor_orders`` on cofactors already computed.
-
-    Each order is checked against its cofactor's own certified window.
-    """
-    order_sum = total_theta_order(m)
-    nodes = [Fraction(mu * mu, 4 * m) for mu in range(1, m)]
+    """The checks of ``verify_cofactor_orders`` on cofactors already computed."""
     reports = []
     for nu in range(1, m):
-        cof = cofactors[nu - 1]
-        expected_ord = order_sum - Fraction(nu * nu, 4 * m)
-        if expected_ord >= cof.trunc:
-            raise VerificationFailed(
-                f"m={m} nu={nu}: window {cof.trunc} cannot reach cofactor order {expected_ord}")
-        lead = cof.leading_term()
-        if lead is None:
-            raise VerificationFailed(
-                f"m={m} nu={nu}: cofactor has no term below {cof.trunc}")
-        reduced = nodes[:nu - 1] + nodes[nu:]
-        expected_abs = abs(Fraction(math.factorial(m - 1), nu) * vandermonde(reduced))
-        if lead[0] != expected_ord:
-            raise VerificationFailed(
-                f"m={m} nu={nu}: cofactor order {lead[0]}, expected {expected_ord}")
-        if abs(lead[1]) != expected_abs:
-            raise VerificationFailed(
-                f"m={m} nu={nu}: leading coefficient {lead[1]}, expected +/-{expected_abs}")
+        order, lead, expected_abs = _check_theta_minor(
+            m, [mu for mu in range(1, m) if mu != nu], cofactors[nu - 1],
+            f"m={m} nu={nu}", "cofactor")
         reports.append(CofactorOrderReport(
             index_m=m, nu=nu,
-            ord_cofactor=lead[0], ord_expected=expected_ord,
-            leading_coeff=lead[1], leading_expected_abs=expected_abs,
-            sign=1 if lead[1] > 0 else -1,
+            ord_cofactor=order, ord_expected=order,
+            leading_coeff=lead, leading_expected_abs=expected_abs,
+            sign=1 if lead > 0 else -1,
         ))
     return reports
 

@@ -141,6 +141,31 @@ class TestMinorRoute:
         assert run_cli(*args, "--jobs", "1", "--output", str(tmp_path / "r.txt")) == 0
 
 
+class TestRenderedRows:
+    @pytest.mark.parametrize("argv", [
+        ("verify-wronskian", "--m", "2..4", "--q-trunc", "6"),
+        ("verify-orders", "--m", "2..5", "--q-trunc", "6"),
+        ("verify-characters", "--m", "2..7"),
+        ("verify-identities", "--m", "2..4", "--q-trunc", "6", "--trials", "2",
+         "--seed", "3", "--jacobi-file"),
+        ("classify", "--k", "5", "--m", "7", "--N", "1"),
+        ("sweep", "--k", "3..9", "--m-offset", "1..4", "--N", "1,6"),
+    ])
+    def test_every_row_is_already_converted(self, argv, tmp_path):
+        # the renderers print each cell as it comes, so every row a handler
+        # returns must be a fixed point of to_jsonable
+        args = list(argv)
+        if argv[-1] == "--jacobi-file":
+            table = tmp_path / "form.jacobi"
+            table.write_text(dump_jacobi_table(
+                JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
+            args.append(str(table))
+        config = cli.config_from_args(cli.build_parser().parse_args(args))
+        tables, _, _ = cli.HANDLERS[config.command](config)
+        rows = [row for table_rows in tables.values() for row in table_rows]
+        assert rows and all(cli.to_jsonable(row) == row for row in rows)
+
+
 class TestVerifyWronskian:
     def test_json_report(self, tmp_path):
         out = tmp_path / "report.json"
@@ -217,7 +242,9 @@ class TestVerifyOrders:
         code = run_cli("verify-orders", "--m", "12", "--q-trunc", "121/48",
                        "--format", "json", "--output", str(out))
         assert code == 1
-        assert "m=12" in json.loads(out.read_text())["failure"]
+        # W's own window is q_trunc here, below its order 253/24
+        failure = json.loads(out.read_text())["failure"]
+        assert "m=12" in failure and "cannot reach" in failure
 
 
 class TestVerifyCharacters:

@@ -57,12 +57,6 @@ class TestJacobiFormData:
         with pytest.raises(InvariantViolation):
             JacobiFormData(3, 2, 1, 4, {(0, 1): F(1), (0, -1): F(-1)})
 
-    def test_weak_flag_admits_negative_discriminant(self):
-        phi = JacobiFormData.from_orbit_values(3, 2, 1, 3, {(1, -1): F(1)}, weak=True)
-        assert phi.coeffs[(0, 1)] == 1
-        h = theta_components(phi)
-        assert h.components[0].ord_infty() == F(-1, 8)
-
     def test_even_weight_rejected(self):
         with pytest.raises(InvariantViolation):
             JacobiFormData(4, 2, 1, 4, {})

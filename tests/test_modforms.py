@@ -6,7 +6,7 @@ import pytest
 
 from conftest import assert_agree
 from qtheta import (HalfIntWeight, PuiseuxSeries, eisenstein_e2, eta, eta_power,
-                    iterated_derivative, modular_derivative)
+                    modular_derivative)
 from qtheta import ThetaIndex, odd_theta_series
 
 F = Fraction
@@ -122,32 +122,6 @@ class TestModularDerivative:
             modular_derivative(PuiseuxSeries.one(), F(1, 2))
 
 
-class TestIteratedDerivative:
-    def test_zero_steps(self):
-        f = eta(10)
-        assert iterated_derivative(f, F(1, 2), 0) == f
-
-    def test_one_step(self):
-        f = eta(10) ** 2
-        assert iterated_derivative(f, 1, 1) == modular_derivative(f, 1)
-
-    def test_two_steps_compose_by_hand(self):
-        f = odd_theta_series(ThetaIndex(3, 1), 14)
-        once = modular_derivative(f, F(3, 2))
-        twice = modular_derivative(once, F(7, 2))
-        assert_agree(iterated_derivative(f, F(3, 2), 2), twice)
-
-    def test_splitting_property(self):
-        f = odd_theta_series(ThetaIndex(4, 1), 12)
-        whole = iterated_derivative(f, F(3, 2), 3)
-        split = iterated_derivative(iterated_derivative(f, F(3, 2), 2), F(3, 2) + 4, 1)
-        assert_agree(whole, split)
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            iterated_derivative(eta(5), 1, -1)
-
-
 class TestHalfIntWeight:
     def test_coerce(self):
         assert HalfIntWeight.coerce(F(3, 2)).twice_weight == 3
@@ -157,6 +131,3 @@ class TestHalfIntWeight:
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
             HalfIntWeight.coerce(F(1, 3))
-
-    def test_step(self):
-        assert HalfIntWeight(3).plus_two().weight == F(7, 2)

@@ -13,7 +13,7 @@ F = Fraction
 
 
 def q(e, c=1, trunc=INFINITY, base_denom=None):
-    return PuiseuxSeries.monomial(c, F(e), trunc, base_denom)
+    return PuiseuxSeries({F(e): F(c)}, trunc, base_denom)
 
 
 class TestConstruction:
@@ -55,6 +55,14 @@ class TestAdd:
 
     def test_trunc_is_min(self):
         assert (q("1/2", trunc=4) + q("1/2", trunc=7)).trunc == 4
+
+    def test_scalar_minus_series(self):
+        s = q("1/8", 3, trunc=5) + q(2, -1, trunc=5)
+        for c in (1, F(2, 3)):
+            diff = c - s
+            assert dict(diff.terms) == {F(0): F(c), F(1, 8): F(-3), F(2): F(1)}
+            assert diff.trunc == 5
+            assert_agree(diff, -(s - c))
 
 
 class TestMul:

@@ -11,7 +11,7 @@ from qtheta import (PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
                     cramer_reconstruction, eta, eta_power_exponent, kernel_components,
                     modular_wronskian, odd_theta_series, partial_kernel_components,
                     theta_derivative_matrix, theta_minors, theta_wronskian, vandermonde,
-                    verify_cofactor_orders, verify_eta_power)
+                    verify_cofactor_orders, verify_eta_power, wronskian)
 from qtheta.jacobi import ThetaComponents
 
 F = Fraction
@@ -359,6 +359,29 @@ class TestVerifyCofactorOrders:
             verify_cofactor_orders(m, edge)
         reports = verify_cofactor_orders(m, edge + F(1, 1000))
         assert len(reports) == m - 1 and all(r.passed for r in reports)
+
+
+class TestThetaMinorCheck:
+    def test_negated_wronskian_fails_the_signed_check(self, monkeypatch):
+        monkeypatch.setattr(wronskian, "theta_wronskian",
+                            lambda m, q_trunc: -theta_wronskian(m, q_trunc))
+        with pytest.raises(VerificationFailed, match="m=4: leading coefficient -"):
+            verify_eta_power(4, 6)
+
+    def test_negated_cofactor_passes_up_to_sign(self):
+        m = 5
+        cofactors = theta_derivative_matrix(m, 8).last_row_cofactors()
+        before = wronskian._cofactor_order_reports(m, cofactors)
+        after = wronskian._cofactor_order_reports(m, [-cofactors[0]] + cofactors[1:])
+        assert after[0].leading_coeff == -before[0].leading_coeff
+        assert after[0].sign == -before[0].sign and after[0].passed
+        assert after[1:] == before[1:]
+
+    def test_scaled_minor_fails(self):
+        with pytest.raises(VerificationFailed,
+                           match=r"m=4: leading coefficient .*, expected \+/-"):
+            wronskian._check_theta_minor(4, range(1, 4), 2 * theta_wronskian(4, 6),
+                                         "m=4", "Wronskian")
 
 
 class TestCramer:
