@@ -4,35 +4,55 @@ Roots of unity are never materialized as complex numbers: a value x in
 [0, 1) stands for exp(2*pi*i*x), and multiplying roots adds exponents
 mod 1.  This covers everything the translation tau -> tau + 1 does to the
 series in this package.
+
+A ``UnityExponent`` stores x as a reduced pair of integers num/den with
+0 <= num < den, built directly from an integer pair such as (mu^2, 4m).
+Adding exponents and scaling by an integer are integer operations with one
+gcd each; a ``Fraction`` is built only when ``value`` is read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class UnityExponent:
-    """A rational x reduced into [0, 1), representing exp(2*pi*i*x)."""
+    """A rational x reduced into [0, 1), representing exp(2*pi*i*x).
 
-    value: Fraction
+    ``UnityExponent(num, den)`` is x = num/den; ``UnityExponent(x)`` takes
+    an int or a Fraction.  Floats are rejected: their binary expansion is
+    not the exponent that was meant.
+    """
 
-    def __post_init__(self):
-        v = self.value if isinstance(self.value, Fraction) else Fraction(self.value)
-        if not 0 <= v.numerator < v.denominator:
-            v = Fraction(v.numerator % v.denominator, v.denominator)
-        object.__setattr__(self, "value", v)
+    num: int
+    den: int
+
+    def __init__(self, num, den=1):
+        if type(num) is not int or type(den) is not int or den <= 0:
+            if isinstance(num, float) or isinstance(den, float):
+                raise TypeError("a unity exponent must be an int or a Fraction, not a float")
+            x = Fraction(num, den)
+            num, den = x.numerator, x.denominator
+        num %= den
+        g = math.gcd(num, den)
+        _set(self, "num", num // g)
+        _set(self, "den", den // g)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     def __add__(self, other: UnityExponent) -> UnityExponent:
-        a, b = self.value, other.value
-        den = a.denominator * b.denominator
-        return UnityExponent(Fraction(
-            (a.numerator * b.denominator + b.numerator * a.denominator) % den, den))
+        return UnityExponent(self.num * other.den + other.num * self.den,
+                             self.den * other.den)
 
     def __mul__(self, n: int) -> UnityExponent:
-        den = self.value.denominator
-        return UnityExponent(Fraction(self.value.numerator * n % den, den))
+        return UnityExponent(self.num * n, self.den)
 
     __rmul__ = __mul__
 
@@ -53,7 +73,7 @@ class GammaCharacter:
 
     @property
     def translation_value(self) -> UnityExponent:
-        return UnityExponent(Fraction(self.delta_power, 12))
+        return UnityExponent(self.delta_power, 12)
 
 
 def translation_eigenvalues(m: int) -> list[UnityExponent]:
@@ -65,7 +85,8 @@ def translation_eigenvalues(m: int) -> list[UnityExponent]:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    return [UnityExponent(Fraction(mu * mu, 4 * m)) for mu in range(1, m)]
+    den = 4 * m
+    return [UnityExponent(mu * mu, den) for mu in range(1, m)]
 
 
 def squared_determinant_translation(m: int) -> UnityExponent:
@@ -74,8 +95,8 @@ def squared_determinant_translation(m: int) -> UnityExponent:
     Computed as twice the sum of the diagonal exponents; agrees with the
     closed form (m-1)(2m-1)/12 mod 1.
     """
-    total = sum((2 * ev for ev in translation_eigenvalues(m)), UnityExponent(Fraction(0)))
-    assert total == UnityExponent(Fraction((m - 1) * (2 * m - 1), 12))
+    total = sum((2 * ev for ev in translation_eigenvalues(m)), UnityExponent(0))
+    assert total == UnityExponent((m - 1) * (2 * m - 1), 12)
     return total
 
 

@@ -71,15 +71,19 @@ def _rat(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _exponent(x: UnityExponent) -> str:
+    return f"{x.num}/{x.den}"
+
+
 def to_jsonable(value):
+    if isinstance(value, (bool, int, str)) or value is None:
+        return value
     if isinstance(value, Fraction):
         return _rat(value)
     if isinstance(value, UnityExponent):
-        return _rat(value.value)
+        return _exponent(value)
     if isinstance(value, GammaCharacter):
         return value.delta_power
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
     if isinstance(value, float):
         return _rat(value)
     if dataclasses.is_dataclass(value):
@@ -155,14 +159,14 @@ def _characters_case(job):
         observed = translation_eigenvalue(series)
         ok = observed == expected
         all_ok = all_ok and ok
-        eigen_rows.append({"m": m, "mu": mu, "exponent": _rat(expected.value),
+        eigen_rows.append({"m": m, "mu": mu, "exponent": _exponent(expected),
                            "matches_series": ok})
     xi = squared_determinant_translation(m)
     power = squared_determinant_delta_power(m)
     consistent = xi == power.translation_value
     if not (all_ok and consistent):
         raise VerificationFailed("character table mismatch; see report rows")
-    character_row = {"m": m, "xi": _rat(xi.value), "delta_power": power.delta_power,
+    character_row = {"m": m, "xi": _exponent(xi), "delta_power": power.delta_power,
                      "consistent": consistent}
     return {"eigenvalues": eigen_rows, "characters": [character_row]}, {}
 
@@ -248,10 +252,13 @@ def _run_cases(args: argparse.Namespace):
     return tables, [], dumps
 
 
-def _verdict_row(verdict) -> dict:
-    row = to_jsonable(verdict)
-    row["discrepancy_flags"] = "; ".join(verdict.discrepancy_flags)
-    return row
+def _verdict_row(v) -> dict:
+    """The report row of a verdict: its fields in order, every value already a JSON scalar."""
+    return {"k": v.k, "m": v.m, "N": v.N,
+            "part_i": v.part_i, "part_ii": v.part_ii, "part_iii": v.part_iii,
+            "s": v.s, "r": v.r, "beta": v.beta, "eta_exponent": v.eta_exponent,
+            "window_ok": v.window_ok, "congruence_details": v.congruence_details,
+            "discrepancy_flags": "; ".join(v.discrepancy_flags)}
 
 
 def _cmd_classify(args: argparse.Namespace):

@@ -2,10 +2,11 @@
 
 Classifies a case (k, m, N) against the three applicability conditions of
 the removal theorem for the top development operator, evaluates the
-order-comparison window in exact rationals, and checks the congruence and
-integrality side conditions.  One of those side claims (that a certain
-ratio is never an integer for m > 3) fails at m = 6; this is surfaced as a
-documented discrepancy flag and never as a verification failure.
+order-comparison window exactly on integers (every term scaled by 2m), and
+checks the congruence and integrality side conditions.  One of those side
+claims (that a certain ratio is never an integer for m > 3) fails at m = 6;
+this is surfaced as a documented discrepancy flag and never as a
+verification failure.
 """
 
 from __future__ import annotations
@@ -79,6 +80,12 @@ class CaseVerdict:
         return self.part_i or self.part_ii or self.part_iii
 
 
+def _scaled_bounds(m: int, s: int, r: int) -> tuple[int, int]:
+    """The window's upper and lower bounds multiplied by 2m, as integers."""
+    base = 2 * m * s + m * r
+    return base + 16 * m - 24, base + 4 * m - 6
+
+
 @dataclass(frozen=True)
 class WindowReport:
     """Exact evaluation of the order-comparison inequalities."""
@@ -88,11 +95,19 @@ class WindowReport:
     s: int
     r: int
     choice_ok: bool
-    upper_bound: Fraction
-    lower_bound: Fraction
     middle: int
     upper_ok: bool
     lower_ok: bool
+
+    @property
+    def upper_bound(self) -> Fraction:
+        """s + r/2 + 8 - 12/m."""
+        return Fraction(_scaled_bounds(self.m, self.s, self.r)[0], 2 * self.m)
+
+    @property
+    def lower_bound(self) -> Fraction:
+        """2 + s + r/2 - 3/m."""
+        return Fraction(_scaled_bounds(self.m, self.s, self.r)[1], 2 * self.m)
 
     @property
     def ok(self) -> bool:
@@ -103,22 +118,23 @@ def window_check(k: int, m: int, s: int, r: int) -> WindowReport:
     """Evaluate s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m exactly.
 
     Also confirms the equality m - k = 2 + s + r/2 that fixes the choice
-    of (s, r).  Requires m > 3, where the window argument applies.
+    of (s, r).  Requires m > 3, where the window argument applies.  Every
+    term is multiplied by 2m > 0, which clears the denominators 2 and m
+    and keeps each inequality and the equality exactly as they were, so
+    the comparisons run on integers; ``upper_bound`` and ``lower_bound``
+    are rebuilt as Fractions only when read.
     """
     if m <= 3:
         raise ValueError("the window argument requires m > 3")
-    half_r = Fraction(r, 2)
-    upper = s + half_r + 8 - Fraction(12, m)
-    lower = 2 + s + half_r - Fraction(3, m)
+    upper, lower = _scaled_bounds(m, s, r)
     middle = m - k
+    scaled_middle = 2 * m * middle
     return WindowReport(
         k=k, m=m, s=s, r=r,
-        choice_ok=(middle == 2 + s + half_r),
-        upper_bound=upper,
-        lower_bound=lower,
+        choice_ok=(scaled_middle == 4 * m + 2 * m * s + m * r),
         middle=middle,
-        upper_ok=(upper > middle),
-        lower_ok=(middle > lower),
+        upper_ok=(upper > scaled_middle),
+        lower_ok=(scaled_middle > lower),
     )
 
 
@@ -145,8 +161,8 @@ def nonintegrality_check(m: int) -> NonintegralityReport:
     """
     if m <= 3:
         raise ValueError("the check applies for m > 3")
-    value = Fraction((m - 2) * (m - 1) * (2 * m - 3), m)
-    return NonintegralityReport(m=m, value=value, is_integer=value.denominator == 1)
+    product = (m - 2) * (m - 1) * (2 * m - 3)
+    return NonintegralityReport(m=m, value=Fraction(product, m), is_integer=product % m == 0)
 
 
 @dataclass(frozen=True)

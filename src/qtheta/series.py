@@ -184,7 +184,9 @@ class PuiseuxSeries:
                                    self.trunc, self.base_denom)
 
     def __sub__(self, other) -> PuiseuxSeries:
-        return self + (-other if isinstance(other, PuiseuxSeries) else -Fraction(other))
+        if not isinstance(other, (int, Fraction, PuiseuxSeries)):
+            return NotImplemented
+        return self + (-other)
 
     def __rsub__(self, other) -> PuiseuxSeries:
         return -self + other

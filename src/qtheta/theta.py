@@ -160,7 +160,8 @@ class ThetaTwoVar:
 
 def _residues(m: int, mu: int, q_trunc: Fraction):
     """All r = mu mod 2m with r^2/(4m) strictly below q_trunc."""
-    bound = math.ceil(4 * m * q_trunc)  # an integer r^2 is < 4m*q_trunc iff < bound
+    # an integer r^2 is < 4m*q_trunc iff it is < bound = ceil(4m*q_trunc)
+    bound = -(-4 * m * q_trunc.numerator // q_trunc.denominator)
     if bound <= 0:
         return
     r_cap = math.isqrt(bound) + 1
@@ -209,7 +210,7 @@ def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
         if (n - first) % d:
             raise NotAnEigenvector(
                 f"exponents {Fraction(first, d)} and {Fraction(n, d)} differ by a non-integer")
-    return UnityExponent(Fraction(first, d))
+    return UnityExponent(first, d)
 
 
 def total_theta_order(m: int) -> Fraction:

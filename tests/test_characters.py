@@ -1,5 +1,8 @@
 """Translation characters as exact points of Q/Z."""
 
+import copy
+import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -20,6 +23,49 @@ class TestUnityExponent:
     def test_group_law(self):
         assert UnityExponent(F(2, 3)) + UnityExponent(F(2, 3)) == UnityExponent(F(1, 3))
         assert 3 * UnityExponent(F(1, 4)) == UnityExponent(F(3, 4))
+
+    def test_integer_pair_against_fraction_reference(self):
+        def ref(x):  # the Fraction formula: x mod 1
+            return x - math.floor(x)
+
+        samples = [(num, den) for den in range(1, 49) for num in range(-2 * den, 2 * den + 1)]
+        distinct = {}
+        for num, den in samples:
+            x = F(num, den)
+            e = UnityExponent(num, den)
+            assert e.value == ref(x) and isinstance(e.value, F)
+            assert (e.num, e.den) == (ref(x).numerator, ref(x).denominator)
+            assert e == UnityExponent(x) == UnityExponent(x + 1) == UnityExponent(x - 2)
+            assert hash(e) == hash(UnityExponent(x))
+            for n in range(-3, 4):
+                assert n * e == e * n == UnityExponent(n * x)
+                assert (n * e).value == ref(n * x)
+            distinct.setdefault(ref(x), e)
+        assert len(set(distinct.values())) == len(distinct)
+        small = [x for x in distinct if x.denominator <= 12]
+        for x, e in distinct.items():
+            for y in small:
+                f = distinct[y]
+                assert (e + f).value == ref(x + y)
+                assert (e == f) == (x == y)
+
+    def test_immutable(self):
+        e = UnityExponent(3, 8)
+        for name in ("num", "den", "value"):
+            with pytest.raises(AttributeError):
+                setattr(e, name, 1)
+        with pytest.raises(AttributeError):
+            del e.num
+        assert (e.num, e.den) == (3, 8)
+
+    def test_copies_keep_the_exponent(self):
+        e = UnityExponent(7, 12)
+        assert pickle.loads(pickle.dumps(e)) == copy.copy(e) == e
+
+    def test_float_rejected(self):
+        for args in ((0.1,), (0.5,), (1, 2.0), (1.0, 2)):
+            with pytest.raises(TypeError):
+                UnityExponent(*args)
 
 
 class TestDiagonal:

@@ -1,5 +1,6 @@
 """Classifier, window inequalities, congruences, and the integrality discrepancy."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -84,6 +85,31 @@ class TestWindow:
         report = window_check(3, 4, 0, 0)
         assert not report.choice_ok
         assert not report.ok
+
+    def test_scaled_comparisons_match_fraction_formula(self):
+        # The answers can change only where the middle m - k crosses a bound
+        # or the choice point, so for each (m, s, r) every odd k in 3..41
+        # whose middle lies next to one of them is checked.
+        for m in range(4, 61):
+            # s + r/2 + 8 - 12/m, 2 + s + r/2 - 3/m and 2 + s + r/2 as written,
+            # keyed by t = 2s + r, since each depends on s + r/2 alone
+            oracle = {t: (F(t, 2) + 8 - F(12, m), 2 + F(t, 2) - F(3, m), 2 + F(t, 2))
+                      for t in range(4 * m + 1)}
+            for s in range(m + 1):
+                for r in range(0, 2 * m + 1, 2):
+                    upper, lower, choice = oracle[2 * s + r]
+                    report = window_check(3, m, s, r)
+                    assert (report.upper_bound, report.lower_bound) == (upper, lower)
+                    for x in (upper, lower, choice):
+                        for middle in range(math.floor(x) - 1, math.ceil(x) + 2):
+                            k = m - middle
+                            if not (3 <= k <= 41 and k % 2):
+                                continue
+                            report = window_check(k, m, s, r)
+                            assert report.middle == middle
+                            assert report.upper_ok == (upper > middle)
+                            assert report.lower_ok == (middle > lower)
+                            assert report.choice_ok == (middle == choice)
 
     def test_requires_m_above_three(self):
         with pytest.raises(ValueError):

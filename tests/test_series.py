@@ -64,6 +64,14 @@ class TestAdd:
             assert diff.trunc == 5
             assert_agree(diff, -(s - c))
 
+    def test_subtraction_follows_the_addition_type_rule(self):
+        s = q("1/8", 3, trunc=5)
+        for other in (0.5, 0.1, "x", None):
+            for op in (lambda: s + other, lambda: other + s,
+                       lambda: s - other, lambda: other - s):
+                with pytest.raises(TypeError):
+                    op()
+
 
 class TestMul:
     def test_monomials(self):

@@ -88,6 +88,24 @@ class TestTranslationEigenvalue:
     def test_eta(self):
         assert translation_eigenvalue(eta(40)) == UnityExponent(F(1, 24))
 
+    def test_off_the_theta_grid(self):
+        s = eta(40)  # exponents 1/24 + n on the grid D = 24, no 1/4m grid
+        assert s.base_denom == 24
+        value = translation_eigenvalue(s)
+        assert (value.num, value.den) == (1, 24)
+
+    def test_finer_grid_gives_the_same_reduced_exponent(self):
+        for m in range(2, 9):
+            for mu in range(1, m):
+                s = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
+                for factor in (2, 3, 5):
+                    finer = PuiseuxSeries(dict(s.terms), s.trunc, factor * s.base_denom)
+                    assert finer.base_denom == factor * 4 * m
+                    value = translation_eigenvalue(finer)
+                    assert value == translation_eigenvalue(s)
+                    reduced = F(mu * mu, 4 * m) % 1
+                    assert (value.num, value.den) == (reduced.numerator, reduced.denominator)
+
     def test_mixed_residues_rejected(self):
         s = PuiseuxSeries({F(0): F(1), F(1, 2): F(1)}, 5)
         with pytest.raises(NotAnEigenvector):
