@@ -89,13 +89,17 @@ def translation_eigenvalues(m: int) -> list[UnityExponent]:
     return [UnityExponent(mu * mu, den) for mu in range(1, m)]
 
 
-def squared_determinant_translation(m: int) -> UnityExponent:
+def squared_determinant_translation(m: int, diag: list[UnityExponent] | None = None
+                                    ) -> UnityExponent:
     """Translation exponent of the squared determinant of the theta tuple.
 
-    Computed as twice the sum of the diagonal exponents; agrees with the
-    closed form (m-1)(2m-1)/12 mod 1.
+    Computed as twice the sum of the diagonal exponents, taken from ``diag``
+    when the caller already holds ``translation_eigenvalues(m)``; agrees
+    with the closed form (m-1)(2m-1)/12 mod 1.
     """
-    total = sum((2 * ev for ev in translation_eigenvalues(m)), UnityExponent(0))
+    if diag is None:
+        diag = translation_eigenvalues(m)
+    total = sum((2 * ev for ev in diag), UnityExponent(0))
     assert total == UnityExponent((m - 1) * (2 * m - 1), 12)
     return total
 

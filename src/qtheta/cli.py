@@ -96,13 +96,16 @@ def to_jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
+# the cells the csv writer would not print as the reports do; it prints
+# ints and strings itself, and None as an empty cell
+_CSV_CONVERTED = (bool, list, dict)
+
+
 def _csv_cell(value) -> str:
-    """One cell of a row already built through ``to_jsonable`` or ``_rat``."""
+    """A bool, list or dict cell of a row built through ``to_jsonable``, as JSON text."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (list, dict)):
-        return json.dumps(value, sort_keys=True)
-    return "" if value is None else str(value)
+    return json.dumps(value, sort_keys=True)
 
 
 # -- command implementations --------------------------------------------------
@@ -161,7 +164,7 @@ def _characters_case(job):
         all_ok = all_ok and ok
         eigen_rows.append({"m": m, "mu": mu, "exponent": _exponent(expected),
                            "matches_series": ok})
-    xi = squared_determinant_translation(m)
+    xi = squared_determinant_translation(m, diag)
     power = squared_determinant_delta_power(m)
     consistent = xi == power.translation_value
     if not (all_ok and consistent):
@@ -222,11 +225,19 @@ CASES = {
 }
 
 
+def _lift_int_str_limit() -> None:
+    """Exact numerators outgrow CPython's default 4300-digit limit on int/str
+    conversion (the m = 64 Wronskian constant has 4709 digits); lift it."""
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+
+
 def _run_parallel(worker, items, jobs):
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(item) for item in items]
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
+                                                initializer=_lift_int_str_limit) as pool:
         return list(pool.map(worker, items))
 
 
@@ -356,7 +367,8 @@ def _render_csv(tables) -> str:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_csv_cell(row.get(col)) for col in columns])
+            writer.writerow([_csv_cell(v) if isinstance(v, _CSV_CONVERTED) else v
+                             for v in map(row.get, columns)])
     return out.getvalue()
 
 
@@ -547,6 +559,7 @@ def _check_identities_args(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
+    _lift_int_str_limit()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

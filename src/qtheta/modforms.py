@@ -111,8 +111,8 @@ def eta_power(trunc, lam: int) -> PuiseuxSeries:
         value, remainder = divmod(total, n)
         assert remainder == 0, "Miller's recurrence must divide exactly"
         coeffs.append(value)
-    return PuiseuxSeries._make({lam + 24 * n: Fraction(c) for n, c in enumerate(coeffs) if c},
-                               trunc, 24)
+    return PuiseuxSeries._make({lam + 24 * n: c for n, c in enumerate(coeffs) if c},
+                               trunc, 24, 1)
 
 
 def eisenstein_e2(trunc) -> PuiseuxSeries:

@@ -6,13 +6,18 @@ positive integer D (the ``base_denom``), together with a certified
 truncation bound ``trunc``: the series is exactly correct for every
 exponent strictly below ``trunc`` and claims nothing at or above it.
 
-Coefficients are ``fractions.Fraction``; there is no floating point
-anywhere.  Exponents are stored as integers on the grid: the term
-c*q^(n/D) is the entry n -> c, and n/D < trunc is n < ceil(trunc*D).
-Operands on different grids meet on the lcm of their D.  ``terms`` is the
-Fraction-keyed view, built on demand.  The public constructor validates
-its input; the ring operations and the package's own producers use the
-trusted constructor ``_make``, which checks nothing.
+There is no floating point anywhere, and the store holds only integers.
+Exponents are stored on the grid: the term c*q^(n/D) has key n, and
+n/D < trunc is n < ceil(trunc*D).  Coefficients are integer numerators over
+one shared positive denominator ``den``: c = a/den is stored as a.  The
+store is canonical, gcd(den, *numerators) == 1 and den == 1 for a series
+with no terms, so equal series have equal stores and numbers do not grow
+past their reduced size; each ring operation divides its result by that
+gcd once.  Operands on different grids meet on the lcm of their D.
+``terms``, ``coefficient`` and ``leading_term`` build their Fractions on
+demand.  The public constructor takes and validates Fractions; the ring
+operations and the package's own producers use the trusted constructor
+``_make``, which checks nothing.
 
 Truncation bounds are recomputed pessimistically through every operation,
 so any identity observed on a result is certified on the stated window.
@@ -48,25 +53,46 @@ def _as_trunc(value) -> Truncation:
 
 
 def _trunc_add(t: Truncation, x) -> Truncation:
-    if t == INFINITY or x == INFINITY:
+    # the only float a truncation or an order can be is +infinity
+    if isinstance(t, float) or isinstance(x, float):
         return INFINITY
     return t + x
 
 
 def _key_bound(trunc: Truncation, denom: int):
     """The integer keys n on the 1/denom grid with n/denom < trunc are those below this."""
-    return INFINITY if trunc == INFINITY else math.ceil(trunc * denom)
+    if isinstance(trunc, float):
+        return INFINITY
+    return -(-trunc.numerator * denom // trunc.denominator)
 
 
-def _rescaled(terms: dict, factor: int) -> dict:
-    """``terms`` (integer keys) moved onto a grid ``factor`` times finer."""
-    return terms if factor == 1 else {n * factor: c for n, c in terms.items()}
+def _reduced(terms: dict, den: int) -> tuple[dict, int]:
+    """Nonzero numerators ``terms`` over ``den`` > 0, divided by gcd(den, *numerators).
+
+    The canonical store of a series: den is 1 when there are no terms.
+    """
+    if den == 1 or not terms:
+        return terms, 1
+    g = math.gcd(den, *terms.values())
+    if g == 1:
+        return terms, den
+    return {k: c // g for k, c in terms.items()}, den // g
+
+
+def _over_lcm(values: Mapping) -> tuple[dict, int]:
+    """Nonzero Fractions ``values`` as numerators over their least common denominator.
+
+    That denominator shares no factor with all the numerators, so the
+    result is already canonical.
+    """
+    den = math.lcm(1, *(c.denominator for c in values.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den
 
 
 class PuiseuxSeries:
     """Truncated formal series in q with rational exponents of bounded denominator."""
 
-    __slots__ = ("base_denom", "trunc", "_terms")
+    __slots__ = ("base_denom", "trunc", "_terms", "_den")
 
     def __init__(self, terms: Mapping | Iterable, trunc: Truncation, base_denom: int | None = None):
         trunc = _as_trunc(trunc)
@@ -89,18 +115,29 @@ class PuiseuxSeries:
                     raise ValueError(f"exponent {e} is not a multiple of 1/{base_denom}")
         self.base_denom = base_denom
         self.trunc = trunc
-        self._terms = {(e * base_denom).numerator: c for e, c in clean.items()}
+        self._terms, self._den = _over_lcm(
+            {(e * base_denom).numerator: c for e, c in clean.items()})
 
     @classmethod
-    def _make(cls, terms: dict[int, Fraction], trunc: Truncation,
-              base_denom: int) -> PuiseuxSeries:
+    def _make(cls, terms: dict[int, int], trunc: Truncation, base_denom: int,
+              den: int) -> PuiseuxSeries:
         """Trusted constructor: ``terms`` (kept, not copied) maps int keys below
-        ``_key_bound(trunc, base_denom)`` to nonzero Fractions; nothing is checked."""
+        ``_key_bound(trunc, base_denom)`` to nonzero int numerators over ``den``,
+        in the canonical form ``_reduced`` gives; nothing is checked."""
         out = object.__new__(cls)
         out.base_denom = base_denom
         out.trunc = trunc
         out._terms = terms
+        out._den = den
         return out
+
+    def _over(self, denom: int, den: int) -> dict[int, int]:
+        """The stored terms on the 1/denom grid, as numerators over ``den``;
+        both must be multiples of this series' own.  May be the store itself."""
+        f, g = denom // self.base_denom, den // self._den
+        if g == 1:
+            return self._terms if f == 1 else {n * f: c for n, c in self._terms.items()}
+        return {n * f: c * g for n, c in self._terms.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -121,12 +158,13 @@ class PuiseuxSeries:
     @property
     def terms(self) -> Mapping[Fraction, Fraction]:
         """Read-only map from Fraction exponents to coefficients, built on each access."""
-        d = self.base_denom
-        return MappingProxyType({Fraction(n, d): c for n, c in self._terms.items()})
+        d, den = self.base_denom, self._den
+        return MappingProxyType({Fraction(n, d): Fraction(c, den) for n, c in self._terms.items()})
 
     def coefficient(self, exponent) -> Fraction:
         n = Fraction(exponent) * self.base_denom
-        return self._terms.get(n.numerator, _ZERO) if n.denominator == 1 else _ZERO
+        c = self._terms.get(n.numerator) if n.denominator == 1 else None
+        return _ZERO if c is None else Fraction(c, self._den)
 
     def is_zero(self) -> bool:
         """True when no nonzero coefficient is known below the truncation."""
@@ -140,14 +178,15 @@ class PuiseuxSeries:
         if not self._terms:
             return None
         n = min(self._terms)
-        return Fraction(n, self.base_denom), self._terms[n]
+        return Fraction(n, self.base_denom), Fraction(self._terms[n], self._den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
+        # both stores are canonical, so equal coefficients need equal den
         d = math.lcm(self.base_denom, other.base_denom)
-        return self.trunc == other.trunc and (_rescaled(self._terms, d // self.base_denom)
-                                              == _rescaled(other._terms, d // other.base_denom))
+        return (self.trunc == other.trunc and self._den == other._den
+                and self._over(d, self._den) == other._over(d, other._den))
 
     __hash__ = None
 
@@ -170,18 +209,19 @@ class PuiseuxSeries:
             return NotImplemented
         trunc = min(self.trunc, other.trunc)
         denom = math.lcm(self.base_denom, other.base_denom)
+        den = math.lcm(self._den, other._den)
         bound = _key_bound(trunc, denom)
-        merged = dict(_rescaled(self._terms, denom // self.base_denom))
-        for n, c in _rescaled(other._terms, denom // other.base_denom).items():
-            merged[n] = merged.get(n, _ZERO) + c
-        return PuiseuxSeries._make({n: c for n, c in merged.items() if c and n < bound},
-                                   trunc, denom)
+        merged = dict(self._over(denom, den))
+        for n, c in other._over(denom, den).items():
+            merged[n] = merged.get(n, 0) + c
+        terms, den = _reduced({n: c for n, c in merged.items() if c and n < bound}, den)
+        return PuiseuxSeries._make(terms, trunc, denom, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> PuiseuxSeries:
         return PuiseuxSeries._make({n: -c for n, c in self._terms.items()},
-                                   self.trunc, self.base_denom)
+                                   self.trunc, self.base_denom, self._den)
 
     def __sub__(self, other) -> PuiseuxSeries:
         if not isinstance(other, (int, Fraction, PuiseuxSeries)):
@@ -194,8 +234,9 @@ class PuiseuxSeries:
     def __mul__(self, other) -> PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            terms = {n: c * v for n, v in self._terms.items()} if c else {}
-            return PuiseuxSeries._make(terms, self.trunc, self.base_denom)
+            terms, den = _reduced({n: c.numerator * v for n, v in self._terms.items()}
+                                  if c else {}, self._den * c.denominator)
+            return PuiseuxSeries._make(terms, self.trunc, self.base_denom, den)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
         # Certified bound: the unknown tail of one factor enters the product
@@ -206,9 +247,9 @@ class PuiseuxSeries:
         trunc = min(_trunc_add(self.trunc, ord_b), _trunc_add(other.trunc, ord_a))
         denom = math.lcm(self.base_denom, other.base_denom)
         bound = _key_bound(trunc, denom)
-        a = sorted(_rescaled(self._terms, denom // self.base_denom).items())
-        b = sorted(_rescaled(other._terms, denom // other.base_denom).items())
-        out: dict[int, Fraction] = {}
+        a = sorted(self._over(denom, self._den).items())
+        b = sorted(other._over(denom, other._den).items())
+        out: dict[int, int] = {}
         for na, ca in a:
             if not b or na + b[0][0] >= bound:
                 break
@@ -216,8 +257,9 @@ class PuiseuxSeries:
                 n = na + nb
                 if n >= bound:
                     break
-                out[n] = out.get(n, _ZERO) + ca * cb
-        return PuiseuxSeries._make({n: c for n, c in out.items() if c}, trunc, denom)
+                out[n] = out.get(n, 0) + ca * cb
+        terms, den = _reduced({n: c for n, c in out.items() if c}, self._den * other._den)
+        return PuiseuxSeries._make(terms, trunc, denom, den)
 
     __rmul__ = __mul__
 
@@ -245,11 +287,13 @@ class PuiseuxSeries:
         if not other._terms:
             raise DivisorIndistinguishableFromZero(
                 "divisor has no nonzero term below its truncation")
+        # (A/den_a) / (B/den_b) = (A/B) * den_b/den_a: long division on the
+        # numerators in Fractions, scaled and put over one denominator at the end
         denom = math.lcm(self.base_denom, other.base_denom)
-        divisor = _rescaled(other._terms, denom // other.base_denom)
-        rem = dict(_rescaled(self._terms, denom // self.base_denom))
+        divisor = other._over(denom, other._den)
+        rem = dict(self._over(denom, self._den))
         nb_low = min(divisor)
-        lead_b = divisor[nb_low]
+        lead_b = Fraction(divisor[nb_low])
         ord_b = Fraction(nb_low, denom)
         ord_a = Fraction(min(rem), denom) if rem else INFINITY
         # r(e) needs the dividend at e + ord_b and the divisor up to
@@ -270,12 +314,14 @@ class PuiseuxSeries:
                 target = nq + nb
                 if target - nb_low >= bound:
                     break
-                nv = rem.get(target, _ZERO) - c * cb
+                nv = rem.get(target, 0) - c * cb
                 if nv:
                     rem[target] = nv
                 else:
                     rem.pop(target, None)
-        return PuiseuxSeries._make(quot, trunc, denom)
+        scale = Fraction(other._den, self._den)
+        terms, den = _over_lcm({n: c * scale for n, c in quot.items()})
+        return PuiseuxSeries._make(terms, trunc, denom, den)
 
     # -- derivations and reshaping ------------------------------------------
 
@@ -286,8 +332,8 @@ class PuiseuxSeries:
         is expressed through it so that all coefficients stay rational.
         """
         d = self.base_denom
-        return PuiseuxSeries._make({n: c * Fraction(n, d) for n, c in self._terms.items() if n},
-                                   self.trunc, d)
+        terms, den = _reduced({n: c * n for n, c in self._terms.items() if n}, self._den * d)
+        return PuiseuxSeries._make(terms, self.trunc, d, den)
 
     def q_derivative_iterate(self, n: int) -> PuiseuxSeries:
         out = self
@@ -300,8 +346,8 @@ class PuiseuxSeries:
         if new_trunc > self.trunc:
             raise ValueError("cannot extend a certified truncation")
         bound = _key_bound(new_trunc, self.base_denom)
-        return PuiseuxSeries._make({n: c for n, c in self._terms.items() if n < bound},
-                                   new_trunc, self.base_denom)
+        terms, den = _reduced({n: c for n, c in self._terms.items() if n < bound}, self._den)
+        return PuiseuxSeries._make(terms, new_trunc, self.base_denom, den)
 
 
 # -- text format -------------------------------------------------------------
@@ -332,8 +378,9 @@ def dump_series_text(series: PuiseuxSeries) -> str:
         raise ValueError("only series with a finite truncation can be serialized")
     d = series.base_denom
     lines = [f"D={d} trunc={_rat_str(series.trunc)}"]
+    den = series._den
     for n, c in sorted(series._terms.items()):
-        lines.append(f"{_rat_str(c)} {_rat_str(Fraction(n, d))}")
+        lines.append(f"{_rat_str(Fraction(c, den))} {_rat_str(Fraction(n, d))}")
     return "\n".join(lines) + "\n"
 
 

@@ -7,9 +7,11 @@ weight-3/2 series whose derivatives fill the Wronskian matrix.  All
 q-exponents live on the grid (1/4m)*Z.
 
 Like ``PuiseuxSeries``, ``ThetaTwoVar`` keys each term c*q^(n/D)*zeta^r
-by the integers (n, r).  The series here are built on those keys through
-the trusted ``_make``: the term r sits at r^2 on the 1/4m grid, and
-r^2/4m < q_trunc is r^2 < ceil(4m*q_trunc).
+by the integers (n, r) and stores c as an integer numerator over one shared
+denominator, in the same canonical form.  The series here are built on
+those keys through the trusted ``_make``, with integer coefficients over
+den 1: the term r sits at r^2 on the 1/4m grid, and r^2/4m < q_trunc is
+r^2 < ceil(4m*q_trunc).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Mapping
 
 from .characters import UnityExponent
 from .series import (_ZERO, INFINITY, PuiseuxSeries, Truncation, _as_trunc, _key_bound,
-                     _trunc_add)
+                     _over_lcm, _reduced, _trunc_add)
 
 
 class NotAnEigenvector(ValueError):
@@ -54,7 +56,7 @@ class ThetaTwoVar:
     automatically finite.
     """
 
-    __slots__ = ("base_denom", "q_trunc", "_terms")
+    __slots__ = ("base_denom", "q_trunc", "_terms", "_den")
 
     def __init__(self, terms: Mapping, q_trunc: Truncation, base_denom: int):
         q_trunc = _as_trunc(q_trunc)
@@ -73,26 +75,31 @@ class ThetaTwoVar:
                 clean[key] = clean.get(key, _ZERO) + c
         self.base_denom = base_denom
         self.q_trunc = q_trunc
-        self._terms = {k: v for k, v in clean.items() if v}
+        self._terms, self._den = _over_lcm({k: v for k, v in clean.items() if v})
 
     @classmethod
-    def _make(cls, terms: dict[tuple[int, int], Fraction], q_trunc: Truncation,
-              base_denom: int) -> ThetaTwoVar:
+    def _make(cls, terms: dict[tuple[int, int], int], q_trunc: Truncation,
+              base_denom: int, den: int) -> ThetaTwoVar:
         """Trusted constructor, as ``PuiseuxSeries._make``, on keys (n, r)."""
         out = object.__new__(cls)
         out.base_denom = base_denom
         out.q_trunc = q_trunc
         out._terms = terms
+        out._den = den
         return out
 
-    def _on_grid(self, denom: int) -> dict[tuple[int, int], Fraction]:
-        f = denom // self.base_denom
-        return self._terms if f == 1 else {(n * f, r): c for (n, r), c in self._terms.items()}
+    def _over(self, denom: int, den: int) -> dict[tuple[int, int], int]:
+        """As ``PuiseuxSeries._over``: the store on the 1/denom grid, over ``den``."""
+        f, g = denom // self.base_denom, den // self._den
+        if g == 1:
+            return self._terms if f == 1 else {(n * f, r): c for (n, r), c in self._terms.items()}
+        return {(n * f, r): c * g for (n, r), c in self._terms.items()}
 
     @property
     def terms(self) -> Mapping[tuple[Fraction, int], Fraction]:
-        d = self.base_denom
-        return MappingProxyType({(Fraction(n, d), r): c for (n, r), c in self._terms.items()})
+        d, den = self.base_denom, self._den
+        return MappingProxyType({(Fraction(n, d), r): Fraction(c, den)
+                                 for (n, r), c in self._terms.items()})
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -105,23 +112,25 @@ class ThetaTwoVar:
         if not isinstance(other, ThetaTwoVar):
             return NotImplemented
         denom = math.lcm(self.base_denom, other.base_denom)
-        return self.q_trunc == other.q_trunc and self._on_grid(denom) == other._on_grid(denom)
+        return (self.q_trunc == other.q_trunc and self._den == other._den
+                and self._over(denom, self._den) == other._over(denom, other._den))
 
     __hash__ = None
 
     def __add__(self, other: ThetaTwoVar) -> ThetaTwoVar:
         q_trunc = min(self.q_trunc, other.q_trunc)
         denom = math.lcm(self.base_denom, other.base_denom)
+        den = math.lcm(self._den, other._den)
         bound = _key_bound(q_trunc, denom)
-        merged = dict(self._on_grid(denom))
-        for k, c in other._on_grid(denom).items():
-            merged[k] = merged.get(k, _ZERO) + c
-        return ThetaTwoVar._make({k: c for k, c in merged.items() if c and k[0] < bound},
-                                 q_trunc, denom)
+        merged = dict(self._over(denom, den))
+        for k, c in other._over(denom, den).items():
+            merged[k] = merged.get(k, 0) + c
+        terms, den = _reduced({k: c for k, c in merged.items() if c and k[0] < bound}, den)
+        return ThetaTwoVar._make(terms, q_trunc, denom, den)
 
     def __neg__(self) -> ThetaTwoVar:
         return ThetaTwoVar._make({k: -c for k, c in self._terms.items()},
-                                 self.q_trunc, self.base_denom)
+                                 self.q_trunc, self.base_denom, self._den)
 
     def __sub__(self, other: ThetaTwoVar) -> ThetaTwoVar:
         return self + (-other)
@@ -136,22 +145,23 @@ class ThetaTwoVar:
         bound = _key_bound(trunc, denom)
         factor = denom // s.base_denom
         series = sorted((n * factor, c) for n, c in s._terms.items())
-        out: dict[tuple[int, int], Fraction] = {}
-        for (n, r), c in self._on_grid(denom).items():
+        out: dict[tuple[int, int], int] = {}
+        for (n, r), c in self._over(denom, self._den).items():
             for ns, cs in series:
                 key = (n + ns, r)
                 if key[0] >= bound:
                     break
-                out[key] = out.get(key, _ZERO) + c * cs
-        return ThetaTwoVar._make({k: v for k, v in out.items() if v}, trunc, denom)
+                out[key] = out.get(key, 0) + c * cs
+        terms, den = _reduced({k: v for k, v in out.items() if v}, self._den * s._den)
+        return ThetaTwoVar._make(terms, trunc, denom, den)
 
     def zeta_moment(self, n: int) -> PuiseuxSeries:
         """Collapse the zeta variable: sum of coeff * r^n per q-exponent."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int] = {}
         for (e, r), c in self._terms.items():
-            out[e] = out.get(e, _ZERO) + c * r ** n
-        return PuiseuxSeries._make({e: c for e, c in out.items() if c},
-                                   self.q_trunc, self.base_denom)
+            out[e] = out.get(e, 0) + c * r ** n
+        terms, den = _reduced({e: c for e, c in out.items() if c}, self._den)
+        return PuiseuxSeries._make(terms, self.q_trunc, self.base_denom, den)
 
     def is_zeta_odd(self) -> bool:
         """True when negating the zeta-exponent negates every coefficient."""
@@ -176,8 +186,8 @@ def theta_series(idx: ThetaIndex, q_trunc) -> ThetaTwoVar:
     """The two-variable congruent theta series for the given residue class."""
     q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
-    return ThetaTwoVar._make({(r * r, r): Fraction(1) for r in _residues(m, mu, q_trunc)},
-                             q_trunc, 4 * m)
+    return ThetaTwoVar._make({(r * r, r): 1 for r in _residues(m, mu, q_trunc)},
+                             q_trunc, 4 * m, 1)
 
 
 def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
@@ -192,7 +202,7 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     sums: dict[int, int] = {}
     for r in _residues(m, mu, q_trunc):
         sums[r * r] = sums.get(r * r, 0) + r
-    return PuiseuxSeries._make({n: Fraction(c) for n, c in sums.items() if c}, q_trunc, 4 * m)
+    return PuiseuxSeries._make({n: c for n, c in sums.items() if c}, q_trunc, 4 * m, 1)
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:

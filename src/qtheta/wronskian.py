@@ -52,7 +52,7 @@ from functools import lru_cache
 
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
-from .series import INFINITY, PuiseuxSeries
+from .series import INFINITY, PuiseuxSeries, _reduced
 from .theta import ThetaIndex, _residues, odd_theta_series, total_theta_order
 
 
@@ -301,9 +301,8 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     out = []
     for d in deleted_rows:
         scale = grid ** (base + s - d)
-        out.append(PuiseuxSeries._make({e: Fraction(c, scale)
-                                        for e, c in sorted(sums[s - d].items()) if c},
-                                       trunc, grid))
+        terms, den = _reduced({e: c for e, c in sorted(sums[s - d].items()) if c}, scale)
+        out.append(PuiseuxSeries._make(terms, trunc, grid, den))
     return out
 
 

@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes, ingestion."""
 
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,37 @@ class TestVerifyIdentities:
 
     def test_missing_jacobi_file_rejected(self, tmp_path, capsys):
         self.assert_table_rejected(tmp_path, capsys, None, "No such file")
+
+    def test_numerators_past_the_int_str_digit_limit(self, tmp_path):
+        # every value of a valid table scaled by 10**4300, written as text so
+        # the test itself converts no long int; each numerator then has more
+        # digits than CPython converts between int and str by default
+        phi = JacobiFormData.from_orbit_values(
+            3, 3, 1, 8, {(1, 11): F(2, 3), (2, 8): F(-1), (1, 23): F(5, 2)})
+        header, *lines = dump_jacobi_table(phi).splitlines()
+        scaled = [header]
+        for line in lines:
+            n, r, c = line.split()
+            num, den = c.split("/")
+            scaled.append(f"{n} {r} {num}{'0' * 4300}/{den}")
+        table = tmp_path / "scaled.jacobi"
+        table.write_text("\n".join(scaled) + "\n")
+        out = tmp_path / "identities.json"
+        default = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        if default is not None:
+            sys.set_int_max_str_digits(4300)
+        try:
+            code = run_cli("verify-identities", "--m", "3..3", "--q-trunc", "6",
+                           "--trials", "1", "--jacobi-file", str(table),
+                           "--format", "json", "--output", str(out))
+        finally:
+            if default is not None:
+                sys.set_int_max_str_digits(default)
+        assert code == 0
+        rows = json.loads(out.read_text())["results"]["identities"]
+        assert [row["check"] for row in rows if row["case"] == "jacobi_file"] == [
+            "two_path_taylor", "kernel_equivalence", "cramer"]
+        assert all(row["ok"] for row in rows)
 
     def test_jacobi_file_parsed_before_cases(self, tmp_path):
         phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})

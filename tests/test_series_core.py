@@ -1,11 +1,13 @@
 """The integer-grid series core against a Fraction-keyed reference.
 
 ``PuiseuxSeries`` and ``ThetaTwoVar`` store exponents as integer numerators
-on their 1/D grid.  Every operation is compared here with a small
+on their 1/D grid and coefficients as integer numerators over one shared,
+reduced denominator.  Every operation is compared here with a small
 reference that works on plain Fraction-keyed dicts, on random series whose
 grids D = 1..12 differ, so the lcm refinement is exercised; every result
-is checked against the stored invariants; and computing on a longer window
-and cutting down must agree below the certified window.
+is checked against the stored invariants; equal values must have one
+store; and computing on a longer window and cutting down must agree below
+the certified window.
 """
 
 import math
@@ -91,21 +93,33 @@ def ref_mul_series(tv, s):
 # -- invariants and random inputs --------------------------------------------
 
 
+def check_canonical(terms: dict, den):
+    """Nonzero int numerators over an int den >= 1 sharing no factor with all of them."""
+    assert type(den) is int and den >= 1
+    for c in terms.values():
+        assert type(c) is int and c
+    assert math.gcd(den, *terms.values()) == 1
+    if not terms:
+        assert den == 1
+
+
 def check_invariants(s: PuiseuxSeries):
-    """Integer keys on the grid below the certified window, nonzero Fraction values."""
+    """Integer keys on the grid below the certified window, canonical int coefficients."""
     bound = _key_bound(s.trunc, s.base_denom)
-    for n, c in s._terms.items():
+    for n in s._terms:
         assert type(n) is int and n < bound
-        assert type(c) is Fraction and c
-    for e in s.terms:
+    check_canonical(s._terms, s._den)
+    for e, c in s.terms.items():
         assert e < s.trunc and (e * s.base_denom).denominator == 1
+        assert type(c) is Fraction and c
 
 
 def check_two_var_invariants(tv: ThetaTwoVar):
     bound = _key_bound(tv.q_trunc, tv.base_denom)
-    for (n, r), c in tv._terms.items():
+    for n, r in tv._terms:
         assert type(n) is int and type(r) is int and n < bound
-        assert type(c) is Fraction and c
+    check_canonical(tv._terms, tv._den)
+    assert all(type(c) is Fraction and c for c in tv.terms.values())
 
 
 def agrees(s: PuiseuxSeries, expected):
@@ -211,6 +225,87 @@ class TestAgainstReference:
             check_invariants(finer)
             x = random_two_var(rng)
             assert ThetaTwoVar(x.terms, x.q_trunc, x.base_denom * 3) == x
+
+
+# -- the canonical store ---------------------------------------------------------
+
+
+def same_on_common_window(x, y):
+    window = min(x.trunc, y.trunc)
+    x, y = x.truncate(window), y.truncate(window)
+    check_invariants(x)
+    check_invariants(y)
+    return x == y and x._den == y._den
+
+
+class TestCanonicalStore:
+    """Numerators over one reduced den: equal values have one store."""
+
+    def test_long_chain_stays_reduced(self):
+        rng = random.Random(149)
+        for _ in range(5):
+            acc = PuiseuxSeries.one(F(6))
+            expected = ref(acc)
+            for step in range(30):
+                x = random_series(rng, trunc=F(6), base_denom=rng.randint(1, 6), max_terms=4)
+                if step % 3 == 0:
+                    factor = x + 1
+                    acc, expected = acc * factor, ref_mul(expected, ref(factor))
+                else:
+                    c = F(rng.choice([-5, -3, -1, 2, 7]), rng.randint(1, 9))
+                    scaled = x * c
+                    acc, expected = acc + scaled, ref_add(expected, ref(scaled))
+                assert agrees(acc, expected)
+                # reduced: den is the lcm of the coefficients' own denominators
+                assert acc._den == math.lcm(1, *(c.denominator for c in acc.terms.values()))
+
+    def test_cancellation_to_empty_has_den_one(self):
+        rng = random.Random(151)
+        for _ in range(60):
+            a = mixed(rng, lowest=-1)
+            b = mixed(rng, lowest=-1)
+            for empty in (a - a, a + (-a), a * b - b * a, (a + b) - b - a, a * 0,
+                          a.truncate(min(a.trunc, F(-2))),
+                          PuiseuxSeries.constant(F(1, 3), a.trunc).q_derivative()):
+                check_invariants(empty)
+                assert empty.is_zero() and empty._den == 1
+            x = random_two_var(rng)
+            for empty in (x - x, x + (-x)):
+                check_two_var_invariants(empty)
+                assert empty.is_zero() and empty._den == 1
+        m = 5
+        for mu in range(1, m):
+            idx = ThetaIndex(m, mu)
+            pair = theta_series(idx, 7) - theta_series(idx.negate(), 7)
+            scaled = pair.mul_series(PuiseuxSeries({F(1, 4): F(2, 3)}, 7, 4))
+            # r and -r carry opposite coefficients, so the even moments vanish
+            for n in (0, 2, 4):
+                moment = scaled.zeta_moment(n)
+                check_invariants(moment)
+                assert moment.is_zero() and moment._den == 1
+
+    def test_equal_series_from_different_grids_and_orders(self):
+        rng = random.Random(157)
+        for _ in range(60):
+            a = random_series(rng, trunc=F(5), base_denom=4, max_terms=4, lowest=-1)
+            b = random_series(rng, trunc=F(5), base_denom=6, max_terms=4)
+            c = random_series(rng, trunc=F(5), base_denom=3, max_terms=4)
+            assert same_on_common_window((a + b) + c, c + (b + a))
+            assert same_on_common_window((a * b) * c, a * (c * b))
+            assert same_on_common_window(a * (b + c), a * c + b * a)
+            assert same_on_common_window((a * F(3, 4)) * F(8, 3) / 2, a)
+            assert same_on_common_window((a + b).q_derivative(), b.q_derivative() + a.q_derivative())
+            # the same values through the public constructor on a finer grid
+            product = a * b
+            rebuilt = PuiseuxSeries(dict(product.terms), product.trunc, 48)
+            assert rebuilt.base_denom != product.base_denom
+            assert same_on_common_window(rebuilt, product)
+            x, y = random_two_var(rng), random_two_var(rng)
+            s = mixed(rng)
+            left, right = (x + y).mul_series(s), y.mul_series(s) + x.mul_series(s)
+            window = min(left.q_trunc, right.q_trunc)
+            assert ThetaTwoVar(left.terms, window, 2 * left.base_denom) == \
+                ThetaTwoVar(right.terms, window, right.base_denom)
 
 
 # -- soundness of the certified windows ----------------------------------------
