@@ -94,12 +94,15 @@ def squared_determinant_translation(m: int, diag: list[UnityExponent] | None = N
     """Translation exponent of the squared determinant of the theta tuple.
 
     Computed as twice the sum of the diagonal exponents, taken from ``diag``
-    when the caller already holds ``translation_eigenvalues(m)``; agrees
-    with the closed form (m-1)(2m-1)/12 mod 1.
+    when the caller already holds ``translation_eigenvalues(m)``: each
+    exponent's denominator divides 4m, so the sum runs on integer numerators
+    over 4m and is reduced once.  Agrees with the closed form
+    (m-1)(2m-1)/12 mod 1.
     """
     if diag is None:
         diag = translation_eigenvalues(m)
-    total = sum((2 * ev for ev in diag), UnityExponent(0))
+    den = 4 * m
+    total = UnityExponent(2 * sum(ev.num * (den // ev.den) for ev in diag), den)
     assert total == UnityExponent((m - 1) * (2 * m - 1), 12)
     return total
 

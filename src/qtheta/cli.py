@@ -20,7 +20,6 @@ error and checks nothing.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import io
@@ -96,23 +95,13 @@ def to_jsonable(value):
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-# the cells the csv writer would not print as the reports do; it prints
-# ints and strings itself, and None as an empty cell
-_CSV_CONVERTED = (bool, list, dict)
-
-
-def _csv_cell(value) -> str:
-    """A bool, list or dict cell of a row built through ``to_jsonable``, as JSON text."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return json.dumps(value, sort_keys=True)
-
-
 # -- command implementations --------------------------------------------------
 #
 # Each handler takes the parsed arguments and returns (tables, discrepancies,
 # dumps) where tables is an ordered mapping from table name to a list of
-# uniform row dicts and dumps maps a --dump-series file name to its series.
+# row dicts and dumps maps a --dump-series file name to its series.  Rows
+# are flat: every cell is a str, int, bool or None, which is all the
+# renderers print.
 # A row with an "ok" field that is false fails the run.
 #
 # The four verify commands share _run_cases.  Each of their cases takes
@@ -153,12 +142,13 @@ def _orders_case(job):
 def _characters_case(job):
     _, m, _ = job
     diag = translation_eigenvalues(m)
+    # enough of the q-expansion to see at least three residues
+    window = Fraction(2 * m + 2)
     eigen_rows = []
     all_ok = True
     for mu in range(1, m):
         expected = diag[mu - 1]
-        # enough of the q-expansion to see at least three residues
-        series = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
+        series = odd_theta_series(ThetaIndex(m, mu), window)
         observed = translation_eigenvalue(series)
         ok = observed == expected
         all_ok = all_ok and ok
@@ -236,6 +226,8 @@ def _run_parallel(worker, items, jobs):
     workers = min(jobs, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [worker(item) for item in items]
+    import concurrent.futures  # only a pool needs it; kept out of every start-up
+
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
                                                 initializer=_lift_int_str_limit) as pool:
         return list(pool.map(worker, items))
@@ -337,7 +329,39 @@ HANDLERS = {
 # -- rendering -----------------------------------------------------------------
 
 
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json_cell(value) -> str:
+    """One row cell as ``json.dumps`` writes it; bool before int, since a bool is an int."""
+    if isinstance(value, str):
+        return _escape(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    raise TypeError(f"a report cell must be a str, int, bool or None, "
+                    f"not {type(value).__name__}")
+
+
+def _json_row_template(keys) -> tuple[str, list]:
+    """The %-template of a row with these keys at the rows' depth, and its key order."""
+    order = sorted(keys)
+    if not order:
+        return "{}", order
+    fields = ",\n".join(f"        {_escape(key).replace('%', '%%')}: %s" for key in order)
+    return "{\n" + fields + "\n      }", order
+
+
 def _render_json(args, tables, all_passed, discrepancies) -> str:
+    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+
+    The envelope goes through ``json.dumps`` with the results left out; the
+    rows, the bulk of a report, are filled into one %-template per key set,
+    so no row goes through the pure-Python encoder that ``indent`` selects.
+    """
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": args.command,
@@ -346,11 +370,26 @@ def _render_json(args, tables, all_passed, discrepancies) -> str:
             "seed": args.seed,
             "trials": args.trials,
         },
-        "results": tables,
+        "results": None,
         "all_passed": all_passed,
         "discrepancies": discrepancies,
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    # a JSON string holds no raw newline, so this line is the top-level key
+    head, tail = json.dumps(doc, indent=2, sort_keys=True).split('\n  "results": null,\n')
+    templates = {}
+    blocks = []
+    for name in sorted(tables):
+        rendered = []
+        for row in tables[name]:
+            keys = tuple(row)
+            if keys not in templates:
+                templates[keys] = _json_row_template(keys)
+            template, order = templates[keys]
+            rendered.append(template % tuple([_json_cell(row[key]) for key in order]))
+        body = "[\n      " + ",\n      ".join(rendered) + "\n    ]" if rendered else "[]"
+        blocks.append(f"    {_escape(name)}: {body}")
+    results = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
+    return f'{head}\n  "results": {results},\n{tail}\n'
 
 
 def _render_csv(tables) -> str:
@@ -366,8 +405,10 @@ def _render_csv(tables) -> str:
         columns = list(rows[0].keys())
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
+        # the csv writer prints ints and strings itself, and None as an
+        # empty cell; bools are printed as in the JSON reports
         for row in rows:
-            writer.writerow([_csv_cell(v) if isinstance(v, _CSV_CONVERTED) else v
+            writer.writerow([("true" if v else "false") if v.__class__ is bool else v
                              for v in map(row.get, columns)])
     return out.getvalue()
 
@@ -516,8 +557,13 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     elif args.command == "sweep":
         if args.m is None and args.m_offset is None:
             raise ValueError("sweep needs --m or --m-offset")
+        if args.m is not None and args.m_offset is not None:
+            raise ValueError("sweep takes --m or --m-offset, not both")
         if min(args.N) < 1:
             raise ValueError("--N levels must be positive integers")
+        if len(set(args.N)) < len(args.N):
+            levels = ",".join(map(str, args.N))
+            raise ValueError(f"--N {levels} lists a level more than once")
         if any(k % 2 for k in range(args.k[0], min(args.k[1], 2) + 1)):
             raise ValueError("--k includes an odd weight below 3")
         odd = [k for k in range(args.k[0], args.k[1] + 1) if k % 2]

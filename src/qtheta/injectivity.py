@@ -7,6 +7,15 @@ checks the congruence and integrality side conditions.  One of those side
 claims (that a certain ratio is never an integer for m > 3) fails at m = 6;
 this is surfaced as a documented discrepancy flag and never as a
 verification failure.
+
+Each side condition is one small integer helper: ``_window_flags`` (the
+three window comparisons on the 2m-scaled bounds), ``_congruence_total``
+with ``_congruence_residue`` (3m - 2 after the parity check on s, and its
+residue mod 6 or 12) and ``_integrality_product`` ((m-2)(m-1)(2m-3), to be
+reduced mod m).  ``window_check``, ``congruence_check`` and
+``nonintegrality_check`` wrap them in their report dataclasses;
+``classify`` calls them directly, so a case builds only its
+``CaseVerdict``, plus one ``Fraction`` for the m = 6 flag text.
 """
 
 from __future__ import annotations
@@ -114,6 +123,14 @@ class WindowReport:
         return self.choice_ok and self.upper_ok and self.lower_ok
 
 
+def _window_flags(k: int, m: int, s: int, r: int) -> tuple[bool, bool, bool]:
+    """(choice_ok, upper_ok, lower_ok) of the window, compared on integers scaled by 2m."""
+    upper, lower = _scaled_bounds(m, s, r)
+    scaled_middle = 2 * m * (m - k)
+    return (scaled_middle == 4 * m + 2 * m * s + m * r,
+            upper > scaled_middle, scaled_middle > lower)
+
+
 def window_check(k: int, m: int, s: int, r: int) -> WindowReport:
     """Evaluate s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m exactly.
 
@@ -126,16 +143,9 @@ def window_check(k: int, m: int, s: int, r: int) -> WindowReport:
     """
     if m <= 3:
         raise ValueError("the window argument requires m > 3")
-    upper, lower = _scaled_bounds(m, s, r)
-    middle = m - k
-    scaled_middle = 2 * m * middle
-    return WindowReport(
-        k=k, m=m, s=s, r=r,
-        choice_ok=(scaled_middle == 4 * m + 2 * m * s + m * r),
-        middle=middle,
-        upper_ok=(upper > scaled_middle),
-        lower_ok=(scaled_middle > lower),
-    )
+    choice_ok, upper_ok, lower_ok = _window_flags(k, m, s, r)
+    return WindowReport(k=k, m=m, s=s, r=r, choice_ok=choice_ok, middle=m - k,
+                        upper_ok=upper_ok, lower_ok=lower_ok)
 
 
 @dataclass(frozen=True)
@@ -151,6 +161,11 @@ class NonintegralityReport:
         return self.is_integer
 
 
+def _integrality_product(m: int) -> int:
+    """(m-2)(m-1)(2m-3): the ratio over m is an integer exactly when m divides it."""
+    return (m - 2) * (m - 1) * (2 * m - 3)
+
+
 def nonintegrality_check(m: int) -> NonintegralityReport:
     """Report whether (m-2)(m-1)(2m-3)/m is an integer.
 
@@ -161,7 +176,7 @@ def nonintegrality_check(m: int) -> NonintegralityReport:
     """
     if m <= 3:
         raise ValueError("the check applies for m > 3")
-    product = (m - 2) * (m - 1) * (2 * m - 3)
+    product = _integrality_product(m)
     return NonintegralityReport(m=m, value=Fraction(product, m), is_integer=product % m == 0)
 
 
@@ -178,6 +193,29 @@ class CongruenceReport:
     ok: bool
 
 
+def _congruence_total(k: int, m: int) -> int:
+    """3m - 2 = k + 2m + s with s = m - k - 2, once s is checked to be even and nonnegative."""
+    if k % 2 == 0:
+        raise InvalidInput("k must be odd")
+    s = m - k - 2
+    if s < 0:
+        raise ValueError("requires m - k >= 2")
+    if s % 2 != 0:
+        raise ParityError(f"s = {s} is odd; m must be odd when k is odd")
+    total = 3 * m - 2
+    assert total == k + 2 * m + s
+    return total
+
+
+def _congruence_residue(part: str, total: int) -> tuple[int, int, bool]:
+    """(residue, modulus, ok) of 3m - 2 for part (ii) (= 1 mod 6) or (iii) (!= 3 mod 12)."""
+    if part == "ii":
+        residue = total % 6
+        return residue, 6, residue == 1
+    residue = total % 12
+    return residue, 12, residue != 3
+
+
 def congruence_check(part: str, k: int, m: int) -> CongruenceReport:
     """Check the congruence that 3m - 2 = k + 2m + s must satisfy.
 
@@ -189,20 +227,8 @@ def congruence_check(part: str, k: int, m: int) -> CongruenceReport:
     """
     if part not in ("ii", "iii"):
         raise ValueError("part must be 'ii' or 'iii'")
-    if k % 2 == 0:
-        raise InvalidInput("k must be odd")
-    s = m - k - 2
-    if s < 0:
-        raise ValueError("requires m - k >= 2")
-    if s % 2 != 0:
-        raise ParityError(f"s = {s} is odd; m must be odd when k is odd")
-    total = 3 * m - 2
-    assert total == k + 2 * m + s
-    if part == "ii":
-        residue = total % 6
-        return CongruenceReport(part, k, m, s, residue, 6, residue == 1)
-    residue = total % 12
-    return CongruenceReport(part, k, m, s, residue, 12, residue != 3)
+    total = _congruence_total(k, m)
+    return CongruenceReport(part, k, m, m - k - 2, *_congruence_residue(part, total))
 
 
 def classify(case: CaseInput) -> CaseVerdict:
@@ -217,7 +243,7 @@ def classify(case: CaseInput) -> CaseVerdict:
     k, m, N = case.k, case.m, case.N
     mk = m - k
     part_i = mk >= 4
-    part_ii = case.squarefree_n and m % 2 == 1 and mk >= 2
+    part_ii = m % 2 == 1 and mk >= 2 and case.squarefree_n
     part_iii = N == 1 and m % 2 == 1 and mk >= 2
     if part_i:
         s, r = 0, 2 * (mk - 2)
@@ -228,28 +254,27 @@ def classify(case: CaseInput) -> CaseVerdict:
     beta = 2 * (k + 2 * m + s - 4)
     lam = (m - 1) * (2 * m - 1)
     window_ok = False
+    details = ""
+    flags = ()
     if part_i or part_ii or part_iii:
-        window_ok = window_check(k, m, s, r).ok
-    details = []
-    if part_ii or part_iii:
-        con2 = congruence_check("ii", k, m)
-        details.append(f"3m-2={3 * m - 2} = {con2.residue} (mod 6)"
-                       f" [{'ok' if con2.ok else 'FAIL'}]")
-        con3 = congruence_check("iii", k, m)
-        details.append(f"3m-2={3 * m - 2} = {con3.residue} (mod 12), needs != 3"
-                       f" [{'ok' if con3.ok else 'FAIL'}]")
-    flags = []
-    if m > 3 and (part_i or part_ii or part_iii):
-        report = nonintegrality_check(m)
-        if report.discrepancy:
-            flags.append(
-                f"m={m}: (m-2)(m-1)(2m-3)/m = {report.value} is an integer; "
-                "the non-integrality claim fails here")
+        # every accepted case has m - k >= 2 and k >= 3, so m > 3
+        window_ok = all(_window_flags(k, m, s, r))
+        if part_ii or part_iii:
+            total = _congruence_total(k, m)
+            residue6, _, ok6 = _congruence_residue("ii", total)
+            residue12, _, ok12 = _congruence_residue("iii", total)
+            details = (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
+                       f"3m-2={total} = {residue12} (mod 12), needs != 3"
+                       f" [{'ok' if ok12 else 'FAIL'}]")
+        product = _integrality_product(m)
+        if product % m == 0:
+            flags = (f"m={m}: (m-2)(m-1)(2m-3)/m = {Fraction(product, m)} is an integer; "
+                     "the non-integrality claim fails here",)
     return CaseVerdict(
         k=k, m=m, N=N,
         part_i=part_i, part_ii=part_ii, part_iii=part_iii,
         s=s, r=r, beta=beta, eta_exponent=lam,
         window_ok=window_ok,
-        congruence_details="; ".join(details),
-        discrepancy_flags=tuple(flags),
+        congruence_details=details,
+        discrepancy_flags=flags,
     )

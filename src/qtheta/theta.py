@@ -197,7 +197,8 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     give opposite series, and the classes mu = 0 and mu = m collapse to
     zero because r and -r share the same exponent.
     """
-    q_trunc = Fraction(q_trunc)
+    if type(q_trunc) is not Fraction:
+        q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
     sums: dict[int, int] = {}
     for r in _residues(m, mu, q_trunc):

@@ -1,6 +1,8 @@
 """Command-line behavior: determinism, formats, exit codes, ingestion."""
 
+import concurrent.futures
 import json
+import random
 import sys
 from fractions import Fraction
 
@@ -65,6 +67,8 @@ class TestParsing:
         ("verify-identities", "--m", "3..4", "--q-trunc", "1/100", "--trials", "1"),
         ("verify-identities", "--m", "6", "--q-trunc", "1/2", "--trials", "1"),
         ("verify-identities", "--m", "3", "--q-trunc", "1/3", "--trials", "1"),
+        ("sweep", "--k", "3..3", "--m-offset", "1..2", "--N", "1,1"),
+        ("sweep", "--k", "3..3", "--m", "10..11", "--m-offset", "1..2"),
     ])
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -82,11 +86,11 @@ class TestParallelRuns:
     @pytest.mark.parametrize("cpus", [1, None])
     def test_workers_clamped_to_cpu_count(self, cpus, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
         assert cli._run_parallel(abs, [-1, -2], 2) == [1, 2]
 
     def test_workers_clamped_to_case_count(self, monkeypatch):
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
         assert cli._run_parallel(abs, [-3], 2) == [3]
 
     @pytest.mark.parametrize("argv", [
@@ -142,19 +146,79 @@ class TestMinorRoute:
         assert run_cli(*args, "--jobs", "1", "--output", str(tmp_path / "r.txt")) == 0
 
 
+def stdlib_report(args, tables, all_passed, discrepancies) -> str:
+    """The JSON report as ``json.dumps`` writes it: the oracle of ``cli._render_json``."""
+    doc = {"schema_version": cli.SCHEMA_VERSION, "command": args.command,
+           "parameters": {"q_trunc": cli._rat(args.q_trunc), "seed": args.seed,
+                          "trials": args.trials},
+           "results": tables, "all_passed": all_passed, "discrepancies": discrepancies}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.fixture
+def no_int_str_limit():
+    """Lift CPython's int/str digit limit for one test, as ``cli.main`` does."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+# characters the JSON encoder escapes: quotes, backslashes, controls,
+# non-ASCII (outside and inside the BMP), and the template's own %
+AWKWARD = '"\\/\b\f\n\r\t\x00\x1f\x7f% é€😀 ab'
+CELL_KINDS = ("str", "small_int", "big_int", "bool", "none")
+
+
+def random_text(rng, length):
+    return "".join(rng.choice(AWKWARD) for _ in range(length))
+
+
+def random_cell(rng):
+    kind = rng.choice(CELL_KINDS)
+    if kind == "str":
+        return random_text(rng, rng.randint(0, 6))
+    if kind == "small_int":
+        return rng.randint(-10 ** 6, 10 ** 6)
+    if kind == "big_int":
+        # past the 4300-digit default limit on int -> str
+        return rng.choice((-1, 1)) * rng.randint(10 ** 4400, 10 ** 4401)
+    if kind == "bool":
+        return rng.random() < 0.5
+    return None
+
+
+def random_tables(rng) -> dict:
+    """Flat tables of every cell kind; a table may mix key sets, or have no rows."""
+    tables = {}
+    for _ in range(rng.randint(0, 4)):
+        key_sets = [[random_text(rng, rng.randint(0, 4)) for _ in range(rng.randint(0, 5))]
+                    for _ in range(rng.randint(1, 2))]
+        tables[random_text(rng, rng.randint(0, 5))] = [
+            {key: random_cell(rng) for key in rng.choice(key_sets)}
+            for _ in range(rng.randint(0, 6))]
+    return tables
+
+
 class TestRenderedRows:
-    @pytest.mark.parametrize("argv", [
+    COMMANDS = [
         ("verify-wronskian", "--m", "2..4", "--q-trunc", "6"),
         ("verify-orders", "--m", "2..5", "--q-trunc", "6"),
         ("verify-characters", "--m", "2..7"),
         ("verify-identities", "--m", "2..4", "--q-trunc", "6", "--trials", "2",
          "--seed", "3", "--jacobi-file"),
         ("classify", "--k", "5", "--m", "7", "--N", "1"),
+        ("classify", "--k", "3", "--m", "6", "--N", "1"),
         ("sweep", "--k", "3..9", "--m-offset", "1..4", "--N", "1,6"),
-    ])
-    def test_every_row_is_already_converted(self, argv, tmp_path):
-        # the renderers print each cell as it comes, so every row a handler
-        # returns must be a fixed point of to_jsonable
+    ]
+
+    @staticmethod
+    def handler_output(argv, tmp_path):
         args = list(argv)
         if argv[-1] == "--jacobi-file":
             table = tmp_path / "form.jacobi"
@@ -162,9 +226,49 @@ class TestRenderedRows:
                 JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
             args.append(str(table))
         config = cli.config_from_args(cli.build_parser().parse_args(args))
-        tables, _, _ = cli.HANDLERS[config.command](config)
+        tables, discrepancies, _ = cli.HANDLERS[config.command](config)
+        return config, tables, discrepancies
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_every_row_is_flat_and_already_converted(self, argv, tmp_path):
+        # the renderers print each cell as it comes, so every row a handler
+        # returns must be a flat dict and a fixed point of to_jsonable
+        _, tables, _ = self.handler_output(argv, tmp_path)
         rows = [row for table_rows in tables.values() for row in table_rows]
         assert rows and all(cli.to_jsonable(row) == row for row in rows)
+        assert all(type(row) is dict for row in rows)
+        cells = {type(value) for row in rows for value in row.values()}
+        assert cells <= {str, int, bool, type(None)}
+
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_json_report_equals_stdlib_encoder(self, argv, tmp_path):
+        config, tables, discrepancies = self.handler_output(argv, tmp_path)
+        for all_passed in (True, False):
+            assert (cli._render_json(config, tables, all_passed, discrepancies)
+                    == stdlib_report(config, tables, all_passed, discrepancies))
+
+    def test_json_report_on_random_flat_tables(self, no_int_str_limit):
+        rng = random.Random(20)
+        edge_tables = [{}, {"a": []}, {"a": [{}]}, {"b": [{}], "a": [], "": [{"": ""}]},
+                       {"t": [{"x": 1, "y": True}, {"y": False, "z": None}, {"x": -0}]}]
+        kinds = set()
+        for trial in range(300):
+            args = cli.argparse.Namespace(
+                command=random_text(rng, 8), q_trunc=F(rng.randint(1, 99), rng.randint(1, 9)),
+                seed=rng.randint(0, 2 ** 31), trials=rng.randint(0, 50))
+            tables = edge_tables[trial] if trial < len(edge_tables) else random_tables(rng)
+            discrepancies = [random_text(rng, 10) for _ in range(rng.randint(0, 2))]
+            kinds.update(type(v) for rows in tables.values() for row in rows
+                         for v in row.values())
+            assert (cli._render_json(args, tables, trial % 2 == 0, discrepancies)
+                    == stdlib_report(args, tables, trial % 2 == 0, discrepancies))
+        assert kinds == {str, int, bool, type(None)}
+
+    @pytest.mark.parametrize("cell", [[1], {"a": 1}, 1.5, F(1, 2), (1,)])
+    def test_json_report_rejects_cells_that_are_not_flat(self, cell):
+        args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
+        with pytest.raises(TypeError):
+            cli._render_json(args, {"t": [{"x": cell}]}, True, [])
 
 
 class TestVerifyWronskian:

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import (CaseInput, InvalidInput, ParityError, classify, congruence_check,
-                    is_squarefree, nonintegrality_check, window_check)
+from qtheta import (CaseInput, CaseVerdict, InvalidInput, ParityError, classify,
+                    congruence_check, is_squarefree, nonintegrality_check, window_check)
 
 F = Fraction
 
@@ -68,6 +68,51 @@ class TestClassify:
                 if previous:
                     assert verdict.part_i
                 previous = verdict.part_i
+
+
+def verdict_from_public_checks(k: int, m: int, N: int) -> CaseVerdict:
+    """The verdict of (k, m, N) assembled from the three public report checks."""
+    part_i = m - k >= 4
+    part_ii = is_squarefree(N) and m % 2 == 1 and m - k >= 2
+    part_iii = N == 1 and m % 2 == 1 and m - k >= 2
+    if part_i:
+        s, r = 0, 2 * (m - k - 2)
+    elif part_ii or part_iii:
+        s, r = m - k - 2, 0
+    else:
+        s, r = 0, 0
+    accepted = part_i or part_ii or part_iii
+    details = []
+    if part_ii or part_iii:
+        con2, con3 = congruence_check("ii", k, m), congruence_check("iii", k, m)
+        details = [f"3m-2={3 * m - 2} = {con2.residue} (mod 6) [{'ok' if con2.ok else 'FAIL'}]",
+                   f"3m-2={3 * m - 2} = {con3.residue} (mod 12), needs != 3"
+                   f" [{'ok' if con3.ok else 'FAIL'}]"]
+    flags = ()
+    if accepted and nonintegrality_check(m).discrepancy:
+        flags = (f"m={m}: (m-2)(m-1)(2m-3)/m = {nonintegrality_check(m).value} is an integer; "
+                 "the non-integrality claim fails here",)
+    return CaseVerdict(k=k, m=m, N=N, part_i=part_i, part_ii=part_ii, part_iii=part_iii,
+                       s=s, r=r, beta=2 * (k + 2 * m + s - 4),
+                       eta_exponent=(m - 1) * (2 * m - 1),
+                       window_ok=accepted and window_check(k, m, s, r).ok,
+                       congruence_details="; ".join(details), discrepancy_flags=flags)
+
+
+class TestClassifyOracle:
+    def test_matches_the_public_checks(self):
+        # classify runs the checks' integer helpers without their reports
+        flagged = 0
+        for k in range(3, 42, 2):
+            for m in range(3, 121):
+                for N in range(1, 13):
+                    verdict = classify(CaseInput(k, m, N))
+                    assert verdict == verdict_from_public_checks(k, m, N), (k, m, N)
+                    flagged += bool(verdict.discrepancy_flags)
+        # no accepted case has m = 6: part (i) would need k <= 2, parts
+        # (ii)/(iii) an odd m; the m = 6 discrepancy shows in the
+        # nonintegrality rows only
+        assert flagged == 0
 
 
 class TestWindow:
