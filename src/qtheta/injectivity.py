@@ -4,9 +4,9 @@ Classifies a case (k, m, N) against the three applicability conditions of
 the removal theorem for the top development operator, evaluates the
 order-comparison window exactly on integers (every term scaled by 2m), and
 checks the congruence and integrality side conditions.  One of those side
-claims (that a certain ratio is never an integer for m > 3) fails at m = 6;
-this is surfaced as a documented discrepancy flag and never as a
-verification failure.
+claims (that a certain ratio is never an integer for m > 3) fails at m = 6,
+where ``classify`` accepts no case; ``nonintegrality_check`` surfaces it
+as a documented discrepancy and never as a verification failure.
 
 Each side condition is one small integer helper: ``_window_flags`` (the
 three window comparisons on the 2m-scaled bounds), ``_congruence_total``
@@ -15,12 +15,12 @@ residue mod 6 or 12) and ``_integrality_product`` ((m-2)(m-1)(2m-3), to be
 reduced mod m).  ``window_check``, ``congruence_check`` and
 ``nonintegrality_check`` wrap them in their report dataclasses;
 ``classify`` calls them directly, so a case builds only its
-``CaseVerdict``, plus one ``Fraction`` for the m = 6 flag text.
+``CaseVerdict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 
@@ -82,7 +82,6 @@ class CaseVerdict:
     eta_exponent: int
     window_ok: bool
     congruence_details: str
-    discrepancy_flags: tuple[str, ...] = field(default_factory=tuple)
 
     @property
     def any_part(self) -> bool:
@@ -255,7 +254,6 @@ def classify(case: CaseInput) -> CaseVerdict:
     lam = (m - 1) * (2 * m - 1)
     window_ok = False
     details = ""
-    flags = ()
     if part_i or part_ii or part_iii:
         # every accepted case has m - k >= 2 and k >= 3, so m > 3
         window_ok = all(_window_flags(k, m, s, r))
@@ -266,15 +264,10 @@ def classify(case: CaseInput) -> CaseVerdict:
             details = (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
                        f"3m-2={total} = {residue12} (mod 12), needs != 3"
                        f" [{'ok' if ok12 else 'FAIL'}]")
-        product = _integrality_product(m)
-        if product % m == 0:
-            flags = (f"m={m}: (m-2)(m-1)(2m-3)/m = {Fraction(product, m)} is an integer; "
-                     "the non-integrality claim fails here",)
     return CaseVerdict(
         k=k, m=m, N=N,
         part_i=part_i, part_ii=part_ii, part_iii=part_iii,
         s=s, r=r, beta=beta, eta_exponent=lam,
         window_ok=window_ok,
         congruence_details=details,
-        discrepancy_flags=flags,
     )

@@ -216,7 +216,9 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
 
     The component-side route to the same Taylor coefficient: it equals
     ``taylor_coefficient`` of the assembled form divided by
-    ``component_taylor_scale(nu, m)``.
+    ``component_taylor_scale(nu, m)``.  For nu = 1..m-1 these are the
+    rows M h of the theta-derivative system that ``cramer_reconstruction``
+    solves; nothing else builds them.
     """
     m = h.index_m
     if not 1 <= nu <= m - 1:

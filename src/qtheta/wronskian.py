@@ -19,10 +19,10 @@ partial-kernel minors; every d gives one column of the adjugate.
 The sum is exact at every exponent.  Each minor reports the window the
 series-matrix minor certifies for the same input: q_trunc + sum mu^2/4m -
 max mu^2/4m (over mu in S) once q_trunc passes max mu^2/4m, and q_trunc
-otherwise, so reports and dumps do not depend on the route.  That W is a
-multiple of eta^((m-1)(2m-1)), the eta power of dimension dim C_(m-1), is
-the type-C Macdonald identity (Macdonald, "Affine root systems and
-Dedekind's eta-function", Invent. Math. 15, 1972).
+otherwise (``theta_minor_window``), so reports and dumps do not depend on
+the route.  That W is a multiple of eta^((m-1)(2m-1)), the eta power of
+dimension dim C_(m-1), is the type-C Macdonald identity (Macdonald, "Affine
+root systems and Dedekind's eta-function", Invent. Math. 15, 1972).
 
 Two routes are kept only as independent oracles for the tests; no check
 takes a minor from them.  A plain ``SeriesMatrix`` (for instance one built
@@ -41,6 +41,8 @@ its last-row cofactors match the closed Vandermonde formulas, and that
 the adjugate rebuilds a component tuple from the system it solves.  One
 check, ``_check_theta_minor``, takes the order and leading coefficient of
 W, the minor on every column, and of cofactor nu, +/- the minor without nu.
+Cramer solves the rows M h its caller built with ``jacobi.component_taylor``,
+the only builder of M h, for the two-path Taylor check.
 """
 
 from __future__ import annotations
@@ -52,8 +54,8 @@ from functools import lru_cache
 
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
-from .series import INFINITY, PuiseuxSeries, _reduced
-from .theta import ThetaIndex, _residues, odd_theta_series, total_theta_order
+from .series import PuiseuxSeries, _reduced
+from .theta import ThetaIndex, _residues, odd_theta_series
 
 
 class VerificationFailed(Exception):
@@ -232,6 +234,20 @@ def theta_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     return theta_minors(m, q_trunc, range(1, m))[0]
 
 
+def theta_minor_window(m: int, q_trunc, columns) -> Fraction:
+    """The window of the minors of ``theta_derivative_matrix(m, q_trunc)`` on ``columns``.
+
+    The series-matrix minor's: past the largest first exponent max mu^2/4m,
+    the product rules lift q_trunc by the first exponents of the other
+    columns, so the order sum mu^2/4m is inside exactly when q_trunc passes it.
+    """
+    trunc = Fraction(q_trunc)
+    squares = [mu * mu for mu in columns]
+    if trunc > Fraction(max(squares), 4 * m):
+        trunc += Fraction(sum(squares) - max(squares), 4 * m)
+    return trunc
+
+
 def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSeries]:
     """Minors of ``theta_derivative_matrix(m, q_trunc)`` on one column set.
 
@@ -243,9 +259,7 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     tuples are enumerated depth first, cut where the partial sum of r^2
     plus the least sum the remaining classes can add reaches the window;
     the e_j are formed at the leaves, and only when some d < s asks.
-    The window is the series-matrix minor's: past the largest first
-    exponent max mu^2/4m, the product rules lift q_trunc by the first
-    exponents of the other columns.  An empty column set gives the
+    The window is ``theta_minor_window``'s.  An empty column set gives the
     constant 1, the cofactor ``SeriesMatrix`` gives for a 1 x 1 matrix.
     """
     if m < 2:
@@ -261,10 +275,8 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     if s == 0:
         return [PuiseuxSeries.one() for _ in deleted_rows]
     grid = 4 * m
-    trunc = Fraction(q_trunc)
+    trunc = theta_minor_window(m, q_trunc, columns)
     squares = [mu * mu for mu in columns]
-    if trunc > Fraction(max(squares), grid):
-        trunc += Fraction(sum(squares) - max(squares), grid)
     bound = math.ceil(grid * trunc)  # an integer sum of r^2 is < grid*trunc iff < bound
     # rest[k]: the least sum of r^2 over the classes after position k
     rest = [sum(squares[k + 1:]) for k in range(s)]
@@ -440,14 +452,6 @@ def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:
     return _cofactor_order_reports(m, cofactors)
 
 
-def _check_cofactor_window(m: int, q_trunc) -> None:
-    """Raise unless q_trunc itself passes every cofactor order of index m."""
-    max_order = total_theta_order(m) - Fraction(1, 4 * m)
-    if Fraction(q_trunc) <= max_order:
-        raise VerificationFailed(
-            f"m={m}: window {Fraction(q_trunc)} cannot reach cofactor order {max_order}")
-
-
 def _cofactor_order_reports(m: int, cofactors) -> list[CofactorOrderReport]:
     """The checks of ``verify_cofactor_orders`` on cofactors already computed."""
     reports = []
@@ -504,12 +508,10 @@ def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
 
 @lru_cache(maxsize=None)
 def _cramer_operators(m: int, q_trunc: Fraction):
-    """(entries of M, adj(M), det(M)) for one (m, window), shared by every tuple
-    checked on it; rows are tuples of immutable series, so no caller can change them."""
-    matrix = theta_derivative_matrix(m, q_trunc)
-    entries = tuple(tuple(row) for row in matrix.entries)
-    adj = tuple(tuple(row) for row in matrix.adjugate().entries)
-    return entries, adj, theta_wronskian(m, q_trunc)
+    """(adj(M), det(M)) for one (m, window), shared by every tuple checked on it;
+    rows are tuples of immutable series, so no caller can change them."""
+    adj = tuple(tuple(row) for row in theta_derivative_matrix(m, q_trunc).adjugate().entries)
+    return adj, theta_wronskian(m, q_trunc)
 
 
 @dataclass(frozen=True)
@@ -521,12 +523,13 @@ class CramerReport:
     kernel_case: bool
     proportionality_ok: bool | None
     constant: Fraction | None
-    window: Fraction | float
 
 
-def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
+def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc, system) -> CramerReport:
     """Check det(M) * h = adj(M) * (M h) exactly, plus the kernel-case identity.
 
+    ``system`` is M h, the rows ``component_taylor(h, nu)`` for nu = 1..m-1,
+    as the caller built them; adj(M) and det(M) are on the window q_trunc.
     For any component tuple h the adjugate identity must hold termwise on
     the certified window.  When the first m-2 rows of the system vanish on
     h, additionally checks h_mu * eta^((m-1)(2m-1)) = constant * cofactor_mu
@@ -538,15 +541,12 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
     if h.index_m != m:
         raise ValueError("component tuple has the wrong index")
     q_trunc = Fraction(q_trunc)
-    entries, adj, det = _cramer_operators(m, q_trunc)
+    adj, det = _cramer_operators(m, q_trunc)
     n = m - 1
-    system = [_dot(row, h.components) for row in entries]
     # the last column of adj(M) is the last-row cofactor vector
     cofactors = [adj[mu][n - 1] for mu in range(n)]
-    window = None
     for mu in range(n):
         diff = det * h.components[mu] - _dot(adj[mu], system)
-        window = diff.trunc if window is None else min(window, diff.trunc)
         if not diff.is_zero():
             e = diff.ord_infty()
             raise VerificationFailed(
@@ -581,5 +581,4 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc) -> CramerReport:
         kernel_case=kernel_case,
         proportionality_ok=proportionality_ok,
         constant=constant,
-        window=Fraction(window) if window != INFINITY else window,
     )

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from qtheta import (JacobiFormData, SeriesMatrix, cli, dump_jacobi_table, parse_series_text,
-                    wronskian)
+from qtheta import (JacobiFormData, SeriesMatrix, cli, dump_jacobi_table,
+                    nonintegrality_check, parse_series_text, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -232,13 +232,20 @@ class TestRenderedRows:
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_every_row_is_already_converted(self, argv, tmp_path):
         # the renderers print each cell as it comes, so every row a handler
-        # returns must be a flat dict and a fixed point of to_jsonable
+        # returns must be a flat dict with str keys and JSON scalar cells
         _, tables, _ = self.handler_output(argv, tmp_path)
         rows = [row for table_rows in tables.values() for row in table_rows]
-        assert rows and all(cli.to_jsonable(row) == row for row in rows)
-        assert all(type(row) is dict for row in rows)
+        assert rows and all(type(row) is dict for row in rows)
+        assert all(type(key) is str for row in rows for key in row)
         cells = {type(value) for row in rows for value in row.values()}
         assert cells <= {str, int, bool, type(None)}
+
+    def test_to_jsonable_takes_report_dataclasses_only(self):
+        assert cli.to_jsonable(nonintegrality_check(6)) == {
+            "m": 6, "value": "30/1", "is_integer": True}
+        for value in ([1], 0.5, {"a": 1}):
+            with pytest.raises(TypeError):
+                cli.to_jsonable(value)
 
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_json_report_equals_stdlib_encoder(self, argv, tmp_path):
@@ -374,6 +381,37 @@ class TestVerifyIdentities:
                            "--format", "json", "--output", str(target))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_csv_header_has_every_key(self, tmp_path):
+        # the two-path rows have no kernel_case; the Cramer rows do
+        out = tmp_path / "identities.csv"
+        code = run_cli("verify-identities", "--m", "3", "--q-trunc", "6", "--trials", "1",
+                       "--format", "csv", "--output", str(out))
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[:2] == ["# table: identities", "m,case,check,ok,kernel_case"]
+        assert "3,random_0,two_path_taylor,true," in lines
+        assert "3,random_0,cramer,true,false" in lines
+        assert "3,kernel,cramer,true,true" in lines
+
+    def test_csv_columns_in_first_seen_order(self):
+        text = cli._render_csv({"t": [{"a": 1, "b": True}, {"c": None, "a": 2},
+                                      {"b": False, "d": "x"}]})
+        assert text == "# table: t\na,b,c,d\n1,true,,\n2,,,\n,false,,x\n"
+
+    @pytest.mark.parametrize("m, q_trunc, status", [
+        ("13", "12", 0), ("12", "121/48", 2), ("12", "253/100", 0)])
+    def test_window_rule_is_the_cofactor_windows(self, m, q_trunc, status, tmp_path):
+        # every cofactor order of the top index lies inside its own window
+        # exactly when q_trunc passes (m-1)^2/4m, 121/48 for m = 12
+        out = tmp_path / "identities.json"
+        try:
+            code = run_cli("verify-identities", "--m", m, "--q-trunc", q_trunc,
+                           "--trials", "1", "--format", "json", "--output", str(out))
+        except SystemExit as error:
+            code = error.code
+        assert code == status
+        assert out.exists() == (status == 0)
 
     def test_jacobi_file_ingestion(self, tmp_path):
         phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})

@@ -88,31 +88,21 @@ def verdict_from_public_checks(k: int, m: int, N: int) -> CaseVerdict:
         details = [f"3m-2={3 * m - 2} = {con2.residue} (mod 6) [{'ok' if con2.ok else 'FAIL'}]",
                    f"3m-2={3 * m - 2} = {con3.residue} (mod 12), needs != 3"
                    f" [{'ok' if con3.ok else 'FAIL'}]"]
-    flags = ()
-    if accepted and nonintegrality_check(m).discrepancy:
-        flags = (f"m={m}: (m-2)(m-1)(2m-3)/m = {nonintegrality_check(m).value} is an integer; "
-                 "the non-integrality claim fails here",)
     return CaseVerdict(k=k, m=m, N=N, part_i=part_i, part_ii=part_ii, part_iii=part_iii,
                        s=s, r=r, beta=2 * (k + 2 * m + s - 4),
                        eta_exponent=(m - 1) * (2 * m - 1),
                        window_ok=accepted and window_check(k, m, s, r).ok,
-                       congruence_details="; ".join(details), discrepancy_flags=flags)
+                       congruence_details="; ".join(details))
 
 
 class TestClassifyOracle:
     def test_matches_the_public_checks(self):
         # classify runs the checks' integer helpers without their reports
-        flagged = 0
         for k in range(3, 42, 2):
             for m in range(3, 121):
                 for N in range(1, 13):
                     verdict = classify(CaseInput(k, m, N))
                     assert verdict == verdict_from_public_checks(k, m, N), (k, m, N)
-                    flagged += bool(verdict.discrepancy_flags)
-        # no accepted case has m = 6: part (i) would need k <= 2, parts
-        # (ii)/(iii) an odd m; the m = 6 discrepancy shows in the
-        # nonintegrality rows only
-        assert flagged == 0
 
 
 class TestWindow:

@@ -7,11 +7,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree, laplace_det, matmul, random_series
-from qtheta import (PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
-                    cramer_reconstruction, eta, eta_power_exponent, kernel_components,
-                    modular_wronskian, odd_theta_series, partial_kernel_components,
-                    theta_derivative_matrix, theta_minors, theta_wronskian, vandermonde,
-                    verify_cofactor_orders, verify_eta_power, wronskian)
+from qtheta import (JacobiFormData, PuiseuxSeries, SeriesMatrix, ThetaIndex,
+                    VerificationFailed, component_taylor, cramer_reconstruction, eta,
+                    eta_power_exponent, kernel_components, modular_wronskian,
+                    odd_theta_series, partial_kernel_components, random_components,
+                    theta_components, theta_derivative_matrix, theta_minors,
+                    theta_wronskian, vandermonde, verify_cofactor_orders, verify_eta_power,
+                    wronskian)
 from qtheta.jacobi import ThetaComponents
 
 F = Fraction
@@ -236,6 +238,15 @@ class TestThetaMinors:
                 else:
                     assert product[i][j].is_zero()
 
+    @pytest.mark.parametrize("m", [3, 5, 7])
+    def test_window_is_theta_minor_window(self, m):
+        # below and above the edge max mu^2/4m of each column set
+        for q_trunc in (F(1, 4 * m), F(m - 1, 4), F(3)):
+            for nu in range(1, m):
+                columns = [mu for mu in range(1, m) if mu != nu]
+                assert theta_minors(m, q_trunc, columns)[0].trunc == \
+                    wronskian.theta_minor_window(m, q_trunc, columns)
+
     def test_empty_column_set_is_one(self):
         assert theta_minors(4, 3, [], [0]) == [PuiseuxSeries.one()]
         matrix = theta_derivative_matrix(2, 5)
@@ -384,26 +395,69 @@ class TestThetaMinorCheck:
                                          "m=4", "Wronskian")
 
 
+def system_rows(h: ThetaComponents) -> list[PuiseuxSeries]:
+    """M h as the callers of ``cramer_reconstruction`` build it."""
+    return [component_taylor(h, nu) for nu in range(1, h.index_m)]
+
+
+def random_jacobi_components(m: int, n_trunc: int, rng) -> ThetaComponents:
+    """The theta components of an orbit-complete table with a random value on every class."""
+    values = {(mu, disc): F(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 4))
+              for mu in range(1, m)
+              for disc in range((-mu * mu) % (4 * m), 4 * m * n_trunc, 4 * m)}
+    return theta_components(JacobiFormData.from_orbit_values(3, m, 1, n_trunc, values))
+
+
+class TestCramerSystemRows:
+    """M h from the matrix entries is the ``component_taylor`` rows, store for store."""
+
+    @staticmethod
+    def assert_rows_match(h: ThetaComponents, q_trunc):
+        entries = theta_derivative_matrix(h.index_m, q_trunc).entries
+        for row, via in zip(entries, system_rows(h)):
+            acc = None
+            for entry, component in zip(row, h.components):
+                term = entry * component
+                acc = term if acc is None else acc + term
+            assert (acc._terms, acc.trunc, acc.base_denom, acc._den) == \
+                (via._terms, via.trunc, via.base_denom, via._den)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_components(self, seed):
+        rng = random.Random(seed)
+        for m in (3, 4, 5):
+            for _ in range(3):
+                self.assert_rows_match(random_components(m, 12, rng), 12)
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_kernel_components(self, m):
+        self.assert_rows_match(kernel_components(m, 12), 12)
+
+    def test_jacobi_components(self):
+        rng = random.Random(7)
+        for n_trunc in (2, 3):
+            self.assert_rows_match(random_jacobi_components(7, n_trunc, rng), n_trunc)
+
+
 class TestCramer:
     def test_random_components(self):
         rng = random.Random(73)
-        from qtheta import random_components
         for m in (3, 4):
             h = random_components(m, 8, rng)
-            report = cramer_reconstruction(m, h, 8)
+            report = cramer_reconstruction(m, h, 8, system_rows(h))
             assert report.cramer_ok
             assert not report.kernel_case or report.proportionality_ok
 
     def test_zero_components(self):
         zero = ThetaComponents(3, (PuiseuxSeries.zero(6, 12), PuiseuxSeries.zero(6, 12)))
-        report = cramer_reconstruction(3, zero, 6)
+        report = cramer_reconstruction(3, zero, 6, system_rows(zero))
         assert report.cramer_ok
         assert report.kernel_case
 
     def test_cofactor_kernel_case(self):
         for m in (3, 4):
             h = kernel_components(m, 10)
-            report = cramer_reconstruction(m, h, 10)
+            report = cramer_reconstruction(m, h, 10, system_rows(h))
             assert report.kernel_case
             assert report.proportionality_ok
             eta_report = verify_eta_power(m, 6)
@@ -414,7 +468,7 @@ class TestCramer:
         t1 = odd_theta_series(ThetaIndex(3, 1), 10)
         t2 = odd_theta_series(ThetaIndex(3, 2), 10)
         h = ThetaComponents(3, (-(t2 / t1), PuiseuxSeries.one(t1.trunc - t1.ord_infty())))
-        report = cramer_reconstruction(3, h, 8)
+        report = cramer_reconstruction(3, h, 8, system_rows(h))
         assert report.kernel_case
         assert report.proportionality_ok
 
