@@ -156,13 +156,14 @@ def _characters_case(job):
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     rows = []
     assembled = from_theta_components(h, q_trunc)
-    # the rows M h, built once: compared here, then solved by the Cramer check
+    # the rows M h and the Taylor coefficients, built once: compared here,
+    # then solved by the Cramer check and read by the kernel equivalence
     system = [component_taylor(h, nu) for nu in range(1, m)]
-    two_path = all((taylor_coefficient(assembled, nu)
-                    - component_taylor_scale(nu, m) * system[nu - 1]).is_zero()
-                   for nu in range(1, m))
+    taylors = [taylor_coefficient(assembled, nu) for nu in range(1, m)]
+    two_path = all((taylor - component_taylor_scale(nu, m) * row).is_zero()
+                   for nu, taylor, row in zip(range(1, m), taylors, system))
     rows.append({"m": m, "case": label, "check": "two_path_taylor", "ok": two_path})
-    ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1, m)
+    ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1, m, taylors)
     rows.append({"m": m, "case": label, "check": "kernel_equivalence",
                  "ok": ops_vanish == taylors_vanish})
     if m >= 3:
@@ -209,15 +210,98 @@ def _lift_int_str_limit() -> None:
         sys.set_int_max_str_digits(0)
 
 
-def _run_parallel(worker, items, jobs):
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [worker(item) for item in items]
-    import concurrent.futures  # only a pool needs it; kept out of every start-up
+# A task token is a 4-byte run number.  POSIX guarantees that a pipe holds
+# PIPE_BUF = 4096 bytes, so up to 1024 tokens go into the task pipe before
+# the first fork without blocking; past 1024 cases a run spans several.
+_TOKEN_BYTES = 4
+_MAX_TOKENS = 1024
 
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers,
-                                                initializer=_lift_int_str_limit) as pool:
-        return list(pool.map(worker, items))
+
+def _work_runs(worker, items, bounds, tasks) -> dict:
+    """Take tokens from the task pipe until it is empty and run every case of
+    each token's run, failed or not: {index: (True, result) or (False, error)}."""
+    results = {}
+    while len(token := os.read(tasks, _TOKEN_BYTES)) == _TOKEN_BYTES:
+        run = int.from_bytes(token, "little")
+        for index in reversed(range(bounds[run], bounds[run + 1])):
+            try:
+                results[index] = (True, worker(items[index]))
+            except Exception as error:
+                results[index] = (False, error)
+    return results
+
+
+def _run_parallel(worker, items, jobs):
+    """``[worker(item) for item in items]`` on up to ``jobs`` processes.
+
+    The parent is one worker and forks the others (the CLI runs no thread
+    that a fork would leave behind).  Every process takes
+    tokens from one task pipe, largest index first, and runs all the cases it
+    takes, so the lowest failing index is always seen.  A child pickles its
+    results to its own pipe and ends with ``os._exit``, never flushing the
+    parent's stdio buffers.  The results are merged in item order and the
+    first failure is raised, as a serial run raises it; a case that no
+    process returned (its worker died) fails with the children's wait
+    statuses.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [worker(item) for item in items]
+    import pickle  # only worker processes need it; kept out of every start-up
+
+    runs = min(len(items), _MAX_TOKENS)
+    bounds = [run * len(items) // runs for run in range(runs + 1)]
+    tasks, feed = os.pipe()
+    os.write(feed, b"".join(run.to_bytes(_TOKEN_BYTES, "little")
+                            for run in reversed(range(runs))))
+    os.close(feed)
+    pids, inboxes = [], []
+    try:
+        for _ in range(workers - 1):
+            inbox, outbox = os.pipe()
+            inboxes.append(inbox)
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in inboxes:
+                        os.close(fd)
+                    with open(outbox, "wb") as out:
+                        pickle.dump(_work_runs(worker, items, bounds, tasks), out,
+                                    pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+            os.close(outbox)
+        results = _work_runs(worker, items, bounds, tasks)
+        sent = []
+        for inbox in inboxes:
+            with open(inbox, "rb", closefd=False) as stream:
+                sent.append(stream.read())
+    finally:
+        # on an early exit, take the tokens left so the children stop after
+        # their current case, and close the result pipes so none blocks
+        while os.read(tasks, _TOKEN_BYTES * _MAX_TOKENS):
+            pass
+        os.close(tasks)
+        for inbox in inboxes:
+            os.close(inbox)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    for data, status in zip(sent, statuses):
+        if status == 0:
+            results.update(pickle.loads(data))
+    merged = []
+    for index in range(len(items)):
+        if index not in results:
+            raise VerificationFailed(
+                f"case {index} has no result: worker process wait statuses "
+                f"{', '.join(map(str, statuses))}")
+        ok, value = results[index]
+        if not ok:
+            raise value
+        merged.append(value)
+    return merged
 
 
 def _run_cases(args: argparse.Namespace):

@@ -243,7 +243,8 @@ def component_taylor_scale(nu: int, m: int) -> Fraction:
     return Fraction(2 * (4 * m) ** (nu - 1), math.factorial(2 * nu - 1))
 
 
-def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int) -> PuiseuxSeries:
+def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int,
+                         taylors=None) -> PuiseuxSeries:
     """The normalized weight-(k + nu) development coefficient of an index-m form.
 
     For odd nu this is
@@ -253,6 +254,8 @@ def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int) -> Puis
     2*pi*i absorbed; its vanishing is equivalent to the vanishing of the
     classical operator.  The index ``m`` comes from the caller: a finer
     grid holds the same series, so the grid cannot determine it.
+    ``taylors``, if given, lists ``taylor_coefficient(phi_2var, i)`` for
+    i = 1..(nu+1)/2 already computed, and they are not computed again.
     """
     if nu % 2 == 0:
         raise EvenIndex("development operators of even index vanish on odd weights")
@@ -263,7 +266,8 @@ def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int) -> Puis
     total = None
     for j in range(nu // 2 + 1):
         order = nu - 2 * j
-        chi = taylor_coefficient(phi_2var, (order + 1) // 2)
+        i = (order + 1) // 2
+        chi = taylor_coefficient(phi_2var, i) if taylors is None else taylors[i - 1]
         factor = Fraction((-m) ** j * math.factorial(k + nu - j - 2),
                           math.factorial(k + 2 * nu - 2) * math.factorial(j))
         term = factor * chi.q_derivative_iterate(j)
@@ -271,19 +275,24 @@ def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int) -> Puis
     return total
 
 
-def kernel_equivalence(phi_2var: ThetaTwoVar, k: int, j: int, m: int) -> tuple[bool, bool]:
+def kernel_equivalence(phi_2var: ThetaTwoVar, k: int, j: int, m: int,
+                       taylors=None) -> tuple[bool, bool]:
     """(all development coefficients of order < 2j+1 vanish,
         all Taylor coefficients of order < 2j+1 vanish), for an index-m form.
 
     The two booleans agree for every input because the development
     coefficients are a triangular change of basis of the Taylor ones.
+    ``taylors``, if given, lists ``taylor_coefficient(phi_2var, nu)`` for
+    nu = 1..j already computed, and they are not computed again.
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
     operators_vanish = all(
-        development_operator(phi_2var, k, 2 * nu - 1, m).is_zero() for nu in range(1, j + 1))
+        development_operator(phi_2var, k, 2 * nu - 1, m, taylors).is_zero()
+        for nu in range(1, j + 1))
     taylors_vanish = all(
-        taylor_coefficient(phi_2var, nu).is_zero() for nu in range(1, j + 1))
+        (taylor_coefficient(phi_2var, nu) if taylors is None else taylors[nu - 1]).is_zero()
+        for nu in range(1, j + 1))
     return operators_vanish, taylors_vanish
 
 

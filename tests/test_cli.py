@@ -1,10 +1,14 @@
 """Command-line behavior: determinism, formats, exit codes, ingestion."""
 
-import concurrent.futures
 import json
+import os
 import random
+import select
+import signal
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -80,18 +84,104 @@ class TestParsing:
 
 class TestParallelRuns:
     @staticmethod
-    def no_pool(*args, **kwargs):
-        raise AssertionError("no worker pool expected")
+    def no_fork():
+        raise AssertionError("no worker process expected")
 
     @pytest.mark.parametrize("cpus", [1, None])
     def test_workers_clamped_to_cpu_count(self, cpus, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(cli.os, "fork", self.no_fork)
         assert cli._run_parallel(abs, [-1, -2], 2) == [1, 2]
 
     def test_workers_clamped_to_case_count(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.no_pool)
+        monkeypatch.setattr(cli.os, "fork", self.no_fork)
         assert cli._run_parallel(abs, [-3], 2) == [3]
+
+    def test_one_worker_without_fork(self, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.delattr(cli.os, "fork")
+        assert cli._run_parallel(abs, [-1, -2, -3], 3) == [1, 2, 3]
+
+    def test_results_in_item_order_past_the_token_cap(self, monkeypatch):
+        # 2500 items share the 1024 tokens: a token names a run of cases
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        items = list(range(2500))
+        assert len(items) > cli._MAX_TOKENS
+        assert cli._run_parallel(lambda x: -x, items, 3) == [-x for x in items]
+
+        def fail_twice(x):
+            if x in (1500, 2400):
+                raise cli.VerificationFailed(f"item {x}")
+            return x
+
+        with pytest.raises(cli.VerificationFailed, match="^item 1500$"):
+            cli._run_parallel(fail_twice, items, 3)
+
+    def test_dead_worker_is_a_failure_record(self, monkeypatch, tmp_path):
+        # the parent holds its first case until the child has taken another
+        # one and killed itself on it; the child took case 1 or case 2
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        parent = os.getpid()
+        died, signal_died = os.pipe()
+        waited = []
+
+        def worker(job):
+            if os.getpid() != parent:
+                os.write(signal_died, str(os.getpid()).encode())
+                os.kill(os.getpid(), signal.SIGKILL)
+            if not waited:
+                waited.append(job)
+                assert select.select([died], [], [], 60)[0], "no child took a case"
+            return {"characters": []}, {}
+
+        monkeypatch.setitem(cli.CASES, "verify-characters", worker)
+        out = tmp_path / "record.json"
+        try:
+            code = run_cli("verify-characters", "--m", "2..4", "--jobs", "2",
+                           "--format", "json", "--output", str(out))
+            child = int(os.read(died, 64))
+        finally:
+            os.close(died)
+            os.close(signal_died)
+        assert code == 1
+        record = json.loads(out.read_text())
+        assert record["all_passed"] is False
+        assert record["failure"] in [f"case {index} has no result: worker process wait "
+                                     f"statuses {signal.SIGKILL}" for index in (1, 2)]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(child, os.WNOHANG)  # reaped: no zombie is left
+
+    def test_failure_record_same_for_any_jobs(self, capfd):
+        # m = 12 and m = 13 both fail; the parent takes 13 first, so the
+        # record of m = 12 comes from whichever process ran it
+        captured = []
+        for jobs in ("1", "2"):
+            code = run_cli("verify-orders", "--m", "10..13", "--q-trunc", "5/2",
+                           "--format", "json", "--jobs", jobs)
+            captured.append((code, capfd.readouterr()))
+        (code1, out1), (code2, out2) = captured
+        assert code1 == code2 == 1
+        assert out1.out == out2.out == ""
+        assert out1.err == out2.err
+        assert json.loads(out1.err)["failure"].startswith("m=12: ")
+
+    def test_children_do_not_flush_the_parents_stdout(self):
+        # a block-buffered stdout holds a line when the workers fork; a
+        # child that flushed it on exit would print that line twice
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        env.pop("PYTHONUNBUFFERED", None)
+        script = ("import sys; from qtheta.cli import main; print('before the cases'); "
+                  "sys.exit(main(sys.argv[1:]))")
+        outputs = []
+        for jobs in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "verify-wronskian", "--m", "2..6",
+                 "--q-trunc", "8", "--format", "json", "--jobs", jobs],
+                capture_output=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"before the cases") == 1
 
     @pytest.mark.parametrize("argv", [
         ("verify-wronskian", "--m", "2..4", "--q-trunc", "6", "--dump-series"),
@@ -450,7 +540,7 @@ class TestVerifyIdentities:
     def test_missing_jacobi_file_rejected(self, tmp_path, capsys):
         self.assert_table_rejected(tmp_path, capsys, None, "No such file")
 
-    def test_numerators_past_the_int_str_digit_limit(self, tmp_path):
+    def test_numerators_past_the_int_str_digit_limit(self, tmp_path, jobs="1"):
         # every value of a valid table scaled by 10**4300, written as text so
         # the test itself converts no long int; each numerator then has more
         # digits than CPython converts between int and str by default
@@ -471,7 +561,7 @@ class TestVerifyIdentities:
         try:
             code = run_cli("verify-identities", "--m", "3..3", "--q-trunc", "6",
                            "--trials", "1", "--jacobi-file", str(table),
-                           "--format", "json", "--output", str(out))
+                           "--format", "json", "--output", str(out), "--jobs", jobs)
         finally:
             if default is not None:
                 sys.set_int_max_str_digits(default)
@@ -480,6 +570,10 @@ class TestVerifyIdentities:
         assert [row["check"] for row in rows if row["case"] == "jacobi_file"] == [
             "two_path_taylor", "kernel_equivalence", "cramer"]
         assert all(row["ok"] for row in rows)
+
+    def test_numerators_past_the_int_str_digit_limit_with_two_jobs(self, tmp_path):
+        # the forked workers inherit the limit that main lifted
+        self.test_numerators_past_the_int_str_digit_limit(tmp_path, jobs="2")
 
     def test_jacobi_file_parsed_before_cases(self, tmp_path):
         phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})

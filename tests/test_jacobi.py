@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree
+from qtheta import jacobi
 from qtheta import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                     PuiseuxSeries, ThetaComponents, ThetaIndex, ThetaTwoVar,
                     component_taylor, component_taylor_scale, development_operator,
@@ -246,6 +247,26 @@ class TestKernelEquivalence:
                 tv = from_theta_components(h, 7)
                 ops, taylors = kernel_equivalence(tv, 3, m - 1, m)
                 assert ops == taylors
+
+    def test_given_taylor_coefficients_are_not_recomputed(self, monkeypatch):
+        rng = random.Random(61)
+        forms = [(m, from_theta_components(h, 10)) for m, h in (
+            (4, partial_kernel_components(4, 10, 1)), (5, partial_kernel_components(5, 10, 2)),
+            (5, random_components(5, 10, rng)), (5, kernel_components(5, 10)))]
+        expected = []
+        for m, tv in forms:
+            taylors = [taylor_coefficient(tv, nu) for nu in range(1, m)]
+            operators = [development_operator(tv, 3, 2 * nu - 1, m) for nu in range(1, m)]
+            expected.append((taylors, operators, kernel_equivalence(tv, 3, m - 1, m)))
+
+        def no_taylor(*args):
+            raise AssertionError("a given Taylor coefficient was computed again")
+
+        monkeypatch.setattr(jacobi, "taylor_coefficient", no_taylor)
+        for (m, tv), (taylors, operators, verdict) in zip(forms, expected):
+            assert [development_operator(tv, 3, 2 * nu - 1, m, taylors)
+                    for nu in range(1, m)] == operators
+            assert kernel_equivalence(tv, 3, m - 1, m, taylors) == verdict
 
 
 class TestCoefficientFile:
