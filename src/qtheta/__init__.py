@@ -18,7 +18,7 @@ from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      taylor_coefficient, theta_components)
 from .modforms import HalfIntWeight, eisenstein_e2, eta, eta_power, modular_derivative
 from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
-                     dump_series_text, parse_rational, parse_series_text)
+                     dot, dump_series_text, parse_rational, parse_series_text)
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,
                     theta_series, total_theta_order, translation_eigenvalue)
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,

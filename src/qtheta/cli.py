@@ -231,6 +231,14 @@ def _work_runs(worker, items, bounds, tasks) -> dict:
     return results
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (a ``taskset`` or a cpuset container narrows it), else the host count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_parallel(worker, items, jobs):
     """``[worker(item) for item in items]`` on up to ``jobs`` processes.
 
@@ -244,7 +252,7 @@ def _run_parallel(worker, items, jobs):
     process returned (its worker died) fails with the children's wait
     statuses.
     """
-    workers = min(jobs, len(items), os.cpu_count() or 1)
+    workers = min(jobs, len(items), _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [worker(item) for item in items]
     import pickle  # only worker processes need it; kept out of every start-up

@@ -18,7 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .series import PuiseuxSeries, parse_rational
+from .series import _ZERO, PuiseuxSeries, _lowest_terms, dot, parse_rational
 from .theta import ThetaIndex, ThetaTwoVar, _residues, theta_series, odd_theta_series
 
 
@@ -59,6 +59,7 @@ class JacobiFormData:
         self.level_N = level_N
         self.n_trunc = n_trunc
         m = index_m
+        n_cap = -(-n_trunc.numerator // n_trunc.denominator)  # an int n is < n_trunc iff < n_cap
         stored: dict[tuple[int, int], Fraction] = {}
         orbit: dict[tuple[int, int], Fraction] = {}
         for (n, r), c in coeffs.items():
@@ -67,7 +68,7 @@ class JacobiFormData:
                 continue
             if n < 0:
                 raise InvariantViolation(f"negative Fourier index n={n}")
-            if n >= n_trunc:
+            if n >= n_cap:
                 continue
             disc = 4 * m * n - r * r
             if disc < 0:
@@ -81,15 +82,15 @@ class JacobiFormData:
             stored[(n, r)] = c
         for (mu, disc), value in orbit.items():
             partner = ((-mu) % (2 * m), disc)
-            if orbit.get(partner, Fraction(0)) != -value:
+            if orbit.get(partner, _ZERO) != -value:
                 raise InvariantViolation(
                     f"odd symmetry fails for class (mu={mu}, disc={disc})")
-        for n in range(math.ceil(n_trunc)):
+        for n in range(n_cap):
             r_cap = math.isqrt(4 * m * n)
             for r in range(-r_cap, r_cap + 1):
                 key = (r % (2 * m), 4 * m * n - r * r)
-                expected = orbit.get(key, Fraction(0))
-                if stored.get((n, r), Fraction(0)) != expected:
+                expected = orbit.get(key, _ZERO)
+                if stored.get((n, r), _ZERO) != expected:
                     raise InvariantViolation(
                         f"c({n},{r}) must depend only on (r mod 2m, 4mn - r^2); "
                         f"expected {expected}")
@@ -223,14 +224,10 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
     m = h.index_m
     if not 1 <= nu <= m - 1:
         raise ValueError(f"nu must lie in 1..{m - 1}")
-    total = None
-    for mu in range(1, m):
-        series = h.components[mu - 1]
-        target = series.trunc + Fraction(mu * mu, 4 * m)
-        theta = odd_theta_series(ThetaIndex(m, mu), target).q_derivative_iterate(nu - 1)
-        term = series * theta
-        total = term if total is None else total + term
-    return total
+    thetas = [odd_theta_series(ThetaIndex(m, mu), series.trunc + Fraction(mu * mu, 4 * m))
+              .q_derivative_iterate(nu - 1)
+              for mu, series in enumerate(h.components, start=1)]
+    return dot(h.components, thetas)
 
 
 def component_taylor_scale(nu: int, m: int) -> Fraction:
@@ -304,21 +301,24 @@ def random_components(index_m: int, n_trunc, rng, max_terms: int = 3) -> ThetaCo
     has an integral Fourier table.  Deterministic given the rng state.
     """
     m = index_m
+    grid_denom = 4 * m
     n_trunc = Fraction(n_trunc)
+    # disc/4m < n_trunc - mu^2/4m is disc < ceil(4m n_trunc) - mu^2
+    cap = -(-grid_denom * n_trunc.numerator // n_trunc.denominator)
     components = []
     for mu in range(1, m):
-        trunc = n_trunc - Fraction(mu * mu, 4 * m)
-        first = (-mu * mu) % (4 * m)
-        grid = []
-        disc = first
-        while Fraction(disc, 4 * m) < trunc:
-            grid.append(disc)
-            disc += 4 * m
-        terms = {}
+        grid = range((-mu * mu) % grid_denom, cap - mu * mu, grid_denom)
+        drawn = []
         for disc in rng.sample(grid, min(max_terms, len(grid))):
             numerator = rng.choice([x for x in range(-9, 10) if x])
-            terms[Fraction(disc, 4 * m)] = Fraction(numerator, rng.randint(1, 4))
-        components.append(PuiseuxSeries(terms, trunc, base_denom=4 * m))
+            d = rng.randint(1, 4)
+            g = math.gcd(numerator, d)
+            drawn.append((disc, numerator // g, d // g))
+        den = math.lcm(1, *(d for _, _, d in drawn))
+        tn, td = _lowest_terms(grid_denom * n_trunc.numerator - mu * mu * n_trunc.denominator,
+                               grid_denom * n_trunc.denominator)
+        components.append(PuiseuxSeries._make(
+            {disc: c * (den // d) for disc, c, d in drawn}, tn, td, grid_denom, den))
     return ThetaComponents(m, tuple(components))
 
 

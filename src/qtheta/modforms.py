@@ -112,7 +112,7 @@ def eta_power(trunc, lam: int) -> PuiseuxSeries:
         assert remainder == 0, "Miller's recurrence must divide exactly"
         coeffs.append(value)
     return PuiseuxSeries._make({lam + 24 * n: c for n, c in enumerate(coeffs) if c},
-                               trunc, 24, 1)
+                               trunc.numerator, trunc.denominator, 24, 1)
 
 
 def eisenstein_e2(trunc) -> PuiseuxSeries:

@@ -19,9 +19,16 @@ demand.  The public constructor takes and validates Fractions; the ring
 operations and the package's own producers use the trusted constructor
 ``_make``, which checks nothing.
 
+The window is stored as exact ints too: ``trunc`` = tn/td in lowest terms
+with td >= 1, and +infinity as (1, 0).  ``trunc`` builds the Fraction (or
+``math.inf``) when read.  Windows are compared and shifted by integer
+cross-multiplication, so they need not lie on the series' grid: a product
+window such as 115/84 on the 1/12 grid stays exact.
+
 Truncation bounds are recomputed pessimistically through every operation,
 so any identity observed on a result is certified on the stated window.
-Values are immutable after construction and all operations are pure, so
+``dot`` forms a sum of products in one pass, with the terms and window of
+the left-to-right fold of ``*`` and ``+``.  Values are immutable after construction and all operations are pure, so
 series may be shared freely across threads or processes.
 """
 
@@ -52,18 +59,44 @@ def _as_trunc(value) -> Truncation:
     return Fraction(value)
 
 
-def _trunc_add(t: Truncation, x) -> Truncation:
-    # the only float a truncation or an order can be is +infinity
-    if isinstance(t, float) or isinstance(x, float):
-        return INFINITY
-    return t + x
+def _window(trunc: Truncation) -> tuple[int, int]:
+    """A truncation from ``_as_trunc`` as its int pair (tn, td): lowest terms
+    with td >= 1, and (1, 0) for +infinity."""
+    return (1, 0) if isinstance(trunc, float) else (trunc.numerator, trunc.denominator)
 
 
-def _key_bound(trunc: Truncation, denom: int):
-    """The integer keys n on the 1/denom grid with n/denom < trunc are those below this."""
-    if isinstance(trunc, float):
-        return INFINITY
-    return -(-trunc.numerator * denom // trunc.denominator)
+def _key_bound(tn: int, td: int, denom: int) -> int | None:
+    """The integer keys n on the 1/denom grid with n/denom < tn/td are those
+    below this; None when the window is +infinity."""
+    return -(-tn * denom // td) if td else None
+
+
+def _order(x, low: int | None, denom: int) -> tuple[int, int]:
+    """The least exponent a term of x can have, as an int pair: its lowest
+    known key ``low`` over ``denom``.  With no known term, 0, or its window
+    when that is negative: the unknown terms lie at or above the window."""
+    if low is not None:
+        return low, denom
+    return (x._tn, x._td) if x._tn < 0 else (0, 1)
+
+
+def _product_window(x, y, ox: int | None, oy: int | None, denom: int) -> tuple[int, int]:
+    """The certified window of the product of x and y, as an unreduced int pair.
+
+    The unknown tail of one factor enters the product shifted by the other
+    factor's least exponent: min(trunc x + ord y, trunc y + ord x), where
+    ox, oy are the lowest keys on the 1/denom grid, None for a factor with
+    no known term (see ``_order``).  +infinity comes out as a pair (p > 0, 0).
+    """
+    (an, ad), (bn, bd) = _order(x, ox, denom), _order(y, oy, denom)
+    p1, q1 = x._tn * bd + bn * x._td, x._td * bd
+    p2, q2 = y._tn * ad + an * y._td, y._td * ad
+    return (p1, q1) if p1 * q2 <= p2 * q1 else (p2, q2)
+
+
+def _lowest_terms(p: int, q: int) -> tuple[int, int]:
+    g = math.gcd(p, q)
+    return p // g, q // g
 
 
 def _reduced(terms: dict, den: int) -> tuple[dict, int]:
@@ -92,7 +125,7 @@ def _over_lcm(values: Mapping) -> tuple[dict, int]:
 class PuiseuxSeries:
     """Truncated formal series in q with rational exponents of bounded denominator."""
 
-    __slots__ = ("base_denom", "trunc", "_terms", "_den")
+    __slots__ = ("base_denom", "_tn", "_td", "_terms", "_den")
 
     def __init__(self, terms: Mapping | Iterable, trunc: Truncation, base_denom: int | None = None):
         trunc = _as_trunc(trunc)
@@ -114,19 +147,21 @@ class PuiseuxSeries:
                 if (e * base_denom).denominator != 1:
                     raise ValueError(f"exponent {e} is not a multiple of 1/{base_denom}")
         self.base_denom = base_denom
-        self.trunc = trunc
+        self._tn, self._td = _window(trunc)
         self._terms, self._den = _over_lcm(
             {(e * base_denom).numerator: c for e, c in clean.items()})
 
     @classmethod
-    def _make(cls, terms: dict[int, int], trunc: Truncation, base_denom: int,
+    def _make(cls, terms: dict[int, int], tn: int, td: int, base_denom: int,
               den: int) -> PuiseuxSeries:
-        """Trusted constructor: ``terms`` (kept, not copied) maps int keys below
-        ``_key_bound(trunc, base_denom)`` to nonzero int numerators over ``den``,
-        in the canonical form ``_reduced`` gives; nothing is checked."""
+        """Trusted constructor: the window is tn/td as ``_window`` gives it,
+        and ``terms`` (kept, not copied) maps int keys below
+        ``_key_bound(tn, td, base_denom)`` to nonzero int numerators over
+        ``den``, in the canonical form ``_reduced`` gives; nothing is checked."""
         out = object.__new__(cls)
         out.base_denom = base_denom
-        out.trunc = trunc
+        out._tn = tn
+        out._td = td
         out._terms = terms
         out._den = den
         return out
@@ -154,6 +189,11 @@ class PuiseuxSeries:
         return cls.constant(1, trunc)
 
     # -- inspection --------------------------------------------------------
+
+    @property
+    def trunc(self) -> Truncation:
+        """The certified window, a Fraction or +infinity, built on each access."""
+        return Fraction(self._tn, self._td) if self._td else INFINITY
 
     @property
     def terms(self) -> Mapping[Fraction, Fraction]:
@@ -185,7 +225,7 @@ class PuiseuxSeries:
             return NotImplemented
         # both stores are canonical, so equal coefficients need equal den
         d = math.lcm(self.base_denom, other.base_denom)
-        return (self.trunc == other.trunc and self._den == other._den
+        return (self._tn == other._tn and self._td == other._td and self._den == other._den
                 and self._over(d, self._den) == other._over(d, other._den))
 
     __hash__ = None
@@ -197,7 +237,7 @@ class PuiseuxSeries:
         head = " + ".join(f"({c})*q^({e})" for e, c in sorted(self.terms.items())[:4])
         if len(self._terms) > 4:
             head += " + ..."
-        t = "inf" if self.trunc == INFINITY else str(self.trunc)
+        t = str(self.trunc) if self._td else "inf"
         return f"<PuiseuxSeries {head or '0'} | D={self.base_denom} trunc={t}>"
 
     # -- ring operations ---------------------------------------------------
@@ -207,21 +247,27 @@ class PuiseuxSeries:
             other = PuiseuxSeries.constant(other)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        trunc = min(self.trunc, other.trunc)
+        tn, td = self._tn, self._td
+        if other._tn * td < tn * other._td:
+            tn, td = other._tn, other._td
         denom = math.lcm(self.base_denom, other.base_denom)
         den = math.lcm(self._den, other._den)
-        bound = _key_bound(trunc, denom)
+        bound = _key_bound(tn, td, denom)
         merged = dict(self._over(denom, den))
         for n, c in other._over(denom, den).items():
             merged[n] = merged.get(n, 0) + c
-        terms, den = _reduced({n: c for n, c in merged.items() if c and n < bound}, den)
-        return PuiseuxSeries._make(terms, trunc, denom, den)
+        if bound is None:
+            terms = {n: c for n, c in merged.items() if c}
+        else:
+            terms = {n: c for n, c in merged.items() if c and n < bound}
+        terms, den = _reduced(terms, den)
+        return PuiseuxSeries._make(terms, tn, td, denom, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> PuiseuxSeries:
         return PuiseuxSeries._make({n: -c for n, c in self._terms.items()},
-                                   self.trunc, self.base_denom, self._den)
+                                   self._tn, self._td, self.base_denom, self._den)
 
     def __sub__(self, other) -> PuiseuxSeries:
         if not isinstance(other, (int, Fraction, PuiseuxSeries)):
@@ -236,30 +282,10 @@ class PuiseuxSeries:
             c = Fraction(other)
             terms, den = _reduced({n: c.numerator * v for n, v in self._terms.items()}
                                   if c else {}, self._den * c.denominator)
-            return PuiseuxSeries._make(terms, self.trunc, self.base_denom, den)
+            return PuiseuxSeries._make(terms, self._tn, self._td, self.base_denom, den)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        # Certified bound: the unknown tail of one factor enters the product
-        # shifted by the other factor's lowest exponent (0 if that factor has
-        # no known term).
-        ord_a = Fraction(min(self._terms), self.base_denom) if self._terms else _ZERO
-        ord_b = Fraction(min(other._terms), other.base_denom) if other._terms else _ZERO
-        trunc = min(_trunc_add(self.trunc, ord_b), _trunc_add(other.trunc, ord_a))
-        denom = math.lcm(self.base_denom, other.base_denom)
-        bound = _key_bound(trunc, denom)
-        a = sorted(self._over(denom, self._den).items())
-        b = sorted(other._over(denom, other._den).items())
-        out: dict[int, int] = {}
-        for na, ca in a:
-            if not b or na + b[0][0] >= bound:
-                break
-            for nb, cb in b:
-                n = na + nb
-                if n >= bound:
-                    break
-                out[n] = out.get(n, 0) + ca * cb
-        terms, den = _reduced({n: c for n, c in out.items() if c}, self._den * other._den)
-        return PuiseuxSeries._make(terms, trunc, denom, den)
+        return dot((self,), (other,))
 
     __rmul__ = __mul__
 
@@ -294,25 +320,27 @@ class PuiseuxSeries:
         rem = dict(self._over(denom, self._den))
         nb_low = min(divisor)
         lead_b = Fraction(divisor[nb_low])
-        ord_b = Fraction(nb_low, denom)
-        ord_a = Fraction(min(rem), denom) if rem else INFINITY
         # r(e) needs the dividend at e + ord_b and the divisor up to
-        # e + ord_b - ord(r), with ord(r) = ord_a - ord_b.
-        trunc = min(_trunc_add(self.trunc, -ord_b),
-                    _trunc_add(other.trunc, _trunc_add(-2 * ord_b, ord_a)))
-        bound = _key_bound(trunc, denom)
+        # e + ord_b - ord(r), with ord(r) = ord_a - ord_b: the window is
+        # min(trunc a - ord_b, trunc b - 2 ord_b + ord_a), +infinity for ord_a
+        p1, q1 = self._tn * denom - nb_low * self._td, self._td * denom
+        p2, q2 = 1, 0
+        if rem:
+            p2, q2 = other._tn * denom + (min(rem) - 2 * nb_low) * other._td, other._td * denom
+        tn, td = _lowest_terms(*((p1, q1) if p1 * q2 <= p2 * q1 else (p2, q2)))
+        bound = _key_bound(tn, td, denom)
         higher = sorted((n, c) for n, c in divisor.items() if n != nb_low)
         quot: dict[int, Fraction] = {}
         while rem:
             n = min(rem)
             nq = n - nb_low
-            if nq >= bound:
+            if bound is not None and nq >= bound:
                 break
             c = rem.pop(n) / lead_b
             quot[nq] = c
             for nb, cb in higher:
                 target = nq + nb
-                if target - nb_low >= bound:
+                if bound is not None and target - nb_low >= bound:
                     break
                 nv = rem.get(target, 0) - c * cb
                 if nv:
@@ -321,7 +349,7 @@ class PuiseuxSeries:
                     rem.pop(target, None)
         scale = Fraction(other._den, self._den)
         terms, den = _over_lcm({n: c * scale for n, c in quot.items()})
-        return PuiseuxSeries._make(terms, trunc, denom, den)
+        return PuiseuxSeries._make(terms, tn, td, denom, den)
 
     # -- derivations and reshaping ------------------------------------------
 
@@ -333,7 +361,7 @@ class PuiseuxSeries:
         """
         d = self.base_denom
         terms, den = _reduced({n: c * n for n, c in self._terms.items() if n}, self._den * d)
-        return PuiseuxSeries._make(terms, self.trunc, d, den)
+        return PuiseuxSeries._make(terms, self._tn, self._td, d, den)
 
     def q_derivative_iterate(self, n: int) -> PuiseuxSeries:
         out = self
@@ -342,12 +370,59 @@ class PuiseuxSeries:
         return out
 
     def truncate(self, new_trunc: Truncation) -> PuiseuxSeries:
-        new_trunc = _as_trunc(new_trunc)
-        if new_trunc > self.trunc:
+        tn, td = _window(_as_trunc(new_trunc))
+        if tn * self._td > self._tn * td:
             raise ValueError("cannot extend a certified truncation")
-        bound = _key_bound(new_trunc, self.base_denom)
-        terms, den = _reduced({n: c for n, c in self._terms.items() if n < bound}, self._den)
-        return PuiseuxSeries._make(terms, new_trunc, self.base_denom, den)
+        bound = _key_bound(tn, td, self.base_denom)
+        terms = self._terms if bound is None else {
+            n: c for n, c in self._terms.items() if n < bound}
+        terms, den = _reduced(terms, self._den)
+        return PuiseuxSeries._make(terms, tn, td, self.base_denom, den)
+
+
+def dot(xs, ys) -> PuiseuxSeries:
+    """sum_i xs[i] * ys[i] in one pass, equal store for store to the fold
+    ``xs[0] * ys[0] + xs[1] * ys[1] + ...``; a product of two series is
+    the one-term sum.
+
+    Every factor goes onto one grid (the lcm of all the D) and every
+    product over one denominator (the lcm of the products' own); the
+    convolutions add into one int dict below the least product window,
+    and the sum is reduced once.
+    """
+    pairs = list(zip(xs, ys, strict=True))
+    if not pairs:
+        raise ValueError("dot needs at least one product")
+    denom = math.lcm(*(s.base_denom for pair in pairs for s in pair))
+    den = math.lcm(*(x._den * y._den for x, y in pairs))
+    factors = []
+    p, q = 1, 0
+    for x, y in pairs:
+        a = sorted(x._over(denom, den // y._den).items())
+        b = sorted(y._over(denom, y._den).items())
+        pi, qi = _product_window(x, y, a[0][0] if a else None, b[0][0] if b else None, denom)
+        if pi * q < p * qi:
+            p, q = pi, qi
+        factors.append((a, b))
+    tn, td = _lowest_terms(p, q)
+    bound = _key_bound(tn, td, denom)
+    out: dict[int, int] = {}
+    for a, b in factors:
+        if not a or not b:
+            continue
+        # an exact product has no key past the sum of the largest keys
+        top = a[-1][0] + b[-1][0] + 1 if bound is None else bound
+        nb_low = b[0][0]
+        for na, ca in a:
+            if na + nb_low >= top:
+                break
+            for nb, cb in b:
+                n = na + nb
+                if n >= top:
+                    break
+                out[n] = out.get(n, 0) + ca * cb
+    terms, den = _reduced({n: c for n, c in out.items() if c}, den)
+    return PuiseuxSeries._make(terms, tn, td, denom, den)
 
 
 # -- text format -------------------------------------------------------------
@@ -374,10 +449,10 @@ def _rat_str(x: Fraction) -> str:
 
 
 def dump_series_text(series: PuiseuxSeries) -> str:
-    if series.trunc == INFINITY:
+    if not series._td:
         raise ValueError("only series with a finite truncation can be serialized")
     d = series.base_denom
-    lines = [f"D={d} trunc={_rat_str(series.trunc)}"]
+    lines = [f"D={d} trunc={series._tn}/{series._td}"]
     den = series._den
     for n, c in sorted(series._terms.items()):
         lines.append(f"{_rat_str(Fraction(c, den))} {_rat_str(Fraction(n, d))}")

@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .characters import UnityExponent
 from .series import (_ZERO, INFINITY, PuiseuxSeries, Truncation, _as_trunc, _key_bound,
-                     _over_lcm, _reduced, _trunc_add)
+                     _lowest_terms, _over_lcm, _product_window, _reduced, _window)
 
 
 class NotAnEigenvector(ValueError):
@@ -56,7 +56,7 @@ class ThetaTwoVar:
     automatically finite.
     """
 
-    __slots__ = ("base_denom", "q_trunc", "_terms", "_den")
+    __slots__ = ("base_denom", "_tn", "_td", "_terms", "_den")
 
     def __init__(self, terms: Mapping, q_trunc: Truncation, base_denom: int):
         q_trunc = _as_trunc(q_trunc)
@@ -74,16 +74,17 @@ class ThetaTwoVar:
                 key = (n.numerator, int(r))
                 clean[key] = clean.get(key, _ZERO) + c
         self.base_denom = base_denom
-        self.q_trunc = q_trunc
+        self._tn, self._td = _window(q_trunc)
         self._terms, self._den = _over_lcm({k: v for k, v in clean.items() if v})
 
     @classmethod
-    def _make(cls, terms: dict[tuple[int, int], int], q_trunc: Truncation,
+    def _make(cls, terms: dict[tuple[int, int], int], tn: int, td: int,
               base_denom: int, den: int) -> ThetaTwoVar:
         """Trusted constructor, as ``PuiseuxSeries._make``, on keys (n, r)."""
         out = object.__new__(cls)
         out.base_denom = base_denom
-        out.q_trunc = q_trunc
+        out._tn = tn
+        out._td = td
         out._terms = terms
         out._den = den
         return out
@@ -94,6 +95,11 @@ class ThetaTwoVar:
         if g == 1:
             return self._terms if f == 1 else {(n * f, r): c for (n, r), c in self._terms.items()}
         return {(n * f, r): c * g for (n, r), c in self._terms.items()}
+
+    @property
+    def q_trunc(self) -> Truncation:
+        """The certified q-window, a Fraction or +infinity, built on each access."""
+        return Fraction(self._tn, self._td) if self._td else INFINITY
 
     @property
     def terms(self) -> Mapping[tuple[Fraction, int], Fraction]:
@@ -112,48 +118,56 @@ class ThetaTwoVar:
         if not isinstance(other, ThetaTwoVar):
             return NotImplemented
         denom = math.lcm(self.base_denom, other.base_denom)
-        return (self.q_trunc == other.q_trunc and self._den == other._den
+        return (self._tn == other._tn and self._td == other._td and self._den == other._den
                 and self._over(denom, self._den) == other._over(denom, other._den))
 
     __hash__ = None
 
     def __add__(self, other: ThetaTwoVar) -> ThetaTwoVar:
-        q_trunc = min(self.q_trunc, other.q_trunc)
+        tn, td = self._tn, self._td
+        if other._tn * td < tn * other._td:
+            tn, td = other._tn, other._td
         denom = math.lcm(self.base_denom, other.base_denom)
         den = math.lcm(self._den, other._den)
-        bound = _key_bound(q_trunc, denom)
+        bound = _key_bound(tn, td, denom)
         merged = dict(self._over(denom, den))
         for k, c in other._over(denom, den).items():
             merged[k] = merged.get(k, 0) + c
-        terms, den = _reduced({k: c for k, c in merged.items() if c and k[0] < bound}, den)
-        return ThetaTwoVar._make(terms, q_trunc, denom, den)
+        if bound is None:
+            terms = {k: c for k, c in merged.items() if c}
+        else:
+            terms = {k: c for k, c in merged.items() if c and k[0] < bound}
+        terms, den = _reduced(terms, den)
+        return ThetaTwoVar._make(terms, tn, td, denom, den)
 
     def __neg__(self) -> ThetaTwoVar:
         return ThetaTwoVar._make({k: -c for k, c in self._terms.items()},
-                                 self.q_trunc, self.base_denom, self._den)
+                                 self._tn, self._td, self.base_denom, self._den)
 
     def __sub__(self, other: ThetaTwoVar) -> ThetaTwoVar:
         return self + (-other)
 
     def mul_series(self, s: PuiseuxSeries) -> ThetaTwoVar:
         """Multiply by a one-variable series (acting on the q-side only)."""
-        ord_self = self.q_order()
-        ord_s = s.ord_infty()
-        trunc = min(_trunc_add(self.q_trunc, ord_s if ord_s != INFINITY else _ZERO),
-                    _trunc_add(s.trunc, ord_self if ord_self != INFINITY else _ZERO))
         denom = math.lcm(self.base_denom, s.base_denom)
-        bound = _key_bound(trunc, denom)
         factor = denom // s.base_denom
         series = sorted((n * factor, c) for n, c in s._terms.items())
+        own = self._over(denom, self._den)
+        low = min(n for n, _ in own) if own else None
+        tn, td = _lowest_terms(*_product_window(
+            self, s, low, series[0][0] if series else None, denom))
+        bound = _key_bound(tn, td, denom)
+        if bound is None and own and series:
+            bound = max(n for n, _ in own) + series[-1][0] + 1
         out: dict[tuple[int, int], int] = {}
-        for (n, r), c in self._over(denom, self._den).items():
+        for (n, r), c in own.items():
             for ns, cs in series:
                 key = (n + ns, r)
                 if key[0] >= bound:
                     break
                 out[key] = out.get(key, 0) + c * cs
         terms, den = _reduced({k: v for k, v in out.items() if v}, self._den * s._den)
-        return ThetaTwoVar._make(terms, trunc, denom, den)
+        return ThetaTwoVar._make(terms, tn, td, denom, den)
 
     def zeta_moment(self, n: int) -> PuiseuxSeries:
         """Collapse the zeta variable: sum of coeff * r^n per q-exponent."""
@@ -161,7 +175,7 @@ class ThetaTwoVar:
         for (e, r), c in self._terms.items():
             out[e] = out.get(e, 0) + c * r ** n
         terms, den = _reduced({e: c for e, c in out.items() if c}, self._den)
-        return PuiseuxSeries._make(terms, self.q_trunc, self.base_denom, den)
+        return PuiseuxSeries._make(terms, self._tn, self._td, self.base_denom, den)
 
     def is_zeta_odd(self) -> bool:
         """True when negating the zeta-exponent negates every coefficient."""
@@ -187,7 +201,7 @@ def theta_series(idx: ThetaIndex, q_trunc) -> ThetaTwoVar:
     q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
     return ThetaTwoVar._make({(r * r, r): 1 for r in _residues(m, mu, q_trunc)},
-                             q_trunc, 4 * m, 1)
+                             q_trunc.numerator, q_trunc.denominator, 4 * m, 1)
 
 
 def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
@@ -203,7 +217,8 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     sums: dict[int, int] = {}
     for r in _residues(m, mu, q_trunc):
         sums[r * r] = sums.get(r * r, 0) + r
-    return PuiseuxSeries._make({n: c for n, c in sums.items() if c}, q_trunc, 4 * m, 1)
+    return PuiseuxSeries._make({n: c for n, c in sums.items() if c},
+                               q_trunc.numerator, q_trunc.denominator, 4 * m, 1)
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:

@@ -54,7 +54,7 @@ from functools import lru_cache
 
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
-from .series import PuiseuxSeries, _reduced
+from .series import PuiseuxSeries, _reduced, dot
 from .theta import ThetaIndex, _residues, odd_theta_series
 
 
@@ -74,15 +74,6 @@ def vandermonde(nodes: list[Fraction]) -> Fraction:
         for i in range(j):
             out *= nodes[j] - nodes[i]
     return out
-
-
-def _dot(xs, ys) -> PuiseuxSeries:
-    """sum_i xs[i] * ys[i], accumulated left to right."""
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
 
 
 class SeriesMatrix:
@@ -149,7 +140,7 @@ class SeriesMatrix:
         """Expansion of the last row against ``last_row_cofactors()``."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        return _dot(self.entries[-1], self.last_row_cofactors())
+        return dot(self.entries[-1], self.last_row_cofactors())
 
     def _complement_minors(self, deleted_rows) -> list[list[PuiseuxSeries]]:
         """Entry [j][t]: the minor without column j and row ``deleted_rows[t]``.
@@ -240,9 +231,13 @@ def theta_minor_window(m: int, q_trunc, columns) -> Fraction:
     The series-matrix minor's: past the largest first exponent max mu^2/4m,
     the product rules lift q_trunc by the first exponents of the other
     columns, so the order sum mu^2/4m is inside exactly when q_trunc passes it.
+    Below 0 every entry is empty, and an empty factor may have terms as low
+    as its window, so each of the |columns| factors of a product adds it.
     """
     trunc = Fraction(q_trunc)
     squares = [mu * mu for mu in columns]
+    if trunc < 0:
+        return len(squares) * trunc
     if trunc > Fraction(max(squares), 4 * m):
         trunc += Fraction(sum(squares) - max(squares), 4 * m)
     return trunc
@@ -314,7 +309,7 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     for d in deleted_rows:
         scale = grid ** (base + s - d)
         terms, den = _reduced({e: c for e, c in sorted(sums[s - d].items()) if c}, scale)
-        out.append(PuiseuxSeries._make(terms, trunc, grid, den))
+        out.append(PuiseuxSeries._make(terms, trunc.numerator, trunc.denominator, grid, den))
     return out
 
 
@@ -545,8 +540,10 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc, system) -> Cramer
     n = m - 1
     # the last column of adj(M) is the last-row cofactor vector
     cofactors = [adj[mu][n - 1] for mu in range(n)]
+    negated = [-row for row in system]
     for mu in range(n):
-        diff = det * h.components[mu] - _dot(adj[mu], system)
+        # det * h_mu - adj[mu] . (M h), as one sum of products
+        diff = dot((det, *adj[mu]), (h.components[mu], *negated))
         if not diff.is_zero():
             e = diff.ord_infty()
             raise VerificationFailed(

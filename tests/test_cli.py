@@ -89,7 +89,14 @@ class TestParallelRuns:
 
     @pytest.mark.parametrize("cpus", [1, None])
     def test_workers_clamped_to_cpu_count(self, cpus, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        # 1: a one-CPU affinity mask on an eight-CPU host; None: no affinity
+        # mask and an unknown host count, which counts as one CPU
+        if cpus is None:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8 if cpus else None)
+        assert cli._usable_cpus() == 1
         monkeypatch.setattr(cli.os, "fork", self.no_fork)
         assert cli._run_parallel(abs, [-1, -2], 2) == [1, 2]
 
@@ -98,13 +105,13 @@ class TestParallelRuns:
         assert cli._run_parallel(abs, [-3], 2) == [3]
 
     def test_one_worker_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(cli.os, "fork")
         assert cli._run_parallel(abs, [-1, -2, -3], 3) == [1, 2, 3]
 
     def test_results_in_item_order_past_the_token_cap(self, monkeypatch):
         # 2500 items share the 1024 tokens: a token names a run of cases
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
         items = list(range(2500))
         assert len(items) > cli._MAX_TOKENS
         assert cli._run_parallel(lambda x: -x, items, 3) == [-x for x in items]
@@ -120,7 +127,7 @@ class TestParallelRuns:
     def test_dead_worker_is_a_failure_record(self, monkeypatch, tmp_path):
         # the parent holds its first case until the child has taken another
         # one and killed itself on it; the child took case 1 or case 2
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
         parent = os.getpid()
         died, signal_died = os.pipe()
         waited = []

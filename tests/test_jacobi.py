@@ -66,6 +66,20 @@ class TestJacobiFormData:
         with pytest.raises(InvariantViolation):
             JacobiFormData.from_orbit_values(3, 2, 1, 4, {(1, 6): F(1)})
 
+    def test_fractional_window_and_messages(self):
+        # n_trunc 5/2 keeps the rows n = 0, 1, 2 and drops n = 3 unchecked;
+        # each violation is named by the same message, byte for byte
+        phi = single_orbit_form(F(5, 2))
+        assert JacobiFormData(3, 2, 1, F(5, 2), {**phi.coeffs, (3, 1): F(9)}).coeffs == phi.coeffs
+        for table, message in (
+                ({**phi.coeffs, (2, 3): F(5)}, "c(2,3) = 5 conflicts with class (3, 7) value -1"),
+                ({(1, 1): F(1), (1, -1): F(1)}, "odd symmetry fails for class (mu=1, disc=7)"),
+                ({(1, 1): F(1), (1, -1): F(-1)},
+                 "c(2,-3) must depend only on (r mod 2m, 4mn - r^2); expected 1")):
+            with pytest.raises(InvariantViolation) as error:
+                JacobiFormData(3, 2, 1, F(5, 2), table)
+            assert str(error.value) == message
+
 
 class TestThetaDecomposition:
     def test_single_orbit_component(self):
@@ -87,6 +101,28 @@ class TestThetaDecomposition:
             back = theta_components(phi)
             for mine, theirs in zip(h.components, back.components):
                 assert_agree(mine, theirs)
+
+    def test_random_components_on_the_validating_constructor(self):
+        # the same draws, in the same order, through PuiseuxSeries(...) on
+        # Fraction exponents: the same stores, and the rng ends in one state
+        for m, n_trunc in ((3, 6), (5, F(37, 7)), (7, 2), (9, F(1, 3))):
+            rng, oracle_rng = random.Random(m), random.Random(m)
+            h = random_components(m, n_trunc, rng)
+            for mu, series in enumerate(h.components, start=1):
+                trunc = n_trunc - F(mu * mu, 4 * m)
+                grid = []
+                disc = (-mu * mu) % (4 * m)
+                while F(disc, 4 * m) < trunc:
+                    grid.append(disc)
+                    disc += 4 * m
+                terms = {}
+                for disc in oracle_rng.sample(grid, min(3, len(grid))):
+                    numerator = oracle_rng.choice([x for x in range(-9, 10) if x])
+                    terms[F(disc, 4 * m)] = F(numerator, oracle_rng.randint(1, 4))
+                expected = PuiseuxSeries(terms, trunc, base_denom=4 * m)
+                assert (series._terms, series.trunc, series.base_denom, series._den) == \
+                    (expected._terms, expected.trunc, expected.base_denom, expected._den)
+            assert rng.getstate() == oracle_rng.getstate()
 
     def test_roundtrip_on_tables(self):
         phi = single_orbit_form()

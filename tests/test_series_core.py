@@ -1,13 +1,15 @@
 """The integer-grid series core against a Fraction-keyed reference.
 
 ``PuiseuxSeries`` and ``ThetaTwoVar`` store exponents as integer numerators
-on their 1/D grid and coefficients as integer numerators over one shared,
-reduced denominator.  Every operation is compared here with a small
-reference that works on plain Fraction-keyed dicts, on random series whose
-grids D = 1..12 differ, so the lcm refinement is exercised; every result
-is checked against the stored invariants; equal values must have one
-store; and computing on a longer window and cutting down must agree below
-the certified window.
+on their 1/D grid, coefficients as integer numerators over one shared,
+reduced denominator, and the window as an int pair in lowest terms.  Every
+operation is compared here with a small reference that works on plain
+Fraction-keyed dicts, on random series whose grids D = 1..12 differ, so
+the lcm refinement is exercised; every result is checked against the
+stored invariants; equal values must have one store; computing on a
+longer window and cutting down must agree below the certified window;
+the kernel ``dot`` is the fold of ``*`` and ``+`` store for store; and
+every reported window is sound against exact polynomials.
 """
 
 import math
@@ -17,7 +19,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_series
-from qtheta import INFINITY, PuiseuxSeries, ThetaIndex, ThetaTwoVar, odd_theta_series, theta_series
+from qtheta import (INFINITY, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot, dump_series_text,
+                    odd_theta_series, parse_series_text, theta_series)
+from qtheta.cli import main
 from qtheta.series import _key_bound
 
 F = Fraction
@@ -30,8 +34,10 @@ def ref(s: PuiseuxSeries):
     return dict(s.terms), s.trunc, s.base_denom
 
 
-def ref_order(terms):
-    return min(terms) if terms else F(0)
+def ref_order(terms, trunc):
+    """The least exponent the series can have: its lowest known one, else 0,
+    or its window when that is negative."""
+    return min(terms) if terms else min(F(0), trunc)
 
 
 def ref_clean(terms, trunc):
@@ -49,7 +55,7 @@ def ref_add(a, b):
 
 def ref_mul(a, b):
     (ta, tra, da), (tb, trb, db) = a, b
-    trunc = min(tra + ref_order(tb), trb + ref_order(ta))
+    trunc = min(tra + ref_order(tb, trb), trb + ref_order(ta, tra))
     out = {}
     for ea, ca in ta.items():
         for eb, cb in tb.items():
@@ -80,8 +86,8 @@ def ref_two_var(tv: ThetaTwoVar):
 
 def ref_mul_series(tv, s):
     (tt, trt, dt), (ts, trs, ds) = tv, s
-    ord_t = min(e for e, _ in tt) if tt else F(0)
-    trunc = min(trt + ref_order(ts), trs + ord_t)
+    ord_t = min(e for e, _ in tt) if tt else min(F(0), trt)
+    trunc = min(trt + ref_order(ts, trs), trs + ord_t)
     out = {}
     for (e, r), c in tt.items():
         for es, cs in ts.items():
@@ -103,9 +109,18 @@ def check_canonical(terms: dict, den):
         assert den == 1
 
 
+def check_window(x):
+    """An int window in lowest terms, (1, 0) for +infinity; the keys below it."""
+    tn, td = x._tn, x._td
+    assert type(tn) is int and type(td) is int
+    assert (tn, td) == (1, 0) or (td >= 1 and math.gcd(tn, td) == 1)
+    bound = _key_bound(tn, td, x.base_denom)
+    return math.inf if bound is None else bound
+
+
 def check_invariants(s: PuiseuxSeries):
     """Integer keys on the grid below the certified window, canonical int coefficients."""
-    bound = _key_bound(s.trunc, s.base_denom)
+    bound = check_window(s)
     for n in s._terms:
         assert type(n) is int and n < bound
     check_canonical(s._terms, s._den)
@@ -115,7 +130,7 @@ def check_invariants(s: PuiseuxSeries):
 
 
 def check_two_var_invariants(tv: ThetaTwoVar):
-    bound = _key_bound(tv.q_trunc, tv.base_denom)
+    bound = check_window(tv)
     for n, r in tv._terms:
         assert type(n) is int and type(r) is int and n < bound
     check_canonical(tv._terms, tv._den)
@@ -390,3 +405,160 @@ class TestPublicContract:
         for bad in (0, -8):
             with pytest.raises(ValueError):
                 ThetaTwoVar({}, 2, bad)
+
+
+# -- the sum-of-products kernel ----------------------------------------------------
+
+
+def store(s: PuiseuxSeries):
+    return s._terms, s._tn, s._td, s.base_denom, s._den
+
+
+def fold(xs, ys):
+    acc = None
+    for x, y in zip(xs, ys):
+        term = x * y
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def kernel_factor(rng, dens):
+    """A factor on a grid D in {1, 12, 4m, 84}, with coefficients over one of
+    ``dens``; its window is +infinity, an off-grid multiple of 115/84, or
+    another rational that may be negative; some factors have no term."""
+    denom = rng.choice((1, 12, 4 * rng.randint(2, 7), 84))
+    kind = rng.randrange(4)
+    if kind == 0:
+        window = INFINITY
+    elif kind == 1:
+        window = F(115, 84) * rng.randint(1, 5)
+    else:
+        window = F(rng.randint(-6, 60), rng.choice((1, 7, 12)))
+    terms = {}
+    if rng.random() > 0.15:
+        for _ in range(rng.randint(1, 6)):
+            e = F(rng.randint(-denom, 6 * denom), denom)
+            if e < window:
+                terms[e] = F(rng.choice([-7, -3, -2, -1, 1, 2, 5, 9]), rng.choice(dens))
+    return PuiseuxSeries(terms, window, denom)
+
+
+class TestDot:
+    """``dot`` is the left-to-right fold of ``*`` and ``+``, store for store."""
+
+    @pytest.mark.parametrize("seed, dens", [(173, (6,)), (179, (1, 5, 7)),
+                                            (181, (2, 3, 4, 9, 35))],
+                             ids=["shared", "coprime", "mixed"])
+    def test_dot_is_the_fold(self, seed, dens):
+        rng = random.Random(seed)
+        for _ in range(150):
+            size = rng.randint(1, 5)
+            xs = [kernel_factor(rng, dens) for _ in range(size)]
+            ys = [kernel_factor(rng, dens) for _ in range(size)]
+            kernel = dot(xs, ys)
+            assert store(kernel) == store(fold(xs, ys))
+            check_invariants(kernel)
+            expected = ref_mul(ref(xs[0]), ref(ys[0]))
+            for x, y in zip(xs[1:], ys[1:]):
+                expected = ref_add(expected, ref_mul(ref(x), ref(y)))
+            assert ref(kernel) == expected
+        # there is no fold of nothing, and every factor needs a partner
+        with pytest.raises(ValueError):
+            dot([], [])
+        with pytest.raises(ValueError):
+            dot(xs + ys, ys)
+
+
+# -- every reported window is sound ------------------------------------------------
+
+
+def exact_polynomial(rng):
+    """A finite series known exactly: window +infinity, some negative exponents."""
+    denom = rng.choice((1, 12, 4 * rng.randint(2, 7), 84))
+    terms = {F(rng.randint(-2 * denom, 5 * denom), denom):
+             F(rng.choice([-5, -2, -1, 1, 3, 4]), rng.randint(1, 5))
+             for _ in range(rng.randint(0, 6))}
+    return PuiseuxSeries(terms, INFINITY, denom)
+
+
+def random_window(rng):
+    """A window that may be negative and may lie off every grid used here."""
+    return F(rng.randint(-3 * 84, 6 * 84), rng.choice((1, 7, 12, 84, 115)))
+
+
+def cut_at_random(rng, exact):
+    return exact if rng.random() < 0.15 else exact.truncate(random_window(rng))
+
+
+def assert_sound(result, exact):
+    """The known terms of ``result`` are the exact ones below its window."""
+    check_invariants(result)
+    assert exact.trunc == INFINITY
+    assert result == exact.truncate(result.trunc)
+
+
+class TestWindowSoundness:
+    """Truncations of exact polynomials give results that agree with the
+    exact result below every window they report."""
+
+    def test_ring_operations_and_dot(self):
+        rng = random.Random(163)
+        for _ in range(300):
+            exact = [exact_polynomial(rng) for _ in range(6)]
+            cut = [cut_at_random(rng, p) for p in exact]
+            a, b, c, d, e, f = cut
+            ea, eb, ec, ed, ee, ef = exact
+            assert_sound(a * b, ea * eb)
+            assert_sound(a + b, ea + eb)
+            assert_sound(a - b, ea - eb)
+            assert_sound((a * b + c) * d, (ea * eb + ec) * ed)
+            assert_sound(dot([a, b, c], [d, e, f]), dot([ea, eb, ec], [ed, ee, ef]))
+            window = random_window(rng)
+            if window <= a.trunc:
+                assert_sound(a.truncate(window), ea)
+
+    def test_two_var_operations(self):
+        rng = random.Random(167)
+        for _ in range(200):
+            denom = rng.choice((1, 12, 4 * rng.randint(2, 7), 84))
+            terms = {(F(rng.randint(-denom, 5 * denom), denom), rng.randint(-4, 4)):
+                     F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+                     for _ in range(rng.randint(0, 6))}
+            exact_tv = ThetaTwoVar(terms, INFINITY, denom)
+            tv = exact_tv if rng.random() < 0.15 else ThetaTwoVar(
+                terms, random_window(rng), denom)
+            exact_s = exact_polynomial(rng)
+            s = cut_at_random(rng, exact_s)
+            product, exact_product = tv.mul_series(s), exact_tv.mul_series(exact_s)
+            check_two_var_invariants(product)
+            assert product == ThetaTwoVar(exact_product.terms, product.q_trunc,
+                                          exact_product.base_denom)
+            total = product + tv
+            assert total == ThetaTwoVar((exact_product + exact_tv).terms, total.q_trunc,
+                                        total.base_denom)
+            n = rng.randint(0, 5)
+            assert_sound(product.zeta_moment(n), exact_product.zeta_moment(n))
+
+
+class TestOffGridWindow:
+    """A window off the series' grid stays exact through products and dumps."""
+
+    HEADER = "D=12 trunc=115/84"
+
+    def test_index_3_wronskian_at_9_7(self, tmp_path, capsys):
+        # the lattice-sum Wronskian the CLI dumps, and each product of a
+        # column with the other's derivative: all certified to 9/7 + 1/12,
+        # the lower column's order, which is not a multiple of 1/12
+        assert main(["verify-wronskian", "--m", "3", "--q-trunc", "9/7",
+                     "--dump-series", str(tmp_path)]) == 0
+        capsys.readouterr()
+        (dump,) = tmp_path.iterdir()
+        assert dump.read_text().splitlines()[0] == self.HEADER
+        t1, t2 = (odd_theta_series(ThetaIndex(3, mu), F(9, 7)) for mu in (1, 2))
+        d1, d2 = t1.q_derivative(), t2.q_derivative()
+        wronskian = parse_series_text(dump.read_text())
+        for product in (t1 * d2, d2 * t1, d1 * t2, t2 * d1, dot([t1, -t2], [d2, d1])):
+            text = dump_series_text(product)
+            assert text.splitlines()[0] == self.HEADER
+            assert parse_series_text(text) == product
+        assert dot([t1, -t2], [d2, d1]) == wronskian
