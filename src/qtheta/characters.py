@@ -14,23 +14,22 @@ gcd each; a ``Fraction`` is built only when ``value`` is read.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 _set = object.__setattr__
 
 
-@dataclass(frozen=True, init=False)
 class UnityExponent:
     """A rational x reduced into [0, 1), representing exp(2*pi*i*x).
 
     ``UnityExponent(num, den)`` is x = num/den; ``UnityExponent(x)`` takes
     an int or a Fraction.  Floats are rejected: their binary expansion is
-    not the exponent that was meant.
+    not the exponent that was meant.  Immutable; equal only to another
+    ``UnityExponent`` with the same reduced pair, never to a tuple.
     """
 
-    num: int
-    den: int
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=1):
         if type(num) is not int or type(den) is not int or den <= 0:
@@ -42,6 +41,26 @@ class UnityExponent:
         g = math.gcd(num, den)
         _set(self, "num", num // g)
         _set(self, "den", den // g)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __repr__(self):
+        return f"UnityExponent(num={self.num!r}, den={self.den!r})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: UnityExponent is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: UnityExponent is immutable")
+
+    def __reduce__(self):
+        return self.__class__, (self.num, self.den)
 
     @property
     def value(self) -> Fraction:
@@ -57,8 +76,7 @@ class UnityExponent:
     __rmul__ = __mul__
 
 
-@dataclass(frozen=True)
-class GammaCharacter:
+class GammaCharacter(NamedTuple("GammaCharacter", [("delta_power", int)])):
     """A character of SL(2, Z), recorded as a power of the canonical generator.
 
     The character group is cyclic of order 12; the generator sends the
@@ -66,10 +84,10 @@ class GammaCharacter:
     its exponent mod 12.
     """
 
-    delta_power: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "delta_power", self.delta_power % 12)
+    def __new__(cls, delta_power: int):
+        return super().__new__(cls, delta_power % 12)
 
     @property
     def translation_value(self) -> UnityExponent:

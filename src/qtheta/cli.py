@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import os
@@ -73,14 +72,13 @@ def _exponent(x: UnityExponent) -> str:
 
 
 def to_jsonable(value):
-    """A report dataclass as a flat row; its fields are Fraction, int, bool or None."""
+    """A report record as a flat row; its fields are Fraction, int, bool or None."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
         return _rat(value)
-    if dataclasses.is_dataclass(value):
-        return {f.name: to_jsonable(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {name: to_jsonable(field) for name, field in zip(value._fields, value)}
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 

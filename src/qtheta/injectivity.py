@@ -13,15 +13,15 @@ three window comparisons on the 2m-scaled bounds), ``_congruence_total``
 with ``_congruence_residue`` (3m - 2 after the parity check on s, and its
 residue mod 6 or 12) and ``_integrality_product`` ((m-2)(m-1)(2m-3), to be
 reduced mod m).  ``window_check``, ``congruence_check`` and
-``nonintegrality_check`` wrap them in their report dataclasses;
+``nonintegrality_check`` wrap them in their report records;
 ``classify`` calls them directly, so a case builds only its
 ``CaseVerdict``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 
 class InvalidInput(ValueError):
@@ -45,29 +45,26 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class CaseInput:
+class CaseInput(NamedTuple("CaseInput", [("k", int), ("m", int), ("N", int)])):
     """A candidate case: odd weight k >= 3, index m >= 3, level N >= 1."""
 
-    k: int
-    m: int
-    N: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.k % 2 == 0 or self.k < 3:
+    def __new__(cls, k: int, m: int, N: int):
+        if k % 2 == 0 or k < 3:
             raise InvalidInput("k must be an odd integer >= 3")
-        if self.m < 3:
+        if m < 3:
             raise InvalidInput("m must be at least 3")
-        if self.N < 1:
+        if N < 1:
             raise InvalidInput("N must be a positive integer")
+        return super().__new__(cls, k, m, N)
 
     @property
     def squarefree_n(self) -> bool:
         return is_squarefree(self.N)
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
+class CaseVerdict(NamedTuple):
     """Applicability verdict and the proof-side arithmetic for one case."""
 
     k: int
@@ -94,8 +91,7 @@ def _scaled_bounds(m: int, s: int, r: int) -> tuple[int, int]:
     return base + 16 * m - 24, base + 4 * m - 6
 
 
-@dataclass(frozen=True)
-class WindowReport:
+class WindowReport(NamedTuple):
     """Exact evaluation of the order-comparison inequalities."""
 
     k: int
@@ -147,8 +143,7 @@ def window_check(k: int, m: int, s: int, r: int) -> WindowReport:
                         upper_ok=upper_ok, lower_ok=lower_ok)
 
 
-@dataclass(frozen=True)
-class NonintegralityReport:
+class NonintegralityReport(NamedTuple):
     """Integrality status of (m-2)(m-1)(2m-3)/m, claimed non-integral for m > 3."""
 
     m: int
@@ -179,8 +174,7 @@ def nonintegrality_check(m: int) -> NonintegralityReport:
     return NonintegralityReport(m=m, value=Fraction(product, m), is_integer=product % m == 0)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     """Residue witness for the part-(ii) or part-(iii) congruence condition."""
 
     part: str
@@ -264,10 +258,6 @@ def classify(case: CaseInput) -> CaseVerdict:
             details = (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
                        f"3m-2={total} = {residue12} (mod 12), needs != 3"
                        f" [{'ok' if ok12 else 'FAIL'}]")
-    return CaseVerdict(
-        k=k, m=m, N=N,
-        part_i=part_i, part_ii=part_ii, part_iii=part_iii,
-        s=s, r=r, beta=beta, eta_exponent=lam,
-        window_ok=window_ok,
-        congruence_details=details,
-    )
+    # positional, in field order: a sweep builds one verdict per case
+    return CaseVerdict(k, m, N, part_i, part_ii, part_iii, s, r, beta, lam, window_ok,
+                       details)

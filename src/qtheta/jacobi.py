@@ -13,10 +13,9 @@ stay rational).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .series import _ZERO, PuiseuxSeries, _lowest_terms, dot, parse_rational
 from .theta import ThetaIndex, ThetaTwoVar, _residues, theta_series, odd_theta_series
@@ -151,17 +150,16 @@ class JacobiFormData:
         return cls(weight_k, index_m, level_N, tv.q_trunc, coeffs)
 
 
-@dataclass(frozen=True)
-class ThetaComponents:
+class ThetaComponents(NamedTuple("ThetaComponents", [("index_m", int),
+                                                     ("components", tuple)])):
     """The tuple (h_1, ..., h_{m-1}) of theta components of an odd form."""
 
-    index_m: int
-    components: tuple[PuiseuxSeries, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.components) != self.index_m - 1:
+    def __new__(cls, index_m: int, components):
+        if len(components) != index_m - 1:
             raise ValueError("expected m-1 component series")
-        object.__setattr__(self, "components", tuple(self.components))
+        return super().__new__(cls, index_m, tuple(components))
 
 
 def theta_components(phi: JacobiFormData) -> ThetaComponents:
@@ -224,9 +222,13 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
     m = h.index_m
     if not 1 <= nu <= m - 1:
         raise ValueError(f"nu must lie in 1..{m - 1}")
-    thetas = [odd_theta_series(ThetaIndex(m, mu), series.trunc + Fraction(mu * mu, 4 * m))
-              .q_derivative_iterate(nu - 1)
-              for mu, series in enumerate(h.components, start=1)]
+    thetas = []
+    for mu, series in enumerate(h.components, start=1):
+        # the window trunc + mu^2/4m, added on the int pair when it is finite
+        tn, td = series._tn, series._td
+        window = (Fraction(4 * m * tn + mu * mu * td, 4 * m * td) if td
+                  else series.trunc + Fraction(mu * mu, 4 * m))
+        thetas.append(odd_theta_series(ThetaIndex(m, mu), window).q_derivative_iterate(nu - 1))
     return dot(h.components, thetas)
 
 

@@ -10,22 +10,22 @@ in plain integers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .series import INFINITY, PuiseuxSeries
 
 
-@dataclass(frozen=True)
-class HalfIntWeight:
+class HalfIntWeight(NamedTuple("HalfIntWeight", [("twice_weight", int)])):
     """A weight in (1/2)*Z, stored as twice its value."""
 
-    twice_weight: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.twice_weight, int):
+    def __new__(cls, twice_weight: int):
+        if not isinstance(twice_weight, int):
             raise TypeError("twice_weight must be an integer")
+        return super().__new__(cls, twice_weight)
 
     @property
     def weight(self) -> Fraction:

@@ -330,12 +330,16 @@ class PuiseuxSeries:
         tn, td = _lowest_terms(*((p1, q1) if p1 * q2 <= p2 * q1 else (p2, q2)))
         bound = _key_bound(tn, td, denom)
         higher = sorted((n, c) for n, c in divisor.items() if n != nb_low)
+        # of two exact series, an exact quotient has no key past this
+        last = max(rem) - max(divisor) if bound is None and rem else None
         quot: dict[int, Fraction] = {}
         while rem:
             n = min(rem)
             nq = n - nb_low
             if bound is not None and nq >= bound:
                 break
+            if last is not None and nq > last:
+                raise ValueError("the quotient of two exact series is not a finite series")
             c = rem.pop(n) / lead_b
             quot[nq] = c
             for nb, cb in higher:

@@ -17,10 +17,9 @@ r^2 < ceil(4m*q_trunc).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .characters import UnityExponent
 from .series import (_ZERO, INFINITY, PuiseuxSeries, Truncation, _as_trunc, _key_bound,
@@ -31,17 +30,15 @@ class NotAnEigenvector(ValueError):
     """Raised when a series is not an eigenvector of tau -> tau + 1."""
 
 
-@dataclass(frozen=True)
-class ThetaIndex:
+class ThetaIndex(NamedTuple("ThetaIndex", [("index_m", int), ("residue_mu", int)])):
     """Index m and residue class mu mod 2m; mu is stored reduced into [0, 2m)."""
 
-    index_m: int
-    residue_mu: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.index_m < 1:
+    def __new__(cls, index_m: int, residue_mu: int):
+        if index_m < 1:
             raise ValueError("index_m must be a positive integer")
-        object.__setattr__(self, "residue_mu", self.residue_mu % (2 * self.index_m))
+        return super().__new__(cls, index_m, residue_mu % (2 * index_m))
 
     def negate(self) -> ThetaIndex:
         return ThetaIndex(self.index_m, -self.residue_mu)
@@ -198,7 +195,8 @@ def _residues(m: int, mu: int, q_trunc: Fraction):
 
 def theta_series(idx: ThetaIndex, q_trunc) -> ThetaTwoVar:
     """The two-variable congruent theta series for the given residue class."""
-    q_trunc = Fraction(q_trunc)
+    if type(q_trunc) is not Fraction:
+        q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
     return ThetaTwoVar._make({(r * r, r): 1 for r in _residues(m, mu, q_trunc)},
                              q_trunc.numerator, q_trunc.denominator, 4 * m, 1)

@@ -48,9 +48,9 @@ the only builder of M h, for the two-path Taylor check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
@@ -354,8 +354,7 @@ def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
     return order, lead, expected
 
 
-@dataclass(frozen=True)
-class WronskianReport:
+class WronskianReport(NamedTuple):
     """Certified comparison of the index-m Wronskian with its eta power."""
 
     index_m: int
@@ -421,8 +420,7 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
     )
 
 
-@dataclass(frozen=True)
-class CofactorOrderReport:
+class CofactorOrderReport(NamedTuple):
     """Order and leading-coefficient check for one last-row cofactor."""
 
     index_m: int
@@ -509,8 +507,7 @@ def _cramer_operators(m: int, q_trunc: Fraction):
     return adj, theta_wronskian(m, q_trunc)
 
 
-@dataclass(frozen=True)
-class CramerReport:
+class CramerReport(NamedTuple):
     """Outcome of the adjugate identity and the top-coefficient proportionality."""
 
     index_m: int

@@ -340,7 +340,7 @@ class TestRenderedRows:
     def test_to_jsonable_takes_report_dataclasses_only(self):
         assert cli.to_jsonable(nonintegrality_check(6)) == {
             "m": 6, "value": "30/1", "is_integer": True}
-        for value in ([1], 0.5, {"a": 1}):
+        for value in ([1], 0.5, {"a": 1}, (1, 2)):
             with pytest.raises(TypeError):
                 cli.to_jsonable(value)
 

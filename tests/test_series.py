@@ -132,6 +132,16 @@ class TestDiv:
                 continue
             assert_agree((a * b) / b, a)
 
+    def test_exact_series(self):
+        a = PuiseuxSeries({F(-1, 2): 3, 0: 1, 2: F(-5, 7)}, INFINITY)
+        b = PuiseuxSeries({0: 1, F(1, 2): -1, 3: 2}, INFINITY)
+        assert (a * b) / b == a
+        assert (b * b * q("1/2")) / b == b * q("1/2")
+        # 1/(1 - q) is the geometric series, which has no last term
+        for dividend in (PuiseuxSeries.one(), a):
+            with pytest.raises(ValueError, match="not a finite series"):
+                dividend / PuiseuxSeries({0: 1, 1: -1}, INFINITY)
+
 
 class TestQDerivative:
     def test_monomial_eigenvalue(self):
