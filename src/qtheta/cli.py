@@ -10,18 +10,22 @@ Subcommands run the exact checks and write deterministic reports:
     sweep               a grid of cases plus the integrality discrepancy table
 
 Reports contain no floating point: every rational is rendered "num/den".
-Identical arguments produce byte-identical output.  Exit status 0 means
-every check passed; discrepancy flags are informational and never affect
-the exit status.  On a failed check a machine-readable failure record is
-written and the exit status is 1.  Malformed input exits 2 with a usage
-error and checks nothing.
+Identical arguments produce byte-identical output.  ``run`` is the one
+writer: once every case has run it opens the single target (stdout,
+--output, or ``$QTHETA_OUTPUT_DIR/<command>.<ext>``) and the renderer
+writes the report into it in row blocks, so a run holds the rows plus one
+block, never the whole report.  Exit status 0 means every check passed;
+discrepancy flags are informational and never affect the exit status.  On
+a failed check only a machine-readable failure record is written and the
+exit status is 1.  Malformed input, an output target of the wrong kind
+included, exits 2 with a usage error and checks nothing; a report or dump
+whose write fails anyway exits 2 with one ``cannot write`` error line.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import random
@@ -407,6 +411,9 @@ HANDLERS = {
 
 
 _escape = json.encoder.encode_basestring_ascii
+# the JSON renderer writes a table's rows in blocks of at most this many,
+# so a render holds the rows plus one rendered block
+_BLOCK_ROWS = 256
 
 
 def _json_cell(value) -> str:
@@ -432,12 +439,13 @@ def _json_row_template(keys) -> tuple[str, list]:
     return "{\n" + fields + "\n      }", order
 
 
-def _render_json(args, tables, all_passed, discrepancies) -> str:
-    """The text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
+def _render_json(out, args, tables, all_passed, discrepancies) -> None:
+    """Write the text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
     The envelope goes through ``json.dumps`` with the results left out; the
     rows, the bulk of a report, are filled into one %-template per key set,
     so no row goes through the pure-Python encoder that ``indent`` selects.
+    Each table's rows are written in blocks of at most ``_BLOCK_ROWS``.
     """
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -453,97 +461,141 @@ def _render_json(args, tables, all_passed, discrepancies) -> str:
     }
     # a JSON string holds no raw newline, so this line is the top-level key
     head, tail = json.dumps(doc, indent=2, sort_keys=True).split('\n  "results": null,\n')
+    if not tables:
+        out.write(f'{head}\n  "results": {{}},\n{tail}\n')
+        return
+    out.write(f'{head}\n  "results": {{')
     templates = {}
-    blocks = []
+    separator = "\n"
     for name in sorted(tables):
-        rendered = []
-        for row in tables[name]:
-            keys = tuple(row)
-            if keys not in templates:
-                templates[keys] = _json_row_template(keys)
-            template, order = templates[keys]
-            rendered.append(template % tuple([_json_cell(row[key]) for key in order]))
-        body = "[\n      " + ",\n      ".join(rendered) + "\n    ]" if rendered else "[]"
-        blocks.append(f"    {_escape(name)}: {body}")
-    results = "{\n" + ",\n".join(blocks) + "\n  }" if blocks else "{}"
-    return f'{head}\n  "results": {results},\n{tail}\n'
+        rows = tables[name]
+        out.write(f"{separator}    {_escape(name)}: " + ("[\n      " if rows else "[]"))
+        separator = ",\n"
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            rendered = []
+            for row in rows[start:start + _BLOCK_ROWS]:
+                keys = tuple(row)
+                if keys not in templates:
+                    templates[keys] = _json_row_template(keys)
+                template, order = templates[keys]
+                rendered.append(template % tuple([_json_cell(row[key]) for key in order]))
+            out.write((",\n      " if start else "") + ",\n      ".join(rendered))
+        if rows:
+            out.write("\n    ]")
+    out.write(f"\n  }},\n{tail}\n")
 
 
-def _render_csv(tables) -> str:
-    out = io.StringIO()
-    first = True
+def _render_csv(out, tables) -> None:
+    writer = csv.writer(out, lineterminator="\n")
+    separator = ""
     for name, rows in tables.items():
-        if not first:
-            out.write("\n")
-        first = False
-        out.write(f"# table: {name}\n")
+        out.write(f"{separator}# table: {name}\n")
+        separator = "\n"
         if not rows:
             continue
         # every key of every row, in first-seen order; a row without one
         # gets an empty cell there
         columns = list(dict.fromkeys(key for row in rows for key in row))
-        writer = csv.writer(out, lineterminator="\n")
         writer.writerow(columns)
         # the csv writer prints ints and strings itself, and None as an
         # empty cell; bools are printed as in the JSON reports
-        for row in rows:
-            writer.writerow([("true" if v else "false") if v.__class__ is bool else v
-                             for v in map(row.get, columns)])
-    return out.getvalue()
+        writer.writerows([("true" if v else "false") if v.__class__ is bool else v
+                          for v in map(row.get, columns)] for row in rows)
 
 
-def _render_text(args, tables, all_passed, discrepancies) -> str:
-    lines = [f"command: {args.command}"]
+def _render_text(out, args, tables, all_passed, discrepancies) -> None:
+    out.write(f"command: {args.command}\n")
     for name, rows in tables.items():
-        lines.append(f"[{name}]")
+        out.write(f"[{name}]\n")
         for row in rows:
             ok = row.get("ok", row.get("residual_all_zero", True))
             status = "PASS" if ok else "FAIL"
             detail = " ".join(f"{k}={v}" for k, v in row.items()
                               if k not in ("ok",))
-            lines.append(f"  {status} {detail}")
+            out.write(f"  {status} {detail}\n")
     for note in discrepancies:
-        lines.append(f"note: {note}")
-    lines.append("all checks passed" if all_passed else "FAILURES PRESENT")
-    return "\n".join(lines) + "\n"
+        out.write(f"note: {note}\n")
+    out.write("all checks passed\n" if all_passed else "FAILURES PRESENT\n")
 
 
-def _write(args, payload: str, stream) -> None:
-    """Write to --output, else into $QTHETA_OUTPUT_DIR, else to ``stream``."""
+def _render_failure(out, args, error) -> None:
+    record = {"schema_version": SCHEMA_VERSION, "command": args.command,
+              "all_passed": False, "failure": str(error)}
+    json.dump(record, out, indent=2, sort_keys=True)
+    out.write("\n")
+
+
+def _report_target(args) -> Path | None:
+    """The report file: --output, else ``<command>.<ext>`` in $QTHETA_OUTPUT_DIR,
+    else None for a stream."""
     if args.output is not None:
-        target = args.output
-    elif os.environ.get(OUTPUT_DIR_ENV):
+        return args.output
+    directory = os.environ.get(OUTPUT_DIR_ENV)
+    if directory:
         ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-        target = Path(os.environ[OUTPUT_DIR_ENV]) / f"{args.command}.{ext}"
-    else:
-        stream.write(payload)
-        return
-    target.parent.mkdir(parents=True, exist_ok=True)
-    target.write_text(payload)
+        return Path(directory) / f"{args.command}.{ext}"
+    return None
+
+
+def _write_report(args, stream, render, *parts) -> bool:
+    """Render into the report target, else into ``stream``; False, with the
+    error printed, if the write failed."""
+    target = _report_target(args)
+    try:
+        if target is None:
+            render(stream, *parts)
+            stream.flush()
+        else:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            with open(target, "w") as out:
+                render(out, *parts)
+    except OSError as error:
+        name = target if target is not None else getattr(stream, "name", "the report stream")
+        _write_error(name, error)
+        return False
+    return True
+
+
+def _write_error(name, error: OSError) -> None:
+    try:
+        print(f"qtheta: error: cannot write {name}: {error.strerror or error}",
+              file=sys.stderr)
+    except OSError:
+        pass  # the failed target was stderr itself; the exit status still says 2
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one command; returns the process exit status."""
+    """Execute one command and write its report; returns the process exit status.
+
+    Once the handler has returned and ``all_passed`` is known, the one
+    report target (see ``_report_target``) is opened and the ``--format``
+    renderer writes into it as it goes: no whole report is held as one
+    string.  A failed check writes only its failure record, to the target
+    or else to stderr, and exits 1.  A dump or report that cannot be
+    written prints ``qtheta: error: cannot write ...`` and exits 2.
+    """
     try:
         tables, discrepancies, dumps = HANDLERS[args.command](args)
     except VerificationFailed as error:
-        record = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                  "all_passed": False, "failure": str(error)}
-        _write(args, json.dumps(record, indent=2, sort_keys=True) + "\n", sys.stderr)
-        return 1
+        return 1 if _write_report(args, sys.stderr, _render_failure, args, error) else 2
     all_passed = all(row.get("ok", True) for rows in tables.values() for row in rows)
     if args.dump_series is not None and dumps:
-        args.dump_series.mkdir(parents=True, exist_ok=True)
-        for name, series in sorted(dumps.items()):
-            (args.dump_series / name).write_text(dump_series_text(series))
-    if args.format == "json":
-        payload = _render_json(args, tables, all_passed, discrepancies)
-    elif args.format == "csv":
-        payload = _render_csv(tables)
+        path = args.dump_series
+        try:
+            path.mkdir(parents=True, exist_ok=True)
+            for name, series in sorted(dumps.items()):
+                path = args.dump_series / name
+                path.write_text(dump_series_text(series))
+        except OSError as error:
+            _write_error(path, error)
+            return 2
+    if args.format == "csv":
+        wrote = _write_report(args, sys.stdout, _render_csv, tables)
     else:
-        payload = _render_text(args, tables, all_passed, discrepancies)
-    _write(args, payload, sys.stdout)
-    return 0 if all_passed else 1
+        render = _render_json if args.format == "json" else _render_text
+        wrote = _write_report(args, sys.stdout, render, args, tables, all_passed,
+                              discrepancies)
+    return (0 if all_passed else 1) if wrote else 2
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -620,8 +672,11 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed arguments; raises ValueError on malformed input, else returns them.
 
     verify-identities also gains ``jacobi_form``, its parsed --jacobi-file
-    table or None, so a bad table is rejected before any case runs.
+    table or None, so a bad table is rejected before any case runs.  A
+    report or dump target that names the wrong kind of file is rejected
+    here too.
     """
+    _check_targets(args)
     if args.command in CASES:
         if args.m[1] < 2:
             raise ValueError(f"--m {args.m[0]}..{args.m[1]} has no index m >= 2 to check")
@@ -652,6 +707,20 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         if top < 3:
             raise ValueError("the sweep grid has no index m >= 3 to check")
     return args
+
+
+def _check_targets(args: argparse.Namespace) -> None:
+    """Reject a report target that is a directory or lies in a file (an
+    --output or a $QTHETA_OUTPUT_DIR), and a --dump-series that is a file."""
+    target = _report_target(args)
+    if target is not None and target.is_dir():
+        raise ValueError(f"cannot write the report to {target}: it is a directory")
+    if target is not None and target.parent.exists() and not target.parent.is_dir():
+        raise ValueError(f"cannot write the report to {target}: "
+                         f"{target.parent} is not a directory")
+    if args.dump_series is not None and args.dump_series.exists() \
+            and not args.dump_series.is_dir():
+        raise ValueError(f"--dump-series {args.dump_series} is not a directory")
 
 
 def _check_identities_args(args: argparse.Namespace) -> None:

@@ -1,5 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes, ingestion."""
 
+import csv
+import io
 import json
 import os
 import random
@@ -7,6 +9,7 @@ import select
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,6 +246,13 @@ class TestMinorRoute:
         assert run_cli(*args, "--jobs", "1", "--output", str(tmp_path / "r.txt")) == 0
 
 
+def rendered(render, *parts) -> str:
+    """What ``render`` writes into a stream, as one string."""
+    out = io.StringIO()
+    render(out, *parts)
+    return out.getvalue()
+
+
 def stdlib_report(args, tables, all_passed, discrepancies) -> str:
     """The JSON report as ``json.dumps`` writes it: the oracle of ``cli._render_json``."""
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": args.command,
@@ -250,6 +260,31 @@ def stdlib_report(args, tables, all_passed, discrepancies) -> str:
                           "trials": args.trials},
            "results": tables, "all_passed": all_passed, "discrepancies": discrepancies}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def csv_reference(tables) -> str:
+    """The CSV report with one ``csv.writer`` per row: the oracle of ``cli._render_csv``."""
+    parts = []
+    for name, rows in tables.items():
+        lines = [f"# table: {name}\n"]
+        columns = []
+        for row in rows:
+            columns += [key for key in row if key not in columns]
+        for cells in ([columns] if rows else []) + [[csv_cell(row.get(key)) for key in columns]
+                                                     for row in rows]:
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\n").writerow(cells)
+            lines.append(line.getvalue())
+        parts.append("".join(lines))
+    return "\n".join(parts)
 
 
 @pytest.fixture
@@ -267,8 +302,9 @@ def no_int_str_limit():
 
 
 # characters the JSON encoder escapes: quotes, backslashes, controls,
-# non-ASCII (outside and inside the BMP), and the template's own %
-AWKWARD = '"\\/\b\f\n\r\t\x00\x1f\x7f% é€😀 ab'
+# non-ASCII (outside and inside the BMP), and the template's own %; the
+# comma, quote and line breaks are also what the CSV writer quotes
+AWKWARD = '"\\/\b\f\n\r\t\x00\x1f\x7f% é€😀 ab,'
 CELL_KINDS = ("str", "small_int", "big_int", "bool", "none")
 
 
@@ -348,7 +384,7 @@ class TestRenderedRows:
     def test_json_report_equals_stdlib_encoder(self, argv, tmp_path):
         config, tables, discrepancies = self.handler_output(argv, tmp_path)
         for all_passed in (True, False):
-            assert (cli._render_json(config, tables, all_passed, discrepancies)
+            assert (rendered(cli._render_json, config, tables, all_passed, discrepancies)
                     == stdlib_report(config, tables, all_passed, discrepancies))
 
     def test_json_report_on_random_flat_tables(self, no_int_str_limit):
@@ -364,7 +400,7 @@ class TestRenderedRows:
             discrepancies = [random_text(rng, 10) for _ in range(rng.randint(0, 2))]
             kinds.update(type(v) for rows in tables.values() for row in rows
                          for v in row.values())
-            assert (cli._render_json(args, tables, trial % 2 == 0, discrepancies)
+            assert (rendered(cli._render_json, args, tables, trial % 2 == 0, discrepancies)
                     == stdlib_report(args, tables, trial % 2 == 0, discrepancies))
         assert kinds == {str, int, bool, type(None)}
 
@@ -372,7 +408,139 @@ class TestRenderedRows:
     def test_json_report_rejects_cells_that_are_not_flat(self, cell):
         args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
         with pytest.raises(TypeError):
-            cli._render_json(args, {"t": [{"x": cell}]}, True, [])
+            cli._render_json(io.StringIO(), args, {"t": [{"x": cell}]}, True, [])
+
+    def test_csv_report_on_random_flat_tables(self, no_int_str_limit):
+        rng = random.Random(21)
+        edge_tables = [{}, {"a": []}, {"a": [{}]}, {"b": [{}], "a": [], "": [{"": ""}]},
+                       {"t": [{"x": None}, {"x": ""}, {"y": "a,b"}, {"x": 'say "hi"\r\n'}]}]
+        kinds = set()
+        for trial in range(300):
+            tables = edge_tables[trial] if trial < len(edge_tables) else random_tables(rng)
+            kinds.update(type(v) for rows in tables.values() for row in rows
+                         for v in row.values())
+            assert rendered(cli._render_csv, tables) == csv_reference(tables)
+        assert kinds == {str, int, bool, type(None)}
+
+    @pytest.mark.parametrize("count", [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
+                                       cli._BLOCK_ROWS + 1, 2 * cli._BLOCK_ROWS + 1])
+    def test_rows_across_block_boundaries(self, count):
+        rng = random.Random(count)
+        tables = {"rows": [{"i": i, "s": random_text(rng, 3), "ok": i % 2 == 0}
+                           for i in range(count)],
+                  "mixed": [{"a": i} if i % 3 else {"b": None, "a": -i} for i in range(count)],
+                  "after": [{"x": 1}]}
+        args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
+        assert (rendered(cli._render_json, args, tables, True, ["note"])
+                == stdlib_report(args, tables, True, ["note"]))
+        assert rendered(cli._render_csv, tables) == csv_reference(tables)
+
+
+class DiscardingSink:
+    """A text stream that counts what it is given and keeps none of it."""
+
+    def __init__(self):
+        self.size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+class TestRenderMemory:
+    REPORT_MIN = 10 * 2 ** 20
+    PEAK_BOUND = 2 ** 20
+
+    @staticmethod
+    def synthetic_report():
+        # a few distinct rows, repeated, so the tables themselves stay small
+        label = "x" * 400
+        shapes = [{"k": 3, "m": 4, "label": label, "ok": True, "big": 10 ** 40},
+                  {"k": 5, "m": 6, "label": label + "é", "ok": False, "extra": None}]
+        tables = {"verdicts": shapes * 12000, "notes": [{"note": label}] * 4000}
+        args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
+        return args, tables
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_render_holds_one_block(self, fmt):
+        # the rows are built before tracing starts; the render itself may
+        # hold one block of rendered rows, never the report
+        args, tables = self.synthetic_report()
+        render, *parts = {"json": (cli._render_json, args, tables, True, []),
+                          "csv": (cli._render_csv, tables),
+                          "text": (cli._render_text, args, tables, True, [])}[fmt]
+        sink = DiscardingSink()
+        tracemalloc.start()
+        try:
+            render(sink, *parts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sink.size >= self.REPORT_MIN
+        assert peak < self.PEAK_BOUND
+
+
+class TestWriteTargets:
+    ARGV = ("verify-wronskian", "--m", "2..3", "--q-trunc", "4")
+
+    @pytest.mark.parametrize("target, message", [
+        ("output-dir", "it is a directory"),
+        ("dump-file", "is not a directory"),
+        ("env-file", "is not a directory")])
+    def test_unwritable_target_rejected_before_cases(self, target, message, tmp_path,
+                                                     monkeypatch, capsys):
+        def refuse(args):
+            raise AssertionError("a case ran")
+
+        monkeypatch.setitem(cli.HANDLERS, "verify-wronskian", refuse)
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        args = list(self.ARGV)
+        if target == "output-dir":
+            args += ["--output", str(tmp_path)]
+        elif target == "dump-file":
+            args += ["--dump-series", str(a_file), "--output", str(tmp_path / "r.txt")]
+        else:
+            monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(a_file))
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*args)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage: qtheta" in err and message in err
+        assert a_file.read_text() == "" and not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ARGV,
+        ("verify-orders", "--m", "10", "--q-trunc", "1/4", "--format", "json")])
+    def test_failed_write_is_one_error_line(self, argv, capsys):
+        # ENOSPC on the report, and on the failure record of a failed check
+        assert run_cli(*argv, "--output", "/dev/full") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "qtheta: error: cannot write /dev/full: No space left on device\n"
+
+    def test_failed_dump_write_is_one_error_line(self, tmp_path, capsys):
+        a_file = tmp_path / "a-file"
+        a_file.write_text("")
+        dumps = a_file / "dumps"
+        assert run_cli(*self.ARGV, "--dump-series", str(dumps),
+                       "--output", str(tmp_path / "r.txt")) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"qtheta: error: cannot write {dumps}")
+        assert not (tmp_path / "r.txt").exists()
+
+    @pytest.mark.parametrize("fmt, ext", [("json", "json"), ("csv", "csv"), ("text", "txt")])
+    def test_every_target_gets_the_same_report(self, fmt, ext, tmp_path, monkeypatch, capsys):
+        argv = ("classify", "--k", "3", "--m", "6", "--N", "1", "--format", fmt)
+        assert run_cli(*argv) == 0
+        from_stdout = capsys.readouterr().out
+        assert run_cli(*argv, "--output", str(tmp_path / "out" / "report")) == 0
+        monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "env"))
+        assert run_cli(*argv) == 0
+        assert capsys.readouterr().out == ""
+        assert (tmp_path / "out" / "report").read_text() == from_stdout
+        assert (tmp_path / "env" / f"classify.{ext}").read_text() == from_stdout
 
 
 class TestVerifyWronskian:
@@ -492,8 +660,8 @@ class TestVerifyIdentities:
         assert "3,kernel,cramer,true,true" in lines
 
     def test_csv_columns_in_first_seen_order(self):
-        text = cli._render_csv({"t": [{"a": 1, "b": True}, {"c": None, "a": 2},
-                                      {"b": False, "d": "x"}]})
+        text = rendered(cli._render_csv, {"t": [{"a": 1, "b": True}, {"c": None, "a": 2},
+                                                {"b": False, "d": "x"}]})
         assert text == "# table: t\na,b,c,d\n1,true,,\n2,,,\n,false,,x\n"
 
     @pytest.mark.parametrize("m, q_trunc, status", [
