@@ -33,9 +33,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .characters import (UnityExponent, squared_determinant_delta_power,
-                         squared_determinant_translation, translation_eigenvalues)
-from .injectivity import CaseInput, classify, nonintegrality_check
+from .characters import (squared_determinant_delta_power, squared_determinant_translation,
+                         translation_eigenvalues)
+from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify,
+                          nonintegrality_check)
 from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
@@ -71,29 +72,29 @@ def _rat(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _exponent(x: UnityExponent) -> str:
-    return f"{x.num}/{x.den}"
-
-
 def to_jsonable(value):
-    """A report record as a flat row; its fields are Fraction, int, bool or None."""
+    """A report record's fields as a row under its ``_fields``; a field is a
+    Fraction, int, bool, str or None."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
         return _rat(value)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return {name: to_jsonable(field) for name, field in zip(value._fields, value)}
+        return tuple([to_jsonable(field) for field in value])
     raise TypeError(f"cannot serialize {type(value).__name__}")
+
+
+ABSENT = ...  # the cell of a key a row lacks: a singleton of no JSON type, kept by pickle
 
 
 # -- command implementations --------------------------------------------------
 #
 # Each handler takes the parsed arguments and returns (tables, discrepancies,
-# dumps) where tables is an ordered mapping from table name to a list of
-# row dicts and dumps maps a --dump-series file name to its series.  Rows
-# are flat: every cell is a str, int, bool or None, which is all the
-# renderers print.
-# A row with an "ok" field that is false fails the run.
+# dumps).  tables maps each table name to (keys, rows): the keys tuple is the
+# CSV header, in first-seen order, and each row is one tuple of cells, a str,
+# int, bool or None, or ABSENT where the row lacks that key (JSON and text
+# leave it out, CSV prints it empty).  A row whose "ok" cell is false fails
+# the run.  dumps maps a --dump-series file name to its series.
 #
 # The four verify commands share _run_cases.  Each of their cases takes
 # (args, m, inputs) and returns its own tables and dumps, so the parent
@@ -105,29 +106,26 @@ def _wronskian_case(job):
     dumps = {}
     if args.dump_series is not None:
         dumps[f"wronskian_m{m}.series"] = theta_wronskian(m, args.q_trunc)
-    return {"reports": [to_jsonable(verify_eta_power(m, args.q_trunc))]}, dumps
+    report = verify_eta_power(m, args.q_trunc)
+    return {"reports": (report._fields, [to_jsonable(report)])}, dumps
 
 
 def _orders_case(job):
     args, m, _ = job
     value, _, _ = _check_theta_minor(m, range(1, m), theta_wronskian(m, args.q_trunc),
                                      f"m={m}", "Wronskian")
-    rows = [{"m": m, "check": "wronskian_order",
-             "value": _rat(value), "expected": _rat(value), "ok": True},
-            {"m": m, "check": "wronskian_square_order",
-             "value": _rat(2 * value), "expected": _rat(2 * value), "ok": True}]
-    if m < 3:
-        return {"orders": rows}, {}
-    cofactors = theta_derivative_matrix(m, args.q_trunc).last_row_cofactors()
-    for rep in _cofactor_order_reports(m, cofactors):
-        rows.append({"m": m, "check": f"cofactor_order_nu_{rep.nu}",
-                     "value": _rat(rep.ord_cofactor), "expected": _rat(rep.ord_expected),
-                     "ok": rep.passed})
+    rows = [(m, "wronskian_order", _rat(value), _rat(value), True),
+            (m, "wronskian_square_order", _rat(2 * value), _rat(2 * value), True)]
     dumps = {}
-    if args.dump_series is not None:
-        for nu, cof in enumerate(cofactors, start=1):
-            dumps[f"cofactor_m{m}_nu{nu}.series"] = cof
-    return {"orders": rows}, dumps
+    if m >= 3:
+        cofactors = theta_derivative_matrix(m, args.q_trunc).last_row_cofactors()
+        rows += [(m, f"cofactor_order_nu_{rep.nu}", _rat(rep.ord_cofactor),
+                  _rat(rep.ord_expected), rep.passed)
+                 for rep in _cofactor_order_reports(m, cofactors)]
+        if args.dump_series is not None:
+            for nu, cof in enumerate(cofactors, start=1):
+                dumps[f"cofactor_m{m}_nu{nu}.series"] = cof
+    return {"orders": (("m", "check", "value", "expected", "ok"), rows)}, dumps
 
 
 def _characters_case(job):
@@ -135,28 +133,21 @@ def _characters_case(job):
     diag = translation_eigenvalues(m)
     # enough of the q-expansion to see at least three residues
     window = Fraction(2 * m + 2)
-    eigen_rows = []
-    all_ok = True
-    for mu in range(1, m):
-        expected = diag[mu - 1]
-        series = odd_theta_series(ThetaIndex(m, mu), window)
-        observed = translation_eigenvalue(series)
-        ok = observed == expected
-        all_ok = all_ok and ok
-        eigen_rows.append({"m": m, "mu": mu, "exponent": _exponent(expected),
-                           "matches_series": ok})
+    eigen_rows = [(m, mu, f"{expected.num}/{expected.den}",
+                   translation_eigenvalue(odd_theta_series(ThetaIndex(m, mu), window)) == expected)
+                  for mu, expected in enumerate(diag, start=1)]
     xi = squared_determinant_translation(m, diag)
     power = squared_determinant_delta_power(m)
     consistent = xi == power.translation_value
-    if not (all_ok and consistent):
+    if not (consistent and all(row[3] for row in eigen_rows)):
         raise VerificationFailed("character table mismatch; see report rows")
-    character_row = {"m": m, "xi": _exponent(xi), "delta_power": power.delta_power,
-                     "consistent": consistent}
-    return {"eigenvalues": eigen_rows, "characters": [character_row]}, {}
+    return {"eigenvalues": (("m", "mu", "exponent", "matches_series"), eigen_rows),
+            "characters": (("m", "xi", "delta_power", "consistent"),
+                           [(m, f"{xi.num}/{xi.den}", power.delta_power, consistent)])}, {}
 
 
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
-    rows = []
+    """The rows (m, case, check, ok) of one tuple h, and its kernel_case cell from m = 3 on."""
     assembled = from_theta_components(h, q_trunc)
     # the rows M h and the Taylor coefficients, built once: compared here,
     # then solved by the Cramer check and read by the kernel equivalence
@@ -164,16 +155,14 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     taylors = [taylor_coefficient(assembled, nu) for nu in range(1, m)]
     two_path = all((taylor - component_taylor_scale(nu, m) * row).is_zero()
                    for nu, taylor, row in zip(range(1, m), taylors, system))
-    rows.append({"m": m, "case": label, "check": "two_path_taylor", "ok": two_path})
     ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1, m, taylors)
-    rows.append({"m": m, "case": label, "check": "kernel_equivalence",
-                 "ok": ops_vanish == taylors_vanish})
-    if m >= 3:
-        report = cramer_reconstruction(m, h, q_trunc, system)
-        ok = report.cramer_ok and report.proportionality_ok in (None, True)
-        rows.append({"m": m, "case": label, "check": "cramer",
-                     "kernel_case": report.kernel_case, "ok": ok})
-    return rows
+    rows = [(m, label, "two_path_taylor", two_path),
+            (m, label, "kernel_equivalence", ops_vanish == taylors_vanish)]
+    if m < 3:
+        return rows
+    report = cramer_reconstruction(m, h, q_trunc, system)
+    ok = report.cramer_ok and report.proportionality_ok in (None, True)
+    return [row + (ABSENT,) for row in rows] + [(m, label, "cramer", ok, report.kernel_case)]
 
 
 def _identities_case(job):
@@ -189,12 +178,12 @@ def _identities_case(job):
             draws = draws + [("kernel", kernel_components(m, q_trunc))]
     rows = [row for label, h in draws
             for row in _identity_rows_for_components(m, label, h, q_trunc, weight_k)]
-    failed = [row for row in rows if not row["ok"]]
+    failed = [row for row in rows if not row[3]]
     if failed:
         raise VerificationFailed(
-            f"identity check failed: m={failed[0]['m']} case={failed[0]['case']} "
-            f"check={failed[0]['check']}")
-    return {"identities": rows}, {}
+            f"identity check failed: m={failed[0][0]} case={failed[0][1]} check={failed[0][2]}")
+    keys = ("m", "case", "check", "ok", "kernel_case") if m >= 3 else ("m", "case", "check", "ok")
+    return {"identities": (keys, rows)}, {}
 
 
 CASES = {
@@ -328,35 +317,42 @@ def _run_cases(args: argparse.Namespace):
             jobs.append((args, None, None))
     else:
         jobs = [(args, m, None) for m in ms]
-    tables, dumps = {}, {}
+    parts, dumps = {}, {}
     for case_tables, case_dumps in _run_parallel(CASES[args.command], jobs, args.jobs):
-        for name, rows in case_tables.items():
-            tables.setdefault(name, []).extend(rows)
+        for name, table in case_tables.items():
+            parts.setdefault(name, []).append(table)
         dumps.update(case_dumps)
-    return tables, [], dumps
+    return {name: _join(tables) for name, tables in parts.items()}, [], dumps
 
 
-def _verdict_row(v) -> dict:
-    """The report row of a verdict: its fields in order, every value already a JSON scalar;
-    ``discrepancy_flags`` stays blank, as no accepted case has the flagged m = 6."""
-    return {"k": v.k, "m": v.m, "N": v.N,
-            "part_i": v.part_i, "part_ii": v.part_ii, "part_iii": v.part_iii,
-            "s": v.s, "r": v.r, "beta": v.beta, "eta_exponent": v.eta_exponent,
-            "window_ok": v.window_ok, "congruence_details": v.congruence_details,
-            "discrepancy_flags": ""}
+def _join(tables) -> tuple:
+    """One table of several: the keys in first-seen order, ABSENT where a row's table lacks one."""
+    keys = tuple(dict.fromkeys(key for table_keys, rows in tables if rows for key in table_keys))
+    joined = []
+    for table_keys, rows in tables:
+        if table_keys != keys:
+            at = [table_keys.index(key) if key in table_keys else None for key in keys]
+            rows = [tuple(ABSENT if i is None else row[i] for i in at) for row in rows]
+        joined += rows
+    return keys, joined
+
+
+# a verdict's fields, then ``discrepancy_flags``: blank, as no accepted case has m = 6
+_VERDICT_KEYS = CaseVerdict._fields + ("discrepancy_flags",)
+_INTEGRALITY_KEYS = NonintegralityReport._fields + ("discrepancy",)
 
 
 def _cmd_classify(args: argparse.Namespace):
     verdict = classify(CaseInput(args.k, args.m, args.N))
     discrepancies = []
-    tables = {"verdicts": [_verdict_row(verdict)]}
+    tables = {"verdicts": (_VERDICT_KEYS, [verdict + ("",)])}
     if args.m > 3:
         report = nonintegrality_check(args.m)
-        tables["nonintegrality"] = [to_jsonable(report) | {"discrepancy": report.discrepancy}]
+        tables["nonintegrality"] = (_INTEGRALITY_KEYS,
+                                    [to_jsonable(report) + (report.discrepancy,)])
         if report.discrepancy:
             discrepancies.append(f"m={args.m}: integrality discrepancy")
-    ok = (not verdict.any_part) or verdict.window_ok
-    if not ok:
+    if verdict.any_part and not verdict.window_ok:
         raise VerificationFailed(
             f"window check failed for accepted case k={args.k} m={args.m}")
     return tables, discrepancies, {}
@@ -364,9 +360,7 @@ def _cmd_classify(args: argparse.Namespace):
 
 def _cmd_sweep(args: argparse.Namespace):
     k_lo, k_hi = args.k
-    rows = []
-    discrepancies = []
-    ms_seen = set()
+    rows, integrality_rows, discrepancies, ms_seen = [], [], [], set()
     for k in range(k_lo, k_hi + 1):
         if k % 2 == 0:
             continue
@@ -384,135 +378,140 @@ def _cmd_sweep(args: argparse.Namespace):
                 if verdict.any_part and not verdict.window_ok:
                     raise VerificationFailed(
                         f"window check failed for accepted case k={k} m={m} N={n_level}")
-                rows.append(_verdict_row(verdict))
-    integrality_rows = []
+                rows.append(verdict + ("",))
     for m in sorted(ms_seen):
         if m <= 3:
             continue
         report = nonintegrality_check(m)
-        integrality_rows.append(to_jsonable(report) | {"discrepancy": report.discrepancy})
+        integrality_rows.append(to_jsonable(report) + (report.discrepancy,))
         if report.discrepancy:
             discrepancies.append(f"m={m}: (m-2)(m-1)(2m-3)/m is an integer")
-    tables = {"verdicts": rows, "nonintegrality": integrality_rows}
+    tables = {"verdicts": (_VERDICT_KEYS, rows),
+              "nonintegrality": (_INTEGRALITY_KEYS, integrality_rows)}
     return tables, sorted(set(discrepancies)), {}
 
 
-HANDLERS = {
-    "verify-wronskian": _run_cases,
-    "verify-orders": _run_cases,
-    "verify-characters": _run_cases,
-    "verify-identities": _run_cases,
-    "classify": _cmd_classify,
-    "sweep": _cmd_sweep,
-}
+HANDLERS = {**dict.fromkeys(CASES, _run_cases), "classify": _cmd_classify, "sweep": _cmd_sweep}
 
 
 # -- rendering -----------------------------------------------------------------
 
 
 _escape = json.encoder.encode_basestring_ascii
-# the JSON renderer writes a table's rows in blocks of at most this many,
-# so a render holds the rows plus one rendered block
+# the JSON and CSV renderers write a table's rows in blocks of at most this
+# many, so a render holds the rows plus one rendered block
 _BLOCK_ROWS = 256
+_BOOL_TEXT = {True: "true", False: "false"}
+# a cell's JSON text by its exact type (a bool is an int), all from C-level calls
+_JSON_CELL = {str: _escape, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
+              type(None): {None: "null"}.__getitem__}
+# the CSV cells the csv writer does not print as the reports do
+_CSV_CELL = {bool: _BOOL_TEXT.__getitem__, type(ABSENT): {ABSENT: None}.__getitem__}
 
 
-def _json_cell(value) -> str:
-    """One row cell as ``json.dumps`` writes it; bool before int, since a bool is an int."""
-    if isinstance(value, str):
-        return _escape(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    raise TypeError(f"a report cell must be a str, int, bool or None, "
-                    f"not {type(value).__name__}")
+def _json_template(keys, present, templates) -> tuple[str, list]:
+    """The %-template of a row with the cells at ``present`` at the rows' depth,
+    and those cells' indices in key order; cached in ``templates``."""
+    if present not in templates:
+        order = sorted(present, key=keys.__getitem__)
+        fields = ",\n".join(f"        {_escape(keys[i]).replace('%', '%%')}: %s" for i in order)
+        templates[present] = ("{\n" + fields + "\n      }" if order else "{}"), order
+    return templates[present]
 
 
-def _json_row_template(keys) -> tuple[str, list]:
-    """The %-template of a row with these keys at the rows' depth, and its key order."""
-    order = sorted(keys)
-    if not order:
-        return "{}", order
-    fields = ",\n".join(f"        {_escape(key).replace('%', '%%')}: %s" for key in order)
-    return "{\n" + fields + "\n      }", order
+def _json_block(keys, block, templates) -> list[str]:
+    """The rows' JSON texts: if every cell has a JSON type, converted a column at
+    a time into the table's template, else row by row on their present cells."""
+    columns = []
+    for column in zip(*block):
+        kinds = set(map(type, column))
+        if not kinds <= _JSON_CELL.keys():
+            return [_json_sparse_row(keys, row, templates) for row in block]
+        columns.append(map(_JSON_CELL[kinds.pop()], column) if len(kinds) == 1
+                       else [_JSON_CELL[type(value)](value) for value in column])
+    if not keys:
+        return ["{}"] * len(block)
+    template, order = _json_template(keys, tuple(range(len(keys))), templates)
+    return list(map(template.__mod__, zip(*[columns[i] for i in order])))
+
+
+def _json_sparse_row(keys, row, templates) -> str:
+    """A row with ABSENT cells; a cell of no JSON type raises TypeError."""
+    present = tuple([i for i, value in enumerate(row) if value is not ABSENT])
+    template, order = _json_template(keys, present, templates)
+    cells = [row[i] for i in order]
+    bad = [type(value).__name__ for value in cells if type(value) not in _JSON_CELL]
+    if bad:
+        raise TypeError(f"a report cell must be a str, int, bool or None, not {bad[0]}")
+    return template % tuple([_JSON_CELL[type(value)](value) for value in cells])
 
 
 def _render_json(out, args, tables, all_passed, discrepancies) -> None:
     """Write the text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
     The envelope goes through ``json.dumps`` with the results left out; the
-    rows, the bulk of a report, are filled into one %-template per key set,
-    so no row goes through the pure-Python encoder that ``indent`` selects.
-    Each table's rows are written in blocks of at most ``_BLOCK_ROWS``.
+    rows, the bulk of a report, are filled into %-templates, so no row goes
+    through the pure-Python encoder that ``indent`` selects.
     """
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": args.command,
-        "parameters": {
-            "q_trunc": _rat(args.q_trunc),
-            "seed": args.seed,
-            "trials": args.trials,
-        },
-        "results": None,
-        "all_passed": all_passed,
-        "discrepancies": discrepancies,
-    }
+    doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
+           "parameters": {"q_trunc": _rat(args.q_trunc), "seed": args.seed,
+                          "trials": args.trials},
+           "results": None, "all_passed": all_passed, "discrepancies": discrepancies}
     # a JSON string holds no raw newline, so this line is the top-level key
     head, tail = json.dumps(doc, indent=2, sort_keys=True).split('\n  "results": null,\n')
     if not tables:
         out.write(f'{head}\n  "results": {{}},\n{tail}\n')
         return
     out.write(f'{head}\n  "results": {{')
-    templates = {}
     separator = "\n"
     for name in sorted(tables):
-        rows = tables[name]
+        keys, rows = tables[name]
         out.write(f"{separator}    {_escape(name)}: " + ("[\n      " if rows else "[]"))
         separator = ",\n"
+        templates = {}
         for start in range(0, len(rows), _BLOCK_ROWS):
-            rendered = []
-            for row in rows[start:start + _BLOCK_ROWS]:
-                keys = tuple(row)
-                if keys not in templates:
-                    templates[keys] = _json_row_template(keys)
-                template, order = templates[keys]
-                rendered.append(template % tuple([_json_cell(row[key]) for key in order]))
+            rendered = _json_block(keys, rows[start:start + _BLOCK_ROWS], templates)
             out.write((",\n      " if start else "") + ",\n      ".join(rendered))
         if rows:
             out.write("\n    ]")
     out.write(f"\n  }},\n{tail}\n")
 
 
+def _csv_block(block):
+    """The rows with their bool and ABSENT cells converted, a column at a time."""
+    columns = list(zip(*block))
+    for i, column in enumerate(columns):
+        kinds = set(map(type, column))
+        if kinds & _CSV_CELL.keys():
+            columns[i] = (map(_CSV_CELL[kinds.pop()], column) if len(kinds) == 1 else
+                          [_CSV_CELL[type(v)](v) if type(v) in _CSV_CELL else v for v in column])
+    return zip(*columns) if columns else block
+
+
 def _render_csv(out, tables) -> None:
+    """Each table's keys are its header; the csv writer prints ints, strings and None."""
     writer = csv.writer(out, lineterminator="\n")
     separator = ""
-    for name, rows in tables.items():
+    for name, (keys, rows) in tables.items():
         out.write(f"{separator}# table: {name}\n")
         separator = "\n"
-        if not rows:
-            continue
-        # every key of every row, in first-seen order; a row without one
-        # gets an empty cell there
-        columns = list(dict.fromkeys(key for row in rows for key in row))
-        writer.writerow(columns)
-        # the csv writer prints ints and strings itself, and None as an
-        # empty cell; bools are printed as in the JSON reports
-        writer.writerows([("true" if v else "false") if v.__class__ is bool else v
-                          for v in map(row.get, columns)] for row in rows)
+        if rows:
+            writer.writerow(keys)
+        for start in range(0, len(rows), _BLOCK_ROWS):
+            writer.writerows(_csv_block(rows[start:start + _BLOCK_ROWS]))
 
 
 def _render_text(out, args, tables, all_passed, discrepancies) -> None:
     out.write(f"command: {args.command}\n")
-    for name, rows in tables.items():
+    for name, (keys, rows) in tables.items():
         out.write(f"[{name}]\n")
+        # a row's status is its ok cell, else its residual_all_zero cell, else PASS
+        status = [keys.index(key) for key in ("ok", "residual_all_zero") if key in keys]
         for row in rows:
-            ok = row.get("ok", row.get("residual_all_zero", True))
-            status = "PASS" if ok else "FAIL"
-            detail = " ".join(f"{k}={v}" for k, v in row.items()
-                              if k not in ("ok",))
-            out.write(f"  {status} {detail}\n")
+            ok = next((row[i] for i in status if row[i] is not ABSENT), True)
+            cells = " ".join(f"{key}={value}" for key, value in zip(keys, row)
+                             if key != "ok" and value is not ABSENT)
+            out.write(f"  {'PASS' if ok else 'FAIL'} {cells}\n")
     for note in discrepancies:
         out.write(f"note: {note}\n")
     out.write("all checks passed\n" if all_passed else "FAILURES PRESENT\n")
@@ -578,7 +577,8 @@ def run(args: argparse.Namespace) -> int:
         tables, discrepancies, dumps = HANDLERS[args.command](args)
     except VerificationFailed as error:
         return 1 if _write_report(args, sys.stderr, _render_failure, args, error) else 2
-    all_passed = all(row.get("ok", True) for rows in tables.values() for row in rows)
+    all_passed = all(row[i] for keys, rows in tables.values() if "ok" in keys
+                     for i in (keys.index("ok"),) for row in rows)
     if args.dump_series is not None and dumps:
         path = args.dump_series
         try:

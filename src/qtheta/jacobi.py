@@ -129,10 +129,11 @@ class JacobiFormData:
                     raise InvariantViolation(f"conflicting values for class {key}")
                 closed[key] = v
         coeffs = {}
+        bound = math.ceil(4 * m * n_trunc)  # (disc + r^2)/4m < n_trunc iff r^2 < bound - disc
         for (mu, disc), value in closed.items():
             if not value:
                 continue
-            for r in _residues(m, mu, n_trunc - Fraction(disc, 4 * m)):
+            for r in _residues(m, mu, bound - disc):
                 if disc + r * r >= 0:
                     coeffs[((disc + r * r) // (4 * m), r)] = value
         return cls(weight_k, index_m, level_N, n_trunc, coeffs)

@@ -11,7 +11,8 @@ by the integers (n, r) and stores c as an integer numerator over one shared
 denominator, in the same canonical form.  The series here are built on
 those keys through the trusted ``_make``, with integer coefficients over
 den 1: the term r sits at r^2 on the 1/4m grid, and r^2/4m < q_trunc is
-r^2 < ceil(4m*q_trunc).
+r^2 < ceil(4m*q_trunc).  That ceiling is the integer key bound, and
+``_residues`` takes it: the residues of a class below it are one ``range``.
 """
 
 from __future__ import annotations
@@ -179,27 +180,21 @@ class ThetaTwoVar:
         return all(self._terms.get((e, -r)) == -c for (e, r), c in self._terms.items())
 
 
-def _residues(m: int, mu: int, q_trunc: Fraction):
-    """All r = mu mod 2m with r^2/(4m) strictly below q_trunc."""
-    # an integer r^2 is < 4m*q_trunc iff it is < bound = ceil(4m*q_trunc)
-    bound = -(-4 * m * q_trunc.numerator // q_trunc.denominator)
+def _residues(m: int, mu: int, bound: int) -> range:
+    """All r = mu mod 2m with r^2 below the integer key bound, in increasing order."""
     if bound <= 0:
-        return
-    r_cap = math.isqrt(bound) + 1
+        return range(0)
+    cap = math.isqrt(bound - 1)  # r^2 < bound iff |r| <= cap
     step = 2 * m
-    start = mu % step
-    for r in range(start - step * ((r_cap + start) // step + 1), r_cap + 1, step):
-        if r * r < bound:
-            yield r
+    return range((mu + cap) % step - cap, cap + 1, step)
 
 
 def theta_series(idx: ThetaIndex, q_trunc) -> ThetaTwoVar:
     """The two-variable congruent theta series for the given residue class."""
-    if type(q_trunc) is not Fraction:
-        q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
-    return ThetaTwoVar._make({(r * r, r): 1 for r in _residues(m, mu, q_trunc)},
-                             q_trunc.numerator, q_trunc.denominator, 4 * m, 1)
+    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
+    terms = {(r * r, r): 1 for r in _residues(m, mu, _key_bound(tn, td, 4 * m))}
+    return ThetaTwoVar._make(terms, tn, td, 4 * m, 1)
 
 
 def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
@@ -207,33 +202,32 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
 
     The odd weight-3/2 companion of the theta series: residues mu and -mu
     give opposite series, and the classes mu = 0 and mu = m collapse to
-    zero because r and -r share the same exponent.
+    zero because r and -r share the same exponent.  In every other class
+    no two residues share r^2, so each r is one term.
     """
-    if type(q_trunc) is not Fraction:
-        q_trunc = Fraction(q_trunc)
     m, mu = idx.index_m, idx.residue_mu
-    sums: dict[int, int] = {}
-    for r in _residues(m, mu, q_trunc):
-        sums[r * r] = sums.get(r * r, 0) + r
-    return PuiseuxSeries._make({n: c for n, c in sums.items() if c},
-                               q_trunc.numerator, q_trunc.denominator, 4 * m, 1)
+    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
+    terms = {r * r: r for r in _residues(m, mu, _key_bound(tn, td, 4 * m))} if mu % m else {}
+    return PuiseuxSeries._make(terms, tn, td, 4 * m, 1)
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
     """The exponent x with s(tau + 1) = exp(2*pi*i*x) * s(tau).
 
     Well defined exactly when all exponents of s agree mod 1; the common
-    fractional part is returned as a point of Q/Z.
+    fractional part is returned as a point of Q/Z.  Otherwise the error names
+    the least exponent and the least one off its class.
     """
-    if s.is_zero():
+    terms = s._terms
+    if not terms:
         raise ValueError("the zero series scales under every eigenvalue")
     d = s.base_denom
-    numerators = sorted(s._terms)
-    first = numerators[0]
-    for n in numerators[1:]:
+    first = min(terms)
+    for n in terms:
         if (n - first) % d:
-            raise NotAnEigenvector(
-                f"exponents {Fraction(first, d)} and {Fraction(n, d)} differ by a non-integer")
+            n = min(k for k in terms if (k - first) % d)  # the least one off the class
+            raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
+                                   f"differ by a non-integer")
     return UnityExponent(first, d)
 
 

@@ -275,7 +275,7 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     bound = math.ceil(grid * trunc)  # an integer sum of r^2 is < grid*trunc iff < bound
     # rest[k]: the least sum of r^2 over the classes after position k
     rest = [sum(squares[k + 1:]) for k in range(s)]
-    candidates = [sorted(_residues(m, mu, Fraction(bound - rest[k], grid)), key=abs)
+    candidates = [sorted(_residues(m, mu, bound - rest[k]), key=abs)
                   for k, mu in enumerate(columns)]
     top = max(s - d for d in deleted_rows)  # the highest e_j asked for
     sums: list[dict[int, int]] = [{} for _ in range(top + 1)]

@@ -253,8 +253,29 @@ def rendered(render, *parts) -> str:
     return out.getvalue()
 
 
+def table_form(tables) -> dict:
+    """Tables of dict rows, one to one, as the renderers take them: each
+    table's keys in first-seen order, and a key a row lacks as ``cli.ABSENT``."""
+    form = {}
+    for name, rows in tables.items():
+        keys = []
+        for row in rows:
+            keys += [key for key in row if key not in keys]
+        form[name] = (tuple(keys), [tuple(row.get(key, cli.ABSENT) for key in keys)
+                                    for row in rows])
+    return form
+
+
+def dict_view(tables) -> dict:
+    """The inverse of ``table_form``: each row as a dict without its ABSENT cells."""
+    return {name: [{key: value for key, value in zip(keys, row) if value is not cli.ABSENT}
+                   for row in rows]
+            for name, (keys, rows) in tables.items()}
+
+
 def stdlib_report(args, tables, all_passed, discrepancies) -> str:
-    """The JSON report as ``json.dumps`` writes it: the oracle of ``cli._render_json``."""
+    """The JSON report of dict-row tables as ``json.dumps`` writes it: the
+    oracle of ``cli._render_json`` on their ``table_form``."""
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": args.command,
            "parameters": {"q_trunc": cli._rat(args.q_trunc), "seed": args.seed,
                           "trials": args.trials},
@@ -271,7 +292,8 @@ def csv_cell(value) -> str:
 
 
 def csv_reference(tables) -> str:
-    """The CSV report with one ``csv.writer`` per row: the oracle of ``cli._render_csv``."""
+    """The CSV report of dict-row tables with one ``csv.writer`` per row: the
+    oracle of ``cli._render_csv`` on their ``table_form``."""
     parts = []
     for name, rows in tables.items():
         lines = [f"# table: {name}\n"]
@@ -285,6 +307,36 @@ def csv_reference(tables) -> str:
             lines.append(line.getvalue())
         parts.append("".join(lines))
     return "\n".join(parts)
+
+
+def text_reference(args, tables, all_passed, discrepancies) -> str:
+    """The text report of dict-row tables, one row at a time: the oracle of
+    ``cli._render_text`` on their ``table_form``."""
+    out = io.StringIO()
+    out.write(f"command: {args.command}\n")
+    for name, rows in tables.items():
+        out.write(f"[{name}]\n")
+        for row in rows:
+            ok = row.get("ok", row.get("residual_all_zero", True))
+            status = "PASS" if ok else "FAIL"
+            detail = " ".join(f"{k}={v}" for k, v in row.items()
+                              if k not in ("ok",))
+            out.write(f"  {status} {detail}\n")
+    for note in discrepancies:
+        out.write(f"note: {note}\n")
+    out.write("all checks passed\n" if all_passed else "FAILURES PRESENT\n")
+    return out.getvalue()
+
+
+def assert_renders_match_oracles(args, tables, all_passed, discrepancies):
+    """Each renderer on report-form tables against its oracle on their dict view."""
+    view = dict_view(tables)
+    assert table_form(view) == tables
+    assert (rendered(cli._render_json, args, tables, all_passed, discrepancies)
+            == stdlib_report(args, view, all_passed, discrepancies))
+    assert rendered(cli._render_csv, tables) == csv_reference(view)
+    assert (rendered(cli._render_text, args, tables, all_passed, discrepancies)
+            == text_reference(args, view, all_passed, discrepancies))
 
 
 @pytest.fixture
@@ -364,28 +416,33 @@ class TestRenderedRows:
 
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_every_row_is_already_converted(self, argv, tmp_path):
-        # the renderers print each cell as it comes, so every row a handler
-        # returns must be a flat dict with str keys and JSON scalar cells
+        # the renderers print each cell as it comes, so every table a handler
+        # returns must be a tuple of str keys and one flat tuple per row, of
+        # JSON scalar cells or ABSENT
         _, tables, _ = self.handler_output(argv, tmp_path)
-        rows = [row for table_rows in tables.values() for row in table_rows]
-        assert rows and all(type(row) is dict for row in rows)
-        assert all(type(key) is str for row in rows for key in row)
-        cells = {type(value) for row in rows for value in row.values()}
-        assert cells <= {str, int, bool, type(None)}
+        assert tables and all(type(keys) is tuple for keys, _ in tables.values())
+        assert all(type(key) is str for keys, _ in tables.values() for key in keys)
+        rows = [row for _, table_rows in tables.values() for row in table_rows]
+        assert rows and all(type(row) is tuple for row in rows)
+        assert all(len(row) == len(keys) for keys, table_rows in tables.values()
+                   for row in table_rows)
+        cells = {type(value) for row in rows for value in row}
+        assert cells <= {str, int, bool, type(None), type(cli.ABSENT)}
+        # one to one with dict rows: every key of a table is some row's
+        assert table_form(dict_view(tables)) == tables
 
     def test_to_jsonable_takes_report_dataclasses_only(self):
-        assert cli.to_jsonable(nonintegrality_check(6)) == {
-            "m": 6, "value": "30/1", "is_integer": True}
+        assert cli.to_jsonable(nonintegrality_check(6)) == (6, "30/1", True)
         for value in ([1], 0.5, {"a": 1}, (1, 2)):
             with pytest.raises(TypeError):
                 cli.to_jsonable(value)
 
     @pytest.mark.parametrize("argv", COMMANDS)
     def test_json_report_equals_stdlib_encoder(self, argv, tmp_path):
+        # and the CSV and text reports equal their oracles too
         config, tables, discrepancies = self.handler_output(argv, tmp_path)
         for all_passed in (True, False):
-            assert (rendered(cli._render_json, config, tables, all_passed, discrepancies)
-                    == stdlib_report(config, tables, all_passed, discrepancies))
+            assert_renders_match_oracles(config, tables, all_passed, discrepancies)
 
     def test_json_report_on_random_flat_tables(self, no_int_str_limit):
         rng = random.Random(20)
@@ -400,15 +457,20 @@ class TestRenderedRows:
             discrepancies = [random_text(rng, 10) for _ in range(rng.randint(0, 2))]
             kinds.update(type(v) for rows in tables.values() for row in rows
                          for v in row.values())
-            assert (rendered(cli._render_json, args, tables, trial % 2 == 0, discrepancies)
-                    == stdlib_report(args, tables, trial % 2 == 0, discrepancies))
+            assert dict_view(table_form(tables)) == tables
+            assert (rendered(cli._render_json, args, table_form(tables), trial % 2 == 0,
+                             discrepancies)
+                    == stdlib_report(args, dict_view(table_form(tables)), trial % 2 == 0,
+                                     discrepancies))
         assert kinds == {str, int, bool, type(None)}
 
     @pytest.mark.parametrize("cell", [[1], {"a": 1}, 1.5, F(1, 2), (1,)])
     def test_json_report_rejects_cells_that_are_not_flat(self, cell):
+        # on a full row and on a row with an ABSENT cell
         args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
-        with pytest.raises(TypeError):
-            cli._render_json(io.StringIO(), args, {"t": [{"x": cell}]}, True, [])
+        for rows in ([{"x": cell}], [{"y": 1}, {"x": cell}]):
+            with pytest.raises(TypeError):
+                cli._render_json(io.StringIO(), args, table_form({"t": rows}), True, [])
 
     def test_csv_report_on_random_flat_tables(self, no_int_str_limit):
         rng = random.Random(21)
@@ -419,7 +481,27 @@ class TestRenderedRows:
             tables = edge_tables[trial] if trial < len(edge_tables) else random_tables(rng)
             kinds.update(type(v) for rows in tables.values() for row in rows
                          for v in row.values())
-            assert rendered(cli._render_csv, tables) == csv_reference(tables)
+            assert (rendered(cli._render_csv, table_form(tables))
+                    == csv_reference(dict_view(table_form(tables))))
+        assert kinds == {str, int, bool, type(None)}
+
+    def test_text_report_on_random_flat_tables(self, no_int_str_limit):
+        rng = random.Random(22)
+        edge_tables = [{}, {"a": []}, {"a": [{}]}, {"b": [{}], "a": [], "": [{"": ""}]},
+                       {"t": [{"ok": False, "x": 1}, {"residual_all_zero": False},
+                              {"x": None, "residual_all_zero": True, "ok": None},
+                              {"ok": True, "y": "a b"}, {"z": 0}]}]
+        kinds = set()
+        for trial in range(300):
+            args = cli.argparse.Namespace(command=random_text(rng, 8))
+            tables = edge_tables[trial] if trial < len(edge_tables) else random_tables(rng)
+            discrepancies = [random_text(rng, 10) for _ in range(rng.randint(0, 2))]
+            kinds.update(type(v) for rows in tables.values() for row in rows
+                         for v in row.values())
+            assert (rendered(cli._render_text, args, table_form(tables), trial % 2 == 0,
+                             discrepancies)
+                    == text_reference(args, dict_view(table_form(tables)), trial % 2 == 0,
+                                      discrepancies))
         assert kinds == {str, int, bool, type(None)}
 
     @pytest.mark.parametrize("count", [0, 1, cli._BLOCK_ROWS - 1, cli._BLOCK_ROWS,
@@ -431,9 +513,7 @@ class TestRenderedRows:
                   "mixed": [{"a": i} if i % 3 else {"b": None, "a": -i} for i in range(count)],
                   "after": [{"x": 1}]}
         args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
-        assert (rendered(cli._render_json, args, tables, True, ["note"])
-                == stdlib_report(args, tables, True, ["note"]))
-        assert rendered(cli._render_csv, tables) == csv_reference(tables)
+        assert_renders_match_oracles(args, table_form(tables), True, ["note"])
 
 
 class DiscardingSink:
@@ -457,7 +537,9 @@ class TestRenderMemory:
         label = "x" * 400
         shapes = [{"k": 3, "m": 4, "label": label, "ok": True, "big": 10 ** 40},
                   {"k": 5, "m": 6, "label": label + "é", "ok": False, "extra": None}]
-        tables = {"verdicts": shapes * 12000, "notes": [{"note": label}] * 4000}
+        tables = table_form({"verdicts": shapes, "notes": [{"note": label}]})
+        tables = {name: (keys, rows * {"verdicts": 12000, "notes": 4000}[name])
+                  for name, (keys, rows) in tables.items()}
         args = cli.argparse.Namespace(command="sweep", q_trunc=F(12), seed=0, trials=5)
         return args, tables
 
@@ -660,8 +742,10 @@ class TestVerifyIdentities:
         assert "3,kernel,cramer,true,true" in lines
 
     def test_csv_columns_in_first_seen_order(self):
-        text = rendered(cli._render_csv, {"t": [{"a": 1, "b": True}, {"c": None, "a": 2},
-                                                {"b": False, "d": "x"}]})
+        tables = table_form({"t": [{"a": 1, "b": True}, {"c": None, "a": 2},
+                                   {"b": False, "d": "x"}]})
+        assert tables["t"][0] == ("a", "b", "c", "d")
+        text = rendered(cli._render_csv, tables)
         assert text == "# table: t\na,b,c,d\n1,true,,\n2,,,\n,false,,x\n"
 
     @pytest.mark.parametrize("m, q_trunc, status", [

@@ -1,5 +1,6 @@
 """Congruent theta series, their symmetries, and translation eigenvalues."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent,
                     eta, odd_theta_series, theta_series, total_theta_order,
                     translation_eigenvalue)
+from qtheta.theta import _residues
 
 F = Fraction
 
@@ -22,6 +24,42 @@ class TestThetaIndex:
     def test_positive_index_required(self):
         with pytest.raises(ValueError):
             ThetaIndex(0, 1)
+
+
+class TestResidueRanges:
+    """The residues below a key bound, and the series built on them, against
+    brute-force filters and sums over every integer r in reach."""
+
+    def test_residues_are_the_brute_force_filter(self):
+        for m in range(1, 13):
+            top = 3 * m + 3
+            bounds = sorted({-2, -1, 0} | {k * k + d for k in range(1, top + 1)
+                                           for d in (-1, 0, 1)})
+            for mu in range(-3 * m, 3 * m + 1):
+                reach = [r for r in range(-top - 1, top + 2) if (r - mu) % (2 * m) == 0]
+                for bound in bounds:
+                    got = _residues(m, mu, bound)
+                    assert type(got) is range
+                    assert list(got) == [r for r in reach if r * r < bound], (m, mu, bound)
+
+    @pytest.mark.parametrize("window", [F(1, 8), F(9, 7), 1, 40])
+    def test_series_are_brute_force_sums(self, window):
+        for m in range(1, 13):
+            cap = math.isqrt(4 * m * math.ceil(window)) + 1
+            for mu in range(-m, 3 * m + 1):
+                rs = [r for r in range(-cap, cap + 1)
+                      if (r - mu) % (2 * m) == 0 and F(r * r, 4 * m) < window]
+                sums = {}
+                for r in rs:
+                    sums[F(r * r, 4 * m)] = sums.get(F(r * r, 4 * m), 0) + r
+                odd = odd_theta_series(ThetaIndex(m, mu), window)
+                assert dict(odd.terms) == {e: c for e, c in sums.items() if c}
+                assert odd.trunc == window and odd.base_denom == 4 * m
+                if mu % m == 0:
+                    assert odd.is_zero()
+                two_var = theta_series(ThetaIndex(m, mu), window)
+                assert dict(two_var.terms) == {(F(r * r, 4 * m), r): 1 for r in rs}
+                assert two_var.q_trunc == window and two_var.base_denom == 4 * m
 
 
 class TestTwoVariableSeries:
@@ -112,8 +150,18 @@ class TestTranslationEigenvalue:
             translation_eigenvalue(s)
 
     def test_zero_series_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as error:
             translation_eigenvalue(PuiseuxSeries.zero(3))
+        assert not isinstance(error.value, NotAnEigenvector)
+
+    def test_failure_names_the_least_offending_exponent(self):
+        # a store out of exponent order, with the off-class terms 7/4 and 3/4
+        # after the least exponent 1/4 and before it
+        s = PuiseuxSeries._make({9: 1, 7: 2, 5: -1, 1: 3, 3: 1}, 20, 1, 4, 1)
+        assert list(s._terms) != sorted(s._terms)
+        with pytest.raises(NotAnEigenvector) as error:
+            translation_eigenvalue(s)
+        assert str(error.value) == "exponents 1/4 and 3/4 differ by a non-integer"
 
 
 def test_total_theta_order_closed_form():
