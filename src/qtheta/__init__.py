@@ -9,8 +9,8 @@ from .characters import (GammaCharacter, UnityExponent, squared_determinant_delt
                          squared_determinant_translation, translation_eigenvalues)
 from .injectivity import (CaseInput, CaseVerdict, CongruenceReport, InvalidInput,
                           NonintegralityReport, ParityError, WindowReport, classify,
-                          congruence_check, is_squarefree, nonintegrality_check,
-                          window_check)
+                          classify_levels, congruence_check, is_squarefree,
+                          nonintegrality_check, window_check)
 from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      ThetaComponents, component_taylor, component_taylor_scale,
                      development_operator, dump_jacobi_table, from_theta_components,
@@ -19,8 +19,9 @@ from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
 from .modforms import HalfIntWeight, eisenstein_e2, eta, eta_power, modular_derivative
 from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
                      dot, dump_series_text, parse_rational, parse_series_text)
-from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series,
-                    theta_series, total_theta_order, translation_eigenvalue)
+from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_columns,
+                    odd_theta_series, theta_series, total_theta_order,
+                    translation_eigenvalue)
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
                         ThetaDerivativeMatrix, VerificationFailed, WronskianReport,
                         cramer_reconstruction, eta_power_exponent, kernel_components,

@@ -36,12 +36,12 @@ from pathlib import Path
 from .characters import (squared_determinant_delta_power, squared_determinant_translation,
                          translation_eigenvalues)
 from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify,
-                          nonintegrality_check)
+                          classify_levels, nonintegrality_check)
 from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
 from .series import dump_series_text, parse_rational
-from .theta import ThetaIndex, odd_theta_series, translation_eigenvalue
+from .theta import odd_theta_columns, translation_eigenvalue
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
                         cramer_reconstruction, kernel_components, theta_derivative_matrix,
                         theta_minor_window, theta_wronskian, verify_eta_power)
@@ -132,18 +132,27 @@ def _characters_case(job):
     _, m, _ = job
     diag = translation_eigenvalues(m)
     # enough of the q-expansion to see at least three residues
-    window = Fraction(2 * m + 2)
-    eigen_rows = [(m, mu, f"{expected.num}/{expected.den}",
-                   translation_eigenvalue(odd_theta_series(ThetaIndex(m, mu), window)) == expected)
-                  for mu, expected in enumerate(diag, start=1)]
+    columns = odd_theta_columns(m, 2 * m + 2)
+    eigen_rows = []
+    for mu, expected, column in zip(range(1, m), diag, columns):
+        try:
+            found = translation_eigenvalue(column)
+        except ValueError as error:  # not an eigenvector, or the zero series
+            raise VerificationFailed(f"character check failed: m={m} mu={mu}: {error}") from None
+        if found != expected:
+            raise VerificationFailed(
+                f"character check failed: m={m} mu={mu}: series exponent "
+                f"{found.num}/{found.den}, expected {expected.num}/{expected.den}")
+        eigen_rows.append((m, mu, f"{expected.num}/{expected.den}", True))
     xi = squared_determinant_translation(m, diag)
     power = squared_determinant_delta_power(m)
-    consistent = xi == power.translation_value
-    if not (consistent and all(row[3] for row in eigen_rows)):
-        raise VerificationFailed("character table mismatch; see report rows")
+    if xi != power.translation_value:
+        raise VerificationFailed(
+            f"character check failed: m={m}: squared determinant exponent "
+            f"{xi.num}/{xi.den}, delta power {power.delta_power}")
     return {"eigenvalues": (("m", "mu", "exponent", "matches_series"), eigen_rows),
             "characters": (("m", "xi", "delta_power", "consistent"),
-                           [(m, f"{xi.num}/{xi.den}", power.delta_power, consistent)])}, {}
+                           [(m, f"{xi.num}/{xi.den}", power.delta_power, True)])}, {}
 
 
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
@@ -194,11 +203,15 @@ CASES = {
 }
 
 
-def _lift_int_str_limit() -> None:
+def _lift_int_str_limit() -> int | None:
     """Exact numerators outgrow CPython's default 4300-digit limit on int/str
-    conversion (the m = 64 Wronskian constant has 4709 digits); lift it."""
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
+    conversion (the m = 64 Wronskian constant has 4709 digits); lift it and
+    return the old limit, None where CPython has no such limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return None
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    return saved
 
 
 # A task token is a 4-byte run number.  POSIX guarantees that a pipe holds
@@ -373,11 +386,10 @@ def _cmd_sweep(args: argparse.Namespace):
             if m < 3:
                 continue
             ms_seen.add(m)
-            for n_level in args.N:
-                verdict = classify(CaseInput(k, m, n_level))
+            for verdict in classify_levels(k, m, args.N):
                 if verdict.any_part and not verdict.window_ok:
                     raise VerificationFailed(
-                        f"window check failed for accepted case k={k} m={m} N={n_level}")
+                        f"window check failed for accepted case k={k} m={m} N={verdict.N}")
                 rows.append(verdict + ("",))
     for m in sorted(ms_seen):
         if m <= 3:
@@ -618,11 +630,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"report path (default: stdout, or ${OUTPUT_DIR_ENV})")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
-    def common(p):
+    def common(p, q_trunc=True):
         p.add_argument("--m", type=parse_range, default="2..8",
                        help="index range, e.g. 2..8 or 5")
-        p.add_argument("--q-trunc", type=parse_rational, default=argparse.SUPPRESS,
-                       help="certified window, e.g. 40 or 81/2")
+        if q_trunc:
+            p.add_argument("--q-trunc", type=parse_rational, default=argparse.SUPPRESS,
+                           help="certified window, e.g. 40 or 81/2")
         output_flags(p)
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
@@ -636,8 +649,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dump-series", type=Path, default=argparse.SUPPRESS,
                    help="directory for cofactor series dumps")
 
+    # each index m reads its eigenvalues on its own window 2m + 2, so this
+    # command takes no --q-trunc
     p = sub.add_parser("verify-characters", help="translation eigenvalues and characters")
-    common(p)
+    common(p, q_trunc=False)
 
     p = sub.add_parser("verify-identities",
                        help="two-path Taylor identity, kernel equivalence, Cramer")
@@ -757,14 +772,20 @@ def _check_identities_args(args: argparse.Namespace) -> None:
 
 
 def main(argv=None) -> int:
-    _lift_int_str_limit()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse, check and run one command; the int/str digit limit is lifted for
+    the run (forked workers inherit it) and put back on every way out."""
+    saved = _lift_int_str_limit()
     try:
-        config_from_args(args)
-    except ValueError as error:
-        parser.error(str(error))
-    return run(args)
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            config_from_args(args)
+        except ValueError as error:
+            parser.error(str(error))
+        return run(args)
+    finally:
+        if saved is not None:
+            sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

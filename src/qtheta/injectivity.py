@@ -16,6 +16,12 @@ reduced mod m).  ``window_check``, ``congruence_check`` and
 ``nonintegrality_check`` wrap them in their report records;
 ``classify`` calls them directly, so a case builds only its
 ``CaseVerdict``.
+
+A verdict reads the level N only through whether N is square-free and
+whether N = 1.  ``classify_levels`` classifies one (k, m) on a list of
+levels with one ``classify`` call per such class, at most three, and gives
+every other level of a class that verdict with its own N; ``classify``
+stays the one place the arithmetic is done.
 """
 
 from __future__ import annotations
@@ -261,3 +267,27 @@ def classify(case: CaseInput) -> CaseVerdict:
     # positional, in field order: a sweep builds one verdict per case
     return CaseVerdict(k, m, N, part_i, part_ii, part_iii, s, r, beta, lam, window_ok,
                        details)
+
+
+def classify_levels(k: int, m: int, levels) -> list[CaseVerdict]:
+    """``[classify(CaseInput(k, m, N)) for N in levels]``, one ``classify`` per level class.
+
+    A verdict reads N only through two facts, whether N is square-free
+    (part ii) and whether N = 1 (part iii), so the levels fall into at
+    most three classes: 1, the other square-free levels, the rest.  The
+    first level of each class is classified; every later level of the
+    class takes that verdict with its own N.
+    """
+    verdicts = []
+    by_class: dict[tuple[bool, bool], CaseVerdict] = {}
+    for n in levels:
+        if n < 1:
+            raise InvalidInput("N must be a positive integer")
+        key = (n == 1, is_squarefree(n))
+        verdict = by_class.get(key)
+        if verdict is None:
+            verdict = by_class[key] = classify(CaseInput(k, m, n))
+        else:
+            verdict = CaseVerdict._make((k, m, n) + verdict[3:])
+        verdicts.append(verdict)
+    return verdicts

@@ -13,6 +13,12 @@ those keys through the trusted ``_make``, with integer coefficients over
 den 1: the term r sits at r^2 on the 1/4m grid, and r^2/4m < q_trunc is
 r^2 < ceil(4m*q_trunc).  That ceiling is the integer key bound, and
 ``_residues`` takes it: the residues of a class below it are one ``range``.
+
+``odd_theta_columns`` builds all m - 1 odd series of index m (mu = 1..m-1,
+the columns of the theta-derivative matrix and of the character check) in
+one pass over r below the key bound, each r landing in its class with its
+sign; ``odd_theta_series`` builds one class, for callers that need a single
+column on its own window.
 """
 
 from __future__ import annotations
@@ -209,6 +215,32 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
     terms = {r * r: r for r in _residues(m, mu, _key_bound(tn, td, 4 * m))} if mu % m else {}
     return PuiseuxSeries._make(terms, tn, td, 4 * m, 1)
+
+
+def odd_theta_columns(m: int, q_trunc) -> list[PuiseuxSeries]:
+    """The odd theta series of index m for mu = 1..m-1, built in one pass over r.
+
+    Each column equals ``odd_theta_series(ThetaIndex(m, mu), q_trunc)``, store
+    for store.  r and -r share the exponent r^2/4m, so the pass runs over
+    r = 1, 2, ... below the key bound only: r goes to its class c = r mod 2m,
+    as the term r of column c when c < m and as the term -r of column 2m - c
+    (the class of -r) when c > m; r in the zero classes 0 and m goes nowhere.
+    """
+    if m < 1:
+        raise ValueError("index_m must be a positive integer")
+    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
+    step = 2 * m
+    bound = _key_bound(tn, td, 2 * step)
+    stores: list[dict[int, int]] = [{} for _ in range(m + 1)]
+    if bound > 0:
+        for r in range(1, math.isqrt(bound - 1) + 1):  # r^2 < bound iff r <= isqrt(bound - 1)
+            c = r % step
+            if c < m:
+                stores[c][r * r] = r
+            else:
+                stores[step - c][r * r] = -r
+    # stores[0] took the class 0 and stores[m] the class m; both are dropped
+    return [PuiseuxSeries._make(stores[mu], tn, td, 2 * step, 1) for mu in range(1, m)]
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:

@@ -55,7 +55,7 @@ from typing import NamedTuple
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
 from .series import PuiseuxSeries, _reduced, dot
-from .theta import ThetaIndex, _residues, odd_theta_series
+from .theta import _residues, odd_theta_columns
 
 
 class VerificationFailed(Exception):
@@ -198,9 +198,7 @@ class ThetaDerivativeMatrix(SeriesMatrix):
     @property
     def entries(self) -> list[list[PuiseuxSeries]]:
         if self._entries is None:
-            base = [odd_theta_series(ThetaIndex(self.m, mu), self.q_trunc)
-                    for mu in range(1, self.m)]
-            rows = [base]
+            rows = [odd_theta_columns(self.m, self.q_trunc)]
             for _ in range(self.m - 2):
                 rows.append([entry.q_derivative() for entry in rows[-1]])
             self._entries = rows
@@ -322,8 +320,7 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    base = [odd_theta_series(ThetaIndex(m, mu), q_trunc) for mu in range(1, m)]
-    columns = [base]
+    columns = [odd_theta_columns(m, q_trunc)]
     for step in range(1, m - 1):
         weight = HalfIntWeight(3 + 4 * (step - 1))
         columns.append([modular_derivative(entry, weight) for entry in columns[-1]])

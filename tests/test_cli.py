@@ -15,8 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from qtheta import (JacobiFormData, SeriesMatrix, cli, dump_jacobi_table,
-                    nonintegrality_check, parse_series_text, wronskian)
+from qtheta import (JacobiFormData, PuiseuxSeries, SeriesMatrix, cli, dump_jacobi_table,
+                    injectivity, nonintegrality_check, parse_series_text, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -83,6 +83,28 @@ class TestParsing:
         assert exit_info.value.code == 2
         assert "usage: qtheta" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this CPython has no int/str digit limit")
+class TestDigitLimit:
+    @pytest.mark.parametrize("argv, status", [
+        (("verify-wronskian", "--m", "2..3", "--q-trunc", "4"), 0),
+        (("verify-orders", "--m", "10", "--q-trunc", "1/4"), 1),
+        (("verify-wronskian", "--m", "2", "--q-trunc", "0"), 2),
+    ])
+    def test_main_restores_the_limit(self, argv, status, tmp_path):
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(5000)
+        try:
+            try:
+                code = run_cli(*argv, "--output", str(tmp_path / "r.txt"))
+            except SystemExit as error:
+                code = error.code
+            assert code == status
+            assert sys.get_int_max_str_digits() == 5000
+        finally:
+            sys.set_int_max_str_digits(saved)
 
 
 class TestParallelRuns:
@@ -718,6 +740,51 @@ class TestVerifyCharacters:
         assert "2,1,1/8,true" in text
         assert "3,5/6,10,true" in text
 
+    def test_q_trunc_rejected(self, tmp_path):
+        # each index reads its eigenvalues on its own window 2m + 2
+        out = tmp_path / "chars.json"
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify-characters", "--m", "2..6", "--q-trunc", "1/100",
+                    "--output", str(out))
+        assert exit_info.value.code == 2
+        assert not out.exists()
+
+    @staticmethod
+    def shift(column):
+        """The column moved up by q^(1/4m): one class over, still an eigenvector."""
+        step = F(1, column.base_denom)
+        return PuiseuxSeries({e + step: c for e, c in column.terms.items()},
+                             column.trunc, column.base_denom)
+
+    @staticmethod
+    def off_class(column):
+        """The column plus the term q^(1/2), off the class of mu = 2 for m = 5."""
+        return column + PuiseuxSeries({F(1, 2): 1}, column.trunc, column.base_denom)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("fault, message", [
+        ("shift", "character check failed: m=5 mu=2: series exponent 1/4, expected 1/5"),
+        ("off_class", "character check failed: m=5 mu=2: exponents 1/5 and 1/2 "
+                      "differ by a non-integer"),
+    ])
+    def test_bad_column_fails_with_a_record(self, fault, message, jobs, monkeypatch, tmp_path):
+        columns_of = cli.odd_theta_columns
+
+        def faulty(m, q_trunc):
+            columns = columns_of(m, q_trunc)
+            if m in (5, 7):  # the record names the lowest failing index
+                columns[1] = getattr(self, fault)(columns[1])
+            return columns
+
+        monkeypatch.setattr(cli, "odd_theta_columns", faulty)
+        out = tmp_path / "chars.json"
+        code = run_cli("verify-characters", "--m", "2..8", "--format", "json",
+                       "--jobs", jobs, "--output", str(out))
+        assert code == 1
+        record = json.loads(out.read_text())
+        assert record["all_passed"] is False
+        assert record["failure"] == message
+
 
 class TestVerifyIdentities:
     def test_passes_and_is_seeded(self, tmp_path):
@@ -877,6 +944,17 @@ class TestClassifyAndSweep:
                  if ln and not ln.startswith("#")]
         # header + 2 odd weights * 3 offsets for verdicts, plus integrality table
         assert lines[0].startswith("k,m,N,")
+
+    def test_false_window_flags_fail_the_sweep(self, monkeypatch, tmp_path):
+        # N = 4 is not square-free, so k=3 m=5 N=4 accepts no part and has
+        # no window to fail; N = 6 is the first accepted row of the grid
+        monkeypatch.setattr(injectivity, "_window_flags", lambda k, m, s, r: (False, True, True))
+        out = tmp_path / "sweep.json"
+        code = run_cli("sweep", "--k", "3", "--m", "5..7", "--N", "4,6,1",
+                       "--format", "json", "--output", str(out))
+        assert code == 1
+        record = json.loads(out.read_text())
+        assert record["failure"] == "window check failed for accepted case k=3 m=5 N=6"
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("QTHETA_OUTPUT_DIR", str(tmp_path / "reports"))

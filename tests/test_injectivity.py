@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qtheta import (CaseInput, CaseVerdict, InvalidInput, ParityError, classify,
-                    congruence_check, is_squarefree, nonintegrality_check, window_check)
+                    classify_levels, congruence_check, injectivity, is_squarefree,
+                    nonintegrality_check, window_check)
 
 F = Fraction
 
@@ -103,6 +104,39 @@ class TestClassifyOracle:
                 for N in range(1, 13):
                     verdict = classify(CaseInput(k, m, N))
                     assert verdict == verdict_from_public_checks(k, m, N), (k, m, N)
+
+
+class TestClassifyLevels:
+    def test_matches_classify_on_every_level(self):
+        levels = list(range(1, 37))
+        shuffled = levels[::-1][::2] + levels[::2]  # even levels, then odd ones from N = 1
+        for k in range(3, 42, 2):
+            for m in range(3, 81):
+                expected = [classify(CaseInput(k, m, N)) for N in levels]
+                got = classify_levels(k, m, levels)
+                assert got == expected, (k, m)
+                assert all(type(v) is CaseVerdict for v in got)
+                by_level = dict(zip(levels, expected))
+                assert classify_levels(k, m, shuffled) == [by_level[N] for N in shuffled]
+
+    def test_one_classify_per_level_class(self, monkeypatch):
+        seen = []
+
+        def counting(case):
+            seen.append(case.N)
+            return classify(case)
+
+        monkeypatch.setattr(injectivity, "classify", counting)
+        verdicts = classify_levels(5, 9, [4, 6, 1, 2, 8, 3, 1])
+        assert [v.N for v in verdicts] == [4, 6, 1, 2, 8, 3, 1]
+        assert seen == [4, 6, 1]  # not square-free, square-free, N = 1
+
+    def test_validates_like_case_input(self):
+        assert classify_levels(3, 5, []) == []
+        for k, m, levels in [(4, 7, [1]), (1, 7, [1]), (3, 2, [1]), (3, 7, [0]),
+                             (3, 7, [1, 2, -6])]:
+            with pytest.raises(InvalidInput):
+                classify_levels(k, m, levels)
 
 
 class TestWindow:

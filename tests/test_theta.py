@@ -6,8 +6,8 @@ from fractions import Fraction
 import pytest
 
 from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent,
-                    eta, odd_theta_series, theta_series, total_theta_order,
-                    translation_eigenvalue)
+                    eta, odd_theta_columns, odd_theta_series, theta_series,
+                    total_theta_order, translation_eigenvalue)
 from qtheta.theta import _residues
 
 F = Fraction
@@ -60,6 +60,28 @@ class TestResidueRanges:
                 two_var = theta_series(ThetaIndex(m, mu), window)
                 assert dict(two_var.terms) == {(F(r * r, 4 * m), r): 1 for r in rs}
                 assert two_var.q_trunc == window and two_var.base_denom == 4 * m
+
+
+class TestOddThetaColumns:
+    """The one-pass column set of an index against its classes built one at a time."""
+
+    @pytest.mark.parametrize("window", [F(-3, 2), 0, F(1, 8), F(9, 7), 1, "2m+2", 40])
+    def test_columns_are_the_per_class_series(self, window):
+        for m in range(1, 41):
+            w = 2 * m + 2 if window == "2m+2" else window
+            columns = odd_theta_columns(m, w)
+            assert len(columns) == m - 1
+            for mu, column in enumerate(columns, start=1):
+                single = odd_theta_series(ThetaIndex(m, mu), w)
+                assert column._terms == single._terms, (m, mu, w)
+                assert (column._tn, column._td, column._den) == \
+                    (single._tn, single._td, single._den), (m, mu, w)
+                assert column.base_denom == single.base_denom == 4 * m
+                assert column == single
+
+    def test_index_must_be_positive(self):
+        with pytest.raises(ValueError):
+            odd_theta_columns(0, 4)
 
 
 class TestTwoVariableSeries:
