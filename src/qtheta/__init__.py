@@ -10,7 +10,7 @@ from .characters import (GammaCharacter, UnityExponent, squared_determinant_delt
 from .injectivity import (CaseInput, CaseVerdict, CongruenceReport, InvalidInput,
                           NonintegralityReport, ParityError, WindowReport, classify,
                           classify_levels, congruence_check, is_squarefree,
-                          nonintegrality_check, window_check)
+                          level_classes, nonintegrality_check, window_check)
 from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      ThetaComponents, component_taylor, component_taylor_scale,
                      development_operator, dump_jacobi_table, from_theta_components,
@@ -21,7 +21,7 @@ from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
                      dot, dump_series_text, parse_rational, parse_series_text)
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_columns,
                     odd_theta_series, theta_series, total_theta_order,
-                    translation_eigenvalue)
+                    translation_eigenvalue, translation_exponent)
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
                         ThetaDerivativeMatrix, VerificationFailed, WronskianReport,
                         cramer_reconstruction, eta_power_exponent, kernel_components,

@@ -31,17 +31,17 @@ import os
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
-from .characters import (squared_determinant_delta_power, squared_determinant_translation,
-                         translation_eigenvalues)
+from .characters import UnityExponent, squared_determinant_delta_power
 from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify,
-                          classify_levels, nonintegrality_check)
+                          classify_levels, level_classes, nonintegrality_check)
 from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
 from .series import dump_series_text, parse_rational
-from .theta import odd_theta_columns, translation_eigenvalue
+from .theta import odd_theta_columns, translation_exponent
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
                         cramer_reconstruction, kernel_components, theta_derivative_matrix,
                         theta_minor_window, theta_wronskian, verify_eta_power)
@@ -130,21 +130,23 @@ def _orders_case(job):
 
 def _characters_case(job):
     _, m, _ = job
-    diag = translation_eigenvalues(m)
+    den = 4 * m
     # enough of the q-expansion to see at least three residues
     columns = odd_theta_columns(m, 2 * m + 2)
     eigen_rows = []
-    for mu, expected, column in zip(range(1, m), diag, columns):
+    for mu, column in zip(range(1, m), columns):
         try:
-            found = translation_eigenvalue(column)
+            num, d = translation_exponent(column)
         except ValueError as error:  # not an eigenvector, or the zero series
             raise VerificationFailed(f"character check failed: m={m} mu={mu}: {error}") from None
-        if found != expected:
+        if num * den != mu * mu % den * d:  # num/d is not mu^2/4m mod 1
+            g = gcd(mu * mu, den)
             raise VerificationFailed(
                 f"character check failed: m={m} mu={mu}: series exponent "
-                f"{found.num}/{found.den}, expected {expected.num}/{expected.den}")
-        eigen_rows.append((m, mu, f"{expected.num}/{expected.den}", True))
-    xi = squared_determinant_translation(m, diag)
+                f"{num}/{d}, expected {mu * mu % den // g}/{den // g}")
+        eigen_rows.append((m, mu, f"{num}/{d}", True))
+    # twice the eigenvalues' sum, on the integer sum of mu^2 over 4m
+    xi = UnityExponent(2 * sum(mu * mu for mu in range(1, m)), den)
     power = squared_determinant_delta_power(m)
     if xi != power.translation_value:
         raise VerificationFailed(
@@ -374,6 +376,9 @@ def _cmd_classify(args: argparse.Namespace):
 def _cmd_sweep(args: argparse.Namespace):
     k_lo, k_hi = args.k
     rows, integrality_rows, discrepancies, ms_seen = [], [], [], set()
+    # config_from_args has checked the grid, so each level's class is worked
+    # out once here and no (k, m) validates or tests a level again
+    classes = level_classes(args.N)
     for k in range(k_lo, k_hi + 1):
         if k % 2 == 0:
             continue
@@ -386,8 +391,8 @@ def _cmd_sweep(args: argparse.Namespace):
             if m < 3:
                 continue
             ms_seen.add(m)
-            for verdict in classify_levels(k, m, args.N):
-                if verdict.any_part and not verdict.window_ok:
+            for verdict in classify_levels(k, m, args.N, classes):
+                if not verdict.window_ok and verdict.any_part:
                     raise VerificationFailed(
                         f"window check failed for accepted case k={k} m={m} N={verdict.N}")
                 rows.append(verdict + ("",))
@@ -417,8 +422,6 @@ _BOOL_TEXT = {True: "true", False: "false"}
 # a cell's JSON text by its exact type (a bool is an int), all from C-level calls
 _JSON_CELL = {str: _escape, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
               type(None): {None: "null"}.__getitem__}
-# the CSV cells the csv writer does not print as the reports do
-_CSV_CELL = {bool: _BOOL_TEXT.__getitem__, type(ABSENT): {ABSENT: None}.__getitem__}
 
 
 def _json_template(keys, present, templates) -> tuple[str, list]:
@@ -489,20 +492,67 @@ def _render_json(out, args, tables, all_passed, discrepancies) -> None:
     out.write(f"\n  }},\n{tail}\n")
 
 
-def _csv_block(block):
-    """The rows with their bool and ABSENT cells converted, a column at a time."""
-    columns = list(zip(*block))
-    for i, column in enumerate(columns):
+def _csv_str(text: str) -> str:
+    """A str cell with no "\r" as the csv writer prints it: quoted, its quotes
+    doubled, exactly when it holds a comma, a quote or a newline."""
+    if "," in text or '"' in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# a cell's CSV text by its exact type, but for a str holding "\r" (see _csv_block)
+_CSV_CELL = {str: _csv_str, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
+             type(None): {None: ""}.__getitem__, type(ABSENT): {ABSENT: ""}.__getitem__}
+
+
+class _IntTexts(dict):
+    """int -> its decimal text, each distinct int converted once per render:
+    a report's ints repeat (indices, weights, levels) row after row."""
+
+    def __missing__(self, n):
+        text = self[n] = int.__repr__(n)
+        return text
+
+
+def _csv_block(block, int_texts) -> str | None:
+    """The rows' CSV lines, converted a column at a time (ints through
+    ``int_texts``) and joined; None for a block the csv writer must print: one
+    with a cell that CPython versions quote differently (a str holding "\r",
+    the empty cell of a one-cell row) or a cell of no report type."""
+    columns = []
+    for column in zip(*block):
         kinds = set(map(type, column))
-        if kinds & _CSV_CELL.keys():
-            columns[i] = (map(_CSV_CELL[kinds.pop()], column) if len(kinds) == 1 else
-                          [_CSV_CELL[type(v)](v) if type(v) in _CSV_CELL else v for v in column])
-    return zip(*columns) if columns else block
+        if not kinds <= _CSV_CELL.keys():
+            return None
+        if str in kinds:
+            text = "".join(column if len(kinds) == 1 else
+                           [value for value in column if type(value) is str])
+            if "\r" in text:
+                return None
+            if len(kinds) == 1 and not ("," in text or '"' in text or "\n" in text):
+                columns.append(column)  # every cell prints as it is
+                continue
+        if kinds == {int}:
+            columns.append(map(int_texts.__getitem__, column))
+        else:
+            columns.append(map(_CSV_CELL[kinds.pop()], column) if len(kinds) == 1 else
+                           [_CSV_CELL[type(value)](value) for value in column])
+    if not columns:
+        return "\n" * len(block)
+    if len(columns) == 1:
+        columns[0] = list(columns[0])
+        if "" in columns[0]:
+            return None
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _render_csv(out, tables) -> None:
-    """Each table's keys are its header; the csv writer prints ints, strings and None."""
+    """Each table's keys are its header, then its rows in blocks: each block
+    converted a column at a time (each distinct int once by ``int.__repr__``,
+    bools looked up, a str quoted by hand), or printed by the csv writer
+    where ``_csv_block`` says so."""
     writer = csv.writer(out, lineterminator="\n")
+    int_texts = _IntTexts()
     separator = ""
     for name, (keys, rows) in tables.items():
         out.write(f"{separator}# table: {name}\n")
@@ -510,7 +560,15 @@ def _render_csv(out, tables) -> None:
         if rows:
             writer.writerow(keys)
         for start in range(0, len(rows), _BLOCK_ROWS):
-            writer.writerows(_csv_block(rows[start:start + _BLOCK_ROWS]))
+            block = rows[start:start + _BLOCK_ROWS]
+            text = _csv_block(block, int_texts)
+            if text is None:
+                # the writer prints None empty; bools and ABSENT become those first
+                writer.writerows([[_BOOL_TEXT[value] if type(value) is bool else
+                                   None if value is ABSENT else value for value in row]
+                                  for row in block])
+            else:
+                out.write(text)
 
 
 def _render_text(out, args, tables, all_passed, discrepancies) -> None:

@@ -21,7 +21,9 @@ A verdict reads the level N only through whether N is square-free and
 whether N = 1.  ``classify_levels`` classifies one (k, m) on a list of
 levels with one ``classify`` call per such class, at most three, and gives
 every other level of a class that verdict with its own N; ``classify``
-stays the one place the arithmetic is done.
+stays the one place the arithmetic is done.  ``level_classes`` works out
+the classes of a list of levels, so a sweep over many (k, m) tests each
+level's square-freeness once.
 """
 
 from __future__ import annotations
@@ -230,19 +232,22 @@ def congruence_check(part: str, k: int, m: int) -> CongruenceReport:
     return CongruenceReport(part, k, m, m - k - 2, *_congruence_residue(part, total))
 
 
-def classify(case: CaseInput) -> CaseVerdict:
+def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
     """Apply the three applicability conditions and fill the proof arithmetic.
 
     part (i): m - k >= 4, any level; (s, r) = (0, 2(m-k-2)), giving an
     even r > 2.  parts (ii)/(iii): m odd and m - k >= 2, with level
     square-free resp. 1; (s, r) = (m-k-2, 0).  When several parts apply
     the part-(i) choice of (s, r) is recorded.  beta = 2(k + 2m + s - 4);
-    the eta exponent is (m-1)(2m-1).
+    the eta exponent is (m-1)(2m-1).  ``squarefree`` is whether N is
+    square-free, from a caller that has tested it already; None tests it.
     """
-    k, m, N = case.k, case.m, case.N
+    k, m, N = case
+    if squarefree is None:
+        squarefree = case.squarefree_n
     mk = m - k
     part_i = mk >= 4
-    part_ii = m % 2 == 1 and mk >= 2 and case.squarefree_n
+    part_ii = m % 2 == 1 and mk >= 2 and squarefree
     part_iii = N == 1 and m % 2 == 1 and mk >= 2
     if part_i:
         s, r = 0, 2 * (mk - 2)
@@ -264,30 +269,53 @@ def classify(case: CaseInput) -> CaseVerdict:
             details = (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
                        f"3m-2={total} = {residue12} (mod 12), needs != 3"
                        f" [{'ok' if ok12 else 'FAIL'}]")
-    # positional, in field order: a sweep builds one verdict per case
-    return CaseVerdict(k, m, N, part_i, part_ii, part_iii, s, r, beta, lam, window_ok,
-                       details)
+    # the fields in order, through tuple.__new__: a sweep builds one verdict
+    # per case, and the namedtuple's own __new__ is one more Python call
+    return tuple.__new__(CaseVerdict, (k, m, N, part_i, part_ii, part_iii, s, r, beta, lam,
+                                       window_ok, details))
 
 
-def classify_levels(k: int, m: int, levels) -> list[CaseVerdict]:
-    """``[classify(CaseInput(k, m, N)) for N in levels]``, one ``classify`` per level class.
+def level_classes(levels) -> list[tuple[bool, bool]]:
+    """Each level's class: (N = 1, N square-free), one ``is_squarefree`` per level.
+
+    A level below 1 raises ``InvalidInput``, as ``CaseInput`` does.
+    """
+    classes = []
+    for n in levels:
+        if n < 1:
+            raise InvalidInput("N must be a positive integer")
+        classes.append((n == 1, is_squarefree(n)))
+    return classes
+
+
+def classify_levels(k: int, m: int, levels, classes=None) -> list[CaseVerdict]:
+    """``[classify(CaseInput(k, m, N)) for N in levels]``, one verdict per level class.
 
     A verdict reads N only through two facts, whether N is square-free
     (part ii) and whether N = 1 (part iii), so the levels fall into at
     most three classes: 1, the other square-free levels, the rest.  The
     first level of each class is classified; every later level of the
     class takes that verdict with its own N.
+
+    Without ``classes`` each first level goes through
+    ``classify(CaseInput(k, m, N))``.  A caller that classifies many
+    (k, m) on the same levels, each already checked as ``CaseInput``
+    checks it, passes ``level_classes(levels)``, worked out once: a first
+    level's case is then built unvalidated and classified on its known
+    square-freeness, which is not tested a second time.
     """
+    trusted = classes is not None
+    if not trusted:
+        classes = level_classes(levels)
     verdicts = []
     by_class: dict[tuple[bool, bool], CaseVerdict] = {}
-    for n in levels:
-        if n < 1:
-            raise InvalidInput("N must be a positive integer")
-        key = (n == 1, is_squarefree(n))
+    for n, key in zip(levels, classes):
         verdict = by_class.get(key)
         if verdict is None:
-            verdict = by_class[key] = classify(CaseInput(k, m, n))
+            verdict = by_class[key] = (
+                classify(tuple.__new__(CaseInput, (k, m, n)), key[1]) if trusted
+                else classify(CaseInput(k, m, n)))
         else:
-            verdict = CaseVerdict._make((k, m, n) + verdict[3:])
+            verdict = tuple.__new__(CaseVerdict, (k, m, n) + verdict[3:])
         verdicts.append(verdict)
     return verdicts

@@ -18,7 +18,9 @@ r^2 < ceil(4m*q_trunc).  That ceiling is the integer key bound, and
 the columns of the theta-derivative matrix and of the character check) in
 one pass over r below the key bound, each r landing in its class with its
 sign; ``odd_theta_series`` builds one class, for callers that need a single
-column on its own window.
+column on its own window.  ``translation_exponent`` reads a series'
+translation eigenvalue as a reduced int pair, ``translation_eigenvalue`` as
+a ``UnityExponent``.
 """
 
 from __future__ import annotations
@@ -243,6 +245,29 @@ def odd_theta_columns(m: int, q_trunc) -> list[PuiseuxSeries]:
     return [PuiseuxSeries._make(stores[mu], tn, td, 2 * step, 1) for mu in range(1, m)]
 
 
+def translation_exponent(s: PuiseuxSeries) -> tuple[int, int]:
+    """The exponent x of ``translation_eigenvalue(s)`` as its reduced int pair
+    (num, den), 0 <= num < den, with no ``UnityExponent`` built.
+
+    Every exponent n/D of s must give the same n mod D; that residue over D,
+    reduced with one gcd, is the pair.  Otherwise the error names the least
+    exponent and the least one off its class.
+    """
+    terms = s._terms
+    if not terms:
+        raise ValueError("the zero series scales under every eigenvalue")
+    d = s.base_denom
+    residues = set(map(d.__rmod__, terms))  # n % d for every key n
+    if len(residues) > 1:
+        first = min(terms)
+        n = min(k for k in terms if (k - first) % d)  # the least one off the class
+        raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
+                               f"differ by a non-integer")
+    num = residues.pop()
+    g = math.gcd(num, d)
+    return num // g, d // g
+
+
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
     """The exponent x with s(tau + 1) = exp(2*pi*i*x) * s(tau).
 
@@ -250,17 +275,7 @@ def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
     fractional part is returned as a point of Q/Z.  Otherwise the error names
     the least exponent and the least one off its class.
     """
-    terms = s._terms
-    if not terms:
-        raise ValueError("the zero series scales under every eigenvalue")
-    d = s.base_denom
-    first = min(terms)
-    for n in terms:
-        if (n - first) % d:
-            n = min(k for k in terms if (k - first) % d)  # the least one off the class
-            raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
-                                   f"differ by a non-integer")
-    return UnityExponent(first, d)
+    return UnityExponent(*translation_exponent(s))
 
 
 def total_theta_order(m: int) -> Fraction:

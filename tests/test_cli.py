@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from qtheta import (JacobiFormData, PuiseuxSeries, SeriesMatrix, cli, dump_jacobi_table,
-                    injectivity, nonintegrality_check, parse_series_text, wronskian)
+from qtheta import (CaseInput, CaseVerdict, JacobiFormData, PuiseuxSeries, SeriesMatrix,
+                    classify, cli, dump_jacobi_table, injectivity, nonintegrality_check,
+                    parse_series_text, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -496,16 +497,48 @@ class TestRenderedRows:
 
     def test_csv_report_on_random_flat_tables(self, no_int_str_limit):
         rng = random.Random(21)
+        quoted = [",", '"', "\n", ',"', ',\n', '"\n', ',"\n', 'a,b "c"\nd', "plain"]
+        with_cr = ["\r", "a\rb", '\n\r', ',"\n\r', 'a,b "c"\nd\re']
         edge_tables = [{}, {"a": []}, {"a": [{}]}, {"b": [{}], "a": [], "": [{"": ""}]},
-                       {"t": [{"x": None}, {"x": ""}, {"y": "a,b"}, {"x": 'say "hi"\r\n'}]}]
+                       {"t": [{"x": None}, {"x": ""}, {"y": "a,b"}, {"x": 'say "hi"\r\n'}]},
+                       # each character the writer quotes on, alone and together,
+                       # beside other cells and in one-cell rows, in str columns and
+                       # in columns of mixed kinds; then "\r", alone and with the
+                       # others, as CPython versions differ on it
+                       {"t": [{"s": text, "n": 1, "b": True} for text in quoted]},
+                       {"t": [{"s": text} for text in quoted]},
+                       {"t": [{"s": ",", "n": 1}, {"n": 2}, {"s": None, "n": 3},
+                              {"s": -4, "n": 5}, {"s": False, "n": 6}, {"s": '"', "n": 7}]},
+                       {"t": [{"s": text, "n": 1} for text in with_cr]},
+                       {"t": [{"s": text} for text in with_cr]},
+                       # one-cell rows whose cell is empty, alone and among others
+                       {"t": [{"x": ""}]}, {"t": [{"x": None}]},
+                       {"t": [{"x": "a"}, {"x": ""}, {"x": None}, {}, {"x": 0}]},
+                       # header keys that need quoting
+                       {"t": [{'say "a,b"': 1, "line\nbreak": "x", "cr\r": True, "": None}]},
+                       {"t": [{"x": "é€😀", "y": "naïve, 😀", "z": 'ß"'}], "ü": [{"ü": "ü"}]},
+                       # ints past the 4300-digit default limit on int -> str
+                       {"t": [{"x": 10 ** 4400 + 1, "y": -(10 ** 4400)}, {"x": 7, "y": 7}],
+                        "u": [{"x": 10 ** 4400 + 1}, {"x": -(10 ** 4400)}]}]
         kinds = set()
-        for trial in range(300):
+        # the edge tables, then as many random tables as there always were
+        for trial in range(len(edge_tables) + 295):
             tables = edge_tables[trial] if trial < len(edge_tables) else random_tables(rng)
             kinds.update(type(v) for rows in tables.values() for row in rows
                          for v in row.values())
             assert (rendered(cli._render_csv, table_form(tables))
                     == csv_reference(dict_view(table_form(tables))))
         assert kinds == {str, int, bool, type(None)}
+
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--k", "3..21", "--m-offset", "1..20", "--N", "1,6,4"),
+        ("verify-orders", "--m", "3..6"),
+    ])
+    def test_csv_report_of_real_tables(self, argv, tmp_path):
+        # the quoted congruence details, the empty discrepancy flags and the
+        # bools and ints of real reports, across several row blocks
+        _, tables, _ = self.handler_output(argv, tmp_path)
+        assert rendered(cli._render_csv, tables) == csv_reference(dict_view(tables))
 
     def test_text_report_on_random_flat_tables(self, no_int_str_limit):
         rng = random.Random(22)
@@ -785,6 +818,38 @@ class TestVerifyCharacters:
         assert record["all_passed"] is False
         assert record["failure"] == message
 
+    def test_exponents_are_reduced_pairs(self, tmp_path):
+        # m = 5: 9/20 stays, 16/20 reduces to 4/5; m = 6: 25/24 reduces mod 1
+        out = tmp_path / "chars.json"
+        assert run_cli("verify-characters", "--m", "5..6", "--format", "json",
+                       "--output", str(out)) == 0
+        results = json.loads(out.read_text())["results"]
+        assert [(row["m"], row["mu"], row["exponent"]) for row in results["eigenvalues"]] == [
+            (5, 1, "1/20"), (5, 2, "1/5"), (5, 3, "9/20"), (5, 4, "4/5"),
+            (6, 1, "1/24"), (6, 2, "1/6"), (6, 3, "3/8"), (6, 4, "2/3"), (6, 5, "1/24")]
+        # 2 * (1 + 4 + 9 + 16)/20 = 3 and 2 * 55/24 = 55/12, mod 1
+        assert [(row["m"], row["xi"], row["delta_power"]) for row in results["characters"]] \
+            == [(5, "0/1", 0), (6, "7/12", 7)]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_column_lifted_by_q_passes_unchanged(self, jobs, monkeypatch, tmp_path):
+        # each exponent one higher keeps its class mod 1, and so the eigenvalue
+        expected = tmp_path / "expected.json"
+        assert run_cli("verify-characters", "--m", "2..8", "--format", "json",
+                       "--output", str(expected)) == 0
+        columns_of = cli.odd_theta_columns
+
+        def lifted(m, q_trunc):
+            return [PuiseuxSeries({e + 1: c for e, c in column.terms.items()},
+                                  column.trunc + 1, column.base_denom)
+                    for column in columns_of(m, q_trunc)]
+
+        monkeypatch.setattr(cli, "odd_theta_columns", lifted)
+        out = tmp_path / "chars.json"
+        assert run_cli("verify-characters", "--m", "2..8", "--format", "json",
+                       "--jobs", jobs, "--output", str(out)) == 0
+        assert out.read_bytes() == expected.read_bytes()
+
 
 class TestVerifyIdentities:
     def test_passes_and_is_seeded(self, tmp_path):
@@ -944,6 +1009,26 @@ class TestClassifyAndSweep:
                  if ln and not ln.startswith("#")]
         # header + 2 odd weights * 3 offsets for verdicts, plus integrality table
         assert lines[0].startswith("k,m,N,")
+
+    def test_sweep_rows_and_one_squarefree_test_per_level(self, monkeypatch, tmp_path):
+        levels = (4, 6, 1, 9, 2)  # every class, and later levels of two of them
+        tested = []
+        squarefree = injectivity.is_squarefree
+        monkeypatch.setattr(injectivity, "is_squarefree",
+                            lambda n: tested.append(n) or squarefree(n))
+        args = cli.config_from_args(cli.build_parser().parse_args(
+            ["sweep", "--k", "3..21", "--m-offset", "1..20", "--N", "4,6,1,9,2"]))
+        tables, _, _ = cli.HANDLERS["sweep"](args)
+        assert tested == list(levels)
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--k", "3..21", "--m-offset", "1..20", "--N", "4,6,1,9,2",
+                       "--format", "csv", "--output", str(out)) == 0
+        assert tested == 2 * list(levels)  # once per level per sweep
+        keys, rows = tables["verdicts"]
+        assert keys == CaseVerdict._fields + ("discrepancy_flags",)
+        assert rows == [classify(CaseInput(k, m, N)) + ("",)
+                        for k in range(3, 22, 2) for m in range(k + 1, k + 21) for N in levels]
+        assert all(type(row) is tuple for row in rows)
 
     def test_false_window_flags_fail_the_sweep(self, monkeypatch, tmp_path):
         # N = 4 is not square-free, so k=3 m=5 N=4 accepts no part and has

@@ -7,7 +7,7 @@ import pytest
 
 from qtheta import (CaseInput, CaseVerdict, InvalidInput, ParityError, classify,
                     classify_levels, congruence_check, injectivity, is_squarefree,
-                    nonintegrality_check, window_check)
+                    level_classes, nonintegrality_check, window_check)
 
 F = Fraction
 
@@ -130,6 +130,31 @@ class TestClassifyLevels:
         verdicts = classify_levels(5, 9, [4, 6, 1, 2, 8, 3, 1])
         assert [v.N for v in verdicts] == [4, 6, 1, 2, 8, 3, 1]
         assert seen == [4, 6, 1]  # not square-free, square-free, N = 1
+
+    def test_classes_worked_out_once(self, monkeypatch):
+        levels = list(range(1, 37))
+        classes = level_classes(levels)
+        assert classes == [(n == 1, is_squarefree(n)) for n in levels]
+        grid = [(k, m) for k in range(3, 42, 2) for m in range(3, 81)]
+        expected = {(k, m): [classify(CaseInput(k, m, N)) for N in levels] for k, m in grid}
+        tested, seen = [], []
+        squarefree = injectivity.is_squarefree
+        monkeypatch.setattr(injectivity, "is_squarefree",
+                            lambda n: tested.append(n) or squarefree(n))
+        monkeypatch.setattr(injectivity, "classify",
+                            lambda case, flag: seen.append((case.N, flag)) or classify(case, flag))
+        for k, m in grid:
+            got = classify_levels(k, m, levels, classes)
+            assert got == expected[k, m], (k, m)
+            assert all(type(v) is CaseVerdict for v in got)
+        # each class's first level, on its known square-freeness
+        assert seen == len(grid) * [(1, True), (2, True), (4, False)]
+        assert tested == []
+        assert level_classes([4, 6, 1, 9, 2]) == [(False, False), (False, True), (True, True),
+                                                  (False, False), (False, True)]
+        assert tested == [4, 6, 1, 9, 2]
+        with pytest.raises(InvalidInput):
+            level_classes([1, 0])
 
     def test_validates_like_case_input(self):
         assert classify_levels(3, 5, []) == []

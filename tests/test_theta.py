@@ -7,7 +7,7 @@ import pytest
 
 from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent,
                     eta, odd_theta_columns, odd_theta_series, theta_series,
-                    total_theta_order, translation_eigenvalue)
+                    total_theta_order, translation_eigenvalue, translation_exponent)
 from qtheta.theta import _residues
 
 F = Fraction
@@ -165,6 +165,30 @@ class TestTranslationEigenvalue:
                     assert value == translation_eigenvalue(s)
                     reduced = F(mu * mu, 4 * m) % 1
                     assert (value.num, value.den) == (reduced.numerator, reduced.denominator)
+
+    def test_exponent_pair_is_the_eigenvalue_reduced(self):
+        # on the 1/4m grid, on finer grids and lifted by q^1 and q^2
+        for m in range(2, 13):
+            for mu in range(1, m):
+                s = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
+                reduced = F(mu * mu, 4 * m) % 1
+                for factor, lift in ((1, 0), (3, 0), (1, 1), (2, 2)):
+                    moved = PuiseuxSeries({e + lift: c for e, c in s.terms.items()},
+                                          s.trunc + lift, factor * s.base_denom)
+                    pair = translation_exponent(moved)
+                    assert pair == (reduced.numerator, reduced.denominator)
+                    value = translation_eigenvalue(moved)
+                    assert (value.num, value.den) == pair
+        assert translation_exponent(eta(40)) == (1, 24)
+
+    def test_exponent_pair_rejects_as_the_eigenvalue_does(self):
+        s = PuiseuxSeries._make({9: 1, 7: 2, 5: -1, 1: 3, 3: 1}, 20, 1, 4, 1)
+        with pytest.raises(NotAnEigenvector) as error:
+            translation_exponent(s)
+        assert str(error.value) == "exponents 1/4 and 3/4 differ by a non-integer"
+        with pytest.raises(ValueError) as error:
+            translation_exponent(PuiseuxSeries.zero(3))
+        assert not isinstance(error.value, NotAnEigenvector)
 
     def test_mixed_residues_rejected(self):
         s = PuiseuxSeries({F(0): F(1), F(1, 2): F(1)}, 5)
