@@ -17,8 +17,8 @@ from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficient, theta_components)
 from .modforms import HalfIntWeight, eisenstein_e2, eta, eta_power, modular_derivative
-from .series import (INFINITY, DivisorIndistinguishableFromZero, PuiseuxSeries,
-                     dot, dump_series_text, parse_rational, parse_series_text)
+from .series import (INFINITY, PuiseuxSeries, dot, dump_series_text, parse_rational,
+                     parse_series_text)
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_columns,
                     odd_theta_series, theta_series, total_theta_order,
                     translation_eigenvalue, translation_exponent)

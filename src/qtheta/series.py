@@ -28,8 +28,10 @@ window such as 115/84 on the 1/12 grid stays exact.
 Truncation bounds are recomputed pessimistically through every operation,
 so any identity observed on a result is certified on the stated window.
 ``dot`` forms a sum of products in one pass, with the terms and window of
-the left-to-right fold of ``*`` and ``+``.  Values are immutable after construction and all operations are pure, so
-series may be shared freely across threads or processes.
+the left-to-right fold of ``*`` and ``+``.  A series divides only by a
+nonzero scalar; there is no series-by-series division.  Values are
+immutable after construction and all operations are pure, so series may
+be shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -45,10 +47,6 @@ Exponent = Fraction
 Truncation = Union[Fraction, float]
 
 _ZERO = Fraction(0)
-
-
-class DivisorIndistinguishableFromZero(ArithmeticError):
-    """Raised when dividing by a series with no nonzero term below its truncation."""
 
 
 def _as_trunc(value) -> Truncation:
@@ -308,52 +306,7 @@ class PuiseuxSeries:
             if not c:
                 raise ZeroDivisionError("division of a series by the scalar zero")
             return self * (1 / c)
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        if not other._terms:
-            raise DivisorIndistinguishableFromZero(
-                "divisor has no nonzero term below its truncation")
-        # (A/den_a) / (B/den_b) = (A/B) * den_b/den_a: long division on the
-        # numerators in Fractions, scaled and put over one denominator at the end
-        denom = math.lcm(self.base_denom, other.base_denom)
-        divisor = other._over(denom, other._den)
-        rem = dict(self._over(denom, self._den))
-        nb_low = min(divisor)
-        lead_b = Fraction(divisor[nb_low])
-        # r(e) needs the dividend at e + ord_b and the divisor up to
-        # e + ord_b - ord(r), with ord(r) = ord_a - ord_b: the window is
-        # min(trunc a - ord_b, trunc b - 2 ord_b + ord_a), +infinity for ord_a
-        p1, q1 = self._tn * denom - nb_low * self._td, self._td * denom
-        p2, q2 = 1, 0
-        if rem:
-            p2, q2 = other._tn * denom + (min(rem) - 2 * nb_low) * other._td, other._td * denom
-        tn, td = _lowest_terms(*((p1, q1) if p1 * q2 <= p2 * q1 else (p2, q2)))
-        bound = _key_bound(tn, td, denom)
-        higher = sorted((n, c) for n, c in divisor.items() if n != nb_low)
-        # of two exact series, an exact quotient has no key past this
-        last = max(rem) - max(divisor) if bound is None and rem else None
-        quot: dict[int, Fraction] = {}
-        while rem:
-            n = min(rem)
-            nq = n - nb_low
-            if bound is not None and nq >= bound:
-                break
-            if last is not None and nq > last:
-                raise ValueError("the quotient of two exact series is not a finite series")
-            c = rem.pop(n) / lead_b
-            quot[nq] = c
-            for nb, cb in higher:
-                target = nq + nb
-                if bound is not None and target - nb_low >= bound:
-                    break
-                nv = rem.get(target, 0) - c * cb
-                if nv:
-                    rem[target] = nv
-                else:
-                    rem.pop(target, None)
-        scale = Fraction(other._den, self._den)
-        terms, den = _over_lcm({n: c * scale for n, c in quot.items()})
-        return PuiseuxSeries._make(terms, tn, td, denom, den)
+        return NotImplemented
 
     # -- derivations and reshaping ------------------------------------------
 

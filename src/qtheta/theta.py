@@ -116,10 +116,6 @@ class ThetaTwoVar:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def q_order(self) -> Truncation:
-        keys = [n for n, _ in self._terms]
-        return Fraction(min(keys), self.base_denom) if keys else INFINITY
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ThetaTwoVar):
             return NotImplemented

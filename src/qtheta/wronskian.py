@@ -38,7 +38,9 @@ The verification entry points certify, on an explicit exponent window,
 that W is a constant multiple of the Dedekind eta function raised to
 (m-1)(2m-1), that the vanishing orders and leading coefficients of W and
 its last-row cofactors match the closed Vandermonde formulas, and that
-the adjugate rebuilds a component tuple from the system it solves.  One
+the adjugate rebuilds a component tuple from the system it solves.  The
+eta-power check divides no series: it certifies W - c * eta^lam = 0, c the
+ratio of the two leading coefficients.  One
 check, ``_check_theta_minor``, takes the order and leading coefficient of
 W, the minor on every column, and of cofactor nu, +/- the minor without nu.
 Cramer solves the rows M h its caller built with ``jacobi.component_taylor``,
@@ -374,12 +376,17 @@ class WronskianReport(NamedTuple):
 def verify_eta_power(m: int, q_trunc) -> WronskianReport:
     """Certify W = constant * eta^((m-1)(2m-1)) below the requested window.
 
-    The Wronskian and the eta power are generated with enough headroom
-    (the eta power shifts the window by its vanishing order, plus slack 2)
-    so the quotient is certified strictly beyond ``q_trunc``.  Raises
-    VerificationFailed with the first offending exponent if any residual
-    coefficient is nonzero, if the constant cannot be observed, or if the
-    order or leading coefficient disagrees with the Vandermonde formula.
+    The check is a difference, not a quotient: with c the ratio of the
+    leading coefficients of W and eta^lam (lam = (m-1)(2m-1)), it forms
+    D = W - c * eta^lam.  eta^lam leads with 1 at q^(lam/24), so
+    W / eta^lam = c + O(q^w) exactly when D = O(q^(w + lam/24)); the
+    reported window is D's minus lam/24, and a first term r * q^e of D is
+    the residual r at exponent e - lam/24.  The Wronskian and the eta power
+    are generated with enough headroom (the eta power shifts the window by
+    its vanishing order, plus slack 2) so the check is certified strictly
+    beyond ``q_trunc``.  Raises VerificationFailed with the first offending
+    exponent if any residual coefficient is nonzero, or if the order or
+    leading coefficient disagrees with the Vandermonde formula.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
@@ -394,16 +401,14 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
     if lead != leading_expected:
         raise VerificationFailed(
             f"m={m}: leading coefficient {lead}, expected {leading_expected}")
-    quotient = wronskian / eta_power(internal, lam)
-    constant = quotient.coefficient(0)
-    if constant == 0:
-        raise VerificationFailed(
-            f"m={m}: quotient by the eta power has no constant term")
-    residual = sorted(e for e in quotient.terms if e != 0)
+    power = eta_power(internal, lam)
+    ord_eta, lead_eta = power.leading_term()
+    constant = lead / lead_eta
+    residual = wronskian - constant * power
     if residual:
-        e = residual[0]
+        e, r = residual.leading_term()
         raise VerificationFailed(
-            f"m={m}: residual coefficient {quotient.coefficient(e)} at exponent {e}")
+            f"m={m}: residual coefficient {r} at exponent {e - ord_eta}")
     return WronskianReport(
         index_m=m,
         eta_exponent=lam,
@@ -412,7 +417,7 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
         leading_coeff=lead,
         leading_expected=leading_expected,
         constant=constant,
-        residual_max_exponent_checked=Fraction(quotient.trunc),
+        residual_max_exponent_checked=residual.trunc - ord_eta,
         residual_all_zero=True,
     )
 

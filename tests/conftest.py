@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from qtheta import PuiseuxSeries
@@ -35,6 +36,42 @@ def convolve(a: PuiseuxSeries, b: PuiseuxSeries, window) -> dict:
             if e < window:
                 out[e] = out.get(e, Fraction(0)) + ca * cb
     return {e: c for e, c in out.items() if c}
+
+
+def long_division(a: PuiseuxSeries, b: PuiseuxSeries) -> PuiseuxSeries:
+    """a / b by sparse long division in Fractions: the tests' one quotient oracle.
+
+    Independent of the package, which divides a series by scalars only.  The
+    quotient's term at e needs a at e + ord b and b up to e + ord b - ord(a/b),
+    so its window is min(trunc a - ord b, trunc b - 2 ord b + ord a), and
+    +infinity for an empty dividend of infinite window.  On an infinite
+    window the quotient must be a finite series, or the loop never ends.
+    """
+    divisor = sorted(b.terms.items())
+    if not divisor:
+        raise ZeroDivisionError("divisor has no nonzero term below its truncation")
+    (ord_b, lead), higher = divisor[0], divisor[1:]
+    rem = dict(a.terms)
+    trunc = a.trunc - ord_b
+    if rem:
+        trunc = min(trunc, b.trunc - 2 * ord_b + min(rem))
+    out = {}
+    while rem:
+        e = min(rem)
+        if e - ord_b >= trunc:
+            break
+        c = rem.pop(e) / lead
+        out[e - ord_b] = c
+        for eb, cb in higher:
+            target = e - ord_b + eb
+            if target - ord_b >= trunc:
+                break
+            value = rem.get(target, 0) - c * cb
+            if value:
+                rem[target] = value
+            else:
+                rem.pop(target, None)
+    return PuiseuxSeries(out, trunc, math.lcm(a.base_denom, b.base_denom))
 
 
 def assert_agree(a: PuiseuxSeries, b: PuiseuxSeries):

@@ -63,23 +63,6 @@ def ref_mul(a, b):
     return ref_clean(out, trunc), trunc, math.lcm(da, db)
 
 
-def ref_div(a, b):
-    """Dense long division: quotient coefficients one grid step at a time."""
-    (ta, tra, da), (tb, trb, db) = a, b
-    denom = math.lcm(da, db)
-    ord_b = min(tb)
-    ord_a = min(ta) if ta else INFINITY
-    trunc = min(tra - ord_b, trb - 2 * ord_b + ord_a if ta else INFINITY)
-    out = {}
-    if ta:
-        e = ord_a - ord_b
-        while e < trunc:
-            known = sum((c * tb.get(e - eq + ord_b, F(0)) for eq, c in out.items()), F(0))
-            out[e] = (ta.get(e + ord_b, F(0)) - known) / tb[ord_b]
-            e += F(1, denom)
-    return ref_clean(out, trunc), trunc, denom
-
-
 def ref_two_var(tv: ThetaTwoVar):
     return dict(tv.terms), tv.q_trunc, tv.base_denom
 
@@ -189,16 +172,6 @@ class TestAgainstReference:
             # (1 + a)(1 - a) = 1 - a^2: the cross terms cancel inside the product
             plus, minus = a + 1, -a + 1
             assert agrees(plus * minus, ref_mul(ref(plus), ref(minus)))
-
-    def test_div(self):
-        rng = random.Random(109)
-        done = 0
-        while done < 60:
-            a, b = mixed(rng, max_terms=4, top=8), mixed(rng, max_terms=3, top=8)
-            if b.is_zero():
-                continue
-            assert agrees(a / b, ref_div(ref(a), ref(b)))
-            done += 1
 
     def test_q_derivative_and_truncate(self):
         rng = random.Random(113)
@@ -346,8 +319,6 @@ class TestExtendAndCompare:
             self.assert_extends(sa + sb, a + b)
             self.assert_extends(sa * sb, a * b)
             self.assert_extends(sa.q_derivative(), a.q_derivative())
-            if not sb.is_zero():
-                self.assert_extends(sa / sb, a / b)
 
     def test_two_var_and_theta(self):
         rng = random.Random(139)

@@ -6,10 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_agree, laplace_det, matmul, random_series
-from qtheta import (JacobiFormData, PuiseuxSeries, SeriesMatrix, ThetaIndex,
+from conftest import assert_agree, laplace_det, long_division, matmul, random_series
+from qtheta import (INFINITY, JacobiFormData, PuiseuxSeries, SeriesMatrix, ThetaIndex,
                     VerificationFailed, component_taylor, cramer_reconstruction, eta,
-                    eta_power_exponent, kernel_components, modular_wronskian,
+                    eta_power, eta_power_exponent, kernel_components, modular_wronskian,
                     odd_theta_series, partial_kernel_components, random_components,
                     theta_components, theta_derivative_matrix, theta_minors,
                     theta_wronskian, vandermonde, verify_cofactor_orders, verify_eta_power,
@@ -343,6 +343,47 @@ class TestVerifyEtaPower:
         with pytest.raises(ValueError):
             verify_eta_power(4, 0)
 
+    @pytest.mark.parametrize("q_trunc", ["1/8", "9/7", "1", "12", "40"])
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_difference_matches_the_quotient(self, m, q_trunc):
+        # the check forms W - c * eta^lam; dividing W by eta^lam must give
+        # the same constant, the same verdict and the same window
+        lam = eta_power_exponent(m)
+        internal = F(q_trunc) + F(lam, 24) + 2
+        quotient = long_division(theta_wronskian(m, internal), eta_power(internal, lam))
+        report = verify_eta_power(m, q_trunc)
+        assert report.constant == quotient.coefficient(0)
+        assert report.residual_max_exponent_checked == quotient.trunc
+        assert report.passed == (set(quotient.terms) == {0})
+
+
+def eta_order_monomial(lam: int, coefficient, shift) -> PuiseuxSeries:
+    """coefficient * q^(lam/24 + shift), exact."""
+    return PuiseuxSeries({F(lam, 24) + shift: coefficient}, INFINITY)
+
+
+class TestEtaPowerFaults:
+    """The difference check still fails, with the division's messages."""
+
+    @pytest.mark.parametrize("m, q_trunc", [(3, 12), (5, F(9, 7)), (8, 40)])
+    def test_wronskian_term_is_a_residual(self, m, q_trunc, monkeypatch):
+        monkeypatch.setattr(wronskian, "theta_wronskian", lambda m, q_trunc: (
+            theta_wronskian(m, q_trunc) + eta_order_monomial(eta_power_exponent(m), F(1, 7), 2)))
+        with pytest.raises(VerificationFailed) as failure:
+            verify_eta_power(m, q_trunc)
+        assert str(failure.value) == f"m={m}: residual coefficient 1/7 at exponent 2"
+
+    @pytest.mark.parametrize("m, q_trunc, coefficient", [
+        (3, 12, "-1/14"),
+        (5, F(9, 7), "-81/10000"),
+    ])
+    def test_eta_term_is_a_residual(self, m, q_trunc, coefficient, monkeypatch):
+        monkeypatch.setattr(wronskian, "eta_power", lambda trunc, lam: (
+            eta_power(trunc, lam) + eta_order_monomial(lam, F(1, 7), 1)))
+        with pytest.raises(VerificationFailed) as failure:
+            verify_eta_power(m, q_trunc)
+        assert str(failure.value) == f"m={m}: residual coefficient {coefficient} at exponent 1"
+
 
 class TestVerifyCofactorOrders:
     def test_m3_orders(self):
@@ -467,7 +508,8 @@ class TestCramer:
         # solve first-row vanishing for m=3 by series division: h = (-t2/t1, 1)
         t1 = odd_theta_series(ThetaIndex(3, 1), 10)
         t2 = odd_theta_series(ThetaIndex(3, 2), 10)
-        h = ThetaComponents(3, (-(t2 / t1), PuiseuxSeries.one(t1.trunc - t1.ord_infty())))
+        h = ThetaComponents(3, (-long_division(t2, t1),
+                                PuiseuxSeries.one(t1.trunc - t1.ord_infty())))
         report = cramer_reconstruction(3, h, 8, system_rows(h))
         assert report.kernel_case
         assert report.proportionality_ok
