@@ -805,28 +805,42 @@ def _check_identities_args(args: argparse.Namespace) -> None:
     if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
         raise ValueError("no case to check: every index is below 3, --trials is 0 "
                          "and there is no --jacobi-file")
-    top = args.m[1]
-    if top >= 3:
-        # a cofactor order outside its own window cuts entries off the top
-        # index's kernel tuple; on short windows every tuple is the zero
-        # series and the Cramer rows pass without checking anything
-        for nu in range(1, top):
-            columns = [mu for mu in range(1, top) if mu != nu]
-            order = Fraction(sum(mu * mu for mu in columns), 4 * top)
-            window = theta_minor_window(top, args.q_trunc, columns)
-            if order >= window:
-                raise ValueError(f"--q-trunc {args.q_trunc} is too short for the top index: "
-                                 f"m={top} nu={nu}: window {window} cannot reach "
-                                 f"cofactor order {order}")
+    short = _short_cofactor_window(args.m[1], args.q_trunc)
+    if short:
+        raise ValueError(f"--q-trunc {args.q_trunc} is too short for the top index: {short}")
     args.jacobi_form = None
     if args.jacobi_file is not None:
         try:
-            args.jacobi_form = parse_jacobi_table(args.jacobi_file.read_text())
+            phi = parse_jacobi_table(args.jacobi_file.read_text())
         except KeyError as error:
             raise ValueError(f"--jacobi-file {args.jacobi_file}: "
                              f"header has no {error.args[0]}= field") from error
         except (OSError, ValueError) as error:
             raise ValueError(f"--jacobi-file {args.jacobi_file}: {error}") from error
+        if phi.index_m < 2:
+            raise ValueError(f"--jacobi-file {args.jacobi_file}: index m={phi.index_m} "
+                             f"has no odd theta component to check")
+        short = _short_cofactor_window(phi.index_m, phi.n_trunc)
+        if short:
+            raise ValueError(f"--jacobi-file {args.jacobi_file}: trunc={phi.n_trunc} "
+                             f"is too short for its index: {short}")
+        args.jacobi_form = phi
+
+
+def _short_cofactor_window(m: int, q_trunc) -> str | None:
+    """``m=<m> nu=<nu>: window <w> cannot reach cofactor order <o>`` for the
+    first last-row cofactor of index m >= 3 whose order is outside its own
+    window, else None.  Such a window cuts entries off the kernel tuple, and
+    on short windows every tuple is zero and the Cramer rows check nothing."""
+    if m < 3:
+        return None  # no Cramer check
+    for nu in range(1, m):
+        columns = [mu for mu in range(1, m) if mu != nu]
+        order = Fraction(sum(mu * mu for mu in columns), 4 * m)
+        window = theta_minor_window(m, q_trunc, columns)
+        if order >= window:
+            return f"m={m} nu={nu}: window {window} cannot reach cofactor order {order}"
+    return None
 
 
 def main(argv=None) -> int:

@@ -11,11 +11,11 @@ as a documented discrepancy and never as a verification failure.
 Each side condition is one small integer helper: ``_window_flags`` (the
 three window comparisons on the 2m-scaled bounds), ``_congruence_total``
 with ``_congruence_residue`` (3m - 2 after the parity check on s, and its
-residue mod 6 or 12) and ``_integrality_product`` ((m-2)(m-1)(2m-3), to be
-reduced mod m).  ``window_check``, ``congruence_check`` and
-``nonintegrality_check`` wrap them in their report records;
-``classify`` calls them directly, so a case builds only its
-``CaseVerdict``.
+residue mod 6 or 12; ``_congruence_details`` builds their text once per m)
+and ``_integrality_product`` ((m-2)(m-1)(2m-3), to be reduced mod m).
+``window_check``, ``congruence_check`` and ``nonintegrality_check`` wrap
+them in their report records; ``classify`` calls them directly, so a case
+builds only its ``CaseVerdict``.
 
 A verdict reads the level N only through whether N is square-free and
 whether N = 1.  ``classify_levels`` classifies one (k, m) on a list of
@@ -28,6 +28,7 @@ level's square-freeness once.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -217,6 +218,16 @@ def _congruence_residue(part: str, total: int) -> tuple[int, int, bool]:
     return residue, 12, residue != 3
 
 
+@functools.lru_cache(maxsize=None)
+def _congruence_details(total: int) -> str:
+    """The congruence text of an accepted part-(ii)/(iii) case: it reads the
+    case only through total = 3m - 2, so it is built once per index m."""
+    residue6, _, ok6 = _congruence_residue("ii", total)
+    residue12, _, ok12 = _congruence_residue("iii", total)
+    return (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
+            f"3m-2={total} = {residue12} (mod 12), needs != 3 [{'ok' if ok12 else 'FAIL'}]")
+
+
 def congruence_check(part: str, k: int, m: int) -> CongruenceReport:
     """Check the congruence that 3m - 2 = k + 2m + s must satisfy.
 
@@ -263,12 +274,7 @@ def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
         # every accepted case has m - k >= 2 and k >= 3, so m > 3
         window_ok = all(_window_flags(k, m, s, r))
         if part_ii or part_iii:
-            total = _congruence_total(k, m)
-            residue6, _, ok6 = _congruence_residue("ii", total)
-            residue12, _, ok12 = _congruence_residue("iii", total)
-            details = (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
-                       f"3m-2={total} = {residue12} (mod 12), needs != 3"
-                       f" [{'ok' if ok12 else 'FAIL'}]")
+            details = _congruence_details(_congruence_total(k, m))
     # the fields in order, through tuple.__new__: a sweep builds one verdict
     # per case, and the namedtuple's own __new__ is one more Python call
     return tuple.__new__(CaseVerdict, (k, m, N, part_i, part_ii, part_iii, s, r, beta, lam,

@@ -19,6 +19,11 @@ demand.  The public constructor takes and validates Fractions; the ring
 operations and the package's own producers use the trusted constructor
 ``_make``, which checks nothing.
 
+There is one store, ``_IntStore``, under this class and the two-variable
+``theta.ThetaTwoVar``: the trusted constructor, the window, equality,
+negation and the sum are written once.  The key shape is the only
+difference, n here and (n, r) there; the two types never add or compare equal.
+
 The window is stored as exact ints too: ``trunc`` = tn/td in lowest terms
 with td >= 1, and +infinity as (1, 0).  ``trunc`` builds the Fraction (or
 ``math.inf``) when read.  Windows are compared and shifted by integer
@@ -120,10 +125,90 @@ def _over_lcm(values: Mapping) -> tuple[dict, int]:
     return {k: c.numerator * (den // c.denominator) for k, c in values.items()}, den
 
 
-class PuiseuxSeries:
-    """Truncated formal series in q with rational exponents of bounded denominator."""
+class _IntStore:
+    """The one integer store, under ``PuiseuxSeries`` and ``theta.ThetaTwoVar``.
+
+    A subclass gives the two steps that read a key, each once per operation
+    on a whole dict: ``_refine(terms, f, g)`` moves a store onto a grid f
+    times finer with its numerators times g, and ``_below(terms, bound)``
+    keeps the nonzero terms whose grid key is below an int key bound.
+    """
 
     __slots__ = ("base_denom", "_tn", "_td", "_terms", "_den")
+
+    @classmethod
+    def _make(cls, terms: dict, tn: int, td: int, base_denom: int, den: int):
+        """Trusted constructor: the window is tn/td as ``_window`` gives it,
+        and ``terms`` (kept, not copied) maps keys below
+        ``_key_bound(tn, td, base_denom)`` to nonzero int numerators over
+        ``den``, in the canonical form ``_reduced`` gives; nothing is checked."""
+        out = object.__new__(cls)
+        out.base_denom = base_denom
+        out._tn = tn
+        out._td = td
+        out._terms = terms
+        out._den = den
+        return out
+
+    def _over(self, denom: int, den: int) -> dict:
+        """The stored terms on the 1/denom grid, as numerators over ``den``;
+        both must be multiples of this series' own.  May be the store itself."""
+        f, g = denom // self.base_denom, den // self._den
+        return self._terms if f == g == 1 else self._refine(self._terms, f, g)
+
+    @property
+    def trunc(self) -> Truncation:
+        """The certified window, a Fraction or +infinity, built on each access."""
+        return Fraction(self._tn, self._td) if self._td else INFINITY
+
+    def is_zero(self) -> bool:
+        """True when no nonzero coefficient is known below the truncation."""
+        return not self._terms
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        # both stores are canonical, so equal coefficients need equal den
+        d = math.lcm(self.base_denom, other.base_denom)
+        return (self._tn == other._tn and self._td == other._td and self._den == other._den
+                and self._over(d, self._den) == other._over(d, other._den))
+
+    __hash__ = None
+
+    def __add__(self, other):
+        """The sum of two series of one type, on the lower window: both stores
+        go onto the lcm grid over the lcm denominator, merge, and are cut at
+        the window's key bound and reduced once."""
+        if type(other) is not type(self):
+            return NotImplemented
+        tn, td = self._tn, self._td
+        if other._tn * td < tn * other._td:
+            tn, td = other._tn, other._td
+        denom = math.lcm(self.base_denom, other.base_denom)
+        den = math.lcm(self._den, other._den)
+        bound = _key_bound(tn, td, denom)
+        merged = dict(self._over(denom, den))
+        for k, c in other._over(denom, den).items():
+            merged[k] = merged.get(k, 0) + c
+        terms = ({k: c for k, c in merged.items() if c} if bound is None
+                 else self._below(merged, bound))
+        terms, den = _reduced(terms, den)
+        return self._make(terms, tn, td, denom, den)
+
+    def __neg__(self):
+        return self._make({k: -c for k, c in self._terms.items()},
+                          self._tn, self._td, self.base_denom, self._den)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + (-other)
+
+
+class PuiseuxSeries(_IntStore):
+    """Truncated formal series in q with rational exponents of bounded denominator."""
+
+    __slots__ = ()
 
     def __init__(self, terms: Mapping | Iterable, trunc: Truncation, base_denom: int | None = None):
         trunc = _as_trunc(trunc)
@@ -149,28 +234,13 @@ class PuiseuxSeries:
         self._terms, self._den = _over_lcm(
             {(e * base_denom).numerator: c for e, c in clean.items()})
 
-    @classmethod
-    def _make(cls, terms: dict[int, int], tn: int, td: int, base_denom: int,
-              den: int) -> PuiseuxSeries:
-        """Trusted constructor: the window is tn/td as ``_window`` gives it,
-        and ``terms`` (kept, not copied) maps int keys below
-        ``_key_bound(tn, td, base_denom)`` to nonzero int numerators over
-        ``den``, in the canonical form ``_reduced`` gives; nothing is checked."""
-        out = object.__new__(cls)
-        out.base_denom = base_denom
-        out._tn = tn
-        out._td = td
-        out._terms = terms
-        out._den = den
-        return out
+    @staticmethod
+    def _refine(terms: dict[int, int], f: int, g: int) -> dict[int, int]:
+        return {n * f: c * g for n, c in terms.items()}
 
-    def _over(self, denom: int, den: int) -> dict[int, int]:
-        """The stored terms on the 1/denom grid, as numerators over ``den``;
-        both must be multiples of this series' own.  May be the store itself."""
-        f, g = denom // self.base_denom, den // self._den
-        if g == 1:
-            return self._terms if f == 1 else {n * f: c for n, c in self._terms.items()}
-        return {n * f: c * g for n, c in self._terms.items()}
+    @staticmethod
+    def _below(terms: dict[int, int], bound: int) -> dict[int, int]:
+        return {n: c for n, c in terms.items() if c and n < bound}
 
     # -- constructors ------------------------------------------------------
 
@@ -189,11 +259,6 @@ class PuiseuxSeries:
     # -- inspection --------------------------------------------------------
 
     @property
-    def trunc(self) -> Truncation:
-        """The certified window, a Fraction or +infinity, built on each access."""
-        return Fraction(self._tn, self._td) if self._td else INFINITY
-
-    @property
     def terms(self) -> Mapping[Fraction, Fraction]:
         """Read-only map from Fraction exponents to coefficients, built on each access."""
         d, den = self.base_denom, self._den
@@ -204,10 +269,6 @@ class PuiseuxSeries:
         c = self._terms.get(n.numerator) if n.denominator == 1 else None
         return _ZERO if c is None else Fraction(c, self._den)
 
-    def is_zero(self) -> bool:
-        """True when no nonzero coefficient is known below the truncation."""
-        return not self._terms
-
     def ord_infty(self) -> Truncation:
         """Exponent of the first nonzero term, or +infinity for an empty series."""
         return Fraction(min(self._terms), self.base_denom) if self._terms else INFINITY
@@ -217,16 +278,6 @@ class PuiseuxSeries:
             return None
         n = min(self._terms)
         return Fraction(n, self.base_denom), Fraction(self._terms[n], self._den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        # both stores are canonical, so equal coefficients need equal den
-        d = math.lcm(self.base_denom, other.base_denom)
-        return (self._tn == other._tn and self._td == other._td and self._den == other._den
-                and self._over(d, self._den) == other._over(d, other._den))
-
-    __hash__ = None
 
     def __bool__(self) -> bool:
         return bool(self._terms)
@@ -243,29 +294,9 @@ class PuiseuxSeries:
     def __add__(self, other) -> PuiseuxSeries:
         if isinstance(other, (int, Fraction)):
             other = PuiseuxSeries.constant(other)
-        if not isinstance(other, PuiseuxSeries):
-            return NotImplemented
-        tn, td = self._tn, self._td
-        if other._tn * td < tn * other._td:
-            tn, td = other._tn, other._td
-        denom = math.lcm(self.base_denom, other.base_denom)
-        den = math.lcm(self._den, other._den)
-        bound = _key_bound(tn, td, denom)
-        merged = dict(self._over(denom, den))
-        for n, c in other._over(denom, den).items():
-            merged[n] = merged.get(n, 0) + c
-        if bound is None:
-            terms = {n: c for n, c in merged.items() if c}
-        else:
-            terms = {n: c for n, c in merged.items() if c and n < bound}
-        terms, den = _reduced(terms, den)
-        return PuiseuxSeries._make(terms, tn, td, denom, den)
+        return super().__add__(other)
 
     __radd__ = __add__
-
-    def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries._make({n: -c for n, c in self._terms.items()},
-                                   self._tn, self._td, self.base_denom, self._den)
 
     def __sub__(self, other) -> PuiseuxSeries:
         if not isinstance(other, (int, Fraction, PuiseuxSeries)):
@@ -331,8 +362,7 @@ class PuiseuxSeries:
         if tn * self._td > self._tn * td:
             raise ValueError("cannot extend a certified truncation")
         bound = _key_bound(tn, td, self.base_denom)
-        terms = self._terms if bound is None else {
-            n: c for n, c in self._terms.items() if n < bound}
+        terms = self._terms if bound is None else self._below(self._terms, bound)
         terms, den = _reduced(terms, self._den)
         return PuiseuxSeries._make(terms, tn, td, self.base_denom, den)
 

@@ -6,13 +6,14 @@ Its odd companion, sum of r * q^(r^2/4m) over the same r, is the
 weight-3/2 series whose derivatives fill the Wronskian matrix.  All
 q-exponents live on the grid (1/4m)*Z.
 
-Like ``PuiseuxSeries``, ``ThetaTwoVar`` keys each term c*q^(n/D)*zeta^r
-by the integers (n, r) and stores c as an integer numerator over one shared
-denominator, in the same canonical form.  The series here are built on
-those keys through the trusted ``_make``, with integer coefficients over
-den 1: the term r sits at r^2 on the 1/4m grid, and r^2/4m < q_trunc is
-r^2 < ceil(4m*q_trunc).  That ceiling is the integer key bound, and
-``_residues`` takes it: the residues of a class below it are one ``range``.
+``ThetaTwoVar`` has the one store of ``PuiseuxSeries`` (the series module's
+``_IntStore``), and the key shape is the only difference: c*q^(n/D)*zeta^r
+sits under (n, r) where a one-variable term sits under n.  The series here
+are built on those keys through the trusted ``_make``, with integer
+coefficients over den 1: the term r sits at r^2 on the 1/4m grid, and
+r^2/4m < q_trunc is r^2 < ceil(4m*q_trunc).  That ceiling is the integer key
+bound, and ``_residues`` takes it: the residues of a class below it are one
+``range``.
 
 ``odd_theta_columns`` builds all m - 1 odd series of index m (mu = 1..m-1,
 the columns of the theta-derivative matrix and of the character check) in
@@ -31,7 +32,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .characters import UnityExponent
-from .series import (_ZERO, INFINITY, PuiseuxSeries, Truncation, _as_trunc, _key_bound,
+from .series import (_ZERO, PuiseuxSeries, Truncation, _as_trunc, _IntStore, _key_bound,
                      _lowest_terms, _over_lcm, _product_window, _reduced, _window)
 
 
@@ -53,7 +54,7 @@ class ThetaIndex(NamedTuple("ThetaIndex", [("index_m", int), ("residue_mu", int)
         return ThetaIndex(self.index_m, -self.residue_mu)
 
 
-class ThetaTwoVar:
+class ThetaTwoVar(_IntStore):
     """Truncated two-variable expansion: rational q-exponents, integer zeta-exponents.
 
     ``terms`` maps (q_exponent, zeta_exponent) -> coefficient.  The
@@ -62,7 +63,7 @@ class ThetaTwoVar:
     automatically finite.
     """
 
-    __slots__ = ("base_denom", "_tn", "_td", "_terms", "_den")
+    __slots__ = ()
 
     def __init__(self, terms: Mapping, q_trunc: Truncation, base_denom: int):
         q_trunc = _as_trunc(q_trunc)
@@ -83,29 +84,15 @@ class ThetaTwoVar:
         self._tn, self._td = _window(q_trunc)
         self._terms, self._den = _over_lcm({k: v for k, v in clean.items() if v})
 
-    @classmethod
-    def _make(cls, terms: dict[tuple[int, int], int], tn: int, td: int,
-              base_denom: int, den: int) -> ThetaTwoVar:
-        """Trusted constructor, as ``PuiseuxSeries._make``, on keys (n, r)."""
-        out = object.__new__(cls)
-        out.base_denom = base_denom
-        out._tn = tn
-        out._td = td
-        out._terms = terms
-        out._den = den
-        return out
+    @staticmethod
+    def _refine(terms: dict[tuple[int, int], int], f: int, g: int) -> dict[tuple[int, int], int]:
+        return {(n * f, r): c * g for (n, r), c in terms.items()}
 
-    def _over(self, denom: int, den: int) -> dict[tuple[int, int], int]:
-        """As ``PuiseuxSeries._over``: the store on the 1/denom grid, over ``den``."""
-        f, g = denom // self.base_denom, den // self._den
-        if g == 1:
-            return self._terms if f == 1 else {(n * f, r): c for (n, r), c in self._terms.items()}
-        return {(n * f, r): c * g for (n, r), c in self._terms.items()}
+    @staticmethod
+    def _below(terms: dict[tuple[int, int], int], bound: int) -> dict[tuple[int, int], int]:
+        return {k: c for k, c in terms.items() if c and k[0] < bound}
 
-    @property
-    def q_trunc(self) -> Truncation:
-        """The certified q-window, a Fraction or +infinity, built on each access."""
-        return Fraction(self._tn, self._td) if self._td else INFINITY
+    q_trunc = _IntStore.trunc
 
     @property
     def terms(self) -> Mapping[tuple[Fraction, int], Fraction]:
@@ -113,47 +100,10 @@ class ThetaTwoVar:
         return MappingProxyType({(Fraction(n, d), r): Fraction(c, den)
                                  for (n, r), c in self._terms.items()})
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ThetaTwoVar):
-            return NotImplemented
-        denom = math.lcm(self.base_denom, other.base_denom)
-        return (self._tn == other._tn and self._td == other._td and self._den == other._den
-                and self._over(denom, self._den) == other._over(denom, other._den))
-
-    __hash__ = None
-
-    def __add__(self, other: ThetaTwoVar) -> ThetaTwoVar:
-        tn, td = self._tn, self._td
-        if other._tn * td < tn * other._td:
-            tn, td = other._tn, other._td
-        denom = math.lcm(self.base_denom, other.base_denom)
-        den = math.lcm(self._den, other._den)
-        bound = _key_bound(tn, td, denom)
-        merged = dict(self._over(denom, den))
-        for k, c in other._over(denom, den).items():
-            merged[k] = merged.get(k, 0) + c
-        if bound is None:
-            terms = {k: c for k, c in merged.items() if c}
-        else:
-            terms = {k: c for k, c in merged.items() if c and k[0] < bound}
-        terms, den = _reduced(terms, den)
-        return ThetaTwoVar._make(terms, tn, td, denom, den)
-
-    def __neg__(self) -> ThetaTwoVar:
-        return ThetaTwoVar._make({k: -c for k, c in self._terms.items()},
-                                 self._tn, self._td, self.base_denom, self._den)
-
-    def __sub__(self, other: ThetaTwoVar) -> ThetaTwoVar:
-        return self + (-other)
-
     def mul_series(self, s: PuiseuxSeries) -> ThetaTwoVar:
         """Multiply by a one-variable series (acting on the q-side only)."""
         denom = math.lcm(self.base_denom, s.base_denom)
-        factor = denom // s.base_denom
-        series = sorted((n * factor, c) for n, c in s._terms.items())
+        series = sorted(s._over(denom, s._den).items())
         own = self._over(denom, self._den)
         low = min(n for n, _ in own) if own else None
         tn, td = _lowest_terms(*_product_window(

@@ -985,6 +985,35 @@ class TestVerifyIdentities:
     def test_missing_jacobi_file_rejected(self, tmp_path, capsys):
         self.assert_table_rejected(tmp_path, capsys, None, "No such file")
 
+    def test_index_1_jacobi_file_rejected(self, tmp_path, capsys):
+        self.assert_table_rejected(tmp_path, capsys, "k=3 m=1 N=1 trunc=3/1\n",
+                                   "--jacobi-file " + str(tmp_path / "bad.jacobi")
+                                   + ": index m=1 has no odd theta component to check")
+
+    def test_jacobi_file_too_short_for_its_index_rejected(self, tmp_path, capsys):
+        # at trunc 1 every cofactor window of index 7 is 1, below the orders
+        # 66/28..90/28, so the Cramer rows would compare empty series and
+        # pass without checking anything
+        self.assert_table_rejected(tmp_path, capsys, "k=3 m=7 N=1 trunc=1/1\n",
+                                   "--jacobi-file " + str(tmp_path / "bad.jacobi")
+                                   + ": trunc=1 is too short for its index: m=7 nu=1: "
+                                   "window 1 cannot reach cofactor order 45/14")
+
+    @pytest.mark.parametrize("trunc, status", [("9/7", 2), ("4/3", 0)])
+    def test_jacobi_file_window_rule_is_the_top_index_rule(self, trunc, status, tmp_path):
+        # a table's cofactor windows follow --q-trunc's rule for the top
+        # index: index 7 needs a window past (7-1)^2/28 = 9/7
+        table = tmp_path / "zero.jacobi"
+        table.write_text(f"k=3 m=7 N=1 trunc={trunc}\n")
+        out = tmp_path / "identities.json"
+        try:
+            code = run_cli("verify-identities", "--m", "3", "--q-trunc", "6", "--trials", "0",
+                           "--jacobi-file", str(table), "--format", "json", "--output", str(out))
+        except SystemExit as error:
+            code = error.code
+        assert code == status
+        assert out.exists() == (status == 0)
+
     def test_numerators_past_the_int_str_digit_limit(self, tmp_path, jobs="1"):
         # every value of a valid table scaled by 10**4300, written as text so
         # the test itself converts no long int; each numerator then has more

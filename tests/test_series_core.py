@@ -378,6 +378,33 @@ class TestPublicContract:
                 ThetaTwoVar({}, 2, bad)
 
 
+class TestOneStore:
+    """Both series types sit on the one ``_IntStore``; only the key shape differs."""
+
+    def test_the_two_types_never_meet(self):
+        rng = random.Random(20)
+        pairs = [(PuiseuxSeries({}, 2, 8), ThetaTwoVar({}, 2, 8)),  # one empty store
+                 (PuiseuxSeries({}, INFINITY), ThetaTwoVar({}, INFINITY, 1))]
+        pairs += [(mixed(rng), random_two_var(rng)) for _ in range(20)]
+        for s, tv in pairs:
+            assert s != tv and tv != s
+            assert not s == tv and not tv == s
+            for x in (s, tv):
+                with pytest.raises(TypeError):
+                    hash(x)
+            for op in (lambda a, b: a + b, lambda a, b: a - b):
+                for a, b in ((s, tv), (tv, s)):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+
+    def test_the_two_var_type_keeps_no_copy_of_the_store(self):
+        own = vars(ThetaTwoVar)
+        shared = {"_make", "_over", "__eq__", "__hash__", "__neg__", "__add__", "__sub__",
+                  "is_zero"}
+        assert not shared & own.keys() and own["__slots__"] == ()
+        assert ThetaTwoVar.q_trunc is PuiseuxSeries.trunc
+
+
 # -- the sum-of-products kernel ----------------------------------------------------
 
 
