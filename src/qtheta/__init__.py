@@ -7,10 +7,9 @@ windows; no floating point is used anywhere.
 
 from .characters import (GammaCharacter, UnityExponent, squared_determinant_delta_power,
                          squared_determinant_translation, translation_eigenvalues)
-from .injectivity import (CaseInput, CaseVerdict, CongruenceReport, InvalidInput,
-                          NonintegralityReport, ParityError, WindowReport, classify,
-                          classify_levels, congruence_check, is_squarefree,
-                          level_classes, nonintegrality_check, window_check)
+from .injectivity import (CaseInput, CaseVerdict, InvalidInput, NonintegralityReport,
+                          classify, classify_levels, is_squarefree, level_classes,
+                          nonintegrality_check)
 from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      ThetaComponents, component_taylor, component_taylor_scale,
                      development_operator, dump_jacobi_table, from_theta_components,

@@ -166,7 +166,7 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     taylors = [taylor_coefficient(assembled, nu) for nu in range(1, m)]
     two_path = all((taylor - component_taylor_scale(nu, m) * row).is_zero()
                    for nu, taylor, row in zip(range(1, m), taylors, system))
-    ops_vanish, taylors_vanish = kernel_equivalence(assembled, weight_k, m - 1, m, taylors)
+    ops_vanish, taylors_vanish = kernel_equivalence(taylors, weight_k, m)
     rows = [(m, label, "two_path_taylor", two_path),
             (m, label, "kernel_equivalence", ops_vanish == taylors_vanish)]
     if m < 3:
@@ -746,8 +746,9 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
 
     verify-identities also gains ``jacobi_form``, its parsed --jacobi-file
     table or None, so a bad table is rejected before any case runs.  A
-    report or dump target that names the wrong kind of file is rejected
-    here too.
+    verify-orders or verify-identities --q-trunc that ``_short_window``
+    finds too short for the top index, and a report or dump target that
+    names the wrong kind of file, are rejected here too.
     """
     _check_targets(args)
     if args.command in CASES:
@@ -757,6 +758,10 @@ def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError("q_trunc must be positive")
         if args.jobs < 1:
             raise ValueError("--jobs must be at least 1")
+        short = args.command in ("verify-orders", "verify-identities") and \
+            _short_window(args.m[1], args.q_trunc)
+        if short:
+            raise ValueError(f"--q-trunc {args.q_trunc} is too short for the top index: {short}")
         if args.command == "verify-identities":
             _check_identities_args(args)
     elif args.command == "classify":
@@ -805,9 +810,6 @@ def _check_identities_args(args: argparse.Namespace) -> None:
     if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
         raise ValueError("no case to check: every index is below 3, --trials is 0 "
                          "and there is no --jacobi-file")
-    short = _short_cofactor_window(args.m[1], args.q_trunc)
-    if short:
-        raise ValueError(f"--q-trunc {args.q_trunc} is too short for the top index: {short}")
     args.jacobi_form = None
     if args.jacobi_file is not None:
         try:
@@ -820,26 +822,34 @@ def _check_identities_args(args: argparse.Namespace) -> None:
         if phi.index_m < 2:
             raise ValueError(f"--jacobi-file {args.jacobi_file}: index m={phi.index_m} "
                              f"has no odd theta component to check")
-        short = _short_cofactor_window(phi.index_m, phi.n_trunc)
+        short = _short_window(phi.index_m, phi.n_trunc)
         if short:
             raise ValueError(f"--jacobi-file {args.jacobi_file}: trunc={phi.n_trunc} "
                              f"is too short for its index: {short}")
+        if not phi.orbit_values:
+            raise ValueError(f"--jacobi-file {args.jacobi_file}: every coefficient is zero, "
+                             f"so every check would compare zero series")
         args.jacobi_form = phi
 
 
-def _short_cofactor_window(m: int, q_trunc) -> str | None:
-    """``m=<m> nu=<nu>: window <w> cannot reach cofactor order <o>`` for the
-    first last-row cofactor of index m >= 3 whose order is outside its own
-    window, else None.  Such a window cuts entries off the kernel tuple, and
-    on short windows every tuple is zero and the Cramer rows check nothing."""
-    if m < 3:
-        return None  # no Cramer check
-    for nu in range(1, m):
-        columns = [mu for mu in range(1, m) if mu != nu]
+def _short_window(m: int, q_trunc) -> str | None:
+    """``m=<m>[ nu=<nu>]: window <w> cannot reach <minor> order <o>`` for the
+    first minor of index m whose order lies outside its own window: the
+    Wronskian for m = 2, else a last-row cofactor; None if there is none.
+
+    Either is inside exactly when q_trunc passes (m-1)^2/4m, which grows
+    with m, so the top index of a range decides.  Below it the order checks
+    must fail, and the kernel tuple loses entries: on short windows every
+    tuple is zero, and the identity checks compare nothing.
+    """
+    minors = ([("m=2", "Wronskian", [1])] if m == 2 else
+              [(f"m={m} nu={nu}", "cofactor", [mu for mu in range(1, m) if mu != nu])
+               for nu in range(1, m)])
+    for where, name, columns in minors:
         order = Fraction(sum(mu * mu for mu in columns), 4 * m)
         window = theta_minor_window(m, q_trunc, columns)
         if order >= window:
-            return f"m={m} nu={nu}: window {window} cannot reach cofactor order {order}"
+            return f"{where}: window {window} cannot reach {name} order {order}"
     return None
 
 

@@ -1,21 +1,13 @@
 """Exact bookkeeping for the injectivity theorem's hypotheses and side arithmetic.
 
 Classifies a case (k, m, N) against the three applicability conditions of
-the removal theorem for the top development operator, evaluates the
-order-comparison window exactly on integers (every term scaled by 2m), and
-checks the congruence and integrality side conditions.  One of those side
-claims (that a certain ratio is never an integer for m > 3) fails at m = 6,
-where ``classify`` accepts no case; ``nonintegrality_check`` surfaces it
-as a documented discrepancy and never as a verification failure.
-
-Each side condition is one small integer helper: ``_window_flags`` (the
-three window comparisons on the 2m-scaled bounds), ``_congruence_total``
-with ``_congruence_residue`` (3m - 2 after the parity check on s, and its
-residue mod 6 or 12; ``_congruence_details`` builds their text once per m)
-and ``_integrality_product`` ((m-2)(m-1)(2m-3), to be reduced mod m).
-``window_check``, ``congruence_check`` and ``nonintegrality_check`` wrap
-them in their report records; ``classify`` calls them directly, so a case
-builds only its ``CaseVerdict``.
+the removal theorem for the top development operator.  ``classify`` also
+evaluates the order-comparison window exactly on integers (every term
+scaled by 2m) and builds the congruence text of a part-(ii)/(iii) case,
+once per index m.  One side claim (that (m-2)(m-1)(2m-3)/m is never an
+integer for m > 3) fails at m = 6, where ``classify`` accepts no case;
+``nonintegrality_check`` surfaces it as a documented discrepancy and never
+as a verification failure.
 
 A verdict reads the level N only through whether N is square-free and
 whether N = 1.  ``classify_levels`` classifies one (k, m) on a list of
@@ -35,10 +27,6 @@ from typing import NamedTuple
 
 class InvalidInput(ValueError):
     """Case parameters outside the theorem's hypotheses."""
-
-
-class ParityError(ValueError):
-    """Auxiliary weight s = m - k - 2 must be even; requires m odd when k is odd."""
 
 
 def is_squarefree(n: int) -> bool:
@@ -68,10 +56,6 @@ class CaseInput(NamedTuple("CaseInput", [("k", int), ("m", int), ("N", int)])):
             raise InvalidInput("N must be a positive integer")
         return super().__new__(cls, k, m, N)
 
-    @property
-    def squarefree_n(self) -> bool:
-        return is_squarefree(self.N)
-
 
 class CaseVerdict(NamedTuple):
     """Applicability verdict and the proof-side arithmetic for one case."""
@@ -94,64 +78,6 @@ class CaseVerdict(NamedTuple):
         return self.part_i or self.part_ii or self.part_iii
 
 
-def _scaled_bounds(m: int, s: int, r: int) -> tuple[int, int]:
-    """The window's upper and lower bounds multiplied by 2m, as integers."""
-    base = 2 * m * s + m * r
-    return base + 16 * m - 24, base + 4 * m - 6
-
-
-class WindowReport(NamedTuple):
-    """Exact evaluation of the order-comparison inequalities."""
-
-    k: int
-    m: int
-    s: int
-    r: int
-    choice_ok: bool
-    middle: int
-    upper_ok: bool
-    lower_ok: bool
-
-    @property
-    def upper_bound(self) -> Fraction:
-        """s + r/2 + 8 - 12/m."""
-        return Fraction(_scaled_bounds(self.m, self.s, self.r)[0], 2 * self.m)
-
-    @property
-    def lower_bound(self) -> Fraction:
-        """2 + s + r/2 - 3/m."""
-        return Fraction(_scaled_bounds(self.m, self.s, self.r)[1], 2 * self.m)
-
-    @property
-    def ok(self) -> bool:
-        return self.choice_ok and self.upper_ok and self.lower_ok
-
-
-def _window_flags(k: int, m: int, s: int, r: int) -> tuple[bool, bool, bool]:
-    """(choice_ok, upper_ok, lower_ok) of the window, compared on integers scaled by 2m."""
-    upper, lower = _scaled_bounds(m, s, r)
-    scaled_middle = 2 * m * (m - k)
-    return (scaled_middle == 4 * m + 2 * m * s + m * r,
-            upper > scaled_middle, scaled_middle > lower)
-
-
-def window_check(k: int, m: int, s: int, r: int) -> WindowReport:
-    """Evaluate s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m exactly.
-
-    Also confirms the equality m - k = 2 + s + r/2 that fixes the choice
-    of (s, r).  Requires m > 3, where the window argument applies.  Every
-    term is multiplied by 2m > 0, which clears the denominators 2 and m
-    and keeps each inequality and the equality exactly as they were, so
-    the comparisons run on integers; ``upper_bound`` and ``lower_bound``
-    are rebuilt as Fractions only when read.
-    """
-    if m <= 3:
-        raise ValueError("the window argument requires m > 3")
-    choice_ok, upper_ok, lower_ok = _window_flags(k, m, s, r)
-    return WindowReport(k=k, m=m, s=s, r=r, choice_ok=choice_ok, middle=m - k,
-                        upper_ok=upper_ok, lower_ok=lower_ok)
-
-
 class NonintegralityReport(NamedTuple):
     """Integrality status of (m-2)(m-1)(2m-3)/m, claimed non-integral for m > 3."""
 
@@ -164,11 +90,6 @@ class NonintegralityReport(NamedTuple):
         return self.is_integer
 
 
-def _integrality_product(m: int) -> int:
-    """(m-2)(m-1)(2m-3): the ratio over m is an integer exactly when m divides it."""
-    return (m - 2) * (m - 1) * (2 * m - 3)
-
-
 def nonintegrality_check(m: int) -> NonintegralityReport:
     """Report whether (m-2)(m-1)(2m-3)/m is an integer.
 
@@ -179,68 +100,23 @@ def nonintegrality_check(m: int) -> NonintegralityReport:
     """
     if m <= 3:
         raise ValueError("the check applies for m > 3")
-    product = _integrality_product(m)
+    product = (m - 2) * (m - 1) * (2 * m - 3)
     return NonintegralityReport(m=m, value=Fraction(product, m), is_integer=product % m == 0)
 
 
-class CongruenceReport(NamedTuple):
-    """Residue witness for the part-(ii) or part-(iii) congruence condition."""
-
-    part: str
-    k: int
-    m: int
-    s: int
-    residue: int
-    modulus: int
-    ok: bool
-
-
-def _congruence_total(k: int, m: int) -> int:
-    """3m - 2 = k + 2m + s with s = m - k - 2, once s is checked to be even and nonnegative."""
-    if k % 2 == 0:
-        raise InvalidInput("k must be odd")
-    s = m - k - 2
-    if s < 0:
-        raise ValueError("requires m - k >= 2")
-    if s % 2 != 0:
-        raise ParityError(f"s = {s} is odd; m must be odd when k is odd")
-    total = 3 * m - 2
-    assert total == k + 2 * m + s
-    return total
-
-
-def _congruence_residue(part: str, total: int) -> tuple[int, int, bool]:
-    """(residue, modulus, ok) of 3m - 2 for part (ii) (= 1 mod 6) or (iii) (!= 3 mod 12)."""
-    if part == "ii":
-        residue = total % 6
-        return residue, 6, residue == 1
-    residue = total % 12
-    return residue, 12, residue != 3
-
-
 @functools.lru_cache(maxsize=None)
-def _congruence_details(total: int) -> str:
-    """The congruence text of an accepted part-(ii)/(iii) case: it reads the
-    case only through total = 3m - 2, so it is built once per index m."""
-    residue6, _, ok6 = _congruence_residue("ii", total)
-    residue12, _, ok12 = _congruence_residue("iii", total)
-    return (f"3m-2={total} = {residue6} (mod 6) [{'ok' if ok6 else 'FAIL'}]; "
-            f"3m-2={total} = {residue12} (mod 12), needs != 3 [{'ok' if ok12 else 'FAIL'}]")
+def _congruence_details(m: int) -> str:
+    """The congruence text of an accepted part-(ii)/(iii) case of index m.
 
-
-def congruence_check(part: str, k: int, m: int) -> CongruenceReport:
-    """Check the congruence that 3m - 2 = k + 2m + s must satisfy.
-
-    With s = m - k - 2 the sum k + 2m + s collapses to 3m - 2.  Part (ii)
-    requires 3m - 2 = 1 (mod 6); part (iii) requires 3m - 2 != 3 (mod 12).
-    Both hold for every odd m, which the sweep command verifies
-    exhaustively.  Raises ParityError when s is odd (the auxiliary form of
-    weight s needs s even, forcing m odd for odd k).
+    With s = m - k - 2 the sum k + 2m + s is 3m - 2, so the text reads the
+    case only through m: part (ii) needs 3m - 2 = 1 (mod 6), part (iii)
+    needs 3m - 2 != 3 (mod 12).  Both hold for every odd m.
     """
-    if part not in ("ii", "iii"):
-        raise ValueError("part must be 'ii' or 'iii'")
-    total = _congruence_total(k, m)
-    return CongruenceReport(part, k, m, m - k - 2, *_congruence_residue(part, total))
+    total = 3 * m - 2
+    residue6, residue12 = total % 6, total % 12
+    return (f"3m-2={total} = {residue6} (mod 6) [{'ok' if residue6 == 1 else 'FAIL'}]; "
+            f"3m-2={total} = {residue12} (mod 12), needs != 3 "
+            f"[{'ok' if residue12 != 3 else 'FAIL'}]")
 
 
 def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
@@ -255,7 +131,7 @@ def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
     """
     k, m, N = case
     if squarefree is None:
-        squarefree = case.squarefree_n
+        squarefree = is_squarefree(N)
     mk = m - k
     part_i = mk >= 4
     part_ii = m % 2 == 1 and mk >= 2 and squarefree
@@ -271,10 +147,15 @@ def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
     window_ok = False
     details = ""
     if part_i or part_ii or part_iii:
-        # every accepted case has m - k >= 2 and k >= 3, so m > 3
-        window_ok = all(_window_flags(k, m, s, r))
+        # every accepted case has m - k >= 2 and k >= 3, so m > 3.  The window
+        # s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m and the choice
+        # m - k = 2 + s + r/2, every term times 2m > 0, compared on integers
+        scaled = 2 * m * s + m * r
+        middle = 2 * m * mk
+        window_ok = (middle == scaled + 4 * m
+                     and scaled + 16 * m - 24 > middle > scaled + 4 * m - 6)
         if part_ii or part_iii:
-            details = _congruence_details(_congruence_total(k, m))
+            details = _congruence_details(m)
     # the fields in order, through tuple.__new__: a sweep builds one verdict
     # per case, and the namedtuple's own __new__ is one more Python call
     return tuple.__new__(CaseVerdict, (k, m, N, part_i, part_ii, part_iii, s, r, beta, lam,

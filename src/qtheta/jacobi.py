@@ -225,10 +225,11 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
         raise ValueError(f"nu must lie in 1..{m - 1}")
     thetas = []
     for mu, series in enumerate(h.components, start=1):
-        # the window trunc + mu^2/4m, added on the int pair when it is finite
+        # the window trunc + mu^2/4m, added on the int pair
         tn, td = series._tn, series._td
-        window = (Fraction(4 * m * tn + mu * mu * td, 4 * m * td) if td
-                  else series.trunc + Fraction(mu * mu, 4 * m))
+        if not td:
+            raise ValueError(f"h_{mu} has an infinite window; its theta series would be infinite")
+        window = Fraction(4 * m * tn + mu * mu * td, 4 * m * td)
         thetas.append(odd_theta_series(ThetaIndex(m, mu), window).q_derivative_iterate(nu - 1))
     return dot(h.components, thetas)
 
@@ -243,19 +244,18 @@ def component_taylor_scale(nu: int, m: int) -> Fraction:
     return Fraction(2 * (4 * m) ** (nu - 1), math.factorial(2 * nu - 1))
 
 
-def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int,
-                         taylors=None) -> PuiseuxSeries:
+def development_operator(taylors, k: int, nu: int, m: int) -> PuiseuxSeries:
     """The normalized weight-(k + nu) development coefficient of an index-m form.
 
-    For odd nu this is
+    ``taylors`` lists the form's Taylor coefficients chi_1, chi_2, ...
+    (``taylor_coefficient(phi, i)`` for i = 1, 2, ...), at least (nu+1)/2
+    of them.  For odd nu this is
         sum_{0 <= j <= nu/2} (-m)^j (k+nu-j-2)! / ((k+2nu-2)! j!)
-                             * (q d/dq)^j (taylor coefficient of order nu-2j),
+                             * (q d/dq)^j chi_{(nu+1)/2-j},
     with the overall constant conventionally set to 1 and all powers of
     2*pi*i absorbed; its vanishing is equivalent to the vanishing of the
     classical operator.  The index ``m`` comes from the caller: a finer
     grid holds the same series, so the grid cannot determine it.
-    ``taylors``, if given, lists ``taylor_coefficient(phi_2var, i)`` for
-    i = 1..(nu+1)/2 already computed, and they are not computed again.
     """
     if nu % 2 == 0:
         raise EvenIndex("development operators of even index vanish on odd weights")
@@ -263,37 +263,30 @@ def development_operator(phi_2var: ThetaTwoVar, k: int, nu: int, m: int,
         raise ValueError("k must be a positive odd integer")
     if m < 1:
         raise ValueError("m must be a positive integer")
+    if len(taylors) < (nu + 1) // 2:
+        raise ValueError(f"nu={nu} needs the first {(nu + 1) // 2} Taylor coefficients")
     total = None
     for j in range(nu // 2 + 1):
-        order = nu - 2 * j
-        i = (order + 1) // 2
-        chi = taylor_coefficient(phi_2var, i) if taylors is None else taylors[i - 1]
         factor = Fraction((-m) ** j * math.factorial(k + nu - j - 2),
                           math.factorial(k + 2 * nu - 2) * math.factorial(j))
-        term = factor * chi.q_derivative_iterate(j)
+        term = factor * taylors[(nu - 1) // 2 - j].q_derivative_iterate(j)
         total = term if total is None else total + term
     return total
 
 
-def kernel_equivalence(phi_2var: ThetaTwoVar, k: int, j: int, m: int,
-                       taylors=None) -> tuple[bool, bool]:
+def kernel_equivalence(taylors, k: int, m: int) -> tuple[bool, bool]:
     """(all development coefficients of order < 2j+1 vanish,
-        all Taylor coefficients of order < 2j+1 vanish), for an index-m form.
+        all Taylor coefficients of order < 2j+1 vanish), for an index-m form
+    whose Taylor coefficients chi_1..chi_j are ``taylors``.
 
     The two booleans agree for every input because the development
     coefficients are a triangular change of basis of the Taylor ones.
-    ``taylors``, if given, lists ``taylor_coefficient(phi_2var, nu)`` for
-    nu = 1..j already computed, and they are not computed again.
     """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
-    operators_vanish = all(
-        development_operator(phi_2var, k, 2 * nu - 1, m, taylors).is_zero()
-        for nu in range(1, j + 1))
-    taylors_vanish = all(
-        (taylor_coefficient(phi_2var, nu) if taylors is None else taylors[nu - 1]).is_zero()
-        for nu in range(1, j + 1))
-    return operators_vanish, taylors_vanish
+    if not taylors:
+        raise ValueError("kernel_equivalence needs at least one Taylor coefficient")
+    operators_vanish = all(development_operator(taylors, k, 2 * nu - 1, m).is_zero()
+                           for nu in range(1, len(taylors) + 1))
+    return operators_vanish, all(chi.is_zero() for chi in taylors)
 
 
 def random_components(index_m: int, n_trunc, rng, max_terms: int = 3) -> ThetaComponents:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from qtheta import PuiseuxSeries
+from qtheta import CaseVerdict, PuiseuxSeries
 
 
 def random_series(rng, trunc, base_denom=4, max_terms=5, lowest=0):
@@ -108,3 +108,45 @@ def matmul(a, b):
             out_row.append(acc)
         out.append(out_row)
     return out
+
+
+def window_bounds(m: int, s: int, r: int) -> tuple[Fraction, Fraction, Fraction]:
+    """The window's bounds s + r/2 + 8 - 12/m and 2 + s + r/2 - 3/m, and
+    the choice point 2 + s + r/2, in Fractions as the theorem writes them."""
+    half = s + Fraction(r, 2)
+    return half + 8 - Fraction(12, m), 2 + half - Fraction(3, m), 2 + half
+
+
+def congruence_text(m: int) -> str:
+    """The congruence text of a part-(ii)/(iii) case: 3m - 2 mod 6 and mod 12."""
+    total = 3 * m - 2
+    mod6, mod12 = total % 6, total % 12
+    return (f"3m-2={total} = {mod6} (mod 6) [{'ok' if mod6 == 1 else 'FAIL'}]; "
+            f"3m-2={total} = {mod12} (mod 12), needs != 3 [{'ok' if mod12 != 3 else 'FAIL'}]")
+
+
+def oracle_verdict(k: int, m: int, N: int) -> CaseVerdict:
+    """The verdict of (k, m, N) from the theorem's conditions, in Fractions.
+
+    Independent of ``qtheta.injectivity``: square-freeness by trial
+    division, the window as s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m
+    with m - k = 2 + s + r/2, and the congruence text from 3m - 2.
+    """
+    squarefree = all(N % (d * d) for d in range(2, math.isqrt(N) + 1))
+    part_i = m - k >= 4
+    part_ii = squarefree and m % 2 == 1 and m - k >= 2
+    part_iii = N == 1 and m % 2 == 1 and m - k >= 2
+    if part_i:
+        s, r = 0, 2 * (m - k - 2)
+    elif part_ii or part_iii:
+        s, r = m - k - 2, 0
+    else:
+        s, r = 0, 0
+    window_ok = False
+    if part_i or part_ii or part_iii:
+        upper, lower, choice = window_bounds(m, s, r)
+        window_ok = upper > m - k > lower and m - k == choice
+    return CaseVerdict(k=k, m=m, N=N, part_i=part_i, part_ii=part_ii, part_iii=part_iii,
+                       s=s, r=r, beta=2 * (k + 2 * m + s - 4),
+                       eta_exponent=(m - 1) * (2 * m - 1), window_ok=window_ok,
+                       congruence_details=congruence_text(m) if part_ii or part_iii else "")

@@ -12,18 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_agree, matmul, random_series
+from conftest import assert_agree, congruence_text, matmul, random_series, window_bounds
 from qtheta import (CaseInput, HalfIntWeight, PuiseuxSeries, SeriesMatrix,
                     ThetaComponents, ThetaIndex, UnityExponent, classify,
                     component_taylor, component_taylor_scale,
-                    congruence_check, eta, from_theta_components, is_squarefree,
+                    eta, from_theta_components, is_squarefree,
                     kernel_components, kernel_equivalence, modular_derivative,
                     modular_wronskian, nonintegrality_check, odd_theta_series,
                     partial_kernel_components, random_components,
                     squared_determinant_translation, taylor_coefficient,
                     theta_derivative_matrix, total_theta_order, translation_eigenvalue,
                     translation_eigenvalues, vandermonde, verify_cofactor_orders,
-                    verify_eta_power, window_check)
+                    verify_eta_power)
 
 F = Fraction
 
@@ -105,11 +105,12 @@ def test_criterion_4_kernel_triangularity():
         assert len(forms) == 50
         for h, depth in forms:
             assembled = from_theta_components(h, window)
+            chis = [taylor_coefficient(assembled, nu) for nu in range(1, m)]
             for j in range(1, m):
-                operators, taylors = kernel_equivalence(assembled, 3, j, m)
+                operators, taylors = kernel_equivalence(chis[:j], 3, m)
                 assert operators == taylors
             if depth and depth >= 1:
-                prescribed = kernel_equivalence(assembled, 3, depth, m)
+                prescribed = kernel_equivalence(chis[:depth], 3, m)
                 assert prescribed == (True, True)
     print("ACCEPTANCE 4 PASS: kernel equivalence booleans agree on 50 forms "
           "per m in {3,4,5}, including prescribed vanishing patterns")
@@ -154,13 +155,16 @@ def test_criterion_7_classifier_grid():
                 assert verdict.part_iii == \
                     (level == 1 and m % 2 == 1 and m - k >= 2)
                 if verdict.any_part:
+                    # the window in Fractions, as the theorem states it
+                    upper, lower, choice = window_bounds(m, verdict.s, verdict.r)
+                    assert upper > m - k > lower and m - k == choice
                     assert verdict.window_ok
-                    assert window_check(k, m, verdict.s, verdict.r).ok
                 checked += 1
     assert checked == 10 * 20 * 3
     for m in range(5, 100, 2):
-        report = congruence_check("iii", 3, m) if m >= 5 else None
-        assert report.ok
+        verdict = classify(CaseInput(3, m, 1))
+        assert verdict.part_iii and (3 * m - 2) % 12 != 3
+        assert verdict.congruence_details == congruence_text(m)
     print("ACCEPTANCE 7 PASS: classifier reproduces all three parts on the "
           "600-case grid; window holds on every accepted case; part-(iii) "
           "congruence holds for every odd m <= 99")

@@ -28,6 +28,14 @@ def run_cli(*argv) -> int:
     return main(list(argv))
 
 
+def cut_wronskians(monkeypatch, ms):
+    """verify-orders sees the Wronskian of each index in ``ms`` cut at q^1,
+    below its order, so that index's order check fails with a record."""
+    theta_wronskian = cli.theta_wronskian
+    monkeypatch.setattr(cli, "theta_wronskian", lambda m, q_trunc: (
+        theta_wronskian(m, q_trunc).truncate(1) if m in ms else theta_wronskian(m, q_trunc)))
+
+
 class TestParsing:
     def test_parse_range(self):
         assert parse_range("2..8") == (2, 8)
@@ -78,6 +86,8 @@ class TestParsing:
         ("verify-identities", "--m", "3", "--q-trunc", "1/3", "--trials", "1"),
         ("sweep", "--k", "3..3", "--m-offset", "1..2", "--N", "1,1"),
         ("sweep", "--k", "3..3", "--m", "10..11", "--m-offset", "1..2"),
+        ("verify-orders", "--m", "64", "--q-trunc", "12"),
+        ("verify-orders", "--m", "2", "--q-trunc", "1/8"),
     ])
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -92,10 +102,12 @@ class TestParsing:
 class TestDigitLimit:
     @pytest.mark.parametrize("argv, status", [
         (("verify-wronskian", "--m", "2..3", "--q-trunc", "4"), 0),
-        (("verify-orders", "--m", "10", "--q-trunc", "1/4"), 1),
+        (("verify-orders", "--m", "10", "--q-trunc", "3"), 1),
         (("verify-wronskian", "--m", "2", "--q-trunc", "0"), 2),
     ])
-    def test_main_restores_the_limit(self, argv, status, tmp_path):
+    def test_main_restores_the_limit(self, argv, status, tmp_path, monkeypatch):
+        if status == 1:
+            cut_wronskians(monkeypatch, {10})
         saved = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(5000)
         try:
@@ -185,12 +197,13 @@ class TestParallelRuns:
         with pytest.raises(ChildProcessError):
             os.waitpid(child, os.WNOHANG)  # reaped: no zombie is left
 
-    def test_failure_record_same_for_any_jobs(self, capfd):
+    def test_failure_record_same_for_any_jobs(self, capfd, monkeypatch):
         # m = 12 and m = 13 both fail; the parent takes 13 first, so the
         # record of m = 12 comes from whichever process ran it
+        cut_wronskians(monkeypatch, {12, 13})
         captured = []
         for jobs in ("1", "2"):
-            code = run_cli("verify-orders", "--m", "10..13", "--q-trunc", "5/2",
+            code = run_cli("verify-orders", "--m", "10..13", "--q-trunc", "3",
                            "--format", "json", "--jobs", jobs)
             captured.append((code, capfd.readouterr()))
         (code1, out1), (code2, out2) = captured
@@ -687,9 +700,10 @@ class TestWriteTargets:
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("argv", [
         ARGV,
-        ("verify-orders", "--m", "10", "--q-trunc", "1/4", "--format", "json")])
-    def test_failed_write_is_one_error_line(self, argv, capsys):
+        ("verify-orders", "--m", "10", "--q-trunc", "3", "--format", "json")])
+    def test_failed_write_is_one_error_line(self, argv, capsys, monkeypatch):
         # ENOSPC on the report, and on the failure record of a failed check
+        cut_wronskians(monkeypatch, {10})
         assert run_cli(*argv, "--output", "/dev/full") == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -784,9 +798,10 @@ class TestVerifyOrders:
         assert (2, "wronskian_order") in checks
         assert (5, "cofactor_order_nu_4") in checks
 
-    def test_failure_record_and_exit_code(self, tmp_path):
+    def test_failure_record_and_exit_code(self, tmp_path, monkeypatch):
+        cut_wronskians(monkeypatch, {10})
         out = tmp_path / "orders.json"
-        code = run_cli("verify-orders", "--m", "10", "--q-trunc", "1/4",
+        code = run_cli("verify-orders", "--m", "10", "--q-trunc", "3",
                        "--format", "json", "--output", str(out))
         assert code == 1
         record = json.loads(out.read_text())
@@ -805,14 +820,33 @@ class TestVerifyOrders:
         rows = json.loads(out.read_text())["results"]["orders"]
         assert len(rows) == 2 + 11 and all(row["ok"] for row in rows)
 
-    def test_window_edge_fails(self, tmp_path):
+    def test_window_edge_fails(self, tmp_path, capsys):
+        # W's own window would be q_trunc here, below its order 253/24: bad
+        # input, rejected before any case runs
         out = tmp_path / "orders.json"
-        code = run_cli("verify-orders", "--m", "12", "--q-trunc", "121/48",
-                       "--format", "json", "--output", str(out))
-        assert code == 1
-        # W's own window is q_trunc here, below its order 253/24
-        failure = json.loads(out.read_text())["failure"]
-        assert "m=12" in failure and "cannot reach" in failure
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("verify-orders", "--m", "12", "--q-trunc", "121/48",
+                    "--format", "json", "--output", str(out))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert ("--q-trunc 121/48 is too short for the top index: m=12 nu=1: "
+                "window 121/48 cannot reach cofactor order 505/48") in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_window_rule_is_the_top_index_rule(self, m, tmp_path):
+        # every order of index m is inside its window exactly when q_trunc
+        # passes (m-1)^2/4m, and lower indices need less
+        edge = F((m - 1) ** 2, 4 * m)
+        for q_trunc, status in ((edge, 2), (edge + F(1, 100), 0)):
+            out = tmp_path / f"orders-{status}.json"
+            try:
+                code = run_cli("verify-orders", "--m", f"2..{m}", "--q-trunc", str(q_trunc),
+                               "--format", "json", "--output", str(out))
+            except SystemExit as error:
+                code = error.code
+            assert code == status
+            assert out.exists() == (status == 0)
 
 
 class TestVerifyCharacters:
@@ -990,6 +1024,14 @@ class TestVerifyIdentities:
                                    "--jacobi-file " + str(tmp_path / "bad.jacobi")
                                    + ": index m=1 has no odd theta component to check")
 
+    def test_all_zero_jacobi_file_rejected(self, tmp_path, capsys):
+        # a header-only table passes every invariant, but its components are
+        # zero, so each identity would compare zero series
+        self.assert_table_rejected(tmp_path, capsys, "k=3 m=7 N=1 trunc=4/1\n",
+                                   "--jacobi-file " + str(tmp_path / "bad.jacobi")
+                                   + ": every coefficient is zero, so every check "
+                                   "would compare zero series")
+
     def test_jacobi_file_too_short_for_its_index_rejected(self, tmp_path, capsys):
         # at trunc 1 every cofactor window of index 7 is 1, below the orders
         # 66/28..90/28, so the Cramer rows would compare empty series and
@@ -1003,8 +1045,10 @@ class TestVerifyIdentities:
     def test_jacobi_file_window_rule_is_the_top_index_rule(self, trunc, status, tmp_path):
         # a table's cofactor windows follow --q-trunc's rule for the top
         # index: index 7 needs a window past (7-1)^2/28 = 9/7
-        table = tmp_path / "zero.jacobi"
-        table.write_text(f"k=3 m=7 N=1 trunc={trunc}\n")
+        phi = JacobiFormData.from_orbit_values(3, 7, 1, F(trunc), {(1, 27): F(1)})
+        assert phi.coeffs  # c(1, 1) = 1: a table of one orbit, not all zero
+        table = tmp_path / "one-orbit.jacobi"
+        table.write_text(dump_jacobi_table(phi))
         out = tmp_path / "identities.json"
         try:
             code = run_cli("verify-identities", "--m", "3", "--q-trunc", "6", "--trials", "0",
@@ -1116,7 +1160,9 @@ class TestClassifyAndSweep:
     def test_false_window_flags_fail_the_sweep(self, monkeypatch, tmp_path):
         # N = 4 is not square-free, so k=3 m=5 N=4 accepts no part and has
         # no window to fail; N = 6 is the first accepted row of the grid
-        monkeypatch.setattr(injectivity, "_window_flags", lambda k, m, s, r: (False, True, True))
+        classify_of = injectivity.classify
+        monkeypatch.setattr(injectivity, "classify", lambda case, squarefree=None:
+                            classify_of(case, squarefree)._replace(window_ok=False))
         out = tmp_path / "sweep.json"
         code = run_cli("sweep", "--k", "3", "--m", "5..7", "--N", "4,6,1",
                        "--format", "json", "--output", str(out))

@@ -1,13 +1,12 @@
 """Classifier, window inequalities, congruences, and the integrality discrepancy."""
 
-import math
 from fractions import Fraction
 
 import pytest
 
-from qtheta import (CaseInput, CaseVerdict, InvalidInput, ParityError, classify,
-                    classify_levels, congruence_check, injectivity, is_squarefree,
-                    level_classes, nonintegrality_check, window_check)
+from conftest import congruence_text, oracle_verdict, window_bounds
+from qtheta import (CaseInput, CaseVerdict, InvalidInput, classify, classify_levels,
+                    injectivity, is_squarefree, level_classes, nonintegrality_check)
 
 F = Fraction
 
@@ -71,39 +70,14 @@ class TestClassify:
                 previous = verdict.part_i
 
 
-def verdict_from_public_checks(k: int, m: int, N: int) -> CaseVerdict:
-    """The verdict of (k, m, N) assembled from the three public report checks."""
-    part_i = m - k >= 4
-    part_ii = is_squarefree(N) and m % 2 == 1 and m - k >= 2
-    part_iii = N == 1 and m % 2 == 1 and m - k >= 2
-    if part_i:
-        s, r = 0, 2 * (m - k - 2)
-    elif part_ii or part_iii:
-        s, r = m - k - 2, 0
-    else:
-        s, r = 0, 0
-    accepted = part_i or part_ii or part_iii
-    details = []
-    if part_ii or part_iii:
-        con2, con3 = congruence_check("ii", k, m), congruence_check("iii", k, m)
-        details = [f"3m-2={3 * m - 2} = {con2.residue} (mod 6) [{'ok' if con2.ok else 'FAIL'}]",
-                   f"3m-2={3 * m - 2} = {con3.residue} (mod 12), needs != 3"
-                   f" [{'ok' if con3.ok else 'FAIL'}]"]
-    return CaseVerdict(k=k, m=m, N=N, part_i=part_i, part_ii=part_ii, part_iii=part_iii,
-                       s=s, r=r, beta=2 * (k + 2 * m + s - 4),
-                       eta_exponent=(m - 1) * (2 * m - 1),
-                       window_ok=accepted and window_check(k, m, s, r).ok,
-                       congruence_details="; ".join(details))
-
-
 class TestClassifyOracle:
-    def test_matches_the_public_checks(self):
-        # classify runs the checks' integer helpers without their reports
+    def test_matches_the_fraction_oracle(self):
+        # classify compares on 2m-scaled integers; the oracle in Fractions
         for k in range(3, 42, 2):
             for m in range(3, 121):
                 for N in range(1, 13):
                     verdict = classify(CaseInput(k, m, N))
-                    assert verdict == verdict_from_public_checks(k, m, N), (k, m, N)
+                    assert verdict == oracle_verdict(k, m, N), (k, m, N)
 
 
 class TestClassifyLevels:
@@ -166,48 +140,39 @@ class TestClassifyLevels:
 
 class TestWindow:
     def test_part_i_example(self):
-        report = window_check(3, 7, 0, 4)
-        assert report.choice_ok and report.upper_ok and report.lower_ok
-        assert report.upper_bound == 10 - F(12, 7)
-        assert report.lower_bound == 4 - F(3, 7)
+        verdict = classify(CaseInput(3, 7, 1))
+        assert (verdict.s, verdict.r) == (0, 4) and verdict.window_ok
+        upper, lower, choice = window_bounds(7, 0, 4)
+        assert (upper, lower, choice) == (10 - F(12, 7), 4 - F(3, 7), 4)
 
     def test_minimal_gap_example(self):
-        report = window_check(3, 5, 0, 0)
-        assert report.ok
+        verdict = classify(CaseInput(3, 5, 1))
+        assert (verdict.s, verdict.r) == (0, 0) and verdict.window_ok
 
     def test_choice_equality_fails(self):
-        report = window_check(3, 4, 0, 0)
-        assert not report.choice_ok
-        assert not report.ok
+        # m - k = 1 is below every choice point 2 + s + r/2: no part applies,
+        # and a case no part accepts has no window to hold
+        verdict = classify(CaseInput(3, 4, 1))
+        assert not verdict.any_part and not verdict.window_ok
 
     def test_scaled_comparisons_match_fraction_formula(self):
-        # The answers can change only where the middle m - k crosses a bound
-        # or the choice point, so for each (m, s, r) every odd k in 3..41
-        # whose middle lies next to one of them is checked.
-        for m in range(4, 61):
-            # s + r/2 + 8 - 12/m, 2 + s + r/2 - 3/m and 2 + s + r/2 as written,
-            # keyed by t = 2s + r, since each depends on s + r/2 alone
-            oracle = {t: (F(t, 2) + 8 - F(12, m), 2 + F(t, 2) - F(3, m), 2 + F(t, 2))
-                      for t in range(4 * m + 1)}
-            for s in range(m + 1):
-                for r in range(0, 2 * m + 1, 2):
-                    upper, lower, choice = oracle[2 * s + r]
-                    report = window_check(3, m, s, r)
-                    assert (report.upper_bound, report.lower_bound) == (upper, lower)
-                    for x in (upper, lower, choice):
-                        for middle in range(math.floor(x) - 1, math.ceil(x) + 2):
-                            k = m - middle
-                            if not (3 <= k <= 41 and k % 2):
-                                continue
-                            report = window_check(k, m, s, r)
-                            assert report.middle == middle
-                            assert report.upper_ok == (upper > middle)
-                            assert report.lower_ok == (middle > lower)
-                            assert report.choice_ok == (middle == choice)
+        # the 2m-scaled integer comparisons give the Fraction window on
+        # every accepted case, including wide gaps m - k where part (i)'s
+        # r = 2(m - k - 2) is large; a rejected case has no window to hold
+        for k in range(3, 200, 2):
+            for m in range(k + 1, k + 121):
+                for N in (1, 4):
+                    verdict = classify(CaseInput(k, m, N))
+                    upper, lower, choice = window_bounds(m, verdict.s, verdict.r)
+                    assert verdict.window_ok == (verdict.any_part and upper > m - k > lower
+                                                 and m - k == choice)
 
     def test_requires_m_above_three(self):
-        with pytest.raises(ValueError):
-            window_check(3, 3, 0, 0)
+        # the window argument needs m > 3; at m = 3 no part applies
+        for k in (3, 5):
+            for N in (1, 2, 4):
+                verdict = classify(CaseInput(k, 3, N))
+                assert not verdict.any_part and not verdict.window_ok
 
     def test_passes_on_accepted_grid(self):
         for k in range(3, 22, 2):
@@ -242,35 +207,35 @@ class TestNonintegrality:
 
 class TestCongruence:
     def test_m5(self):
-        report = congruence_check("ii", 3, 5)
-        assert (report.residue, report.modulus, report.ok) == (1, 6, True)
+        verdict = classify(CaseInput(3, 5, 1))
+        assert verdict.congruence_details == (
+            "3m-2=13 = 1 (mod 6) [ok]; 3m-2=13 = 1 (mod 12), needs != 3 [ok]")
 
     def test_m9(self):
-        assert congruence_check("ii", 3, 9).residue == (27 - 2) % 6 == 1
-        report = congruence_check("iii", 3, 9)
-        assert report.residue == 1 and report.ok
+        # part (i) applies too; the congruence text is part (ii)/(iii)'s
+        verdict = classify(CaseInput(3, 9, 1))
+        assert verdict.part_i and verdict.part_ii and verdict.part_iii
+        assert verdict.congruence_details == (
+            "3m-2=25 = 1 (mod 6) [ok]; 3m-2=25 = 1 (mod 12), needs != 3 [ok]")
 
     def test_part_iii_always_satisfied(self):
         for m in range(5, 100, 2):
             for k in range(3, m - 1, 2):
-                report = congruence_check("iii", k, m)
-                assert report.ok
-                assert congruence_check("ii", k, m).ok
+                verdict = classify(CaseInput(k, m, 1))
+                assert verdict.part_iii
+                assert verdict.congruence_details == congruence_text(m)
+                assert "FAIL" not in verdict.congruence_details
 
-    def test_parity_error(self):
-        with pytest.raises(ParityError):
-            congruence_check("ii", 3, 6)
+    def test_negative_s_rejected(self):
+        # parts (ii) and (iii) need s = m - k - 2 >= 0, so no congruence text
+        for k, m in ((7, 7), (7, 8), (5, 6), (3, 4)):
+            for N in (1, 2):
+                verdict = classify(CaseInput(k, m, N))
+                assert not verdict.part_ii and not verdict.part_iii
+                assert verdict.congruence_details == ""
 
     def test_s_parity_matches_index_parity(self):
         for k in range(3, 100, 2):
             for m in range(k + 2, 100):
                 s = m - k - 2
                 assert (s % 2 == 0) == (m % 2 == 1)
-
-    def test_invalid_part(self):
-        with pytest.raises(ValueError):
-            congruence_check("i", 3, 5)
-
-    def test_negative_s_rejected(self):
-        with pytest.raises(ValueError):
-            congruence_check("ii", 7, 7)

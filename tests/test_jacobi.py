@@ -7,7 +7,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree
-from qtheta import jacobi
 from qtheta import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                     PuiseuxSeries, ThetaComponents, ThetaIndex, ThetaTwoVar,
                     component_taylor, component_taylor_scale, development_operator,
@@ -212,6 +211,17 @@ class TestTaylorCoefficients:
         with pytest.raises(ValueError):
             component_taylor(h, 3)
 
+    def test_infinite_component_window_rejected(self):
+        # h_1 = 1 is exact to every order, so its theta series has no window
+        h = ThetaComponents(3, (PuiseuxSeries.one(), PuiseuxSeries.zero(5, 12)))
+        with pytest.raises(ValueError, match="h_1 has an infinite window"):
+            component_taylor(h, 1)
+
+
+def taylors_of(tv, count):
+    """The first ``count`` Taylor coefficients chi_1, chi_2, ... of ``tv``."""
+    return [taylor_coefficient(tv, nu) for nu in range(1, count + 1)]
+
 
 class TestDevelopmentOperator:
     def test_first_operator_is_scaled_taylor(self):
@@ -219,18 +229,23 @@ class TestDevelopmentOperator:
         for k in (3, 5):
             h = random_components(3, 8, rng)
             tv = from_theta_components(h, 8)
-            assert_agree(development_operator(tv, k, 1, 3),
+            assert_agree(development_operator(taylors_of(tv, 1), k, 1, 3),
                          taylor_coefficient(tv, 1) / k)
 
     def test_zero_form(self):
-        tv = ThetaTwoVar({}, 6, 12)
+        taylors = taylors_of(ThetaTwoVar({}, 6, 12), 3)
         for nu in (1, 3, 5):
-            assert development_operator(tv, 3, nu, 3).is_zero()
+            assert development_operator(taylors, 3, nu, 3).is_zero()
 
     def test_even_index_rejected(self):
-        tv = ThetaTwoVar({}, 6, 12)
+        taylors = taylors_of(ThetaTwoVar({}, 6, 12), 1)
         with pytest.raises(EvenIndex):
-            development_operator(tv, 3, 2, 3)
+            development_operator(taylors, 3, 2, 3)
+
+    def test_too_few_taylor_coefficients_rejected(self):
+        taylors = taylors_of(ThetaTwoVar({}, 6, 12), 1)
+        with pytest.raises(ValueError, match="nu=3 needs the first 2 Taylor coefficients"):
+            development_operator(taylors, 3, 3, 3)
 
     def test_index_comes_from_the_caller_not_the_grid(self):
         # the same components on the 1/40 grid assemble to an equal series;
@@ -240,25 +255,42 @@ class TestDevelopmentOperator:
                                         for c in h.components))
         tv, tv_fine = from_theta_components(h, 6), from_theta_components(fine, 6)
         assert tv_fine.base_denom == 40 and tv_fine == tv
-        operator = development_operator(tv, 3, 3, 5)
-        assert development_operator(tv_fine, 3, 3, 5) == operator
-        assert development_operator(tv_fine, 3, 3, 10) != operator
+        taylors, taylors_fine = taylors_of(tv, 2), taylors_of(tv_fine, 2)
+        operator = development_operator(taylors, 3, 3, 5)
+        assert development_operator(taylors_fine, 3, 3, 5) == operator
+        assert development_operator(taylors_fine, 3, 3, 10) != operator
 
     def test_triangularity(self):
         # first two Taylor coefficients vanish, so the order-5 operator is
         # the single remaining term with its nonzero leading factor
         tv = from_theta_components(kernel_components(4, 10), 10)
-        chi5 = taylor_coefficient(tv, 3)
+        taylors = taylors_of(tv, 3)
+        chi5 = taylors[2]
         assert not chi5.is_zero()
         k = 3
         factor = F(math.factorial(k + 5 - 2), math.factorial(k + 10 - 2))
-        assert_agree(development_operator(tv, k, 5, 4), factor * chi5)
+        assert_agree(development_operator(taylors, k, 5, 4), factor * chi5)
+
+    def test_operator_formula(self):
+        # the order-5 operator of a generic form, term by term from the formula
+        rng = random.Random(67)
+        for m in (3, 4):
+            tv = from_theta_components(random_components(m, 8, rng), 8)
+            chi1, chi2, chi3 = taylors_of(tv, 3)
+            k, nu = 5, 5
+            expected = None
+            for j, chi in enumerate((chi3, chi2, chi1)):
+                factor = F((-m) ** j * math.factorial(k + nu - j - 2),
+                           math.factorial(k + 2 * nu - 2) * math.factorial(j))
+                term = factor * chi.q_derivative_iterate(j)
+                expected = term if expected is None else expected + term
+            assert_agree(development_operator([chi1, chi2, chi3], k, nu, m), expected)
 
 
 class TestKernelEquivalence:
     def test_zero_form(self):
         tv = ThetaTwoVar({}, 5, 12)
-        assert kernel_equivalence(tv, 3, 2, 3) == (True, True)
+        assert kernel_equivalence(taylors_of(tv, 2), 3, 3) == (True, True)
 
     def test_generic_form_fails_both(self):
         rng = random.Random(53)
@@ -266,14 +298,14 @@ class TestKernelEquivalence:
         tv = from_theta_components(h, 8)
         first = taylor_coefficient(tv, 1)
         if not first.is_zero():
-            assert kernel_equivalence(tv, 3, 1, 3) == (False, False)
+            assert kernel_equivalence([first], 3, 3) == (False, False)
 
     def test_prescribed_vanishing(self):
         for m, j in ((4, 1), (5, 2), (5, 3)):
             h = partial_kernel_components(m, 10, j)
-            tv = from_theta_components(h, 10)
-            assert kernel_equivalence(tv, 3, j, m) == (True, True)
-            assert kernel_equivalence(tv, 3, j + 1, m) == (False, False)
+            taylors = taylors_of(from_theta_components(h, 10), j + 1)
+            assert kernel_equivalence(taylors[:j], 3, m) == (True, True)
+            assert kernel_equivalence(taylors, 3, m) == (False, False)
 
     def test_booleans_always_agree(self):
         rng = random.Random(59)
@@ -281,28 +313,12 @@ class TestKernelEquivalence:
             for _ in range(8):
                 h = random_components(m, 7, rng)
                 tv = from_theta_components(h, 7)
-                ops, taylors = kernel_equivalence(tv, 3, m - 1, m)
+                ops, taylors = kernel_equivalence(taylors_of(tv, m - 1), 3, m)
                 assert ops == taylors
 
-    def test_given_taylor_coefficients_are_not_recomputed(self, monkeypatch):
-        rng = random.Random(61)
-        forms = [(m, from_theta_components(h, 10)) for m, h in (
-            (4, partial_kernel_components(4, 10, 1)), (5, partial_kernel_components(5, 10, 2)),
-            (5, random_components(5, 10, rng)), (5, kernel_components(5, 10)))]
-        expected = []
-        for m, tv in forms:
-            taylors = [taylor_coefficient(tv, nu) for nu in range(1, m)]
-            operators = [development_operator(tv, 3, 2 * nu - 1, m) for nu in range(1, m)]
-            expected.append((taylors, operators, kernel_equivalence(tv, 3, m - 1, m)))
-
-        def no_taylor(*args):
-            raise AssertionError("a given Taylor coefficient was computed again")
-
-        monkeypatch.setattr(jacobi, "taylor_coefficient", no_taylor)
-        for (m, tv), (taylors, operators, verdict) in zip(forms, expected):
-            assert [development_operator(tv, 3, 2 * nu - 1, m, taylors)
-                    for nu in range(1, m)] == operators
-            assert kernel_equivalence(tv, 3, m - 1, m, taylors) == verdict
+    def test_needs_a_taylor_coefficient(self):
+        with pytest.raises(ValueError):
+            kernel_equivalence([], 3, 3)
 
 
 class TestCoefficientFile:
