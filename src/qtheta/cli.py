@@ -39,7 +39,7 @@ from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify
                           classify_levels, level_classes, nonintegrality_check)
 from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
-                     taylor_coefficient, theta_components)
+                     taylor_coefficients, theta_components)
 from .series import dump_series_text, parse_rational
 from .theta import odd_theta_columns, translation_exponent
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
@@ -163,7 +163,7 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     # the rows M h and the Taylor coefficients, built once: compared here,
     # then solved by the Cramer check and read by the kernel equivalence
     system = [component_taylor(h, nu) for nu in range(1, m)]
-    taylors = [taylor_coefficient(assembled, nu) for nu in range(1, m)]
+    taylors = taylor_coefficients(assembled, range(1, m))
     two_path = all((taylor - component_taylor_scale(nu, m) * row).is_zero()
                    for nu, taylor, row in zip(range(1, m), taylors, system))
     ops_vanish, taylors_vanish = kernel_equivalence(taylors, weight_k, m)
@@ -810,6 +810,14 @@ def _check_identities_args(args: argparse.Namespace) -> None:
     if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
         raise ValueError("no case to check: every index is below 3, --trials is 0 "
                          "and there is no --jacobi-file")
+    # a random h_mu samples the exponents n - mu^2/4m, n an integer with
+    # mu^2/4m <= n < q_trunc; class 1 has the most, ceil(q_trunc) - 1, and
+    # a range of more than sys.maxsize points has no len()
+    points = -(-args.q_trunc.numerator // args.q_trunc.denominator) - 1
+    if points > sys.maxsize:
+        raise ValueError(f"--q-trunc {args.q_trunc} is too long for the top index: "
+                         f"m={args.m[1]} mu=1: {points} exponents to draw from, "
+                         f"more than sys.maxsize = {sys.maxsize}")
     args.jacobi_form = None
     if args.jacobi_file is not None:
         try:

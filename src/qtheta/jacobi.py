@@ -8,17 +8,26 @@ The theta decomposition packages the table into m-1 component series
 h_1..h_{m-1}, and the Taylor operators extract the odd coefficients of the
 expansion in z (with every power of 2*pi*i absorbed so that all series
 stay rational).
+
+The series that do not depend on h are built once per process, keyed by
+exactly what they depend on, and shared by every tuple: for each (m, mu,
+window) the ladder of the odd theta series and its m-2 q-derivatives that
+``component_taylor`` reads (the window is trunc h_mu + mu^2/4m), and for
+each (m, mu, q_trunc) the pair theta_{m,mu} - theta_{m,-mu} that
+``from_theta_components`` multiplies.  ``taylor_coefficients`` takes every
+chi_nu of an assembled form from one oddness scan and one moment pass.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .series import _ZERO, PuiseuxSeries, _lowest_terms, dot, parse_rational
-from .theta import ThetaIndex, ThetaTwoVar, _residues, theta_series, odd_theta_series
+from .theta import ThetaIndex, ThetaTwoVar, _mul_sum, _residues, odd_theta_series, theta_series
 
 
 class InvariantViolation(ValueError):
@@ -180,19 +189,41 @@ def theta_components(phi: JacobiFormData) -> ThetaComponents:
     return ThetaComponents(m, tuple(out))
 
 
+@lru_cache(maxsize=None)
+def _theta_pair(m: int, mu: int, q_trunc: Fraction) -> ThetaTwoVar:
+    """theta_{m,mu} - theta_{m,-mu} on q_trunc, built once per process for
+    each (m, mu, q_trunc) and shared by every tuple assembled on that window."""
+    idx = ThetaIndex(m, mu)
+    return theta_series(idx, q_trunc) - theta_series(idx.negate(), q_trunc)
+
+
 def from_theta_components(h: ThetaComponents, q_trunc) -> ThetaTwoVar:
-    """Assemble sum_mu h_mu * (theta_{m,mu} - theta_{m,-mu}) as a two-variable series."""
+    """Assemble sum_mu h_mu * (theta_{m,mu} - theta_{m,-mu}) as a two-variable series.
+
+    Equal store for store to the fold ``total + pair.mul_series(h_mu)`` from
+    the empty series on q_trunc, built in one pass by ``theta._mul_sum``.  A
+    zero component whose window reaches q_trunc is skipped, so it moves
+    neither the window nor the grid.
+    """
     m = h.index_m
     q_trunc = Fraction(q_trunc)
-    total = ThetaTwoVar({}, q_trunc, 4 * m)
-    for mu in range(1, m):
-        series = h.components[mu - 1]
-        if series.is_zero() and series.trunc >= q_trunc:
-            continue
-        idx = ThetaIndex(m, mu)
-        pair = theta_series(idx, q_trunc) - theta_series(idx.negate(), q_trunc)
-        total = total + pair.mul_series(series)
-    return total
+    return _mul_sum([(_theta_pair(m, mu, q_trunc), series)
+                    for mu, series in enumerate(h.components, start=1)
+                    if not (series.is_zero() and series.trunc >= q_trunc)],
+                   (q_trunc.numerator, q_trunc.denominator), 4 * m)
+
+
+def taylor_coefficients(phi_2var: ThetaTwoVar, nus) -> list[PuiseuxSeries]:
+    """``taylor_coefficient(phi_2var, nu)`` for each nu of ``nus``, from one
+    oddness scan and one pass over the terms (``zeta_moments``)."""
+    nus = tuple(nus)
+    if any(nu < 1 for nu in nus):
+        raise ValueError("nu must be a positive integer")
+    if not phi_2var.is_zeta_odd():
+        raise NotOdd("two-variable series is not odd in the zeta variable")
+    orders = [2 * nu - 1 for nu in nus]
+    return [moment / math.factorial(order)
+            for moment, order in zip(phi_2var.zeta_moments(orders), orders)]
 
 
 def taylor_coefficient(phi_2var: ThetaTwoVar, nu: int) -> PuiseuxSeries:
@@ -203,12 +234,19 @@ def taylor_coefficient(phi_2var: ThetaTwoVar, nu: int) -> PuiseuxSeries:
     factor (2*pi*i)^(2*nu-1), which is absorbed to keep the result
     rational; vanishing is unaffected.
     """
-    if nu < 1:
-        raise ValueError("nu must be a positive integer")
-    if not phi_2var.is_zeta_odd():
-        raise NotOdd("two-variable series is not odd in the zeta variable")
-    order = 2 * nu - 1
-    return phi_2var.zeta_moment(order) / math.factorial(order)
+    return taylor_coefficients(phi_2var, (nu,))[0]
+
+
+@lru_cache(maxsize=None)
+def _theta_ladder(m: int, mu: int, wn: int, wd: int) -> tuple[PuiseuxSeries, ...]:
+    """(q d/dq)^j of the odd theta series of class mu on the window wn/wd
+    (lowest terms), j = 0..m-2: one ``odd_theta_series`` and one
+    ``q_derivative`` per step, built once per process for each (m, mu,
+    window) and shared by every tuple and every nu."""
+    ladder = [odd_theta_series(ThetaIndex(m, mu), Fraction(wn, wd))]
+    for _ in range(m - 2):
+        ladder.append(ladder[-1].q_derivative())
+    return tuple(ladder)
 
 
 def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
@@ -218,7 +256,8 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
     ``taylor_coefficient`` of the assembled form divided by
     ``component_taylor_scale(nu, m)``.  For nu = 1..m-1 these are the
     rows M h of the theta-derivative system that ``cramer_reconstruction``
-    solves; nothing else builds them.
+    solves; nothing else builds them.  Each theta derivative is read off
+    the ladder of its class on the window trunc h_mu + mu^2/4m.
     """
     m = h.index_m
     if not 1 <= nu <= m - 1:
@@ -229,8 +268,8 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
         tn, td = series._tn, series._td
         if not td:
             raise ValueError(f"h_{mu} has an infinite window; its theta series would be infinite")
-        window = Fraction(4 * m * tn + mu * mu * td, 4 * m * td)
-        thetas.append(odd_theta_series(ThetaIndex(m, mu), window).q_derivative_iterate(nu - 1))
+        window = _lowest_terms(4 * m * tn + mu * mu * td, 4 * m * td)
+        thetas.append(_theta_ladder(m, mu, *window)[nu - 1])
     return dot(h.components, thetas)
 
 

@@ -21,7 +21,9 @@ one pass over r below the key bound, each r landing in its class with its
 sign; ``odd_theta_series`` builds one class, for callers that need a single
 column on its own window.  ``translation_exponent`` reads a series'
 translation eigenvalue as a reduced int pair, ``translation_eigenvalue`` as
-a ``UnityExponent``.
+a ``UnityExponent``.  ``_mul_sum`` adds products of two-variable series by
+one-variable series in one pass; ``ThetaTwoVar.mul_series`` is its case of
+one product.
 """
 
 from __future__ import annotations
@@ -102,36 +104,80 @@ class ThetaTwoVar(_IntStore):
 
     def mul_series(self, s: PuiseuxSeries) -> ThetaTwoVar:
         """Multiply by a one-variable series (acting on the q-side only)."""
-        denom = math.lcm(self.base_denom, s.base_denom)
-        series = sorted(s._over(denom, s._den).items())
-        own = self._over(denom, self._den)
-        low = min(n for n, _ in own) if own else None
-        tn, td = _lowest_terms(*_product_window(
-            self, s, low, series[0][0] if series else None, denom))
-        bound = _key_bound(tn, td, denom)
-        if bound is None and own and series:
-            bound = max(n for n, _ in own) + series[-1][0] + 1
-        out: dict[tuple[int, int], int] = {}
-        for (n, r), c in own.items():
-            for ns, cs in series:
-                key = (n + ns, r)
-                if key[0] >= bound:
-                    break
-                out[key] = out.get(key, 0) + c * cs
-        terms, den = _reduced({k: v for k, v in out.items() if v}, self._den * s._den)
-        return ThetaTwoVar._make(terms, tn, td, denom, den)
+        return _mul_sum(((self, s),))
 
     def zeta_moment(self, n: int) -> PuiseuxSeries:
         """Collapse the zeta variable: sum of coeff * r^n per q-exponent."""
-        out: dict[int, int] = {}
+        return self.zeta_moments((n,))[0]
+
+    def zeta_moments(self, orders) -> list[PuiseuxSeries]:
+        """``zeta_moment(n)`` for each n of ``orders``, in one pass over the
+        terms: each q-exponent gathers one row of sums, and each
+        zeta-exponent r has its powers r^n computed once."""
+        orders = tuple(orders)
+        if any(n < 0 for n in orders):
+            raise ValueError("zeta moment orders must be nonnegative")
+        powers: dict[int, list[int]] = {}
+        rows: dict[int, list[int]] = {}
         for (e, r), c in self._terms.items():
-            out[e] = out.get(e, 0) + c * r ** n
-        terms, den = _reduced({e: c for e, c in out.items() if c}, self._den)
-        return PuiseuxSeries._make(terms, self._tn, self._td, self.base_denom, den)
+            ps = powers.get(r)
+            if ps is None:
+                ps = powers[r] = [r ** n for n in orders]
+            row = rows.get(e)
+            if row is None:
+                rows[e] = [c * p for p in ps]
+            else:
+                for i, p in enumerate(ps):
+                    row[i] += c * p
+        moments = []
+        for i in range(len(orders)):
+            terms, den = _reduced({e: row[i] for e, row in rows.items() if row[i]}, self._den)
+            moments.append(PuiseuxSeries._make(terms, self._tn, self._td, self.base_denom, den))
+        return moments
 
     def is_zeta_odd(self) -> bool:
         """True when negating the zeta-exponent negates every coefficient."""
         return all(self._terms.get((e, -r)) == -c for (e, r), c in self._terms.items())
+
+
+def _mul_sum(pairs, window: tuple[int, int] = (1, 0), denom: int = 1) -> ThetaTwoVar:
+    """sum_i tv_i.mul_series(s_i) over the (tv_i, s_i) of ``pairs``, in one pass.
+
+    Equal store for store to the fold of ``mul_series`` and ``+`` from the
+    empty series on ``window`` (an int pair as ``series._window`` gives it,
+    (1, 0) for +infinity) and the 1/denom grid, as ``series.dot`` is to its
+    fold: every product goes
+    onto the lcm grid over the lcm denominator, the products add into one
+    int dict below the least window, and the sum is reduced once.
+    """
+    denom = math.lcm(denom, *(x.base_denom for pair in pairs for x in pair))
+    den = math.lcm(1, *(tv._den * s._den for tv, s in pairs))
+    p, q = window
+    products = []
+    for tv, s in pairs:
+        own = tv._over(denom, den // s._den)
+        b = sorted(s._over(denom, s._den).items())
+        pi, qi = _product_window(tv, s, min(n for n, _ in own) if own else None,
+                                 b[0][0] if b else None, denom)
+        if pi * q < p * qi:
+            p, q = pi, qi
+        products.append((own, b))
+    tn, td = _lowest_terms(p, q)
+    bound = _key_bound(tn, td, denom)
+    out: dict[tuple[int, int], int] = {}
+    for own, b in products:
+        if not own or not b:
+            continue
+        # an exact product has no key past the sum of the largest keys
+        top = max(n for n, _ in own) + b[-1][0] + 1 if bound is None else bound
+        for (n, r), c in own.items():
+            for nb, cb in b:
+                key = (n + nb, r)
+                if key[0] >= top:
+                    break
+                out[key] = out.get(key, 0) + c * cb
+    terms, den = _reduced({k: c for k, c in out.items() if c}, den)
+    return ThetaTwoVar._make(terms, tn, td, denom, den)
 
 
 def _residues(m: int, mu: int, bound: int) -> range:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from qtheta import CaseVerdict, PuiseuxSeries
+from qtheta import (CaseVerdict, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot, odd_theta_series,
+                    theta_series)
 
 
 def random_series(rng, trunc, base_denom=4, max_terms=5, lowest=0):
@@ -78,6 +82,62 @@ def assert_agree(a: PuiseuxSeries, b: PuiseuxSeries):
     """Exact coefficient equality below the common certified window."""
     diff = a - b
     assert diff.is_zero(), f"first mismatch at {diff.ord_infty()}: {diff.leading_term()}"
+
+
+def assert_same_store(a, b):
+    """Store for store equality: type, integer terms, shared denominator, grid and window."""
+    assert type(a) is type(b)
+    assert (a._terms, a._den, a.base_denom, a._tn, a._td) == \
+        (b._terms, b._den, b.base_denom, b._tn, b._td)
+
+
+def oracle_component_taylor(h, nu) -> PuiseuxSeries:
+    """sum_mu h_mu * (q d/dq)^(nu-1) theta_mu, every odd theta series built
+    afresh on its window trunc h_mu + mu^2/4m and derived nu - 1 times: the
+    rebuild per tuple and per nu that ``jacobi.component_taylor`` caches."""
+    m = h.index_m
+    thetas = [odd_theta_series(ThetaIndex(m, mu), series.trunc + Fraction(mu * mu, 4 * m))
+              .q_derivative_iterate(nu - 1)
+              for mu, series in enumerate(h.components, start=1)]
+    return dot(h.components, thetas)
+
+
+def oracle_from_theta_components(h, q_trunc) -> ThetaTwoVar:
+    """The fold total + pair.mul_series(h_mu) from the empty series on
+    q_trunc, each pair theta_{m,mu} - theta_{m,-mu} built afresh; a zero
+    component whose window reaches q_trunc is skipped."""
+    m = h.index_m
+    q_trunc = Fraction(q_trunc)
+    total = ThetaTwoVar({}, q_trunc, 4 * m)
+    for mu, series in enumerate(h.components, start=1):
+        if series.is_zero() and series.trunc >= q_trunc:
+            continue
+        idx = ThetaIndex(m, mu)
+        pair = theta_series(idx, q_trunc) - theta_series(idx.negate(), q_trunc)
+        total = total + pair.mul_series(series)
+    return total
+
+
+def oracle_taylor(tv: ThetaTwoVar, nu: int) -> PuiseuxSeries:
+    """sum of c * r^(2nu-1) / (2nu-1)! per q-exponent, in Fractions over
+    ``tv.terms``; independent of the package's integer moment pass."""
+    order = 2 * nu - 1
+    out: dict[Fraction, Fraction] = {}
+    for (e, r), c in tv.terms.items():
+        out[e] = out.get(e, Fraction(0)) + c * r ** order / math.factorial(order)
+    return PuiseuxSeries(out, tv.q_trunc, tv.base_denom)
+
+
+def perfbench_workloads():
+    """The benchmark's ``workloads`` module, loaded from its file: its
+    ``jacobi_table`` writes dense tables with plain integer arithmetic."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)  # its dataclasses look it up
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
 
 
 def laplace_det(rows):

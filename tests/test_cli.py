@@ -16,9 +16,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import (assert_same_store, oracle_component_taylor, oracle_from_theta_components,
+                      perfbench_workloads)
 from qtheta import (CaseInput, CaseVerdict, JacobiFormData, PuiseuxSeries, SeriesMatrix,
                     classify, cli, dump_jacobi_table, injectivity, nonintegrality_check,
-                    parse_series_text, wronskian)
+                    parse_series_text, random_components, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -981,6 +983,61 @@ class TestVerifyIdentities:
             code = error.code
         assert code == status
         assert out.exists() == (status == 0)
+
+    @pytest.mark.parametrize("q_trunc, accepted", [
+        (str(sys.maxsize + 1), True), (f"{2 * sys.maxsize + 1}/2", True),
+        (str(sys.maxsize + 2), False), (f"{2 * sys.maxsize + 3}/2", False)])
+    def test_window_past_sys_maxsize_exponents_rejected(self, q_trunc, accepted):
+        # class 1 of every index draws from ceil(q) - 1 exponents: up to
+        # sys.maxsize a random tuple can be drawn, one more has no len().
+        # Only config_from_args runs, so no case runs
+        args = cli.build_parser().parse_args(
+            ["verify-identities", "--m", "3..4", "--trials", "1", "--q-trunc", q_trunc])
+        q = args.q_trunc
+        if accepted:
+            cli.config_from_args(args)
+            random_components(4, q, random.Random(0))
+        else:
+            with pytest.raises(ValueError, match=(
+                    rf"--q-trunc {q} is too long for the top index: m=4 mu=1: "
+                    rf"{sys.maxsize + 1} exponents to draw from, more than sys.maxsize")):
+                cli.config_from_args(args)
+            with pytest.raises(OverflowError):
+                random_components(4, q, random.Random(0))
+
+    def test_cached_series_reused_across_runs(self, tmp_path, monkeypatch):
+        # the theta ladders and pairs live for the process, keyed by index,
+        # class and window: q 12, then q 25/2 over the same indices, then an
+        # index-7 table at trunc 20 must give the bytes of fresh processes,
+        # with --jobs 2 as with --jobs 1, and every system row and assembled
+        # form built on a warm cache must be the oracle's store.  A key that
+        # drops the window reuses a shorter series: the checks still pass on
+        # the shorter window, so only the stores show it
+        def checked(build, oracle):
+            def wrapper(h, arg):
+                result = build(h, arg)
+                assert_same_store(result, oracle(h, arg))
+                return result
+            return wrapper
+
+        monkeypatch.setattr(cli, "component_taylor",
+                            checked(cli.component_taylor, oracle_component_taylor))
+        monkeypatch.setattr(cli, "from_theta_components",
+                            checked(cli.from_theta_components, oracle_from_theta_components))
+        table = tmp_path / "phi.jacobi"
+        table.write_text(perfbench_workloads().jacobi_table(random.Random(0)))
+        base = ("verify-identities", "--m", "3..7", "--trials", "2", "--seed", "4",
+                "--format", "json")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        for extra in (("--q-trunc", "12"), ("--q-trunc", "25/2"),
+                      ("--q-trunc", "12", "--jacobi-file", str(table))):
+            fresh = subprocess.run([sys.executable, "-m", "qtheta.cli", *base, *extra],
+                                   capture_output=True, env=env, timeout=120)
+            assert fresh.returncode == 0, fresh.stderr
+            for jobs in ("1", "2"):
+                out = tmp_path / f"identities-jobs{jobs}.json"
+                assert run_cli(*base, *extra, "--jobs", jobs, "--output", str(out)) == 0
+                assert out.read_bytes() == fresh.stdout
 
     def test_jacobi_file_ingestion(self, tmp_path):
         phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})

@@ -6,14 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_agree
+from conftest import (assert_agree, assert_same_store, oracle_component_taylor,
+                      oracle_from_theta_components, oracle_taylor, perfbench_workloads)
 from qtheta import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                     PuiseuxSeries, ThetaComponents, ThetaIndex, ThetaTwoVar,
                     component_taylor, component_taylor_scale, development_operator,
-                    dump_jacobi_table, eta, from_theta_components, kernel_components,
+                    dump_jacobi_table, eta, from_theta_components, jacobi, kernel_components,
                     kernel_equivalence, odd_theta_series, parse_jacobi_table,
                     partial_kernel_components, random_components, taylor_coefficient,
-                    theta_components, theta_series)
+                    taylor_coefficients, theta_components, theta_series)
 
 F = Fraction
 
@@ -216,6 +217,95 @@ class TestTaylorCoefficients:
         h = ThetaComponents(3, (PuiseuxSeries.one(), PuiseuxSeries.zero(5, 12)))
         with pytest.raises(ValueError, match="h_1 has an infinite window"):
             component_taylor(h, 1)
+
+
+class TestCachedBuilders:
+    """The theta ladders and theta pairs built once per (m, mu, window), and
+    the one-pass Taylor moments, against the per-tuple, per-nu rebuilds of
+    the oracles in conftest, store for store."""
+
+    @staticmethod
+    def assert_matches_oracles(h, q_trunc):
+        m = h.index_m
+        for nu in range(1, m):
+            assert_same_store(component_taylor(h, nu), oracle_component_taylor(h, nu))
+        tv = from_theta_components(h, q_trunc)
+        assert_same_store(tv, oracle_from_theta_components(h, q_trunc))
+        expected = [oracle_taylor(tv, nu) for nu in range(1, m)]
+        for got, want in zip(taylor_coefficients(tv, range(1, m)), expected, strict=True):
+            assert_same_store(got, want)
+        for nu in range(1, m):
+            assert_same_store(taylor_coefficient(tv, nu), expected[nu - 1])
+
+    # integer, fractional, and short windows: at 1/3 and 5/7 every class
+    # draws nothing, and its zero component, on a window below q_trunc, is
+    # not skipped: it cuts the assembled form's window
+    @pytest.mark.parametrize("q_trunc", [F(12), F(25, 2), F(7, 3), F(5, 7), F(1, 3)])
+    def test_random_tuples(self, q_trunc):
+        rng = random.Random(int(q_trunc * 21))
+        for m in range(2, 13):
+            for _ in range(2):
+                self.assert_matches_oracles(random_components(m, q_trunc, rng), q_trunc)
+
+    def test_mixed_grids_and_denominators(self):
+        # components moved onto finer grids of their own and scaled, so the
+        # products meet on an lcm grid over an lcm denominator
+        rng = random.Random(53)
+        for m in (3, 5, 8):
+            h = random_components(m, F(17, 2), rng)
+            mixed = ThetaComponents(m, tuple(
+                PuiseuxSeries(c.terms, c.trunc, c.base_denom * (mu % 3 + 1)) * F(mu, 7)
+                for mu, c in enumerate(h.components, start=1)))
+            self.assert_matches_oracles(mixed, F(17, 2))
+
+    @pytest.mark.parametrize("q_trunc", [F(12), F(25, 2)])
+    def test_kernel_tuples(self, q_trunc):
+        # the last-row cofactors: each component on its own window
+        for m in range(3, 9):
+            h = kernel_components(m, q_trunc)
+            if m > 3:
+                assert len({c.trunc for c in h.components}) > 1
+            self.assert_matches_oracles(h, q_trunc)
+
+    def test_dense_index_7_table(self):
+        phi = parse_jacobi_table(perfbench_workloads().jacobi_table(random.Random(0)))
+        assert (phi.index_m, phi.n_trunc) == (7, 20)
+        self.assert_matches_oracles(theta_components(phi), phi.n_trunc)
+
+    def test_series_built_once_per_class_and_window(self, monkeypatch):
+        # three tuples on one window, every nu: one odd theta series and two
+        # two-variable theta series per class, m - 2 derivatives per ladder
+        calls = {"odd": 0, "two_var": 0, "derivative": 0}
+
+        def counted(name, function):
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            return wrapper
+
+        monkeypatch.setattr(jacobi, "odd_theta_series", counted("odd", odd_theta_series))
+        monkeypatch.setattr(jacobi, "theta_series", counted("two_var", theta_series))
+        monkeypatch.setattr(PuiseuxSeries, "q_derivative",
+                            counted("derivative", PuiseuxSeries.q_derivative))
+        jacobi._theta_ladder.cache_clear()
+        jacobi._theta_pair.cache_clear()
+        rng = random.Random(59)
+        m, q_trunc = 6, F(23, 2)
+        for _ in range(3):
+            h = random_components(m, q_trunc, rng)
+            for nu in range(1, m):
+                component_taylor(h, nu)
+            from_theta_components(h, q_trunc)
+        assert calls == {"odd": m - 1, "two_var": 2 * (m - 1), "derivative": (m - 1) * (m - 2)}
+
+    def test_any_order_of_nu(self):
+        tv = from_theta_components(random_components(4, 6, random.Random(61)), 6)
+        for got, nu in zip(taylor_coefficients(tv, (3, 1, 2, 1)), (3, 1, 2, 1)):
+            assert_same_store(got, oracle_taylor(tv, nu))
+        with pytest.raises(ValueError, match="positive"):
+            taylor_coefficients(tv, (0, 1))
+        with pytest.raises(ValueError, match="nonnegative"):
+            tv.zeta_moments((1, -1))
 
 
 def taylors_of(tv, count):
