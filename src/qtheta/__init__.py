@@ -20,7 +20,7 @@ from .series import (INFINITY, PuiseuxSeries, dot, dump_series_text, parse_ratio
                      parse_series_text)
 from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_columns,
                     odd_theta_series, theta_series, total_theta_order,
-                    translation_eigenvalue, translation_exponent)
+                    translation_eigenvalue, translation_exponent, translation_exponents)
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
                         ThetaDerivativeMatrix, VerificationFailed, WronskianReport,
                         cramer_reconstruction, eta_power_exponent, kernel_components,

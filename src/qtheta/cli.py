@@ -41,7 +41,7 @@ from .jacobi import (component_taylor, component_taylor_scale, from_theta_compon
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficients, theta_components)
 from .series import dump_series_text, parse_rational
-from .theta import odd_theta_columns, translation_exponent
+from .theta import odd_theta_columns, translation_exponents
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
                         cramer_reconstruction, kernel_components, theta_derivative_matrix,
                         theta_minor_window, theta_wronskian, verify_eta_power)
@@ -131,12 +131,14 @@ def _orders_case(job):
 def _characters_case(job):
     _, m, _ = job
     den = 4 * m
-    # enough of the q-expansion to see at least three residues
-    columns = odd_theta_columns(m, 2 * m + 2)
+    # every class mu = 1..m-1 has its two least residues mu and 2m - mu below
+    # 2m, so on 2m + 2 (r^2 < 8m^2 + 8m) each column has at least two terms
+    # and each eigenvalue compares at least one pair of exponents
+    pairs = translation_exponents(odd_theta_columns(m, 2 * m + 2))
     eigen_rows = []
-    for mu, column in zip(range(1, m), columns):
+    for mu in range(1, m):
         try:
-            num, d = translation_exponent(column)
+            num, d = next(pairs)
         except ValueError as error:  # not an eigenvector, or the zero series
             raise VerificationFailed(f"character check failed: m={m} mu={mu}: {error}") from None
         if num * den != mu * mu % den * d:  # num/d is not mu^2/4m mod 1

@@ -1,7 +1,7 @@
 """Exact bookkeeping for the injectivity theorem's hypotheses and side arithmetic.
 
 Classifies a case (k, m, N) against the three applicability conditions of
-the removal theorem for the top development operator.  ``classify`` also
+the removal theorem for the top development operator.  The classifier also
 evaluates the order-comparison window exactly on integers (every term
 scaled by 2m) and builds the congruence text of a part-(ii)/(iii) case,
 once per index m.  One side claim (that (m-2)(m-1)(2m-3)/m is never an
@@ -11,11 +11,14 @@ as a verification failure.
 
 A verdict reads the level N only through whether N is square-free and
 whether N = 1.  ``classify_levels`` classifies one (k, m) on a list of
-levels with one ``classify`` call per such class, at most three, and gives
-every other level of a class that verdict with its own N; ``classify``
-stays the one place the arithmetic is done.  ``level_classes`` works out
-the classes of a list of levels, so a sweep over many (k, m) tests each
-level's square-freeness once.
+levels in one pass: ``_class_fields`` works out what depends on (k, m)
+alone once (m - k, the eta exponent, part (i), and the one (s, r) an
+accepted case takes, with its beta and window), then the fields of each
+such class, at most three, once, and every level's verdict is (k, m, N)
+plus its class's fields.  ``classify`` is its call on one level, so the
+arithmetic is done in one place.  ``level_classes`` works out the classes
+of a list of levels, so a sweep over many (k, m) tests each level's
+square-freeness once.
 """
 
 from __future__ import annotations
@@ -128,38 +131,12 @@ def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
     the part-(i) choice of (s, r) is recorded.  beta = 2(k + 2m + s - 4);
     the eta exponent is (m-1)(2m-1).  ``squarefree`` is whether N is
     square-free, from a caller that has tested it already; None tests it.
+    ``classify_levels`` on the one level N, which does the arithmetic.
     """
     k, m, N = case
     if squarefree is None:
         squarefree = is_squarefree(N)
-    mk = m - k
-    part_i = mk >= 4
-    part_ii = m % 2 == 1 and mk >= 2 and squarefree
-    part_iii = N == 1 and m % 2 == 1 and mk >= 2
-    if part_i:
-        s, r = 0, 2 * (mk - 2)
-    elif part_ii or part_iii:
-        s, r = mk - 2, 0
-    else:
-        s, r = 0, 0
-    beta = 2 * (k + 2 * m + s - 4)
-    lam = (m - 1) * (2 * m - 1)
-    window_ok = False
-    details = ""
-    if part_i or part_ii or part_iii:
-        # every accepted case has m - k >= 2 and k >= 3, so m > 3.  The window
-        # s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m and the choice
-        # m - k = 2 + s + r/2, every term times 2m > 0, compared on integers
-        scaled = 2 * m * s + m * r
-        middle = 2 * m * mk
-        window_ok = (middle == scaled + 4 * m
-                     and scaled + 16 * m - 24 > middle > scaled + 4 * m - 6)
-        if part_ii or part_iii:
-            details = _congruence_details(m)
-    # the fields in order, through tuple.__new__: a sweep builds one verdict
-    # per case, and the namedtuple's own __new__ is one more Python call
-    return tuple.__new__(CaseVerdict, (k, m, N, part_i, part_ii, part_iii, s, r, beta, lam,
-                                       window_ok, details))
+    return classify_levels(k, m, (N,), ((N == 1, squarefree),))[0]
 
 
 def level_classes(levels) -> list[tuple[bool, bool]]:
@@ -175,34 +152,70 @@ def level_classes(levels) -> list[tuple[bool, bool]]:
     return classes
 
 
+def _class_fields(k: int, m: int, keys) -> dict[tuple[bool, bool], tuple]:
+    """The verdict fields after (k, m, N) of each level class (N = 1, N
+    square-free) of ``keys``: the arithmetic of ``classify``, once per (k, m)
+    and once per class.
+
+    m - k, the eta exponent, part (i), and whether parts (ii)/(iii) can hold
+    at all (m odd and m - k >= 2) depend on (k, m) alone, and so does the
+    one (s, r) an accepted class takes, with its beta and window: part (i)'s
+    choice when it holds, else (m-k-2, 0).  A class adds its part-(ii)/(iii)
+    flags, which pick its fields: those of an accepted case, with the
+    congruence text when part (ii) or (iii) holds, or those of a rejected
+    one, (s, r) = (0, 0) and no window.
+    """
+    mk = m - k
+    lam = (m - 1) * (2 * m - 1)
+    odd = m % 2 == 1 and mk >= 2
+    part_i = mk >= 4
+    s, r = (0, 2 * (mk - 2)) if part_i else (mk - 2, 0)
+    beta = 2 * (k + 2 * m + s - 4)
+    # every accepted case has m - k >= 2 and k >= 3, so m > 3.  The window
+    # s + r/2 + 8 - 12/m > m - k > 2 + s + r/2 - 3/m and the choice
+    # m - k = 2 + s + r/2, every term times 2m > 0, compared on integers;
+    # a class that accepts no part drops it
+    scaled = 2 * m * s + m * r
+    middle = 2 * m * mk
+    window_ok = middle == scaled + 4 * m and scaled + 16 * m - 24 > middle > scaled + 4 * m - 6
+    fields = {}
+    for key in keys:
+        part_ii = odd and key[1]
+        part_iii = odd and key[0]
+        if part_ii or part_iii:
+            fields[key] = (part_i, part_ii, part_iii, s, r, beta, lam, window_ok,
+                           _congruence_details(m))
+        elif part_i:
+            fields[key] = (True, False, False, s, r, beta, lam, window_ok, "")
+        else:
+            fields[key] = (False, False, False, 0, 0, 2 * (k + 2 * m - 4), lam, False, "")
+    return fields
+
+
 def classify_levels(k: int, m: int, levels, classes=None) -> list[CaseVerdict]:
-    """``[classify(CaseInput(k, m, N)) for N in levels]``, one verdict per level class.
+    """``[classify(CaseInput(k, m, N)) for N in levels]``, one field tuple per level class.
 
     A verdict reads N only through two facts, whether N is square-free
     (part ii) and whether N = 1 (part iii), so the levels fall into at
-    most three classes: 1, the other square-free levels, the rest.  The
-    first level of each class is classified; every later level of the
-    class takes that verdict with its own N.
+    most three classes: 1, the other square-free levels, the rest.
+    ``_class_fields`` works out each class's fields once, and each level's
+    verdict is (k, m, N) plus its class's fields.
 
-    Without ``classes`` each first level goes through
-    ``classify(CaseInput(k, m, N))``.  A caller that classifies many
-    (k, m) on the same levels, each already checked as ``CaseInput``
-    checks it, passes ``level_classes(levels)``, worked out once: a first
-    level's case is then built unvalidated and classified on its known
-    square-freeness, which is not tested a second time.
+    Without ``classes`` the case is checked as ``CaseInput`` checks it and
+    each level's class is worked out here.  A caller that classifies many
+    (k, m) on the same levels, each already checked, passes
+    ``level_classes(levels)``, worked out once, so no level is validated or
+    tested for square-freeness a second time.
     """
-    trusted = classes is not None
-    if not trusted:
+    if classes is None:
         classes = level_classes(levels)
+        if levels:
+            CaseInput(k, m, levels[0])
+    fields = _class_fields(k, m, dict.fromkeys(classes))
+    new = tuple.__new__
     verdicts = []
-    by_class: dict[tuple[bool, bool], CaseVerdict] = {}
+    # the fields in order, through tuple.__new__: a sweep builds one verdict
+    # per case, and the namedtuple's own __new__ is one more Python call
     for n, key in zip(levels, classes):
-        verdict = by_class.get(key)
-        if verdict is None:
-            verdict = by_class[key] = (
-                classify(tuple.__new__(CaseInput, (k, m, n)), key[1]) if trusted
-                else classify(CaseInput(k, m, n)))
-        else:
-            verdict = tuple.__new__(CaseVerdict, (k, m, n) + verdict[3:])
-        verdicts.append(verdict)
+        verdicts.append(new(CaseVerdict, (k, m, n) + fields[key]))
     return verdicts

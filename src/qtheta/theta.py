@@ -19,11 +19,12 @@ bound, and ``_residues`` takes it: the residues of a class below it are one
 the columns of the theta-derivative matrix and of the character check) in
 one pass over r below the key bound, each r landing in its class with its
 sign; ``odd_theta_series`` builds one class, for callers that need a single
-column on its own window.  ``translation_exponent`` reads a series'
-translation eigenvalue as a reduced int pair, ``translation_eigenvalue`` as
-a ``UnityExponent``.  ``_mul_sum`` adds products of two-variable series by
-one-variable series in one pass; ``ThetaTwoVar.mul_series`` is its case of
-one product.
+column on its own window.  ``translation_exponents`` reads the translation
+eigenvalue of each series of a sequence as a reduced int pair, in one pass;
+``translation_exponent`` is its case of one series, and
+``translation_eigenvalue`` gives the same value as a ``UnityExponent``.
+``_mul_sum`` adds products of two-variable series by one-variable series in
+one pass; ``ThetaTwoVar.mul_series`` is its case of one product.
 """
 
 from __future__ import annotations
@@ -237,27 +238,37 @@ def odd_theta_columns(m: int, q_trunc) -> list[PuiseuxSeries]:
     return [PuiseuxSeries._make(stores[mu], tn, td, 2 * step, 1) for mu in range(1, m)]
 
 
-def translation_exponent(s: PuiseuxSeries) -> tuple[int, int]:
-    """The exponent x of ``translation_eigenvalue(s)`` as its reduced int pair
-    (num, den), 0 <= num < den, with no ``UnityExponent`` built.
+def translation_exponents(columns):
+    """The exponent x of ``translation_eigenvalue(s)`` for each series s of
+    ``columns``, in order, as its reduced int pair (num, den), 0 <= num < den,
+    with no ``UnityExponent`` built.
 
-    Every exponent n/D of s must give the same n mod D; that residue over D,
-    reduced with one gcd, is the pair.  Otherwise the error names the least
-    exponent and the least one off its class.
+    A generator: every key n of a column, on its grid 1/D, must give the first
+    key's n mod D, and that residue over D, reduced with one gcd, is the pair.
+    One loop compares the keys, with no set per column.  A column off its
+    class raises ``NotAnEigenvector`` naming the least exponent and the least
+    one off its class; the zero series raises ``ValueError``.
     """
-    terms = s._terms
-    if not terms:
-        raise ValueError("the zero series scales under every eigenvalue")
-    d = s.base_denom
-    residues = set(map(d.__rmod__, terms))  # n % d for every key n
-    if len(residues) > 1:
-        first = min(terms)
-        n = min(k for k in terms if (k - first) % d)  # the least one off the class
-        raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
-                               f"differ by a non-integer")
-    num = residues.pop()
-    g = math.gcd(num, d)
-    return num // g, d // g
+    for s in columns:
+        terms = s._terms
+        if not terms:
+            raise ValueError("the zero series scales under every eigenvalue")
+        d = s.base_denom
+        keys = iter(terms)
+        num = next(keys) % d
+        for n in keys:
+            if n % d != num:
+                first = min(terms)
+                n = min(k for k in terms if (k - first) % d)  # the least one off the class
+                raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
+                                       f"differ by a non-integer")
+        g = math.gcd(num, d)
+        yield num // g, d // g
+
+
+def translation_exponent(s: PuiseuxSeries) -> tuple[int, int]:
+    """``translation_exponents`` of the one series s."""
+    return next(translation_exponents((s,)))
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:

@@ -304,6 +304,9 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
                 sums[0][total + sq] = sums[0].get(total + sq, 0) + w
 
     descend(0, 0, 1, [])
+    # the closure holds itself through its cell: empty the cell, so the walk's
+    # sums and candidates go now rather than at the next cyclic collection
+    del descend
     base = math.comb(s, 2)
     out = []
     for d in deleted_rows:

@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from qtheta import (CaseVerdict, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot, odd_theta_series,
-                    theta_series)
+from qtheta import (CaseVerdict, NotAnEigenvector, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot,
+                    is_squarefree, odd_theta_series, theta_series)
 
 
 def random_series(rng, trunc, base_denom=4, max_terms=5, lowest=0):
@@ -210,3 +210,57 @@ def oracle_verdict(k: int, m: int, N: int) -> CaseVerdict:
                        s=s, r=r, beta=2 * (k + 2 * m + s - 4),
                        eta_exponent=(m - 1) * (2 * m - 1), window_ok=window_ok,
                        congruence_details=congruence_text(m) if part_ii or part_iii else "")
+
+
+def oracle_translation_exponent(s: PuiseuxSeries) -> tuple[int, int]:
+    """The translation exponent of s as a reduced int pair, on a set of residues.
+
+    The set-based reading ``theta.translation_exponent`` had before the
+    eigenvalues of a sequence were read in one pass: every key's n mod D
+    goes into one set, which must hold one residue.
+    """
+    terms = s._terms
+    if not terms:
+        raise ValueError("the zero series scales under every eigenvalue")
+    d = s.base_denom
+    residues = set(map(d.__rmod__, terms))  # n % d for every key n
+    if len(residues) > 1:
+        first = min(terms)
+        n = min(k for k in terms if (k - first) % d)  # the least one off the class
+        raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
+                               f"differ by a non-integer")
+    num = residues.pop()
+    g = math.gcd(num, d)
+    return num // g, d // g
+
+
+def oracle_classify(k: int, m: int, N: int, squarefree: bool | None = None) -> CaseVerdict:
+    """The verdict of (k, m, N) by the classifier's integer arithmetic, one case at a time.
+
+    The per-case body ``injectivity.classify`` had before (k, m) and the level
+    classes were worked out once each: every field from scratch, the window on
+    2m-scaled integers, the congruence text from ``congruence_text``.
+    """
+    if squarefree is None:
+        squarefree = is_squarefree(N)
+    mk = m - k
+    part_i = mk >= 4
+    part_ii = m % 2 == 1 and mk >= 2 and squarefree
+    part_iii = N == 1 and m % 2 == 1 and mk >= 2
+    if part_i:
+        s, r = 0, 2 * (mk - 2)
+    elif part_ii or part_iii:
+        s, r = mk - 2, 0
+    else:
+        s, r = 0, 0
+    window_ok = False
+    details = ""
+    if part_i or part_ii or part_iii:
+        scaled = 2 * m * s + m * r
+        middle = 2 * m * mk
+        window_ok = (middle == scaled + 4 * m
+                     and scaled + 16 * m - 24 > middle > scaled + 4 * m - 6)
+        if part_ii or part_iii:
+            details = congruence_text(m)
+    return CaseVerdict(k, m, N, part_i, part_ii, part_iii, s, r, 2 * (k + 2 * m + s - 4),
+                       (m - 1) * (2 * m - 1), window_ok, details)

@@ -1217,9 +1217,10 @@ class TestClassifyAndSweep:
     def test_false_window_flags_fail_the_sweep(self, monkeypatch, tmp_path):
         # N = 4 is not square-free, so k=3 m=5 N=4 accepts no part and has
         # no window to fail; N = 6 is the first accepted row of the grid
-        classify_of = injectivity.classify
-        monkeypatch.setattr(injectivity, "classify", lambda case, squarefree=None:
-                            classify_of(case, squarefree)._replace(window_ok=False))
+        fields_of = injectivity._class_fields
+        monkeypatch.setattr(injectivity, "_class_fields", lambda k, m, keys: {
+            key: CaseVerdict(k, m, 0, *fields)._replace(window_ok=False)[3:]
+            for key, fields in fields_of(k, m, keys).items()})
         out = tmp_path / "sweep.json"
         code = run_cli("sweep", "--k", "3", "--m", "5..7", "--N", "4,6,1",
                        "--format", "json", "--output", str(out))

@@ -1,10 +1,11 @@
 """Classifier, window inequalities, congruences, and the integrality discrepancy."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import congruence_text, oracle_verdict, window_bounds
+from conftest import congruence_text, oracle_classify, oracle_verdict, window_bounds
 from qtheta import (CaseInput, CaseVerdict, InvalidInput, classify, classify_levels,
                     injectivity, is_squarefree, level_classes, nonintegrality_check)
 
@@ -80,6 +81,37 @@ class TestClassifyOracle:
                     assert verdict == oracle_verdict(k, m, N), (k, m, N)
 
 
+class TestAgainstPerCaseOracle:
+    """The one-pass classifier against the per-case arithmetic it replaced."""
+
+    def test_ci_sweep_grid(self):
+        # odd k 3..199, m - k 1..120, N 1, 2, 3, 4, 6: the CI catalog sweep
+        levels = [1, 2, 3, 4, 6]
+        classes = level_classes(levels)
+        for k in range(3, 200, 2):
+            for m in range(k + 1, k + 121):
+                expected = [oracle_classify(k, m, N) for N in levels]
+                assert classify_levels(k, m, levels, classes) == expected, (k, m)
+                assert classify_levels(k, m, levels) == expected, (k, m)
+                assert [classify(CaseInput(k, m, N)) for N in levels] == expected, (k, m)
+
+    def test_shuffled_and_repeated_levels(self):
+        rng = random.Random(23)
+        pool = list(range(1, 50))
+        for k, m in [(3, 5), (3, 7), (5, 9), (3, 4), (7, 8), (5, 13), (11, 13), (3, 40),
+                     (9, 10), (21, 60), (5, 6)]:
+            for _ in range(20):
+                levels = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+                levels += rng.sample(levels, min(3, len(levels)))  # repeats
+                rng.shuffle(levels)
+                expected = [oracle_classify(k, m, N) for N in levels]
+                assert classify_levels(k, m, levels) == expected, (k, m, levels)
+                assert classify_levels(k, m, levels, level_classes(levels)) == expected
+                for N, (_, squarefree) in zip(levels, level_classes(levels)):
+                    assert classify(CaseInput(k, m, N), squarefree) \
+                        == oracle_classify(k, m, N, squarefree)
+
+
 class TestClassifyLevels:
     def test_matches_classify_on_every_level(self):
         levels = list(range(1, 37))
@@ -93,17 +125,26 @@ class TestClassifyLevels:
                 by_level = dict(zip(levels, expected))
                 assert classify_levels(k, m, shuffled) == [by_level[N] for N in shuffled]
 
+    @staticmethod
+    def counting_fields(monkeypatch, seen):
+        """Patch the per-class seam to record the classes each (k, m) asks for."""
+        fields_of = injectivity._class_fields
+
+        def counting(k, m, keys):
+            keys = list(keys)
+            seen.append(keys)
+            return fields_of(k, m, keys)
+
+        monkeypatch.setattr(injectivity, "_class_fields", counting)
+
     def test_one_classify_per_level_class(self, monkeypatch):
         seen = []
-
-        def counting(case):
-            seen.append(case.N)
-            return classify(case)
-
-        monkeypatch.setattr(injectivity, "classify", counting)
+        self.counting_fields(monkeypatch, seen)
         verdicts = classify_levels(5, 9, [4, 6, 1, 2, 8, 3, 1])
         assert [v.N for v in verdicts] == [4, 6, 1, 2, 8, 3, 1]
-        assert seen == [4, 6, 1]  # not square-free, square-free, N = 1
+        # one evaluation per class: not square-free, square-free, N = 1
+        assert seen == [[(False, False), (False, True), (True, True)]]
+        assert verdicts == [oracle_classify(5, 9, N) for N in [4, 6, 1, 2, 8, 3, 1]]
 
     def test_classes_worked_out_once(self, monkeypatch):
         levels = list(range(1, 37))
@@ -115,14 +156,13 @@ class TestClassifyLevels:
         squarefree = injectivity.is_squarefree
         monkeypatch.setattr(injectivity, "is_squarefree",
                             lambda n: tested.append(n) or squarefree(n))
-        monkeypatch.setattr(injectivity, "classify",
-                            lambda case, flag: seen.append((case.N, flag)) or classify(case, flag))
+        self.counting_fields(monkeypatch, seen)
         for k, m in grid:
             got = classify_levels(k, m, levels, classes)
             assert got == expected[k, m], (k, m)
             assert all(type(v) is CaseVerdict for v in got)
-        # each class's first level, on its known square-freeness
-        assert seen == len(grid) * [(1, True), (2, True), (4, False)]
+        # each class once per (k, m), in the order of its first level 1, 2, 4
+        assert seen == len(grid) * [[(True, True), (False, True), (False, False)]]
         assert tested == []
         assert level_classes([4, 6, 1, 9, 2]) == [(False, False), (False, True), (True, True),
                                                   (False, False), (False, True)]

@@ -5,9 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import oracle_translation_exponent
 from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent,
                     eta, odd_theta_columns, odd_theta_series, theta_series,
-                    total_theta_order, translation_eigenvalue, translation_exponent)
+                    total_theta_order, translation_eigenvalue, translation_exponent,
+                    translation_exponents)
 from qtheta.theta import _residues
 
 F = Fraction
@@ -208,6 +210,76 @@ class TestTranslationEigenvalue:
         with pytest.raises(NotAnEigenvector) as error:
             translation_eigenvalue(s)
         assert str(error.value) == "exponents 1/4 and 3/4 differ by a non-integer"
+
+
+def oracle_outcome(s):
+    """The oracle's pair for s, or the type and text of what it raises."""
+    try:
+        return oracle_translation_exponent(s)
+    except ValueError as error:
+        return type(error), str(error)
+
+
+class TestTranslationExponents:
+    """The one-pass exponents of a column sequence against the set-based oracle."""
+
+    def test_every_catalog_column_against_the_oracle(self):
+        # the window verify-characters reads, to twice the catalog's range
+        for m in range(2, 401):
+            columns = odd_theta_columns(m, 2 * m + 2)
+            pairs = list(translation_exponents(columns))
+            assert pairs == [oracle_translation_exponent(c) for c in columns], m
+            for mu, (column, pair) in enumerate(zip(columns, pairs), start=1):
+                # mu and 2m - mu are both below 2m: each eigenvalue compares
+                # at least one pair of exponents
+                assert len(column._terms) >= 2, (m, mu)
+                reduced = F(mu * mu, 4 * m) % 1
+                assert pair == (reduced.numerator, reduced.denominator), (m, mu)
+
+    @staticmethod
+    def faulty(m, mu, column):
+        """The column shifted by q^(1/4m), with an off-class term, and zero."""
+        d = column.base_denom
+        yield PuiseuxSeries({e + F(1, d): c for e, c in column.terms.items()},
+                            column.trunc + 1, d)
+        yield column + PuiseuxSeries({F(mu * mu + 1, d): 5}, column.trunc, d)
+        low = min(column.terms)
+        yield column + PuiseuxSeries({low + F(m, d) + 1: -3}, column.trunc + 2, d)
+        yield PuiseuxSeries._make({}, column._tn, column._td, d, 1)
+
+    def test_shifted_corrupted_and_zero_against_the_oracle(self):
+        for m in range(2, 25):
+            for mu, column in enumerate(odd_theta_columns(m, 2 * m + 2), start=1):
+                outcomes = []
+                for s in self.faulty(m, mu, column):
+                    try:
+                        got = translation_exponent(s)
+                    except ValueError as error:
+                        got = type(error), str(error)
+                    assert got == oracle_outcome(s), (m, mu, dict(s.terms))
+                    outcomes.append(got[0])
+                # the shift keeps one class, each off-class term breaks it
+                assert outcomes[1:] == [NotAnEigenvector, NotAnEigenvector, ValueError]
+                assert type(outcomes[0]) is int
+
+    def test_stops_at_the_first_bad_column(self):
+        # the pairs before the bad column come out, then its error, as the
+        # oracle raises it
+        columns = odd_theta_columns(9, 20)
+        bad = columns[3] + PuiseuxSeries({F(1, 2): 1}, columns[3].trunc, 36)
+        pairs = translation_exponents(columns[:3] + [bad] + columns[4:])
+        assert [next(pairs) for _ in range(3)] == \
+            [oracle_translation_exponent(c) for c in columns[:3]]
+        with pytest.raises(NotAnEigenvector) as error:
+            next(pairs)
+        assert (type(error.value), str(error.value)) == oracle_outcome(bad)
+        assert list(translation_exponents([])) == []
+
+    def test_one_series_is_the_one_element_call(self):
+        for s in [eta(40), odd_theta_series(ThetaIndex(7, 3), 9),
+                  PuiseuxSeries({F(5, 3): 2, F(11, 3): -1}, 6)]:
+            assert translation_exponent(s) == next(translation_exponents([s])) \
+                == oracle_translation_exponent(s)
 
 
 def test_total_theta_order_closed_form():

@@ -1,5 +1,6 @@
 """Theta-derivative matrices, Wronskians, cofactors, and their verification."""
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -264,6 +265,25 @@ class TestThetaMinors:
             theta_minors(4, 4, [1, 2], [3])
         with pytest.raises(ValueError):
             theta_minors(4, 4, [1, 2], [])
+
+    def test_walks_leave_no_cycle(self):
+        # with the collector paused, whatever a walk leaves unreachable only
+        # a collection could free; the walk's closure must not keep its sums
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            theta_minors(12, 12, range(1, 12))
+            assert gc.collect() == 0
+            theta_minors(9, 10, [1, 3, 4, 8], [0, 2, 4])
+            assert gc.collect() == 0
+            theta_derivative_matrix(7, 20).adjugate()
+            assert gc.collect() == 0
+            verify_eta_power(8, 40)
+            assert gc.collect() == 0
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 class TestCofactors:
