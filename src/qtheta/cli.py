@@ -25,8 +25,6 @@ whose write fails anyway exits 2 with one ``cannot write`` error line.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import random
 import sys
@@ -41,7 +39,7 @@ from .jacobi import (component_taylor, component_taylor_scale, from_theta_compon
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_coefficients, theta_components)
 from .series import dump_series_text, parse_rational
-from .theta import odd_theta_columns, translation_exponents
+from .theta import odd_theta_exponents
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
                         cramer_reconstruction, kernel_components, theta_derivative_matrix,
                         theta_minor_window, theta_wronskian, verify_eta_power)
@@ -134,19 +132,18 @@ def _characters_case(job):
     # every class mu = 1..m-1 has its two least residues mu and 2m - mu below
     # 2m, so on 2m + 2 (r^2 < 8m^2 + 8m) each column has at least two terms
     # and each eigenvalue compares at least one pair of exponents
-    pairs = translation_exponents(odd_theta_columns(m, 2 * m + 2))
     eigen_rows = []
-    for mu in range(1, m):
-        try:
-            num, d = next(pairs)
-        except ValueError as error:  # not an eigenvector, or the zero series
-            raise VerificationFailed(f"character check failed: m={m} mu={mu}: {error}") from None
-        if num * den != mu * mu % den * d:  # num/d is not mu^2/4m mod 1
-            g = gcd(mu * mu, den)
-            raise VerificationFailed(
-                f"character check failed: m={m} mu={mu}: series exponent "
-                f"{num}/{d}, expected {mu * mu % den // g}/{den // g}")
-        eigen_rows.append((m, mu, f"{num}/{d}", True))
+    try:
+        for mu, (num, d) in zip(range(1, m), odd_theta_exponents(m, 2 * m + 2)):
+            if num * den != mu * mu % den * d:  # num/d is not mu^2/4m mod 1
+                g = gcd(mu * mu, den)
+                raise VerificationFailed(
+                    f"character check failed: m={m} mu={mu}: series exponent "
+                    f"{num}/{d}, expected {mu * mu % den // g}/{den // g}")
+            eigen_rows.append((m, mu, f"{num}/{d}", True))
+    except ValueError as error:  # column mu = len(eigen_rows) + 1 is not an eigenvector, or zero
+        raise VerificationFailed(f"character check failed: m={m} "
+                                 f"mu={len(eigen_rows) + 1}: {error}") from None
     # twice the eigenvalues' sum, on the integer sum of mu^2 over 4m
     xi = UnityExponent(2 * sum(mu * mu for mu in range(1, m)), den)
     power = squared_determinant_delta_power(m)
@@ -416,51 +413,48 @@ HANDLERS = {**dict.fromkeys(CASES, _run_cases), "classify": _cmd_classify, "swee
 # -- rendering -----------------------------------------------------------------
 
 
-_escape = json.encoder.encode_basestring_ascii
 # the JSON and CSV renderers write a table's rows in blocks of at most this
 # many, so a render holds the rows plus one rendered block
 _BLOCK_ROWS = 256
 _BOOL_TEXT = {True: "true", False: "false"}
-# a cell's JSON text by its exact type (a bool is an int), all from C-level calls
-_JSON_CELL = {str: _escape, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
-              type(None): {None: "null"}.__getitem__}
 
 
-def _json_template(keys, present, templates) -> tuple[str, list]:
+def _json_template(keys, present, templates, cell_text) -> tuple[str, list]:
     """The %-template of a row with the cells at ``present`` at the rows' depth,
     and those cells' indices in key order; cached in ``templates``."""
     if present not in templates:
         order = sorted(present, key=keys.__getitem__)
-        fields = ",\n".join(f"        {_escape(keys[i]).replace('%', '%%')}: %s" for i in order)
+        escape = cell_text[str]
+        fields = ",\n".join(f"        {escape(keys[i]).replace('%', '%%')}: %s" for i in order)
         templates[present] = ("{\n" + fields + "\n      }" if order else "{}"), order
     return templates[present]
 
 
-def _json_block(keys, block, templates) -> list[str]:
+def _json_block(keys, block, templates, cell_text) -> list[str]:
     """The rows' JSON texts: if every cell has a JSON type, converted a column at
     a time into the table's template, else row by row on their present cells."""
     columns = []
     for column in zip(*block):
         kinds = set(map(type, column))
-        if not kinds <= _JSON_CELL.keys():
-            return [_json_sparse_row(keys, row, templates) for row in block]
-        columns.append(map(_JSON_CELL[kinds.pop()], column) if len(kinds) == 1
-                       else [_JSON_CELL[type(value)](value) for value in column])
+        if not kinds <= cell_text.keys():
+            return [_json_sparse_row(keys, row, templates, cell_text) for row in block]
+        columns.append(map(cell_text[kinds.pop()], column) if len(kinds) == 1
+                       else [cell_text[type(value)](value) for value in column])
     if not keys:
         return ["{}"] * len(block)
-    template, order = _json_template(keys, tuple(range(len(keys))), templates)
+    template, order = _json_template(keys, tuple(range(len(keys))), templates, cell_text)
     return list(map(template.__mod__, zip(*[columns[i] for i in order])))
 
 
-def _json_sparse_row(keys, row, templates) -> str:
+def _json_sparse_row(keys, row, templates, cell_text) -> str:
     """A row with ABSENT cells; a cell of no JSON type raises TypeError."""
     present = tuple([i for i, value in enumerate(row) if value is not ABSENT])
-    template, order = _json_template(keys, present, templates)
+    template, order = _json_template(keys, present, templates, cell_text)
     cells = [row[i] for i in order]
-    bad = [type(value).__name__ for value in cells if type(value) not in _JSON_CELL]
+    bad = [type(value).__name__ for value in cells if type(value) not in cell_text]
     if bad:
         raise TypeError(f"a report cell must be a str, int, bool or None, not {bad[0]}")
-    return template % tuple([_JSON_CELL[type(value)](value) for value in cells])
+    return template % tuple([cell_text[type(value)](value) for value in cells])
 
 
 def _render_json(out, args, tables, all_passed, discrepancies) -> None:
@@ -470,6 +464,12 @@ def _render_json(out, args, tables, all_passed, discrepancies) -> None:
     rows, the bulk of a report, are filled into %-templates, so no row goes
     through the pure-Python encoder that ``indent`` selects.
     """
+    import json  # only JSON reports need it; kept out of every start-up
+
+    escape = json.encoder.encode_basestring_ascii
+    # a cell's JSON text by its exact type (a bool is an int), all from C-level calls
+    cell_text = {str: escape, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
+                 type(None): {None: "null"}.__getitem__}
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
            "parameters": {"q_trunc": _rat(args.q_trunc), "seed": args.seed,
                           "trials": args.trials},
@@ -483,11 +483,11 @@ def _render_json(out, args, tables, all_passed, discrepancies) -> None:
     separator = "\n"
     for name in sorted(tables):
         keys, rows = tables[name]
-        out.write(f"{separator}    {_escape(name)}: " + ("[\n      " if rows else "[]"))
+        out.write(f"{separator}    {escape(name)}: " + ("[\n      " if rows else "[]"))
         separator = ",\n"
         templates = {}
         for start in range(0, len(rows), _BLOCK_ROWS):
-            rendered = _json_block(keys, rows[start:start + _BLOCK_ROWS], templates)
+            rendered = _json_block(keys, rows[start:start + _BLOCK_ROWS], templates, cell_text)
             out.write((",\n      " if start else "") + ",\n      ".join(rendered))
         if rows:
             out.write("\n    ]")
@@ -553,6 +553,8 @@ def _render_csv(out, tables) -> None:
     converted a column at a time (each distinct int once by ``int.__repr__``,
     bools looked up, a str quoted by hand), or printed by the csv writer
     where ``_csv_block`` says so."""
+    import csv  # only CSV reports need it; kept out of every start-up
+
     writer = csv.writer(out, lineterminator="\n")
     int_texts = _IntTexts()
     separator = ""
@@ -590,6 +592,8 @@ def _render_text(out, args, tables, all_passed, discrepancies) -> None:
 
 
 def _render_failure(out, args, error) -> None:
+    import json
+
     record = {"schema_version": SCHEMA_VERSION, "command": args.command,
               "all_passed": False, "failure": str(error)}
     json.dump(record, out, indent=2, sort_keys=True)

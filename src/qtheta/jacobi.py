@@ -298,17 +298,33 @@ def development_operator(taylors, k: int, nu: int, m: int) -> PuiseuxSeries:
     """
     if nu % 2 == 0:
         raise EvenIndex("development operators of even index vanish on odd weights")
+    _check_weight_and_index(k, m)
+    if len(taylors) < (nu + 1) // 2:
+        raise ValueError(f"nu={nu} needs the first {(nu + 1) // 2} Taylor coefficients")
+    ladders = []
+    for i, chi in enumerate(taylors[:(nu + 1) // 2]):
+        ladder = [chi]  # chi_(i+1) is read to (q d/dq)^((nu-1)/2 - i)
+        for _ in range((nu - 1) // 2 - i):
+            ladder.append(ladder[-1].q_derivative())
+        ladders.append(ladder)
+    return _development(ladders, k, nu, m)
+
+
+def _check_weight_and_index(k: int, m: int) -> None:
     if k < 1 or k % 2 == 0:
         raise ValueError("k must be a positive odd integer")
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if len(taylors) < (nu + 1) // 2:
-        raise ValueError(f"nu={nu} needs the first {(nu + 1) // 2} Taylor coefficients")
+
+
+def _development(ladders, k: int, nu: int, m: int) -> PuiseuxSeries:
+    """``development_operator`` on q-derivative ladders: ladders[i][j] is
+    (q d/dq)^j chi_(i+1), read for j <= (nu-1)/2 - i."""
     total = None
     for j in range(nu // 2 + 1):
         factor = Fraction((-m) ** j * math.factorial(k + nu - j - 2),
                           math.factorial(k + 2 * nu - 2) * math.factorial(j))
-        term = factor * taylors[(nu - 1) // 2 - j].q_derivative_iterate(j)
+        term = factor * ladders[(nu - 1) // 2 - j][j]
         total = term if total is None else total + term
     return total
 
@@ -319,12 +335,24 @@ def kernel_equivalence(taylors, k: int, m: int) -> tuple[bool, bool]:
     whose Taylor coefficients chi_1..chi_j are ``taylors``.
 
     The two booleans agree for every input because the development
-    coefficients are a triangular change of basis of the Taylor ones.
+    coefficients are a triangular change of basis of the Taylor ones.  The
+    operators are read in order up to the first that does not vanish, on one
+    q-derivative ladder per chi_i: operator 2nu - 1 reads (q d/dq)^(nu-i)
+    chi_i, so each ladder grows by one step per operator, and no derivative
+    is taken twice.
     """
     if not taylors:
         raise ValueError("kernel_equivalence needs at least one Taylor coefficient")
-    operators_vanish = all(development_operator(taylors, k, 2 * nu - 1, m).is_zero()
-                           for nu in range(1, len(taylors) + 1))
+    _check_weight_and_index(k, m)
+    ladders = []
+    operators_vanish = True
+    for nu, chi in enumerate(taylors, start=1):
+        for ladder in ladders:
+            ladder.append(ladder[-1].q_derivative())
+        ladders.append([chi])
+        if not _development(ladders, k, 2 * nu - 1, m).is_zero():
+            operators_vanish = False
+            break
     return operators_vanish, all(chi.is_zero() for chi in taylors)
 
 

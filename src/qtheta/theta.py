@@ -23,6 +23,9 @@ column on its own window.  ``translation_exponents`` reads the translation
 eigenvalue of each series of a sequence as a reduced int pair, in one pass;
 ``translation_exponent`` is its case of one series, and
 ``translation_eigenvalue`` gives the same value as a ``UnityExponent``.
+``odd_theta_exponents`` gives ``translation_exponents`` of an index's odd
+columns from the keys r^2 alone, in the column pass with no series built;
+the two public routes it folds into are its tests' reference.
 ``_mul_sum`` adds products of two-variable series by one-variable series in
 one pass; ``ThetaTwoVar.mul_series`` is its case of one product.
 """
@@ -236,6 +239,50 @@ def odd_theta_columns(m: int, q_trunc) -> list[PuiseuxSeries]:
                 stores[step - c][r * r] = -r
     # stores[0] took the class 0 and stores[m] the class m; both are dropped
     return [PuiseuxSeries._make(stores[mu], tn, td, 2 * step, 1) for mu in range(1, m)]
+
+
+def odd_theta_exponents(m: int, q_trunc):
+    """``translation_exponents(odd_theta_columns(m, q_trunc))``, read in one
+    pass over r with no series built: a generator of the reduced pair
+    (num, den) of each mu = 1..m-1, raising what the reference raises.
+
+    The pass is that of ``odd_theta_columns``: r = 1, 2, ... below the key
+    bound goes to its class c = r mod 2m, folded to 2m - c when c > m, with
+    the key r^2 on the 1/4m grid.  The first key of a column fixes its
+    residue mod 4m, and every later key must match it; the first one that
+    does not is the column's least key off the class, as keys grow with r.
+    The zero classes 0 and m are read too and dropped.  Column mu's pair, or
+    its error, is yielded in mu order once the pass is done.
+    """
+    if m < 1:
+        raise ValueError("index_m must be a positive integer")
+    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
+    step = 2 * m
+    den = 2 * step
+    bound = _key_bound(tn, td, den)
+    first = [0] * (m + 1)  # each column's first key; 0 while it has none
+    residue = [-1] * (m + 1)  # its residue mod 4m; -1 matches no key
+    off: dict[int, int] = {}  # column -> its least key off the class
+    for r in range(1, math.isqrt(bound - 1) + 1 if bound > 0 else 1):
+        c = r % step
+        if c > m:
+            c = step - c
+        n = r * r
+        if n % den != residue[c]:
+            if not first[c]:
+                first[c], residue[c] = n, n % den
+            elif c not in off:
+                off[c] = n
+    for mu in range(1, m):
+        n = first[mu]
+        if not n:
+            raise ValueError("the zero series scales under every eigenvalue")
+        if mu in off:
+            raise NotAnEigenvector(f"exponents {Fraction(n, den)} and {Fraction(off[mu], den)} "
+                                   f"differ by a non-integer")
+        num = residue[mu]
+        g = math.gcd(num, den)
+        yield num // g, den // g
 
 
 def translation_exponents(columns):

@@ -70,7 +70,7 @@ def eta_power_exponent(m: int) -> int:
 
 
 def vandermonde(nodes: list[Fraction]) -> Fraction:
-    """prod_{i<j} (a_j - a_i)."""
+    """prod_{i<j} (a_j - a_i); the tests' oracle for ``_minor_leading_coefficient``."""
     out = Fraction(1)
     for j in range(len(nodes)):
         for i in range(j):
@@ -332,13 +332,27 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     return SeriesMatrix(columns).det()
 
 
+def _minor_leading_coefficient(m: int, columns) -> Fraction:
+    """prod_S mu * V(mu^2/4m) on increasing ``columns`` S, V the Vandermonde
+    product, from one integer closed form: prod_S mu * prod_(i<j) (mu_j^2 -
+    mu_i^2), divided once by (4m)^C(|S|, 2).  Positive; ``vandermonde`` on the
+    nodes mu^2/4m gives the same value through C(|S|, 2) Fraction products."""
+    squares = [mu * mu for mu in columns]
+    num = math.prod(columns)
+    for j, b in enumerate(squares):
+        num *= math.prod([b - a for a in squares[:j]])
+    s = len(squares)
+    return Fraction(num, (4 * m) ** (s * (s - 1) // 2))
+
+
 def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
                        name: str) -> tuple[Fraction, Fraction, Fraction]:
     """Check the minor on increasing ``columns`` S and rows 0..|S|-1.
 
     Raises VerificationFailed, prefixed by ``where``, unless its own window
     passes the order sum_S mu^2/4m, the minor has that order, and its leading
-    coefficient is +/- prod_S mu * V(mu^2/4m), V the Vandermonde product.
+    coefficient is +/- prod_S mu * V(mu^2/4m), V the Vandermonde product,
+    which ``_minor_leading_coefficient`` gives in ints with one division.
     Returns (order, leading coefficient, expected coefficient > 0).
     """
     order = Fraction(sum(mu * mu for mu in columns), 4 * m)
@@ -349,7 +363,7 @@ def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
     if observed != order:
         raise VerificationFailed(f"{where}: {name} order {observed}, expected {order}")
     lead = minor.coefficient(order)
-    expected = math.prod(columns) * vandermonde([Fraction(mu * mu, 4 * m) for mu in columns])
+    expected = _minor_leading_coefficient(m, columns)
     if abs(lead) != expected:
         raise VerificationFailed(
             f"{where}: leading coefficient {lead}, expected +/-{expected}")

@@ -20,7 +20,8 @@ from conftest import (assert_same_store, oracle_component_taylor, oracle_from_th
                       perfbench_workloads)
 from qtheta import (CaseInput, CaseVerdict, JacobiFormData, PuiseuxSeries, SeriesMatrix,
                     classify, cli, dump_jacobi_table, injectivity, nonintegrality_check,
-                    parse_series_text, random_components, wronskian)
+                    odd_theta_columns, parse_series_text, random_components,
+                    translation_exponents, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -891,15 +892,15 @@ class TestVerifyCharacters:
                       "differ by a non-integer"),
     ])
     def test_bad_column_fails_with_a_record(self, fault, message, jobs, monkeypatch, tmp_path):
-        columns_of = cli.odd_theta_columns
-
+        # the case reads its eigenvalues through cli.odd_theta_exponents; the
+        # faulty columns are read by its reference, translation_exponents
         def faulty(m, q_trunc):
-            columns = columns_of(m, q_trunc)
+            columns = odd_theta_columns(m, q_trunc)
             if m in (5, 7):  # the record names the lowest failing index
                 columns[1] = getattr(self, fault)(columns[1])
-            return columns
+            return translation_exponents(columns)
 
-        monkeypatch.setattr(cli, "odd_theta_columns", faulty)
+        monkeypatch.setattr(cli, "odd_theta_exponents", faulty)
         out = tmp_path / "chars.json"
         code = run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--jobs", jobs, "--output", str(out))
@@ -927,14 +928,14 @@ class TestVerifyCharacters:
         expected = tmp_path / "expected.json"
         assert run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--output", str(expected)) == 0
-        columns_of = cli.odd_theta_columns
 
         def lifted(m, q_trunc):
-            return [PuiseuxSeries({e + 1: c for e, c in column.terms.items()},
-                                  column.trunc + 1, column.base_denom)
-                    for column in columns_of(m, q_trunc)]
+            return translation_exponents([
+                PuiseuxSeries({e + 1: c for e, c in column.terms.items()},
+                              column.trunc + 1, column.base_denom)
+                for column in odd_theta_columns(m, q_trunc)])
 
-        monkeypatch.setattr(cli, "odd_theta_columns", lifted)
+        monkeypatch.setattr(cli, "odd_theta_exponents", lifted)
         out = tmp_path / "chars.json"
         assert run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--jobs", jobs, "--output", str(out)) == 0

@@ -410,6 +410,43 @@ class TestKernelEquivalence:
         with pytest.raises(ValueError):
             kernel_equivalence([], 3, 3)
 
+    def test_ladders_take_each_derivative_once(self, monkeypatch):
+        # the kernel tuple's chi_1..chi_(m-2) vanish and chi_(m-1) does not,
+        # so every operator is read: chi_i to (q d/dq)^(j-i) for j operators,
+        # j(j-1)/2 derivatives in all, where one development_operator call per
+        # operator takes j(j-1)(j+1)/6.  A random tuple stops at the first
+        q_derivative = PuiseuxSeries.q_derivative
+        calls = []
+
+        def counted(s):
+            calls.append(s)
+            return q_derivative(s)
+
+        rng = random.Random(71)
+        for m, k in ((6, 3), (7, 5)):
+            kernel = taylors_of(from_theta_components(kernel_components(m, 12), 12), m - 1)
+            generic = taylors_of(from_theta_components(random_components(m, 12, rng), 12), m - 1)
+            for taylors, outcome, derivatives in (
+                    (kernel[:-1], (True, True), (m - 2) * (m - 3) // 2),
+                    (kernel, (False, False), (m - 1) * (m - 2) // 2),
+                    (generic, (False, False), 0)):
+                operators = all(development_operator(taylors, k, 2 * nu - 1, m).is_zero()
+                                for nu in range(1, len(taylors) + 1))
+                monkeypatch.setattr(PuiseuxSeries, "q_derivative", counted)
+                calls.clear()
+                assert kernel_equivalence(taylors, k, m) == (operators, outcome[1]) == outcome
+                monkeypatch.setattr(PuiseuxSeries, "q_derivative", q_derivative)
+                assert len(calls) == derivatives, (m, outcome)
+
+    @pytest.mark.parametrize("k, m, message", [(4, 3, "k must be a positive odd integer"),
+                                               (3, 0, "m must be a positive integer")])
+    def test_bad_weight_or_index_rejected(self, k, m, message):
+        taylors = taylors_of(ThetaTwoVar({}, 6, 12), 2)
+        with pytest.raises(ValueError, match=message):
+            kernel_equivalence(taylors, k, m)
+        with pytest.raises(ValueError, match=message):
+            development_operator(taylors, k, 3, m)
+
 
 class TestCoefficientFile:
     def test_golden_dump(self):

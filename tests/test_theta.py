@@ -10,7 +10,7 @@ from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent,
                     eta, odd_theta_columns, odd_theta_series, theta_series,
                     total_theta_order, translation_eigenvalue, translation_exponent,
                     translation_exponents)
-from qtheta.theta import _residues
+from qtheta.theta import _residues, odd_theta_exponents
 
 F = Fraction
 
@@ -280,6 +280,44 @@ class TestTranslationExponents:
                   PuiseuxSeries({F(5, 3): 2, F(11, 3): -1}, 6)]:
             assert translation_exponent(s) == next(translation_exponents([s])) \
                 == oracle_translation_exponent(s)
+
+
+def read_all(pairs):
+    """The pairs a generator yields, then the type and text of what it raises, or None."""
+    got = []
+    try:
+        for pair in pairs:
+            got.append(pair)
+    except ValueError as error:
+        return got, (type(error), str(error))
+    return got, None
+
+
+class TestOddThetaExponents:
+    """The one integer pass over r against its reference, the exponents read
+    off the series that ``odd_theta_columns`` builds."""
+
+    def test_catalog_windows_against_the_columns(self):
+        # the window verify-characters reads, to twice the catalog's range
+        for m in range(2, 401):
+            assert list(odd_theta_exponents(m, 2 * m + 2)) == \
+                list(translation_exponents(odd_theta_columns(m, 2 * m + 2))), m
+
+    @pytest.mark.parametrize("window", [F(-3, 2), 0, F(1, 8), F(9, 7), 1, F(81, 4), 40])
+    def test_short_and_long_windows_against_the_columns(self, window):
+        # on short windows the high classes are empty: the same pairs come out
+        # before the first empty column, then the same error
+        for m in range(1, 41):
+            got = read_all(odd_theta_exponents(m, window))
+            assert got == read_all(translation_exponents(odd_theta_columns(m, window))), \
+                (m, window)
+        assert read_all(odd_theta_exponents(9, 1)) == (
+            [(1, 36), (1, 9), (1, 4), (4, 9), (25, 36)],
+            (ValueError, "the zero series scales under every eigenvalue"))
+
+    def test_index_must_be_positive(self):
+        with pytest.raises(ValueError, match="index_m must be a positive integer"):
+            list(odd_theta_exponents(0, 4))
 
 
 def test_total_theta_order_closed_form():

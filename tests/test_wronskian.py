@@ -1,6 +1,7 @@
 """Theta-derivative matrices, Wronskians, cofactors, and their verification."""
 
 import gc
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -16,6 +17,7 @@ from qtheta import (INFINITY, JacobiFormData, PuiseuxSeries, SeriesMatrix, Theta
                     theta_wronskian, vandermonde, verify_cofactor_orders, verify_eta_power,
                     wronskian)
 from qtheta.jacobi import ThetaComponents
+from qtheta.wronskian import _minor_leading_coefficient
 
 F = Fraction
 
@@ -44,6 +46,26 @@ class TestHelpers:
         assert vandermonde([F(1)]) == 1
         assert vandermonde([F(1, 12), F(4, 12)]) == F(1, 4)
         assert vandermonde([F(0), F(1), F(3)]) == (1 - 0) * (3 - 0) * (3 - 1)
+
+    def test_minor_leading_coefficient_on_every_column_set(self):
+        # the integer closed form against prod mu * V(mu^2/4m) in Fractions
+        for m in range(2, 11):
+            for s in range(m):
+                for columns in itertools.combinations(range(1, m), s):
+                    nodes = [F(mu * mu, 4 * m) for mu in columns]
+                    assert _minor_leading_coefficient(m, columns) == \
+                        math.prod(columns) * vandermonde(nodes), (m, columns)
+
+    def test_minor_leading_coefficient_on_every_cofactor_set(self):
+        # up to m = 64, each cofactor's value from the full set's Vandermonde:
+        # dropping the node of nu divides out nu and its m - 2 differences
+        for m in range(3, 65):
+            nodes = [F(mu * mu, 4 * m) for mu in range(1, m)]
+            full = math.factorial(m - 1) * vandermonde(nodes)
+            for nu, a in enumerate(nodes, start=1):
+                gaps = math.prod(abs(b - a) for b in nodes if b != a)
+                columns = [mu for mu in range(1, m) if mu != nu]
+                assert _minor_leading_coefficient(m, columns) == full / (nu * gaps), (m, nu)
 
 
 class TestThetaDerivativeMatrix:
