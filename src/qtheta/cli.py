@@ -35,13 +35,13 @@ from pathlib import Path
 from .characters import UnityExponent, squared_determinant_delta_power
 from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify,
                           classify_levels, level_classes, nonintegrality_check)
-from .jacobi import (component_taylor, component_taylor_scale, from_theta_components,
+from .jacobi import (ThetaComponents, component_taylor, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
-                     taylor_coefficients, theta_components)
+                     taylor_from_moment, taylor_moments, theta_components, two_path_taylor)
 from .series import dump_series_text, parse_rational
 from .theta import odd_theta_exponents
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
-                        cramer_reconstruction, kernel_components, theta_derivative_matrix,
+                        _cramer_operators, cramer_reconstruction, theta_derivative_matrix,
                         theta_minor_window, theta_wronskian, verify_eta_power)
 
 SCHEMA_VERSION = 1
@@ -159,12 +159,15 @@ def _characters_case(job):
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     """The rows (m, case, check, ok) of one tuple h, and its kernel_case cell from m = 3 on."""
     assembled = from_theta_components(h, q_trunc)
-    # the rows M h and the Taylor coefficients, built once: compared here,
-    # then solved by the Cramer check and read by the kernel equivalence
-    system = [component_taylor(h, nu) for nu in range(1, m)]
-    taylors = taylor_coefficients(assembled, range(1, m))
-    two_path = all((taylor - component_taylor_scale(nu, m) * row).is_zero()
-                   for nu, taylor, row in zip(range(1, m), taylors, system))
+    # the rows M h and the zeta-moments, built once: compared here on the int
+    # stores; the rows are then solved by the Cramer check, and the moments
+    # over (2nu - 1)! are the Taylor coefficients the kernel equivalence reads
+    nus = range(1, m)
+    system = [component_taylor(h, nu) for nu in nus]
+    moments = taylor_moments(assembled, nus)
+    two_path = all(two_path_taylor(moment, row, nu, m)
+                   for nu, moment, row in zip(nus, moments, system))
+    taylors = [taylor_from_moment(moment, nu) for nu, moment in zip(nus, moments)]
     ops_vanish, taylors_vanish = kernel_equivalence(taylors, weight_k, m)
     rows = [(m, label, "two_path_taylor", two_path),
             (m, label, "kernel_equivalence", ops_vanish == taylors_vanish)]
@@ -185,7 +188,9 @@ def _identities_case(job):
     else:
         q_trunc, weight_k = args.q_trunc, args.weight_k
         if m >= 3:
-            draws = draws + [("kernel", kernel_components(m, q_trunc))]
+            # the last-row cofactors: the last column of the adjugate Cramer solves with
+            adj = _cramer_operators(m, Fraction(q_trunc))[0]
+            draws = draws + [("kernel", ThetaComponents(m, tuple(row[-1] for row in adj)))]
     rows = [row for label, h in draws
             for row in _identity_rows_for_components(m, label, h, q_trunc, weight_k)]
     failed = [row for row in rows if not row[3]]
@@ -840,7 +845,7 @@ def _check_identities_args(args: argparse.Namespace) -> None:
         if short:
             raise ValueError(f"--jacobi-file {args.jacobi_file}: trunc={phi.n_trunc} "
                              f"is too short for its index: {short}")
-        if not phi.orbit_values:
+        if phi.is_zero():
             raise ValueError(f"--jacobi-file {args.jacobi_file}: every coefficient is zero, "
                              f"so every check would compare zero series")
         args.jacobi_form = phi

@@ -14,8 +14,12 @@ exactly what they depend on, and shared by every tuple: for each (m, mu,
 window) the ladder of the odd theta series and its m-2 q-derivatives that
 ``component_taylor`` reads (the window is trunc h_mu + mu^2/4m), and for
 each (m, mu, q_trunc) the pair theta_{m,mu} - theta_{m,-mu} that
-``from_theta_components`` multiplies.  ``taylor_coefficients`` takes every
-chi_nu of an assembled form from one oddness scan and one moment pass.
+``from_theta_components`` multiplies.  ``taylor_moments`` takes the
+zeta-moment of order 2*nu - 1 of every nu of an assembled form from one
+oddness scan and one moment pass; ``two_path_taylor`` compares each with its
+row M h on the int stores, and ``taylor_from_moment`` divides it by
+(2*nu - 1)! once, in integers, for chi_nu.  A table is read and validated on
+int pairs (num, den), and its components are built through ``_make``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .series import _ZERO, PuiseuxSeries, _lowest_terms, dot, parse_rational
+from .series import (PuiseuxSeries, _key_bound, _lowest_terms, _rational_pair, _reduced, dot,
+                     parse_rational)
 from .theta import ThetaIndex, ThetaTwoVar, _mul_sum, _residues, odd_theta_series, theta_series
 
 
@@ -48,13 +53,23 @@ class JacobiFormData:
     ``coeffs`` maps (n, r) to a rational coefficient, for integers n with
     0 <= n < n_trunc.  Only holomorphic tables (4mn >= r^2) are accepted,
     and the table must be orbit-complete: within the truncation window,
-    c(n, r) is checked to depend only on (r mod 2m, 4mn - r^2).
+    c(n, r) is checked to depend only on (r mod 2m, 4mn - r^2).  Each value
+    is held as its int pair (num, den) in lowest terms with den >= 1, and
+    ``coeffs`` and ``orbit_values`` build their Fractions on each access.
     """
 
     __slots__ = ("weight_k", "index_m", "level_N", "n_trunc", "_coeffs", "_orbit")
 
     def __init__(self, weight_k: int, index_m: int, level_N: int, n_trunc,
                  coeffs: Mapping):
+        self._validate(weight_k, index_m, level_N, n_trunc,
+                       (((int(n), int(r)), Fraction(c).as_integer_ratio())
+                        for (n, r), c in coeffs.items()))
+
+    def _validate(self, weight_k, index_m, level_N, n_trunc, items) -> None:
+        """The checks of a table given as ``items`` ((n, r), (num, den)): ints,
+        num/den in lowest terms with den >= 1; ``parse_jacobi_table`` calls it
+        on a new instance, and ``__init__`` on its Fractions' pairs."""
         if weight_k < 1 or weight_k % 2 == 0:
             raise InvariantViolation("weight_k must be a positive odd integer")
         if index_m < 1 or level_N < 1:
@@ -68,11 +83,10 @@ class JacobiFormData:
         self.n_trunc = n_trunc
         m = index_m
         n_cap = -(-n_trunc.numerator // n_trunc.denominator)  # an int n is < n_trunc iff < n_cap
-        stored: dict[tuple[int, int], Fraction] = {}
-        orbit: dict[tuple[int, int], Fraction] = {}
-        for (n, r), c in coeffs.items():
-            n, r, c = int(n), int(r), Fraction(c)
-            if not c:
+        stored: dict[tuple[int, int], tuple[int, int]] = {}
+        orbit: dict[tuple[int, int], tuple[int, int]] = {}
+        for (n, r), c in items:
+            if not c[0]:
                 continue
             if n < 0:
                 raise InvariantViolation(f"negative Fourier index n={n}")
@@ -83,36 +97,37 @@ class JacobiFormData:
                 raise InvariantViolation(
                     f"coefficient at (n={n}, r={r}) violates 4mn >= r^2")
             key = (r % (2 * m), disc)
-            if key in orbit and orbit[key] != c:
-                raise InvariantViolation(
-                    f"c({n},{r}) = {c} conflicts with class {key} value {orbit[key]}")
-            orbit[key] = c
+            if orbit.setdefault(key, c) != c:
+                raise InvariantViolation(f"c({n},{r}) = {Fraction(*c)} conflicts with "
+                                         f"class {key} value {Fraction(*orbit[key])}")
             stored[(n, r)] = c
-        for (mu, disc), value in orbit.items():
-            partner = ((-mu) % (2 * m), disc)
-            if orbit.get(partner, _ZERO) != -value:
+        for (mu, disc), (num, den) in orbit.items():
+            if orbit.get(((-mu) % (2 * m), disc)) != (-num, den):
                 raise InvariantViolation(
                     f"odd symmetry fails for class (mu={mu}, disc={disc})")
         for n in range(n_cap):
             r_cap = math.isqrt(4 * m * n)
             for r in range(-r_cap, r_cap + 1):
-                key = (r % (2 * m), 4 * m * n - r * r)
-                expected = orbit.get(key, _ZERO)
-                if stored.get((n, r), _ZERO) != expected:
+                expected = orbit.get((r % (2 * m), 4 * m * n - r * r))
+                if stored.get((n, r)) != expected:
                     raise InvariantViolation(
                         f"c({n},{r}) must depend only on (r mod 2m, 4mn - r^2); "
-                        f"expected {expected}")
+                        f"expected {Fraction(*expected or (0, 1))}")
         self._coeffs = stored
         self._orbit = orbit
 
     @property
     def coeffs(self) -> Mapping[tuple[int, int], Fraction]:
-        return MappingProxyType(self._coeffs)
+        return MappingProxyType({key: Fraction(*c) for key, c in self._coeffs.items()})
 
     @property
     def orbit_values(self) -> Mapping[tuple[int, int], Fraction]:
         """Class values keyed by (r mod 2m, 4mn - r^2)."""
-        return MappingProxyType(self._orbit)
+        return MappingProxyType({key: Fraction(*c) for key, c in self._orbit.items()})
+
+    def is_zero(self) -> bool:
+        """True when every coefficient in the window is zero."""
+        return not self._orbit
 
     @classmethod
     def from_orbit_values(cls, weight_k: int, index_m: int, level_N: int, n_trunc,
@@ -177,15 +192,24 @@ def theta_components(phi: JacobiFormData) -> ThetaComponents:
 
     h_mu collects the class values at exponents (4mn - mu^2)/(4m); it is
     certified below n_trunc - mu^2/(4m), since every class reachable below
-    that bound has a representative inside the table's window.
+    that bound has a representative inside the table's window.  Each h_mu
+    is built through ``_make``, its values over their least common
+    denominator, which is already canonical.
     """
     m = phi.index_m
+    grid = 4 * m
+    classes: list[dict[int, tuple[int, int]]] = [{} for _ in range(m)]
+    for (mu, disc), c in phi._orbit.items():
+        if mu < m:
+            classes[mu][disc] = c
+    tn, td = phi.n_trunc.as_integer_ratio()
     out = []
     for mu in range(1, m):
-        terms = {Fraction(disc, 4 * m): value
-                 for (cls_mu, disc), value in phi.orbit_values.items() if cls_mu == mu}
-        trunc = phi.n_trunc - Fraction(mu * mu, 4 * m)
-        out.append(PuiseuxSeries(terms, trunc, base_denom=4 * m))
+        values = classes[mu]
+        den = math.lcm(1, *(d for _, d in values.values()))
+        terms = {disc: num * (den // d) for disc, (num, d) in values.items()}
+        window = _lowest_terms(grid * tn - mu * mu * td, grid * td)
+        out.append(PuiseuxSeries._make(terms, *window, grid, den))
     return ThetaComponents(m, tuple(out))
 
 
@@ -213,17 +237,31 @@ def from_theta_components(h: ThetaComponents, q_trunc) -> ThetaTwoVar:
                    (q_trunc.numerator, q_trunc.denominator), 4 * m)
 
 
-def taylor_coefficients(phi_2var: ThetaTwoVar, nus) -> list[PuiseuxSeries]:
-    """``taylor_coefficient(phi_2var, nu)`` for each nu of ``nus``, from one
-    oddness scan and one pass over the terms (``zeta_moments``)."""
-    nus = tuple(nus)
-    if any(nu < 1 for nu in nus):
+def taylor_moments(phi_2var: ThetaTwoVar, nus) -> list[PuiseuxSeries]:
+    """The zeta-moment of order 2*nu - 1 for each nu of ``nus``, from one
+    oddness scan and one pass over the terms (``zeta_moments``): each is
+    ``taylor_coefficient(phi_2var, nu)`` times (2*nu - 1)!."""
+    orders = [2 * nu - 1 for nu in nus]
+    if any(order < 1 for order in orders):
         raise ValueError("nu must be a positive integer")
     if not phi_2var.is_zeta_odd():
         raise NotOdd("two-variable series is not odd in the zeta variable")
-    orders = [2 * nu - 1 for nu in nus]
-    return [moment / math.factorial(order)
-            for moment, order in zip(phi_2var.zeta_moments(orders), orders)]
+    return phi_2var.zeta_moments(orders)
+
+
+def taylor_from_moment(moment: PuiseuxSeries, nu: int) -> PuiseuxSeries:
+    """The moment of order 2*nu - 1 over (2*nu - 1)!, in integers: its
+    numerators over its denominator times (2*nu - 1)!, reduced once."""
+    terms, den = _reduced(moment._terms, moment._den * math.factorial(2 * nu - 1))
+    return PuiseuxSeries._make(terms, moment._tn, moment._td, moment.base_denom, den)
+
+
+def taylor_coefficients(phi_2var: ThetaTwoVar, nus) -> list[PuiseuxSeries]:
+    """``taylor_coefficient(phi_2var, nu)`` for each nu of ``nus``: the
+    ``taylor_moments``, each through ``taylor_from_moment``."""
+    nus = tuple(nus)
+    return [taylor_from_moment(moment, nu)
+            for moment, nu in zip(taylor_moments(phi_2var, nus), nus)]
 
 
 def taylor_coefficient(phi_2var: ThetaTwoVar, nu: int) -> PuiseuxSeries:
@@ -281,6 +319,29 @@ def component_taylor_scale(nu: int, m: int) -> Fraction:
     taylor_coefficient = 2 * (4m)^(nu-1) / (2*nu-1)! * component_taylor.
     """
     return Fraction(2 * (4 * m) ** (nu - 1), math.factorial(2 * nu - 1))
+
+
+def two_path_taylor(moment: PuiseuxSeries, row: PuiseuxSeries, nu: int, m: int) -> bool:
+    """Whether the Taylor coefficient of z^(2*nu-1) equals
+    ``component_taylor_scale(nu, m)`` times ``component_taylor(h, nu)``,
+    read on the int stores: the zeta-moment of order 2*nu - 1 (``taylor_moments``)
+    against 2 * (4m)^(nu-1) times the row, term by term below the lower of
+    their two windows; the (2*nu-1)! cancels.  a/da = s*b/db is a*db = s*b*da.
+    """
+    tn, td = moment._tn, moment._td
+    if row._tn * td < tn * row._td:
+        tn, td = row._tn, row._td
+    denom = math.lcm(moment.base_denom, row.base_denom)
+    bound = _key_bound(tn, td, denom) if td else math.inf
+    xs, ys = moment._over(denom, moment._den), row._over(denom, row._den)
+    left, right = row._den, 2 * (4 * m) ** (nu - 1) * moment._den
+    below = 0
+    for n, a in xs.items():
+        if n < bound:
+            if a * left != ys.get(n, 0) * right:
+                return False
+            below += 1
+    return below == sum(n < bound for n in ys)
 
 
 def development_operator(taylors, k: int, nu: int, m: int) -> PuiseuxSeries:
@@ -356,6 +417,9 @@ def kernel_equivalence(taylors, k: int, m: int) -> tuple[bool, bool]:
     return operators_vanish, all(chi.is_zero() for chi in taylors)
 
 
+_NUMERATORS = tuple(x for x in range(-9, 10) if x)  # a random value's numerator
+
+
 def random_components(index_m: int, n_trunc, rng, max_terms: int = 3) -> ThetaComponents:
     """Sparse random component tuple on the exact exponent grids.
 
@@ -373,7 +437,7 @@ def random_components(index_m: int, n_trunc, rng, max_terms: int = 3) -> ThetaCo
         grid = range((-mu * mu) % grid_denom, cap - mu * mu, grid_denom)
         drawn = []
         for disc in rng.sample(grid, min(max_terms, len(grid))):
-            numerator = rng.choice([x for x in range(-9, 10) if x])
+            numerator = rng.choice(_NUMERATORS)
             d = rng.randint(1, 4)
             g = math.gcd(numerator, d)
             drawn.append((disc, numerator // g, d // g))
@@ -395,20 +459,29 @@ def dump_jacobi_table(phi: JacobiFormData) -> str:
     tr = phi.n_trunc
     lines = [f"k={phi.weight_k} m={phi.index_m} N={phi.level_N} "
              f"trunc={tr.numerator}/{tr.denominator}"]
-    for (n, r) in sorted(phi.coeffs):
-        c = phi.coeffs[(n, r)]
-        lines.append(f"{n} {r} {c.numerator}/{c.denominator}")
+    for (n, r), (num, den) in sorted(phi._coeffs.items()):
+        lines.append(f"{n} {r} {num}/{den}")
     return "\n".join(lines) + "\n"
 
 
 def parse_jacobi_table(text: str) -> JacobiFormData:
+    """The table of ``dump_jacobi_table``'s format, each c(n, r) read as its
+    reduced int pair; a repeated (n, r) keeps its last value.  A class's value
+    repeats on each of its representatives' rows, so each distinct value text
+    is parsed once."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty coefficient table")
     fields = dict(part.split("=", 1) for part in lines[0].split())
     coeffs = {}
+    pairs: dict[str, tuple[int, int]] = {}
     for ln in lines[1:]:
         n_text, r_text, c_text = ln.split()
-        coeffs[(int(n_text), int(r_text))] = parse_rational(c_text)
-    return JacobiFormData(int(fields["k"]), int(fields["m"]), int(fields["N"]),
-                          parse_rational(fields["trunc"]), coeffs)
+        c = pairs.get(c_text)
+        if c is None:
+            c = pairs[c_text] = _rational_pair(c_text)
+        coeffs[(int(n_text), int(r_text))] = c
+    phi = object.__new__(JacobiFormData)
+    phi._validate(int(fields["k"]), int(fields["m"]), int(fields["N"]),
+                  parse_rational(fields["trunc"]), coeffs.items())
+    return phi

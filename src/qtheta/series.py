@@ -351,12 +351,6 @@ class PuiseuxSeries(_IntStore):
         terms, den = _reduced({n: c * n for n, c in self._terms.items() if n}, self._den * d)
         return PuiseuxSeries._make(terms, self._tn, self._td, d, den)
 
-    def q_derivative_iterate(self, n: int) -> PuiseuxSeries:
-        out = self
-        for _ in range(n):
-            out = out.q_derivative()
-        return out
-
     def truncate(self, new_trunc: Truncation) -> PuiseuxSeries:
         tn, td = _window(_as_trunc(new_trunc))
         if tn * self._td > self._tn * td:
@@ -421,13 +415,19 @@ def dot(xs, ys) -> PuiseuxSeries:
 
 def parse_rational(text: str) -> Fraction:
     """Parse 'a/b' or 'a' into an exact Fraction."""
+    return Fraction(*_rational_pair(text))
+
+
+def _rational_pair(text: str) -> tuple[int, int]:
+    """``parse_rational(text)`` as its int pair (num, den), in lowest terms with den >= 1."""
     text = text.strip()
-    if "/" in text:
-        num, den = (int(part) for part in text.split("/", 1))
-        if den == 0:
-            raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(num, den)
-    return Fraction(int(text))
+    if "/" not in text:
+        return int(text), 1
+    num, den = (int(part) for part in text.split("/", 1))
+    if den == 0:
+        raise ValueError(f"zero denominator in {text!r}")
+    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+    return num // g, den // g
 
 
 def _rat_str(x: Fraction) -> str:

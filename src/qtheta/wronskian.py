@@ -253,7 +253,8 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     integers; each sum is divided once by (4m)^(C(s, 2) + s - d).  The
     tuples are enumerated depth first, cut where the partial sum of r^2
     plus the least sum the remaining classes can add reaches the window;
-    the e_j are formed at the leaves, and only when some d < s asks.
+    when some d < s asks, the e_j of the prior squares are formed once per
+    last-level parent, and each leaf adds its square times e_(j-1).
     The window is ``theta_minor_window``'s.  An empty column set gives the
     constant 1, the cofactor ``SeriesMatrix`` gives for a 1 x 1 matrix.
     """
@@ -283,6 +284,12 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     def descend(k: int, total: int, weight: int, prior: list[int]) -> None:
         room = bound - rest[k] - total
         last = k == s - 1
+        if last and top:
+            # e_j of the prior squares, once per parent: a leaf's e_j is e_j + sq * e_(j-1)
+            elem = [1] + [0] * top
+            for t in prior:
+                for j in range(top, 0, -1):
+                    elem[j] += t * elem[j - 1]
         for r in candidates[k]:
             sq = r * r
             if sq >= room:
@@ -294,12 +301,9 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
                 descend(k + 1, total + sq, w, prior + [sq])
             elif top:
                 e = total + sq
-                elem = [1] + [0] * top  # e_j of prior + [sq]
-                for t in prior + [sq]:
-                    for j in range(top, 0, -1):
-                        elem[j] += t * elem[j - 1]
-                for sums_j, e_j in zip(sums, elem):
-                    sums_j[e] = sums_j.get(e, 0) + w * e_j
+                sums[0][e] = sums[0].get(e, 0) + w
+                for j in range(1, top + 1):
+                    sums[j][e] = sums[j].get(e, 0) + w * (elem[j] + sq * elem[j - 1])
             else:
                 sums[0][total + sq] = sums[0].get(total + sq, 0) + w
 

@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from qtheta import (CaseVerdict, NotAnEigenvector, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot,
-                    is_squarefree, odd_theta_series, theta_series)
+from qtheta import (CaseVerdict, InvariantViolation, NotAnEigenvector, PuiseuxSeries, ThetaIndex,
+                    ThetaTwoVar, dot, is_squarefree, odd_theta_series, theta_series)
 
 
 def random_series(rng, trunc, base_denom=4, max_terms=5, lowest=0):
@@ -91,13 +91,21 @@ def assert_same_store(a, b):
         (b._terms, b._den, b.base_denom, b._tn, b._td)
 
 
+def q_derivative_iterate(s: PuiseuxSeries, n: int) -> PuiseuxSeries:
+    """(q d/dq)^n s, one ``q_derivative`` at a time."""
+    for _ in range(n):
+        s = s.q_derivative()
+    return s
+
+
 def oracle_component_taylor(h, nu) -> PuiseuxSeries:
     """sum_mu h_mu * (q d/dq)^(nu-1) theta_mu, every odd theta series built
     afresh on its window trunc h_mu + mu^2/4m and derived nu - 1 times: the
     rebuild per tuple and per nu that ``jacobi.component_taylor`` caches."""
     m = h.index_m
-    thetas = [odd_theta_series(ThetaIndex(m, mu), series.trunc + Fraction(mu * mu, 4 * m))
-              .q_derivative_iterate(nu - 1)
+    thetas = [q_derivative_iterate(odd_theta_series(ThetaIndex(m, mu),
+                                                    series.trunc + Fraction(mu * mu, 4 * m)),
+                                   nu - 1)
               for mu, series in enumerate(h.components, start=1)]
     return dot(h.components, thetas)
 
@@ -126,6 +134,75 @@ def oracle_taylor(tv: ThetaTwoVar, nu: int) -> PuiseuxSeries:
     for (e, r), c in tv.terms.items():
         out[e] = out.get(e, Fraction(0)) + c * r ** order / math.factorial(order)
     return PuiseuxSeries(out, tv.q_trunc, tv.base_denom)
+
+
+def oracle_jacobi_table(text: str):
+    """(header, coeffs, orbit values) of a coefficient table, on the Fraction
+    route ``jacobi.parse_jacobi_table`` took before tables were read on int
+    pairs: every value a Fraction, the header (k, m, N, trunc), and the same
+    checks, in the same order and with the same messages."""
+    def rational(text):
+        if "/" in text:
+            num, den = (int(part) for part in text.split("/", 1))
+            if den == 0:
+                raise ValueError(f"zero denominator in {text!r}")
+            return Fraction(num, den)
+        return Fraction(int(text))
+
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty coefficient table")
+    fields = dict(part.split("=", 1) for part in lines[0].split())
+    table = {}
+    for ln in lines[1:]:
+        n_text, r_text, c_text = ln.split()
+        table[(int(n_text), int(r_text))] = rational(c_text)
+    k, m, level, n_trunc = int(fields["k"]), int(fields["m"]), int(fields["N"]), \
+        rational(fields["trunc"])
+    if k < 1 or k % 2 == 0:
+        raise InvariantViolation("weight_k must be a positive odd integer")
+    if m < 1 or level < 1:
+        raise InvariantViolation("index_m and level_N must be positive")
+    if n_trunc <= 0:
+        raise InvariantViolation("n_trunc must be positive")
+    n_cap = math.ceil(n_trunc)
+    stored, orbit = {}, {}
+    for (n, r), c in table.items():
+        if not c:
+            continue
+        if n < 0:
+            raise InvariantViolation(f"negative Fourier index n={n}")
+        if n >= n_cap:
+            continue
+        disc = 4 * m * n - r * r
+        if disc < 0:
+            raise InvariantViolation(f"coefficient at (n={n}, r={r}) violates 4mn >= r^2")
+        key = (r % (2 * m), disc)
+        if key in orbit and orbit[key] != c:
+            raise InvariantViolation(
+                f"c({n},{r}) = {c} conflicts with class {key} value {orbit[key]}")
+        orbit[key] = c
+        stored[(n, r)] = c
+    for (mu, disc), value in orbit.items():
+        if orbit.get(((-mu) % (2 * m), disc), Fraction(0)) != -value:
+            raise InvariantViolation(f"odd symmetry fails for class (mu={mu}, disc={disc})")
+    for n in range(n_cap):
+        r_cap = math.isqrt(4 * m * n)
+        for r in range(-r_cap, r_cap + 1):
+            expected = orbit.get((r % (2 * m), 4 * m * n - r * r), Fraction(0))
+            if stored.get((n, r), Fraction(0)) != expected:
+                raise InvariantViolation(f"c({n},{r}) must depend only on "
+                                         f"(r mod 2m, 4mn - r^2); expected {expected}")
+    return (k, m, level, n_trunc), stored, orbit
+
+
+def oracle_theta_components(m: int, n_trunc, orbit) -> list[PuiseuxSeries]:
+    """h_1..h_(m-1) of a table's Fraction class values, through the
+    validating constructor on Fraction exponents."""
+    return [PuiseuxSeries({Fraction(disc, 4 * m): value
+                           for (cls_mu, disc), value in orbit.items() if cls_mu == mu},
+                          n_trunc - Fraction(mu * mu, 4 * m), base_denom=4 * m)
+            for mu in range(1, m)]
 
 
 def perfbench_workloads():

@@ -1040,6 +1040,45 @@ class TestVerifyIdentities:
                 assert run_cli(*base, *extra, "--jobs", jobs, "--output", str(out)) == 0
                 assert out.read_bytes() == fresh.stdout
 
+    @pytest.mark.parametrize("fault, failure", [
+        ("scaled", "check=two_path_taylor"), ("below_window", "check=two_path_taylor"),
+        ("at_window", None), ("past_window", None)])
+    def test_two_path_check_catches_a_faulty_row(self, fault, failure, monkeypatch, tmp_path):
+        # the two-path check of index 4's first tuple sees its row 2 faulty
+        # (the Cramer check still solves the true rows): scaled by 2, or with
+        # a term below the window, the record names the two-path check; a
+        # term at or past the window, on a window raised one past it, is not
+        # compared, and the run writes the bytes of a clean run
+        two_path_taylor = cli.two_path_taylor
+        calls = []
+
+        def faulty(moment, row, nu, m):
+            calls.append((m, nu))
+            if (m, nu) == (4, 2) and calls.count((4, 2)) == 1:
+                d = row.base_denom
+                if fault == "scaled":
+                    row = 2 * row
+                else:
+                    key = {"below_window": 7, "at_window": 6 * d, "past_window": 6 * d + 1}[fault]
+                    row = PuiseuxSeries({**row.terms, F(key, d): F(1, 7)},
+                                        row.trunc + (fault != "below_window"), d)
+            return two_path_taylor(moment, row, nu, m)
+
+        argv = ("verify-identities", "--m", "3..5", "--q-trunc", "6", "--trials", "2",
+                "--seed", "3", "--format", "json")
+        clean = tmp_path / "clean.json"
+        assert run_cli(*argv, "--output", str(clean)) == 0
+        monkeypatch.setattr(cli, "two_path_taylor", faulty)
+        out = tmp_path / "report.json"
+        code = run_cli(*argv, "--output", str(out))
+        assert calls.count((4, 2)) == 3  # two random tuples and the kernel tuple
+        if failure is None:
+            assert code == 0 and out.read_bytes() == clean.read_bytes()
+        else:
+            assert code == 1
+            assert json.loads(out.read_text())["failure"] == \
+                f"identity check failed: m=4 case=random_0 {failure}"
+
     def test_jacobi_file_ingestion(self, tmp_path):
         phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
         table = tmp_path / "form.jacobi"

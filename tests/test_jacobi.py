@@ -7,14 +7,17 @@ from fractions import Fraction
 import pytest
 
 from conftest import (assert_agree, assert_same_store, oracle_component_taylor,
-                      oracle_from_theta_components, oracle_taylor, perfbench_workloads)
+                      oracle_from_theta_components, oracle_jacobi_table, oracle_taylor,
+                      oracle_theta_components, perfbench_workloads, q_derivative_iterate)
 from qtheta import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                     PuiseuxSeries, ThetaComponents, ThetaIndex, ThetaTwoVar,
                     component_taylor, component_taylor_scale, development_operator,
                     dump_jacobi_table, eta, from_theta_components, jacobi, kernel_components,
                     kernel_equivalence, odd_theta_series, parse_jacobi_table,
                     partial_kernel_components, random_components, taylor_coefficient,
-                    taylor_coefficients, theta_components, theta_series)
+                    taylor_coefficients, taylor_from_moment, taylor_moments, theta_components,
+                    theta_series, two_path_taylor)
+from qtheta.series import _rational_pair
 
 F = Fraction
 
@@ -81,6 +84,128 @@ class TestJacobiFormData:
             assert str(error.value) == message
 
 
+def rewrite_values(text: str, rewrite) -> str:
+    """A table text with each row's value text a/b replaced by rewrite(a, b)."""
+    header, *rows = text.splitlines()
+    out = [header]
+    for row in rows:
+        n, r, c = row.split()
+        out.append(f"{n} {r} {rewrite(*c.split('/'))}")
+    return "\n".join(out) + "\n"
+
+
+def random_table(rng, m: int, n_trunc: int) -> str:
+    """An orbit-complete table of index m with about a third of its classes
+    dropped (both signs of a class go), so some components are sparse."""
+    header, *rows = perfbench_workloads().jacobi_table(rng, m=m, n_trunc=n_trunc).splitlines()
+    dropped: dict = {}
+    kept = [header]
+    for row in rows:
+        n, r = map(int, row.split()[:2])
+        if not dropped.setdefault((min(r % (2 * m), -r % (2 * m)), 4 * m * n - r * r),
+                                  rng.random() < 0.3):
+            kept.append(row)
+    return "\n".join(kept) + "\n"
+
+
+class TestTableIngestion:
+    """Tables read on int pairs against the Fraction route in conftest."""
+
+    @staticmethod
+    def assert_matches_oracle(text):
+        (k, m, level, n_trunc), coeffs, orbit = oracle_jacobi_table(text)
+        phi = parse_jacobi_table(text)
+        assert (phi.weight_k, phi.index_m, phi.level_N, phi.n_trunc) == (k, m, level, n_trunc)
+        assert dict(phi.coeffs) == coeffs and dict(phi.orbit_values) == orbit
+        assert list(phi.orbit_values) == list(orbit)  # the classes in first-seen order
+        assert phi.is_zero() == (not orbit)
+        h = theta_components(phi)
+        for got, want in zip(h.components, oracle_theta_components(m, n_trunc, orbit),
+                             strict=True):
+            assert_same_store(got, want)
+            assert list(got._terms) == list(want._terms)
+        return phi
+
+    @pytest.mark.parametrize("m", range(2, 10))
+    def test_random_tables(self, m):
+        rng = random.Random(m)
+        for n_trunc in (1, 2, 5):
+            self.assert_matches_oracle(random_table(rng, m, n_trunc))
+        phi = self.assert_matches_oracle(perfbench_workloads().jacobi_table(rng, m=m, n_trunc=6))
+        assert not phi.is_zero()
+
+    def test_variant_0_table_and_fractional_window(self):
+        text = perfbench_workloads().jacobi_table(random.Random(0))
+        self.assert_matches_oracle(text)
+        # trunc 37/2 drops the rows n = 19 unread, and every h_mu's window moves
+        self.assert_matches_oracle(text.replace("trunc=20/1", "trunc=37/2", 1))
+        self.assert_matches_oracle("k=3 m=7 N=1 trunc=4/1\n")
+
+    def test_unreduced_values_parse_to_the_reduced_table(self):
+        # 2/4, 1/-3 and -0/5: a value's pair is reduced with den >= 1, and a
+        # zero row is dropped before any check, even one outside 4mn >= r^2
+        text = perfbench_workloads().jacobi_table(random.Random(3), m=5, n_trunc=6)
+        reduced = parse_jacobi_table(text)
+        for rewrite in (lambda a, b: f"{2 * int(a)}/{2 * int(b)}",
+                        lambda a, b: f"{-int(a)}/-{b}",
+                        lambda a, b: f"{-3 * int(a)}/{-3 * int(b)}"):
+            variant = rewrite_values(text, rewrite) + "2 0 -0/5\n3 10 0/-7\n"
+            phi = self.assert_matches_oracle(variant)
+            assert phi._coeffs == reduced._coeffs and phi._orbit == reduced._orbit
+            assert dump_jacobi_table(phi) == dump_jacobi_table(reduced)
+            for got, want in zip(theta_components(phi).components,
+                                 theta_components(reduced).components):
+                assert_same_store(got, want)
+        for text, pair in (("2/4", (1, 2)), ("1/-3", (-1, 3)), ("-0/5", (0, 1)), ("-6", (-6, 1)),
+                           ("0/-7", (0, 1)), ("-4/-6", (2, 3))):
+            assert _rational_pair(text) == pair
+
+    @pytest.mark.parametrize("edit, error", [
+        # a class conflict: c(2, 3) of index 2 is in the class of c(1, -1)
+        (lambda rows: rows + ["2 3 5/1"], InvariantViolation),
+        # broken odd symmetry: the class of c(1, -1) and c(2, 3) flipped whole
+        (lambda rows: [row.replace(" -1/2", " 1/2") if row.startswith(("1 -1 ", "2 3 "))
+                       else row for row in rows], InvariantViolation),
+        # an orbit gap: the representative (2, -3) of a class is missing
+        (lambda rows: [row for row in rows if not row.startswith("2 -3 ")], InvariantViolation),
+        # 4mn < r^2 at (0, 1)
+        (lambda rows: rows + ["0 1 1/1", "0 -1 -1/1"], InvariantViolation),
+        # a zero denominator, also on a zero value
+        (lambda rows: rows + ["5 1 0/0"], ValueError),
+        (lambda rows: rows[:3] + ["3 1 7/0"] + rows[3:], ValueError),
+        # a header with no trunc= field, and one with no N= field
+        (lambda rows: [rows[0].replace(" trunc=4/1", "")] + rows[1:], KeyError),
+        (lambda rows: [rows[0].replace(" N=1", "")] + rows[1:], KeyError),
+        # every row is read before the header is checked, and the header is
+        # checked before any row is validated
+        (lambda rows: [rows[0].replace("k=3", "k=4")] + rows[1:] + ["9 9 1/0"], ValueError),
+        (lambda rows: [rows[0].replace("k=3", "k=4")] + rows[1:] + ["-1 1 1/1"],
+         InvariantViolation),
+        (lambda rows: [rows[0].replace("trunc=4/1", "trunc=0/3")] + rows[1:],
+         InvariantViolation),
+        (lambda rows: rows + ["-1 1 1/1"], InvariantViolation),
+    ])
+    def test_malformed_tables_fail_as_the_oracle(self, edit, error):
+        phi = JacobiFormData.from_orbit_values(3, 2, 1, 4, {(1, 7): F(1, 2), (1, 15): F(-3)})
+        text = "\n".join(edit(dump_jacobi_table(phi).splitlines())) + "\n"
+        with pytest.raises(error) as expected:
+            oracle_jacobi_table(text)
+        with pytest.raises(error) as got:
+            parse_jacobi_table(text)
+        assert type(got.value) is type(expected.value)
+        assert str(got.value) == str(expected.value)
+
+    def test_mapping_constructor_takes_the_same_checks(self):
+        # __init__ turns its Fractions into pairs for the one validator
+        phi = JacobiFormData(3, 2, 1, 4, {(1, 1): F(2, 4), (1, -1): F(-1, 2), (2, 3): F(-1, 2),
+                                          (2, -3): 0.5, (2, 1): F(0)})
+        assert phi._coeffs == {(1, 1): (1, 2), (1, -1): (-1, 2), (2, 3): (-1, 2),
+                               (2, -3): (1, 2)}
+        with pytest.raises(InvariantViolation, match=r"c\(2,3\) = 1/3 conflicts with "
+                                                     r"class \(3, 7\) value -1/2"):
+            JacobiFormData(3, 2, 1, 4, {(1, 1): F(1, 2), (1, -1): F(-1, 2), (2, 3): F(1, 3)})
+
+
 class TestThetaDecomposition:
     def test_single_orbit_component(self):
         h = theta_components(single_orbit_form())
@@ -123,6 +248,22 @@ class TestThetaDecomposition:
                 assert (series._terms, series.trunc, series.base_denom, series._den) == \
                     (expected._terms, expected.trunc, expected.base_denom, expected._den)
             assert rng.getstate() == oracle_rng.getstate()
+
+    def test_seeded_draws_are_pinned(self):
+        # the numerators are one module-level tuple, the population the draws
+        # always had, so a seed gives the same tuples and leaves the stream
+        # in the same state
+        rng = random.Random(2024)
+        drawn = {m: [[(n, str(F(c, s._den))) for n, c in sorted(s._terms.items())]
+                     for s in random_components(m, 6, rng).components] for m in (3, 4, 5)}
+        assert drawn == {
+            3: [[(23, "5/3"), (35, "9/2"), (47, "1/2")], [(20, "8"), (32, "1/3"), (44, "4")]],
+            4: [[(31, "-5/2"), (47, "3/4"), (63, "5")], [(12, "4/3"), (44, "3/2"), (60, "-5/3")],
+                [(23, "-3"), (39, "1"), (55, "5/2")]],
+            5: [[(19, "5"), (39, "8/3"), (99, "1")], [(36, "-5/2"), (76, "3/4"), (96, "-5/3")],
+                [(31, "-3"), (51, "-5/3"), (71, "3")], [(4, "-5/4"), (24, "-2/3"), (84, "-2")]]}
+        assert rng.random() == 0.19564678373194588
+        assert jacobi._NUMERATORS == tuple(x for x in range(-9, 10) if x)
 
     def test_roundtrip_on_tables(self):
         phi = single_orbit_form()
@@ -308,6 +449,75 @@ class TestCachedBuilders:
             tv.zeta_moments((1, -1))
 
 
+class TestTwoPathTaylor:
+    """The two-path check on the int stores against the Fraction difference
+    taylor - component_taylor_scale * row, on true and on faulty rows."""
+
+    @staticmethod
+    def cases():
+        rng = random.Random(79)
+        for m in range(2, 7):
+            for q_trunc in (F(12), F(25, 2), F(7, 3)):
+                h = random_components(m, q_trunc, rng)
+                # the same tuple on finer grids and over other denominators
+                mixed = ThetaComponents(m, tuple(
+                    PuiseuxSeries(c.terms, c.trunc, c.base_denom * (mu % 3 + 1)) * F(mu, 7)
+                    for mu, c in enumerate(h.components, start=1)))
+                for tuple_ in (h, mixed):
+                    moments = taylor_moments(from_theta_components(tuple_, q_trunc), range(1, m))
+                    for nu, moment in enumerate(moments, start=1):
+                        yield m, nu, moment, component_taylor(tuple_, nu)
+
+    @staticmethod
+    def fraction_route(moment, row, nu, m) -> bool:
+        return (moment / math.factorial(2 * nu - 1)
+                - component_taylor_scale(nu, m) * row).is_zero()
+
+    @staticmethod
+    def with_term(s, key, coefficient, raise_window=False):
+        """s plus the term coefficient at ``key`` on its grid; with
+        ``raise_window``, on a window one past its own, so the key may sit at
+        or past the old one."""
+        trunc = s.trunc + 1 if raise_window else s.trunc
+        return PuiseuxSeries({**s.terms, F(key, s.base_denom): coefficient}, trunc, s.base_denom)
+
+    def test_true_rows_pass_and_faulty_rows_fail(self):
+        count = 0
+        for m, nu, moment, row in self.cases():
+            assert two_path_taylor(moment, row, nu, m)
+            assert_same_store(taylor_from_moment(moment, nu),
+                              moment / math.factorial(2 * nu - 1))
+            if row.is_zero():
+                continue
+            count += 1
+            window = min(moment.trunc, row.trunc)
+            top = math.ceil(window * row.base_denom) - 1  # the last key below the lower window
+            faults = [2 * row, self.with_term(row, 0, F(1, 7)), self.with_term(row, top, F(-3)),
+                      self.with_term(row, min(row._terms), F(1, 7))]
+            for bad in faults:
+                assert not two_path_taylor(moment, bad, nu, m)
+                assert not self.fraction_route(moment, bad, nu, m)
+            # a term at or past the lower window is not compared, on either side
+            for key in (top + 1, top + 2):
+                lifted = self.with_term(row, key, F(5), raise_window=True)
+                assert two_path_taylor(moment, lifted, nu, m)
+                assert self.fraction_route(moment, lifted, nu, m)
+            first = math.ceil(window * moment.base_denom)  # the first moment key past it
+            for key in (first, first + 3):
+                lifted = self.with_term(moment, key, F(5), raise_window=True)
+                assert two_path_taylor(lifted, row, nu, m)
+                assert self.fraction_route(lifted, row, nu, m)
+        assert count > 80
+
+    def test_infinite_windows(self):
+        one = PuiseuxSeries({1: 1}, math.inf)
+        assert two_path_taylor(2 * one, one, 1, 3)
+        assert two_path_taylor(24 * one, one, 2, 3)  # 2 * 12
+        assert not two_path_taylor(2 * one, 2 * one, 1, 3)
+        assert not two_path_taylor(2 * one + PuiseuxSeries({10 ** 6: 1}, math.inf), one, 1, 3)
+        assert two_path_taylor(2 * one + PuiseuxSeries({4: 1}, 4), one, 1, 3)
+
+
 def taylors_of(tv, count):
     """The first ``count`` Taylor coefficients chi_1, chi_2, ... of ``tv``."""
     return [taylor_coefficient(tv, nu) for nu in range(1, count + 1)]
@@ -372,7 +582,7 @@ class TestDevelopmentOperator:
             for j, chi in enumerate((chi3, chi2, chi1)):
                 factor = F((-m) ** j * math.factorial(k + nu - j - 2),
                            math.factorial(k + 2 * nu - 2) * math.factorial(j))
-                term = factor * chi.q_derivative_iterate(j)
+                term = factor * q_derivative_iterate(chi, j)
                 expected = term if expected is None else expected + term
             assert_agree(development_operator([chi1, chi2, chi3], k, nu, m), expected)
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_agree, laplace_det, long_division, matmul, random_series
+from conftest import (assert_agree, assert_same_store, laplace_det, long_division, matmul,
+                      random_series)
 from qtheta import (INFINITY, JacobiFormData, PuiseuxSeries, SeriesMatrix, ThetaIndex,
                     VerificationFailed, component_taylor, cramer_reconstruction, eta,
                     eta_power, eta_power_exponent, kernel_components, modular_wronskian,
@@ -489,6 +490,18 @@ def random_jacobi_components(m: int, n_trunc: int, rng) -> ThetaComponents:
               for mu in range(1, m)
               for disc in range((-mu * mu) % (4 * m), 4 * m * n_trunc, 4 * m)}
     return theta_components(JacobiFormData.from_orbit_values(3, m, 1, n_trunc, values))
+
+
+class TestKernelTuple:
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_adjugate_last_column_is_the_kernel_tuple(self, m):
+        # verify-identities reads its kernel tuple off the adjugate cached for
+        # the Cramer check; kernel_components stays as the oracle
+        for window in (F(12), F(20)):
+            adj, _ = wronskian._cramer_operators(m, window)
+            expected = kernel_components(m, window).components
+            for got, want in zip((row[m - 2] for row in adj), expected, strict=True):
+                assert_same_store(got, want)
 
 
 class TestCramerSystemRows:
