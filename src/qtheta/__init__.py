@@ -11,22 +11,20 @@ from .injectivity import (CaseInput, CaseVerdict, InvalidInput, NonintegralityRe
                           classify, classify_levels, is_squarefree, level_classes,
                           nonintegrality_check)
 from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
-                     ThetaComponents, component_taylor, component_taylor_scale,
-                     development_operator, dump_jacobi_table, from_theta_components,
-                     kernel_equivalence, parse_jacobi_table, random_components,
-                     taylor_coefficient, taylor_coefficients, taylor_from_moment,
-                     taylor_moments, theta_components, two_path_taylor)
+                     ThetaComponents, component_taylor, development_operator,
+                     dump_jacobi_table, from_theta_components, kernel_equivalence,
+                     parse_jacobi_table, random_components, taylor_coefficient,
+                     taylor_coefficients, taylor_from_moment, taylor_moments,
+                     theta_components, two_path_taylor)
 from .modforms import HalfIntWeight, eisenstein_e2, eta, eta_power, modular_derivative
 from .series import (INFINITY, PuiseuxSeries, dot, dump_series_text, parse_rational,
                      parse_series_text)
-from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_columns,
-                    odd_theta_series, theta_series, total_theta_order,
-                    translation_eigenvalue, translation_exponent, translation_exponents)
+from .theta import (NotAnEigenvector, ThetaIndex, ThetaTwoVar, odd_theta_series, theta_series,
+                    translation_eigenvalue)
 from .wronskian import (CofactorOrderReport, CramerReport, SeriesMatrix,
                         ThetaDerivativeMatrix, VerificationFailed, WronskianReport,
                         cramer_reconstruction, eta_power_exponent, kernel_components,
-                        modular_wronskian, partial_kernel_components,
-                        theta_derivative_matrix, theta_minors, theta_wronskian,
-                        vandermonde, verify_cofactor_orders, verify_eta_power)
+                        modular_wronskian, theta_derivative_matrix, theta_minors,
+                        theta_wronskian, verify_cofactor_orders, verify_eta_power)
 
 __version__ = "0.1.0"

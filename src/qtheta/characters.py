@@ -6,9 +6,8 @@ mod 1.  This covers everything the translation tau -> tau + 1 does to the
 series in this package.
 
 A ``UnityExponent`` stores x as a reduced pair of integers num/den with
-0 <= num < den, built directly from an integer pair such as (mu^2, 4m).
-Adding exponents and scaling by an integer are integer operations with one
-gcd each; a ``Fraction`` is built only when ``value`` is read.
+0 <= num < den, built directly from an integer pair such as (mu^2, 4m)
+with one gcd; a ``Fraction`` is built only when ``value`` is read.
 """
 
 from __future__ import annotations
@@ -65,15 +64,6 @@ class UnityExponent:
     @property
     def value(self) -> Fraction:
         return Fraction(self.num, self.den)
-
-    def __add__(self, other: UnityExponent) -> UnityExponent:
-        return UnityExponent(self.num * other.den + other.num * self.den,
-                             self.den * other.den)
-
-    def __mul__(self, n: int) -> UnityExponent:
-        return UnityExponent(self.num * n, self.den)
-
-    __rmul__ = __mul__
 
 
 class GammaCharacter(NamedTuple("GammaCharacter", [("delta_power", int)])):

@@ -157,7 +157,12 @@ def _characters_case(job):
 
 
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
-    """The rows (m, case, check, ok) of one tuple h, and its kernel_case cell from m = 3 on."""
+    """The rows (m, case, check, ok) of one tuple h, and its kernel_case cell from m = 3 on.
+
+    The Cramer check solves the rows M h and raises on a faulty one, so it
+    runs only once the rows before it hold: a failed row is then reported
+    first, as it comes first in the report.
+    """
     assembled = from_theta_components(h, q_trunc)
     # the rows M h and the zeta-moments, built once: compared here on the int
     # stores; the rows are then solved by the Cramer check, and the moments
@@ -171,7 +176,7 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     ops_vanish, taylors_vanish = kernel_equivalence(taylors, weight_k, m)
     rows = [(m, label, "two_path_taylor", two_path),
             (m, label, "kernel_equivalence", ops_vanish == taylors_vanish)]
-    if m < 3:
+    if m < 3 or not two_path or ops_vanish != taylors_vanish:
         return rows
     report = cramer_reconstruction(m, h, q_trunc, system)
     ok = report.cramer_ok and report.proportionality_ok in (None, True)

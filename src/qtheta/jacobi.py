@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 
 from .series import (PuiseuxSeries, _key_bound, _lowest_terms, _rational_pair, _reduced, dot,
                      parse_rational)
-from .theta import ThetaIndex, ThetaTwoVar, _mul_sum, _residues, odd_theta_series, theta_series
+from .theta import ThetaIndex, ThetaTwoVar, _mul_sum, odd_theta_series, theta_series
 
 
 class InvariantViolation(ValueError):
@@ -128,51 +128,6 @@ class JacobiFormData:
     def is_zero(self) -> bool:
         """True when every coefficient in the window is zero."""
         return not self._orbit
-
-    @classmethod
-    def from_orbit_values(cls, weight_k: int, index_m: int, level_N: int, n_trunc,
-                          orbit_values: Mapping) -> JacobiFormData:
-        """Build a full table from values on classes (mu, disc).
-
-        Values for the negated residue are filled in by odd symmetry; a
-        nonzero value on a self-paired class (mu = 0 or mu = m) is
-        rejected.  Every (n, r) in the truncation window whose class has a
-        value is populated.
-        """
-        m = index_m
-        n_trunc = Fraction(n_trunc)
-        closed: dict[tuple[int, int], Fraction] = {}
-        for (mu, disc), value in orbit_values.items():
-            mu = mu % (2 * m)
-            value = Fraction(value)
-            if (disc + mu * mu) % (4 * m) != 0:
-                raise InvariantViolation(
-                    f"class (mu={mu}, disc={disc}) contains no integral pairs")
-            for key, v in (((mu, disc), value), (((-mu) % (2 * m), disc), -value)):
-                if key in closed and closed[key] != v:
-                    raise InvariantViolation(f"conflicting values for class {key}")
-                closed[key] = v
-        coeffs = {}
-        bound = math.ceil(4 * m * n_trunc)  # (disc + r^2)/4m < n_trunc iff r^2 < bound - disc
-        for (mu, disc), value in closed.items():
-            if not value:
-                continue
-            for r in _residues(m, mu, bound - disc):
-                if disc + r * r >= 0:
-                    coeffs[((disc + r * r) // (4 * m), r)] = value
-        return cls(weight_k, index_m, level_N, n_trunc, coeffs)
-
-    @classmethod
-    def from_two_var(cls, tv: ThetaTwoVar, weight_k: int, index_m: int,
-                     level_N: int) -> JacobiFormData:
-        """Read a Fourier table off a two-variable series with integer q-exponents."""
-        coeffs = {}
-        for (e, r), c in tv.terms.items():
-            if e.denominator != 1:
-                raise InvariantViolation(
-                    f"q-exponent {e} is not an integer Fourier index")
-            coeffs[(int(e), r)] = c
-        return cls(weight_k, index_m, level_N, tv.q_trunc, coeffs)
 
 
 class ThetaComponents(NamedTuple("ThetaComponents", [("index_m", int),
@@ -291,8 +246,9 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
     """sum_mu h_mu * (q d/dq)^(nu-1) applied to the odd theta series of mu.
 
     The component-side route to the same Taylor coefficient: it equals
-    ``taylor_coefficient`` of the assembled form divided by
-    ``component_taylor_scale(nu, m)``.  For nu = 1..m-1 these are the
+    ``taylor_coefficient`` of the assembled form divided by 2 * (4m)^(nu-1) /
+    (2*nu-1)!, since pairing r with -r doubles each term and each q d/dq
+    gives r^2/4m in place of r^2.  For nu = 1..m-1 these are the
     rows M h of the theta-derivative system that ``cramer_reconstruction``
     solves; nothing else builds them.  Each theta derivative is read off
     the ladder of its class on the window trunc h_mu + mu^2/4m.
@@ -311,19 +267,9 @@ def component_taylor(h: ThetaComponents, nu: int) -> PuiseuxSeries:
     return dot(h.components, thetas)
 
 
-def component_taylor_scale(nu: int, m: int) -> Fraction:
-    """Rational factor relating the two Taylor routes.
-
-    Pairing r with -r doubles each term, each q d/dq contributes r^2/(4m)
-    in place of r^2, and the normalized coefficient divides by (2*nu-1)!:
-    taylor_coefficient = 2 * (4m)^(nu-1) / (2*nu-1)! * component_taylor.
-    """
-    return Fraction(2 * (4 * m) ** (nu - 1), math.factorial(2 * nu - 1))
-
-
 def two_path_taylor(moment: PuiseuxSeries, row: PuiseuxSeries, nu: int, m: int) -> bool:
     """Whether the Taylor coefficient of z^(2*nu-1) equals
-    ``component_taylor_scale(nu, m)`` times ``component_taylor(h, nu)``,
+    2 * (4m)^(nu-1) / (2*nu-1)! times ``component_taylor(h, nu)``,
     read on the int stores: the zeta-moment of order 2*nu - 1 (``taylor_moments``)
     against 2 * (4m)^(nu-1) times the row, term by term below the lower of
     their two windows; the (2*nu-1)! cancels.  a/da = s*b/db is a*db = s*b*da.
@@ -468,20 +414,29 @@ def parse_jacobi_table(text: str) -> JacobiFormData:
     """The table of ``dump_jacobi_table``'s format, each c(n, r) read as its
     reduced int pair; a repeated (n, r) keeps its last value.  A class's value
     repeats on each of its representatives' rows, so each distinct value text
-    is parsed once."""
+    is parsed once.  A line that does not parse raises ValueError naming its
+    number in ``text`` and its text."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty coefficient table")
-    fields = dict(part.split("=", 1) for part in lines[0].split())
     coeffs = {}
     pairs: dict[str, tuple[int, int]] = {}
-    for ln in lines[1:]:
-        n_text, r_text, c_text = ln.split()
-        c = pairs.get(c_text)
-        if c is None:
-            c = pairs[c_text] = _rational_pair(c_text)
-        coeffs[(int(n_text), int(r_text))] = c
+    ln = lines[0]
+    try:
+        fields = dict(part.split("=", 1) for part in ln.split())
+        header = (int(fields["k"]), int(fields["m"]), int(fields["N"]),
+                  parse_rational(fields["trunc"]))
+        for ln in lines[1:]:
+            n_text, r_text, c_text = ln.split()
+            c = pairs.get(c_text)
+            if c is None:
+                c = pairs[c_text] = _rational_pair(c_text)
+            coeffs[(int(n_text), int(r_text))] = c
+    except ValueError as error:
+        # ln is the failed entry of lines; count the blank lines before it too
+        position = next(i for i, line in enumerate(lines) if line is ln)
+        number = [i for i, line in enumerate(text.splitlines(), 1) if line.strip()][position]
+        raise ValueError(f"line {number} {ln.strip()!r}: {error}") from None
     phi = object.__new__(JacobiFormData)
-    phi._validate(int(fields["k"]), int(fields["m"]), int(fields["N"]),
-                  parse_rational(fields["trunc"]), coeffs.items())
+    phi._validate(*header, coeffs.items())
     return phi

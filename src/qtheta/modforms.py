@@ -147,8 +147,7 @@ def modular_derivative(f: PuiseuxSeries, kappa) -> PuiseuxSeries:
     if kw.twice_weight == 0:
         return derivative
     if f.trunc == INFINITY:
-        raise ValueError("modular derivative needs a finite certified truncation; "
-                         "truncate the input first")
+        raise ValueError("modular derivative needs a finite certified truncation")
     low = f.ord_infty()
     needed = f.trunc - min(low, Fraction(0)) if low != INFINITY else f.trunc
     e2 = eisenstein_e2(needed)

@@ -339,7 +339,7 @@ class PuiseuxSeries(_IntStore):
             return self * (1 / c)
         return NotImplemented
 
-    # -- derivations and reshaping ------------------------------------------
+    # -- derivation --------------------------------------------------------
 
     def q_derivative(self) -> PuiseuxSeries:
         """Apply q*d/dq: each term c*q^e becomes (c*e)*q^e.
@@ -350,15 +350,6 @@ class PuiseuxSeries(_IntStore):
         d = self.base_denom
         terms, den = _reduced({n: c * n for n, c in self._terms.items() if n}, self._den * d)
         return PuiseuxSeries._make(terms, self._tn, self._td, d, den)
-
-    def truncate(self, new_trunc: Truncation) -> PuiseuxSeries:
-        tn, td = _window(_as_trunc(new_trunc))
-        if tn * self._td > self._tn * td:
-            raise ValueError("cannot extend a certified truncation")
-        bound = _key_bound(tn, td, self.base_denom)
-        terms = self._terms if bound is None else self._below(self._terms, bound)
-        terms, den = _reduced(terms, self._den)
-        return PuiseuxSeries._make(terms, tn, td, self.base_denom, den)
 
 
 def dot(xs, ys) -> PuiseuxSeries:

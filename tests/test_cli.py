@@ -18,10 +18,10 @@ import pytest
 
 from conftest import (assert_same_store, oracle_component_taylor, oracle_from_theta_components,
                       perfbench_workloads)
-from qtheta import (CaseInput, CaseVerdict, JacobiFormData, PuiseuxSeries, SeriesMatrix,
-                    classify, cli, dump_jacobi_table, injectivity, nonintegrality_check,
-                    odd_theta_columns, parse_series_text, random_components,
-                    translation_exponents, wronskian)
+from oracles import from_orbit_values, truncate
+from qtheta import (CaseInput, CaseVerdict, PuiseuxSeries, SeriesMatrix, ThetaIndex, classify,
+                    cli, dump_jacobi_table, injectivity, nonintegrality_check, odd_theta_series,
+                    parse_series_text, random_components, translation_eigenvalue, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -36,7 +36,7 @@ def cut_wronskians(monkeypatch, ms):
     below its order, so that index's order check fails with a record."""
     theta_wronskian = cli.theta_wronskian
     monkeypatch.setattr(cli, "theta_wronskian", lambda m, q_trunc: (
-        theta_wronskian(m, q_trunc).truncate(1) if m in ms else theta_wronskian(m, q_trunc)))
+        truncate(theta_wronskian(m, q_trunc), 1) if m in ms else theta_wronskian(m, q_trunc)))
 
 
 class TestParsing:
@@ -243,7 +243,7 @@ class TestParallelRuns:
     def test_jobs_do_not_change_reports_or_dumps(self, argv, tmp_path):
         table = tmp_path / "form.jacobi"
         table.write_text(dump_jacobi_table(
-            JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
+            from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
         outputs = []
         for jobs in ("1", "2"):
             report, dumps = tmp_path / f"report{jobs}.json", tmp_path / f"dumps{jobs}"
@@ -281,7 +281,7 @@ class TestMinorRoute:
         else:
             table = tmp_path / "form.jacobi"
             table.write_text(dump_jacobi_table(
-                JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
+                from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
             args.append(str(table))
         assert run_cli(*args, "--jobs", "1", "--output", str(tmp_path / "r.txt")) == 0
 
@@ -486,7 +486,7 @@ class TestRenderedRows:
         if argv[-1] == "--jacobi-file":
             table = tmp_path / "form.jacobi"
             table.write_text(dump_jacobi_table(
-                JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
+                from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})))
             args.append(str(table))
         config = cli.config_from_args(cli.build_parser().parse_args(args))
         tables, discrepancies, _ = cli.HANDLERS[config.command](config)
@@ -874,6 +874,19 @@ class TestVerifyCharacters:
         assert not out.exists()
 
     @staticmethod
+    def columns(m, q_trunc):
+        """The odd theta series of index m, one per class mu = 1..m-1."""
+        return [odd_theta_series(ThetaIndex(m, mu), q_trunc) for mu in range(1, m)]
+
+    @staticmethod
+    def eigenvalues(columns):
+        """The reference of ``odd_theta_exponents``: each column's translation
+        eigenvalue as its pair, in order, raising what the column raises."""
+        for column in columns:
+            value = translation_eigenvalue(column)
+            yield value.num, value.den
+
+    @staticmethod
     def shift(column):
         """The column moved up by q^(1/4m): one class over, still an eigenvector."""
         step = F(1, column.base_denom)
@@ -893,12 +906,12 @@ class TestVerifyCharacters:
     ])
     def test_bad_column_fails_with_a_record(self, fault, message, jobs, monkeypatch, tmp_path):
         # the case reads its eigenvalues through cli.odd_theta_exponents; the
-        # faulty columns are read by its reference, translation_exponents
+        # faulty columns are read by its reference, translation_eigenvalue
         def faulty(m, q_trunc):
-            columns = odd_theta_columns(m, q_trunc)
+            columns = self.columns(m, q_trunc)
             if m in (5, 7):  # the record names the lowest failing index
                 columns[1] = getattr(self, fault)(columns[1])
-            return translation_exponents(columns)
+            return self.eigenvalues(columns)
 
         monkeypatch.setattr(cli, "odd_theta_exponents", faulty)
         out = tmp_path / "chars.json"
@@ -930,10 +943,10 @@ class TestVerifyCharacters:
                        "--output", str(expected)) == 0
 
         def lifted(m, q_trunc):
-            return translation_exponents([
+            return self.eigenvalues([
                 PuiseuxSeries({e + 1: c for e, c in column.terms.items()},
                               column.trunc + 1, column.base_denom)
-                for column in odd_theta_columns(m, q_trunc)])
+                for column in self.columns(m, q_trunc)])
 
         monkeypatch.setattr(cli, "odd_theta_exponents", lifted)
         out = tmp_path / "chars.json"
@@ -1079,8 +1092,32 @@ class TestVerifyIdentities:
             assert json.loads(out.read_text())["failure"] == \
                 f"identity check failed: m=4 case=random_0 {failure}"
 
+    def test_first_failing_check_in_report_order(self, monkeypatch, tmp_path):
+        # row 2 of index 4's first tuple doubled: its two-path row fails, and
+        # the Cramer check, which solves the same faulty rows and comes after
+        # it in the report, does not run on that tuple to preempt it
+        component_taylor = cli.component_taylor
+        first = []
+
+        def faulty(h, nu):
+            row = component_taylor(h, nu)
+            if h.index_m == 4 and not first:
+                first.append(h)
+            if first and h is first[0] and nu == 2:
+                assert not row.is_zero()
+                row = 2 * row
+            return row
+
+        monkeypatch.setattr(cli, "component_taylor", faulty)
+        out = tmp_path / "report.json"
+        code = run_cli("verify-identities", "--m", "3..5", "--q-trunc", "6", "--trials", "2",
+                       "--seed", "3", "--format", "json", "--output", str(out))
+        assert code == 1
+        assert json.loads(out.read_text())["failure"] == \
+            "identity check failed: m=4 case=random_0 check=two_path_taylor"
+
     def test_jacobi_file_ingestion(self, tmp_path):
-        phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
+        phi = from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
         table = tmp_path / "form.jacobi"
         table.write_text(dump_jacobi_table(phi))
         out = tmp_path / "identities.json"
@@ -1129,6 +1166,23 @@ class TestVerifyIdentities:
                                    + ": every coefficient is zero, so every check "
                                    "would compare zero series")
 
+    @pytest.mark.parametrize("text, message", [
+        ("k=3 m=7 N=1 trunc=4/1\n\n0 0\n",
+         "line 3 '0 0': not enough values to unpack (expected 3, got 2)"),
+        ("k=3 m=7 N=1 trunc=4/1\n1 x 1/2\n",
+         "line 2 '1 x 1/2': invalid literal for int() with base 10: 'x'"),
+        ("k3 m=7 N=1 trunc=4/1\n",
+         "line 1 'k3 m=7 N=1 trunc=4/1': dictionary update sequence element #0 has length 1"),
+        ("\nk=3 m=7 N=1 trunc=x\n", "line 2 'k=3 m=7 N=1 trunc=x': invalid literal for int()"),
+        ("k=3 m=2 N=1 trunc=4/1\n1 1 1/1\n1 -1 -1/1\n  \n1 3 1/0\n",
+         "line 5 '1 3 1/0': zero denominator in '1/0'"),
+    ], ids=["short-row", "bad-int", "bad-header", "bad-trunc", "zero-denominator"])
+    def test_malformed_jacobi_line_named(self, text, message, tmp_path, capsys):
+        # the record names the line, counted with the blank lines, and its text
+        self.assert_table_rejected(tmp_path, capsys, text,
+                                   "--jacobi-file " + str(tmp_path / "bad.jacobi")
+                                   + ": " + message)
+
     def test_jacobi_file_too_short_for_its_index_rejected(self, tmp_path, capsys):
         # at trunc 1 every cofactor window of index 7 is 1, below the orders
         # 66/28..90/28, so the Cramer rows would compare empty series and
@@ -1142,7 +1196,7 @@ class TestVerifyIdentities:
     def test_jacobi_file_window_rule_is_the_top_index_rule(self, trunc, status, tmp_path):
         # a table's cofactor windows follow --q-trunc's rule for the top
         # index: index 7 needs a window past (7-1)^2/28 = 9/7
-        phi = JacobiFormData.from_orbit_values(3, 7, 1, F(trunc), {(1, 27): F(1)})
+        phi = from_orbit_values(3, 7, 1, F(trunc), {(1, 27): F(1)})
         assert phi.coeffs  # c(1, 1) = 1: a table of one orbit, not all zero
         table = tmp_path / "one-orbit.jacobi"
         table.write_text(dump_jacobi_table(phi))
@@ -1159,7 +1213,7 @@ class TestVerifyIdentities:
         # every value of a valid table scaled by 10**4300, written as text so
         # the test itself converts no long int; each numerator then has more
         # digits than CPython converts between int and str by default
-        phi = JacobiFormData.from_orbit_values(
+        phi = from_orbit_values(
             3, 3, 1, 8, {(1, 11): F(2, 3), (2, 8): F(-1), (1, 23): F(5, 2)})
         header, *lines = dump_jacobi_table(phi).splitlines()
         scaled = [header]
@@ -1191,7 +1245,7 @@ class TestVerifyIdentities:
         self.test_numerators_past_the_int_str_digit_limit(tmp_path, jobs="2")
 
     def test_jacobi_file_parsed_before_cases(self, tmp_path):
-        phi = JacobiFormData.from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
+        phi = from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
         table = tmp_path / "form.jacobi"
         table.write_text(dump_jacobi_table(phi))
         args = cli.config_from_args(cli.build_parser().parse_args(

@@ -9,12 +9,12 @@ import pytest
 from conftest import (assert_agree, assert_same_store, oracle_component_taylor,
                       oracle_from_theta_components, oracle_jacobi_table, oracle_taylor,
                       oracle_theta_components, perfbench_workloads, q_derivative_iterate)
+from oracles import component_taylor_scale, from_orbit_values, partial_kernel_components
 from qtheta import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                     PuiseuxSeries, ThetaComponents, ThetaIndex, ThetaTwoVar,
-                    component_taylor, component_taylor_scale, development_operator,
-                    dump_jacobi_table, eta, from_theta_components, jacobi, kernel_components,
-                    kernel_equivalence, odd_theta_series, parse_jacobi_table,
-                    partial_kernel_components, random_components, taylor_coefficient,
+                    component_taylor, development_operator, dump_jacobi_table, eta,
+                    from_theta_components, jacobi, kernel_components, kernel_equivalence,
+                    odd_theta_series, parse_jacobi_table, random_components, taylor_coefficient,
                     taylor_coefficients, taylor_from_moment, taylor_moments, theta_components,
                     theta_series, two_path_taylor)
 from qtheta.series import _rational_pair
@@ -24,7 +24,14 @@ F = Fraction
 
 def single_orbit_form(n_trunc=8):
     """Index-2 table generated by the class (mu=1, disc=7) with value 1."""
-    return JacobiFormData.from_orbit_values(3, 2, 1, n_trunc, {(1, 7): F(1)})
+    return from_orbit_values(3, 2, 1, n_trunc, {(1, 7): F(1)})
+
+
+def table_of(tv: ThetaTwoVar, weight_k: int, index_m: int, level_N: int) -> JacobiFormData:
+    """The Fourier table read off a two-variable series with integer q-exponents."""
+    assert all(e.denominator == 1 for e, _ in tv.terms), "q-exponents must be integers"
+    return JacobiFormData(weight_k, index_m, level_N, tv.q_trunc,
+                          {(int(e), r): c for (e, r), c in tv.terms.items()})
 
 
 class TestJacobiFormData:
@@ -38,9 +45,9 @@ class TestJacobiFormData:
 
     def test_zero_residue_forced_to_vanish(self):
         with pytest.raises(InvariantViolation):
-            JacobiFormData.from_orbit_values(3, 2, 1, 4, {(0, 0): F(1)})
+            from_orbit_values(3, 2, 1, 4, {(0, 0): F(1)})
         with pytest.raises(InvariantViolation):
-            JacobiFormData.from_orbit_values(3, 2, 1, 4, {(2, 4): F(1)})
+            from_orbit_values(3, 2, 1, 4, {(2, 4): F(1)})
 
     def test_odd_symmetry_enforced(self):
         with pytest.raises(InvariantViolation):
@@ -67,7 +74,7 @@ class TestJacobiFormData:
 
     def test_bad_class_rejected(self):
         with pytest.raises(InvariantViolation):
-            JacobiFormData.from_orbit_values(3, 2, 1, 4, {(1, 6): F(1)})
+            from_orbit_values(3, 2, 1, 4, {(1, 6): F(1)})
 
     def test_fractional_window_and_messages(self):
         # n_trunc 5/2 keeps the rows n = 0, 1, 2 and drops n = 3 unchecked;
@@ -186,7 +193,7 @@ class TestTableIngestion:
         (lambda rows: rows + ["-1 1 1/1"], InvariantViolation),
     ])
     def test_malformed_tables_fail_as_the_oracle(self, edit, error):
-        phi = JacobiFormData.from_orbit_values(3, 2, 1, 4, {(1, 7): F(1, 2), (1, 15): F(-3)})
+        phi = from_orbit_values(3, 2, 1, 4, {(1, 7): F(1, 2), (1, 15): F(-3)})
         text = "\n".join(edit(dump_jacobi_table(phi).splitlines())) + "\n"
         with pytest.raises(error) as expected:
             oracle_jacobi_table(text)
@@ -222,7 +229,7 @@ class TestThetaDecomposition:
         for m in (2, 3, 4):
             h = random_components(m, 6, rng)
             tv = from_theta_components(h, 6)
-            phi = JacobiFormData.from_two_var(tv, 3, m, 1)
+            phi = table_of(tv, 3, m, 1)
             back = theta_components(phi)
             for mine, theirs in zip(h.components, back.components):
                 assert_agree(mine, theirs)
@@ -268,7 +275,7 @@ class TestThetaDecomposition:
     def test_roundtrip_on_tables(self):
         phi = single_orbit_form()
         tv = from_theta_components(theta_components(phi), phi.n_trunc)
-        back = JacobiFormData.from_two_var(tv, phi.weight_k, phi.index_m, phi.level_N)
+        back = table_of(tv, phi.weight_k, phi.index_m, phi.level_N)
         window = back.n_trunc
         assert {k: v for k, v in phi.coeffs.items() if k[0] < window} == dict(back.coeffs)
 
@@ -660,7 +667,7 @@ class TestKernelEquivalence:
 
 class TestCoefficientFile:
     def test_golden_dump(self):
-        phi = JacobiFormData.from_orbit_values(3, 2, 1, 3, {(1, 7): F(1, 2)})
+        phi = from_orbit_values(3, 2, 1, 3, {(1, 7): F(1, 2)})
         expected = ("k=3 m=2 N=1 trunc=3/1\n"
                     "1 -1 -1/2\n"
                     "1 1 1/2\n"

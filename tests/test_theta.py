@@ -5,11 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import oracle_translation_exponent
-from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent,
-                    eta, odd_theta_columns, odd_theta_series, theta_series,
-                    total_theta_order, translation_eigenvalue, translation_exponent,
-                    translation_exponents)
+from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent, eta,
+                    eta_power_exponent, odd_theta_series, theta_series, translation_eigenvalue)
 from qtheta.theta import _residues, odd_theta_exponents
 
 F = Fraction
@@ -65,25 +62,30 @@ class TestResidueRanges:
 
 
 class TestOddThetaColumns:
-    """The one-pass column set of an index against its classes built one at a time."""
+    """The classes of an index built one at a time against one fold of r
+    into its columns, the reading ``odd_theta_exponents`` takes."""
 
     @pytest.mark.parametrize("window", [F(-3, 2), 0, F(1, 8), F(9, 7), 1, "2m+2", 40])
     def test_columns_are_the_per_class_series(self, window):
         for m in range(1, 41):
-            w = 2 * m + 2 if window == "2m+2" else window
-            columns = odd_theta_columns(m, w)
-            assert len(columns) == m - 1
-            for mu, column in enumerate(columns, start=1):
+            w = 2 * m + 2 if window == "2m+2" else F(window)
+            # r = 1, 2, ... with r^2/4m below the window goes to its class
+            # c = r mod 2m as the term r, or to the class 2m - c of -r as the
+            # term -r when c > m; the classes 0 and m take nothing
+            folded = [{} for _ in range(m + 1)]
+            r = 1
+            while F(r * r, 4 * m) < w:
+                c = r % (2 * m)
+                if c < m:
+                    folded[c][F(r * r, 4 * m)] = r
+                else:
+                    folded[2 * m - c][F(r * r, 4 * m)] = -r
+                r += 1
+            for mu in range(1, m):
                 single = odd_theta_series(ThetaIndex(m, mu), w)
-                assert column._terms == single._terms, (m, mu, w)
-                assert (column._tn, column._td, column._den) == \
-                    (single._tn, single._td, single._den), (m, mu, w)
-                assert column.base_denom == single.base_denom == 4 * m
-                assert column == single
-
-    def test_index_must_be_positive(self):
-        with pytest.raises(ValueError):
-            odd_theta_columns(0, 4)
+                assert dict(single.terms) == folded[mu], (m, mu, w)
+                assert single.trunc == w and single.base_denom == 4 * m
+                assert single._den == 1
 
 
 class TestTwoVariableSeries:
@@ -177,19 +179,18 @@ class TestTranslationEigenvalue:
                 for factor, lift in ((1, 0), (3, 0), (1, 1), (2, 2)):
                     moved = PuiseuxSeries({e + lift: c for e, c in s.terms.items()},
                                           s.trunc + lift, factor * s.base_denom)
-                    pair = translation_exponent(moved)
-                    assert pair == (reduced.numerator, reduced.denominator)
                     value = translation_eigenvalue(moved)
-                    assert (value.num, value.den) == pair
-        assert translation_exponent(eta(40)) == (1, 24)
+                    assert (value.num, value.den) == (reduced.numerator, reduced.denominator)
+        value = translation_eigenvalue(eta(40))
+        assert (value.num, value.den) == (1, 24)
 
     def test_exponent_pair_rejects_as_the_eigenvalue_does(self):
         s = PuiseuxSeries._make({9: 1, 7: 2, 5: -1, 1: 3, 3: 1}, 20, 1, 4, 1)
         with pytest.raises(NotAnEigenvector) as error:
-            translation_exponent(s)
+            translation_eigenvalue(s)
         assert str(error.value) == "exponents 1/4 and 3/4 differ by a non-integer"
         with pytest.raises(ValueError) as error:
-            translation_exponent(PuiseuxSeries.zero(3))
+            translation_eigenvalue(PuiseuxSeries.zero(3))
         assert not isinstance(error.value, NotAnEigenvector)
 
     def test_mixed_residues_rejected(self):
@@ -212,29 +213,31 @@ class TestTranslationEigenvalue:
         assert str(error.value) == "exponents 1/4 and 3/4 differ by a non-integer"
 
 
-def oracle_outcome(s):
-    """The oracle's pair for s, or the type and text of what it raises."""
+def eigenvalue_outcome(s):
+    """``translation_eigenvalue(s)`` as its reduced pair, or the type and text
+    of what it raises."""
     try:
-        return oracle_translation_exponent(s)
+        value = translation_eigenvalue(s)
     except ValueError as error:
         return type(error), str(error)
+    return value.num, value.den
 
 
 class TestTranslationExponents:
-    """The one-pass exponents of a column sequence against the set-based oracle."""
+    """The eigenvalues of the odd theta columns, and of faulty columns."""
 
     def test_every_catalog_column_against_the_oracle(self):
-        # the window verify-characters reads, to twice the catalog's range
+        # the window verify-characters reads, to twice the catalog's range:
+        # each eigenvalue is mu^2/4m mod 1, on at least two terms
         for m in range(2, 401):
-            columns = odd_theta_columns(m, 2 * m + 2)
-            pairs = list(translation_exponents(columns))
-            assert pairs == [oracle_translation_exponent(c) for c in columns], m
-            for mu, (column, pair) in enumerate(zip(columns, pairs), start=1):
+            for mu in range(1, m):
+                column = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
                 # mu and 2m - mu are both below 2m: each eigenvalue compares
                 # at least one pair of exponents
                 assert len(column._terms) >= 2, (m, mu)
                 reduced = F(mu * mu, 4 * m) % 1
-                assert pair == (reduced.numerator, reduced.denominator), (m, mu)
+                assert eigenvalue_outcome(column) == \
+                    (reduced.numerator, reduced.denominator), (m, mu)
 
     @staticmethod
     def faulty(m, mu, column):
@@ -249,37 +252,19 @@ class TestTranslationExponents:
 
     def test_shifted_corrupted_and_zero_against_the_oracle(self):
         for m in range(2, 25):
-            for mu, column in enumerate(odd_theta_columns(m, 2 * m + 2), start=1):
-                outcomes = []
-                for s in self.faulty(m, mu, column):
-                    try:
-                        got = translation_exponent(s)
-                    except ValueError as error:
-                        got = type(error), str(error)
-                    assert got == oracle_outcome(s), (m, mu, dict(s.terms))
-                    outcomes.append(got[0])
-                # the shift keeps one class, each off-class term breaks it
-                assert outcomes[1:] == [NotAnEigenvector, NotAnEigenvector, ValueError]
-                assert type(outcomes[0]) is int
-
-    def test_stops_at_the_first_bad_column(self):
-        # the pairs before the bad column come out, then its error, as the
-        # oracle raises it
-        columns = odd_theta_columns(9, 20)
-        bad = columns[3] + PuiseuxSeries({F(1, 2): 1}, columns[3].trunc, 36)
-        pairs = translation_exponents(columns[:3] + [bad] + columns[4:])
-        assert [next(pairs) for _ in range(3)] == \
-            [oracle_translation_exponent(c) for c in columns[:3]]
-        with pytest.raises(NotAnEigenvector) as error:
-            next(pairs)
-        assert (type(error.value), str(error.value)) == oracle_outcome(bad)
-        assert list(translation_exponents([])) == []
-
-    def test_one_series_is_the_one_element_call(self):
-        for s in [eta(40), odd_theta_series(ThetaIndex(7, 3), 9),
-                  PuiseuxSeries({F(5, 3): 2, F(11, 3): -1}, 6)]:
-            assert translation_exponent(s) == next(translation_exponents([s])) \
-                == oracle_translation_exponent(s)
+            for mu in range(1, m):
+                column = odd_theta_series(ThetaIndex(m, mu), 2 * m + 2)
+                shifted, off, far, zero = map(eigenvalue_outcome, self.faulty(m, mu, column))
+                # the shift keeps one class, one step of 1/4m past mu^2
+                reduced = F(mu * mu + 1, 4 * m) % 1
+                assert shifted == (reduced.numerator, reduced.denominator), (m, mu)
+                # each off-class term breaks it, named with the least exponent
+                low = F(mu * mu, 4 * m)
+                assert off == (NotAnEigenvector, f"exponents {low} and "
+                               f"{F(mu * mu + 1, 4 * m)} differ by a non-integer"), (m, mu)
+                assert far == (NotAnEigenvector, f"exponents {low} and "
+                               f"{low + F(m, 4 * m) + 1} differ by a non-integer"), (m, mu)
+                assert zero == (ValueError, "the zero series scales under every eigenvalue")
 
 
 def read_all(pairs):
@@ -294,14 +279,21 @@ def read_all(pairs):
 
 
 class TestOddThetaExponents:
-    """The one integer pass over r against its reference, the exponents read
-    off the series that ``odd_theta_columns`` builds."""
+    """The one integer pass over r against its reference, the eigenvalue of
+    each series that ``odd_theta_series`` builds."""
+
+    @staticmethod
+    def reference(m, window):
+        """``translation_eigenvalue`` of each odd series of index m, as its pair."""
+        for mu in range(1, m):
+            value = translation_eigenvalue(odd_theta_series(ThetaIndex(m, mu), window))
+            yield value.num, value.den
 
     def test_catalog_windows_against_the_columns(self):
         # the window verify-characters reads, to twice the catalog's range
         for m in range(2, 401):
             assert list(odd_theta_exponents(m, 2 * m + 2)) == \
-                list(translation_exponents(odd_theta_columns(m, 2 * m + 2))), m
+                list(self.reference(m, 2 * m + 2)), m
 
     @pytest.mark.parametrize("window", [F(-3, 2), 0, F(1, 8), F(9, 7), 1, F(81, 4), 40])
     def test_short_and_long_windows_against_the_columns(self, window):
@@ -309,8 +301,7 @@ class TestOddThetaExponents:
         # before the first empty column, then the same error
         for m in range(1, 41):
             got = read_all(odd_theta_exponents(m, window))
-            assert got == read_all(translation_exponents(odd_theta_columns(m, window))), \
-                (m, window)
+            assert got == read_all(self.reference(m, window)), (m, window)
         assert read_all(odd_theta_exponents(9, 1)) == (
             [(1, 36), (1, 9), (1, 4), (4, 9), (25, 36)],
             (ValueError, "the zero series scales under every eigenvalue"))
@@ -321,5 +312,7 @@ class TestOddThetaExponents:
 
 
 def test_total_theta_order_closed_form():
+    # the columns' lowest exponents mu^2/4m add up to the order lam/24 of
+    # eta^lam, lam = (m-1)(2m-1): the order verify_eta_power compares
     for m in range(2, 201):
-        assert total_theta_order(m) == F((m - 1) * (2 * m - 1), 24)
+        assert sum(F(mu * mu, 4 * m) for mu in range(1, m)) == F(eta_power_exponent(m), 24)

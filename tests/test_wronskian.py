@@ -10,13 +10,12 @@ import pytest
 
 from conftest import (assert_agree, assert_same_store, laplace_det, long_division, matmul,
                       random_series)
-from qtheta import (INFINITY, JacobiFormData, PuiseuxSeries, SeriesMatrix, ThetaIndex,
-                    VerificationFailed, component_taylor, cramer_reconstruction, eta,
-                    eta_power, eta_power_exponent, kernel_components, modular_wronskian,
-                    odd_theta_series, partial_kernel_components, random_components,
-                    theta_components, theta_derivative_matrix, theta_minors,
-                    theta_wronskian, vandermonde, verify_cofactor_orders, verify_eta_power,
-                    wronskian)
+from oracles import from_orbit_values, partial_kernel_components, vandermonde
+from qtheta import (INFINITY, PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
+                    component_taylor, cramer_reconstruction, eta, eta_power, eta_power_exponent,
+                    kernel_components, modular_wronskian, odd_theta_series, random_components,
+                    theta_components, theta_derivative_matrix, theta_minors, theta_wronskian,
+                    verify_cofactor_orders, verify_eta_power, wronskian)
 from qtheta.jacobi import ThetaComponents
 from qtheta.wronskian import _minor_leading_coefficient
 
@@ -73,18 +72,18 @@ class TestThetaDerivativeMatrix:
     def test_m2_single_entry(self):
         matrix = theta_derivative_matrix(2, 6)
         assert matrix.rows == matrix.cols == 1
-        assert matrix.entry(0, 0) == odd_theta_series(ThetaIndex(2, 1), 6)
+        assert matrix.entries[0][0] == odd_theta_series(ThetaIndex(2, 1), 6)
 
     def test_m3_second_row_is_derivative(self):
         matrix = theta_derivative_matrix(3, 6)
         for col in range(2):
-            base = matrix.entry(0, col)
+            base = matrix.entries[0][col]
             expected = {e: c * e for e, c in base.terms.items() if c * e}
-            assert dict(matrix.entry(1, col).terms) == expected
+            assert dict(matrix.entries[1][col].terms) == expected
 
     def test_m4_leading_entry(self):
         matrix = theta_derivative_matrix(4, 2)
-        lead = matrix.entry(1, 2).leading_term()
+        lead = matrix.entries[1][2].leading_term()
         assert lead == (F(9, 16), 3 * F(9, 16))
 
 
@@ -140,13 +139,13 @@ class TestLaplaceOracle:
             for i in range(n):
                 for j in range(n):
                     minor = laplace_det(self.without(entries, i, j))
-                    assert_agree(adj.entry(j, i), minor if (i + j) % 2 == 0 else -minor)
+                    assert_agree(adj.entries[j][i], minor if (i + j) % 2 == 0 else -minor)
 
     def test_adjugate_last_column_is_last_row_cofactors(self):
         for m, window in ((3, 5), (4, 8), (5, 12), (6, 8), (7, 5)):
             matrix = theta_derivative_matrix(m, window)
             adj = matrix.adjugate()
-            assert [adj.entry(j, m - 2) for j in range(m - 1)] == matrix.last_row_cofactors()
+            assert [adj.entries[j][m - 2] for j in range(m - 1)] == matrix.last_row_cofactors()
 
 
 class TestModularWronskian:
@@ -231,7 +230,7 @@ class TestThetaMinors:
             adj, expected = matrix.adjugate(), oracle.adjugate()
             for j in range(m - 1):
                 for i in range(m - 1):
-                    assert_same_series(adj.entry(j, i), expected.entry(j, i), window, j, i)
+                    assert_same_series(adj.entries[j][i], expected.entries[j][i], window, j, i)
 
     @pytest.mark.parametrize("m", range(3, 8))
     def test_partial_kernel_minors(self, m):
@@ -240,7 +239,7 @@ class TestThetaMinors:
             for rows in range(1, m - 1):
                 for columns in (list(range(1, rows + 2)), list(range(m - rows - 1, m))):
                     h = partial_kernel_components(m, window, rows, columns)
-                    sub = SeriesMatrix([[matrix.entry(row, c - 1) for c in columns]
+                    sub = SeriesMatrix([[matrix.entries[row][c - 1] for c in columns]
                                         for row in range(rows)])
                     minors = sub._prefix_minors(rows)
                     full = (1 << len(columns)) - 1
@@ -355,7 +354,7 @@ class TestCofactors:
         for row in range(4):
             acc = None
             for col in range(4):
-                term = matrix.entry(row, col) * cof[col]
+                term = matrix.entries[row][col] * cof[col]
                 acc = term if acc is None else acc + term
             if row < 3:
                 assert acc.is_zero()
@@ -489,7 +488,7 @@ def random_jacobi_components(m: int, n_trunc: int, rng) -> ThetaComponents:
     values = {(mu, disc): F(rng.choice([x for x in range(-9, 10) if x]), rng.randint(1, 4))
               for mu in range(1, m)
               for disc in range((-mu * mu) % (4 * m), 4 * m * n_trunc, 4 * m)}
-    return theta_components(JacobiFormData.from_orbit_values(3, m, 1, n_trunc, values))
+    return theta_components(from_orbit_values(3, m, 1, n_trunc, values))
 
 
 class TestKernelTuple:
@@ -578,13 +577,13 @@ class TestPartialKernel:
             for row in range(rows):
                 acc = None
                 for col in range(m - 1):
-                    term = matrix.entry(row, col) * h.components[col]
+                    term = matrix.entries[row][col] * h.components[col]
                     acc = term if acc is None else acc + term
                 assert acc.is_zero()
             # the next row is generically nonzero
             acc = None
             for col in range(m - 1):
-                term = matrix.entry(rows, col) * h.components[col]
+                term = matrix.entries[rows][col] * h.components[col]
                 acc = term if acc is None else acc + term
             assert not acc.is_zero()
 
@@ -597,7 +596,7 @@ class TestPartialKernel:
                     h = partial_kernel_components(m, 8, rows, columns)
                     for t, col in enumerate(columns):
                         kept = [c for c in columns if c != col]
-                        minor = SeriesMatrix([[matrix.entry(row, c - 1) for c in kept]
+                        minor = SeriesMatrix([[matrix.entries[row][c - 1] for c in kept]
                                               for row in range(rows)]).det()
                         assert h.components[col - 1] == (minor if t % 2 == 0 else -minor)
                     assert all(h.components[c - 1].is_zero()
