@@ -14,8 +14,7 @@ from .jacobi import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                      ThetaComponents, component_taylor, development_operator,
                      dump_jacobi_table, from_theta_components, kernel_equivalence,
                      parse_jacobi_table, random_components, taylor_coefficient,
-                     taylor_coefficients, taylor_from_moment, taylor_moments,
-                     theta_components, two_path_taylor)
+                     taylor_from_moment, taylor_moments, theta_components, two_path_taylor)
 from .modforms import HalfIntWeight, eisenstein_e2, eta, eta_power, modular_derivative
 from .series import (INFINITY, PuiseuxSeries, dot, dump_series_text, parse_rational,
                      parse_series_text)

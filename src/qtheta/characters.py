@@ -97,22 +97,17 @@ def translation_eigenvalues(m: int) -> list[UnityExponent]:
     return [UnityExponent(mu * mu, den) for mu in range(1, m)]
 
 
-def squared_determinant_translation(m: int, diag: list[UnityExponent] | None = None
-                                    ) -> UnityExponent:
+def squared_determinant_translation(m: int) -> UnityExponent:
     """Translation exponent of the squared determinant of the theta tuple.
 
-    Computed as twice the sum of the diagonal exponents, taken from ``diag``
-    when the caller already holds ``translation_eigenvalues(m)``: each
-    exponent's denominator divides 4m, so the sum runs on integer numerators
-    over 4m and is reduced once.  Agrees with the closed form
-    (m-1)(2m-1)/12 mod 1.
+    Twice the sum of the diagonal exponents mu^2/4m, mu = 1..m-1, taken as
+    the integer sum 2 * sum mu^2 over 4m and reduced once.  It agrees with
+    the closed form (m-1)(2m-1)/12 mod 1, the translation value of
+    ``squared_determinant_delta_power(m)``; ``verify-characters`` checks that.
     """
-    if diag is None:
-        diag = translation_eigenvalues(m)
-    den = 4 * m
-    total = UnityExponent(2 * sum(ev.num * (den // ev.den) for ev in diag), den)
-    assert total == UnityExponent((m - 1) * (2 * m - 1), 12)
-    return total
+    if m < 2:
+        raise ValueError("m must be at least 2")
+    return UnityExponent(2 * sum(mu * mu for mu in range(1, m)), 4 * m)
 
 
 def squared_determinant_delta_power(m: int) -> GammaCharacter:

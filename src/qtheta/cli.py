@@ -32,13 +32,13 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-from .characters import UnityExponent, squared_determinant_delta_power
+from .characters import squared_determinant_delta_power, squared_determinant_translation
 from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify,
                           classify_levels, level_classes, nonintegrality_check)
 from .jacobi import (ThetaComponents, component_taylor, from_theta_components,
                      kernel_equivalence, parse_jacobi_table, random_components,
                      taylor_from_moment, taylor_moments, theta_components, two_path_taylor)
-from .series import dump_series_text, parse_rational
+from .series import _rat_str, dump_series_text, parse_rational
 from .theta import odd_theta_exponents
 from .wronskian import (VerificationFailed, _check_theta_minor, _cofactor_order_reports,
                         _cramer_operators, cramer_reconstruction, theta_derivative_matrix,
@@ -65,18 +65,13 @@ def parse_levels(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def _rat(x) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def to_jsonable(value):
     """A report record's fields as a row under its ``_fields``; a field is a
     Fraction, int, bool, str or None."""
     if isinstance(value, (bool, int, str)) or value is None:
         return value
     if isinstance(value, Fraction):
-        return _rat(value)
+        return _rat_str(value)
     if isinstance(value, tuple) and hasattr(value, "_fields"):
         return tuple([to_jsonable(field) for field in value])
     raise TypeError(f"cannot serialize {type(value).__name__}")
@@ -112,13 +107,13 @@ def _orders_case(job):
     args, m, _ = job
     value, _, _ = _check_theta_minor(m, range(1, m), theta_wronskian(m, args.q_trunc),
                                      f"m={m}", "Wronskian")
-    rows = [(m, "wronskian_order", _rat(value), _rat(value), True),
-            (m, "wronskian_square_order", _rat(2 * value), _rat(2 * value), True)]
+    rows = [(m, "wronskian_order", _rat_str(value), _rat_str(value), True),
+            (m, "wronskian_square_order", _rat_str(2 * value), _rat_str(2 * value), True)]
     dumps = {}
     if m >= 3:
         cofactors = theta_derivative_matrix(m, args.q_trunc).last_row_cofactors()
-        rows += [(m, f"cofactor_order_nu_{rep.nu}", _rat(rep.ord_cofactor),
-                  _rat(rep.ord_expected), rep.passed)
+        rows += [(m, f"cofactor_order_nu_{rep.nu}", _rat_str(rep.ord_cofactor),
+                  _rat_str(rep.ord_expected), rep.passed)
                  for rep in _cofactor_order_reports(m, cofactors)]
         if args.dump_series is not None:
             for nu, cof in enumerate(cofactors, start=1):
@@ -144,8 +139,7 @@ def _characters_case(job):
     except ValueError as error:  # column mu = len(eigen_rows) + 1 is not an eigenvector, or zero
         raise VerificationFailed(f"character check failed: m={m} "
                                  f"mu={len(eigen_rows) + 1}: {error}") from None
-    # twice the eigenvalues' sum, on the integer sum of mu^2 over 4m
-    xi = UnityExponent(2 * sum(mu * mu for mu in range(1, m)), den)
+    xi = squared_determinant_translation(m)
     power = squared_determinant_delta_power(m)
     if xi != power.translation_value:
         raise VerificationFailed(
@@ -159,10 +153,16 @@ def _characters_case(job):
 def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     """The rows (m, case, check, ok) of one tuple h, and its kernel_case cell from m = 3 on.
 
-    The Cramer check solves the rows M h and raises on a faulty one, so it
-    runs only once the rows before it hold: a failed row is then reported
-    first, as it comes first in the report.
+    Each check runs in report order, two-path Taylor, kernel equivalence,
+    then Cramer from m = 3 on, and the first that fails raises
+    ``identity check failed: m=<m> case=<label> check=<check>``; a Cramer
+    failure appends its own message.  So the Cramer check solves the rows
+    M h only once the rows before it hold.
     """
+    def failed(check, detail=""):
+        return VerificationFailed(
+            f"identity check failed: m={m} case={label} check={check}{detail}")
+
     assembled = from_theta_components(h, q_trunc)
     # the rows M h and the zeta-moments, built once: compared here on the int
     # stores; the rows are then solved by the Cramer check, and the moments
@@ -170,17 +170,23 @@ def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
     nus = range(1, m)
     system = [component_taylor(h, nu) for nu in nus]
     moments = taylor_moments(assembled, nus)
-    two_path = all(two_path_taylor(moment, row, nu, m)
-                   for nu, moment, row in zip(nus, moments, system))
+    if not all(two_path_taylor(moment, row, nu, m)
+               for nu, moment, row in zip(nus, moments, system)):
+        raise failed("two_path_taylor")
     taylors = [taylor_from_moment(moment, nu) for nu, moment in zip(nus, moments)]
     ops_vanish, taylors_vanish = kernel_equivalence(taylors, weight_k, m)
-    rows = [(m, label, "two_path_taylor", two_path),
-            (m, label, "kernel_equivalence", ops_vanish == taylors_vanish)]
-    if m < 3 or not two_path or ops_vanish != taylors_vanish:
+    if ops_vanish != taylors_vanish:
+        raise failed("kernel_equivalence")
+    rows = [(m, label, "two_path_taylor", True), (m, label, "kernel_equivalence", True)]
+    if m < 3:
         return rows
-    report = cramer_reconstruction(m, h, q_trunc, system)
-    ok = report.cramer_ok and report.proportionality_ok in (None, True)
-    return [row + (ABSENT,) for row in rows] + [(m, label, "cramer", ok, report.kernel_case)]
+    try:
+        report = cramer_reconstruction(m, h, q_trunc, system)
+    except VerificationFailed as error:
+        raise failed("cramer", f": {error}") from None
+    if not (report.cramer_ok and report.proportionality_ok in (None, True)):
+        raise failed("cramer")
+    return [row + (ABSENT,) for row in rows] + [(m, label, "cramer", True, report.kernel_case)]
 
 
 def _identities_case(job):
@@ -198,10 +204,6 @@ def _identities_case(job):
             draws = draws + [("kernel", ThetaComponents(m, tuple(row[-1] for row in adj)))]
     rows = [row for label, h in draws
             for row in _identity_rows_for_components(m, label, h, q_trunc, weight_k)]
-    failed = [row for row in rows if not row[3]]
-    if failed:
-        raise VerificationFailed(
-            f"identity check failed: m={failed[0][0]} case={failed[0][1]} check={failed[0][2]}")
     keys = ("m", "case", "check", "ok", "kernel_case") if m >= 3 else ("m", "case", "check", "ok")
     return {"identities": (keys, rows)}, {}
 
@@ -481,7 +483,7 @@ def _render_json(out, args, tables, all_passed, discrepancies) -> None:
     cell_text = {str: escape, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
                  type(None): {None: "null"}.__getitem__}
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
-           "parameters": {"q_trunc": _rat(args.q_trunc), "seed": args.seed,
+           "parameters": {"q_trunc": _rat_str(args.q_trunc), "seed": args.seed,
                           "trials": args.trials},
            "results": None, "all_passed": all_passed, "discrepancies": discrepancies}
     # a JSON string holds no raw newline, so this line is the top-level key

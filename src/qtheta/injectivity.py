@@ -122,21 +122,18 @@ def _congruence_details(m: int) -> str:
             f"[{'ok' if residue12 != 3 else 'FAIL'}]")
 
 
-def classify(case: CaseInput, squarefree: bool | None = None) -> CaseVerdict:
+def classify(case: CaseInput) -> CaseVerdict:
     """Apply the three applicability conditions and fill the proof arithmetic.
 
     part (i): m - k >= 4, any level; (s, r) = (0, 2(m-k-2)), giving an
     even r > 2.  parts (ii)/(iii): m odd and m - k >= 2, with level
     square-free resp. 1; (s, r) = (m-k-2, 0).  When several parts apply
     the part-(i) choice of (s, r) is recorded.  beta = 2(k + 2m + s - 4);
-    the eta exponent is (m-1)(2m-1).  ``squarefree`` is whether N is
-    square-free, from a caller that has tested it already; None tests it.
-    ``classify_levels`` on the one level N, which does the arithmetic.
+    the eta exponent is (m-1)(2m-1).  ``classify_levels`` on the one level
+    N, which does the arithmetic; N's square-freeness is tested here.
     """
     k, m, N = case
-    if squarefree is None:
-        squarefree = is_squarefree(N)
-    return classify_levels(k, m, (N,), ((N == 1, squarefree),))[0]
+    return classify_levels(k, m, (N,), ((N == 1, is_squarefree(N)),))[0]
 
 
 def level_classes(levels) -> list[tuple[bool, bool]]:

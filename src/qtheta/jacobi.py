@@ -211,23 +211,16 @@ def taylor_from_moment(moment: PuiseuxSeries, nu: int) -> PuiseuxSeries:
     return PuiseuxSeries._make(terms, moment._tn, moment._td, moment.base_denom, den)
 
 
-def taylor_coefficients(phi_2var: ThetaTwoVar, nus) -> list[PuiseuxSeries]:
-    """``taylor_coefficient(phi_2var, nu)`` for each nu of ``nus``: the
-    ``taylor_moments``, each through ``taylor_from_moment``."""
-    nus = tuple(nus)
-    return [taylor_from_moment(moment, nu)
-            for moment, nu in zip(taylor_moments(phi_2var, nus), nus)]
-
-
 def taylor_coefficient(phi_2var: ThetaTwoVar, nu: int) -> PuiseuxSeries:
     """Normalized Taylor coefficient of z^(2*nu-1) of an odd two-variable series.
 
     Returns sum over terms of coeff * r^(2*nu-1) / (2*nu-1)! per
     q-exponent.  With zeta = exp(2*pi*i*z) the true coefficient carries a
     factor (2*pi*i)^(2*nu-1), which is absorbed to keep the result
-    rational; vanishing is unaffected.
+    rational; vanishing is unaffected.  The zeta-moment of order 2*nu - 1
+    through ``taylor_from_moment``, the one route to it.
     """
-    return taylor_coefficients(phi_2var, (nu,))[0]
+    return taylor_from_moment(taylor_moments(phi_2var, (nu,))[0], nu)
 
 
 @lru_cache(maxsize=None)
@@ -366,10 +359,10 @@ def kernel_equivalence(taylors, k: int, m: int) -> tuple[bool, bool]:
 _NUMERATORS = tuple(x for x in range(-9, 10) if x)  # a random value's numerator
 
 
-def random_components(index_m: int, n_trunc, rng, max_terms: int = 3) -> ThetaComponents:
+def random_components(index_m: int, n_trunc, rng) -> ThetaComponents:
     """Sparse random component tuple on the exact exponent grids.
 
-    Each h_mu gets up to ``max_terms`` terms at exponents disc/(4m) with
+    Each h_mu gets up to 3 terms at exponents disc/(4m) with
     disc >= 0 and disc = -mu^2 mod 4m, so the assembled two-variable series
     has an integral Fourier table.  Deterministic given the rng state.
     """
@@ -382,7 +375,7 @@ def random_components(index_m: int, n_trunc, rng, max_terms: int = 3) -> ThetaCo
     for mu in range(1, m):
         grid = range((-mu * mu) % grid_denom, cap - mu * mu, grid_denom)
         drawn = []
-        for disc in rng.sample(grid, min(max_terms, len(grid))):
+        for disc in rng.sample(grid, min(3, len(grid))):
             numerator = rng.choice(_NUMERATORS)
             d = rng.randint(1, 4)
             g = math.gcd(numerator, d)

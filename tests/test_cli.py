@@ -19,9 +19,10 @@ import pytest
 from conftest import (assert_same_store, oracle_component_taylor, oracle_from_theta_components,
                       perfbench_workloads)
 from oracles import from_orbit_values, truncate
-from qtheta import (CaseInput, CaseVerdict, PuiseuxSeries, SeriesMatrix, ThetaIndex, classify,
-                    cli, dump_jacobi_table, injectivity, nonintegrality_check, odd_theta_series,
-                    parse_series_text, random_components, translation_eigenvalue, wronskian)
+from qtheta import (CaseInput, CaseVerdict, GammaCharacter, PuiseuxSeries, SeriesMatrix,
+                    ThetaIndex, classify, cli, dump_jacobi_table, injectivity,
+                    nonintegrality_check, odd_theta_series, parse_series_text, random_components,
+                    translation_eigenvalue, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -89,6 +90,7 @@ class TestParsing:
         ("verify-identities", "--m", "3", "--q-trunc", "1/3", "--trials", "1"),
         ("sweep", "--k", "3..3", "--m-offset", "1..2", "--N", "1,1"),
         ("sweep", "--k", "3..3", "--m", "10..11", "--m-offset", "1..2"),
+        ("sweep", "--k", "3..5"),
         ("verify-orders", "--m", "64", "--q-trunc", "12"),
         ("verify-orders", "--m", "2", "--q-trunc", "1/8"),
     ])
@@ -317,8 +319,8 @@ def stdlib_report(args, tables, all_passed, discrepancies) -> str:
     """The JSON report of dict-row tables as ``json.dumps`` writes it: the
     oracle of ``cli._render_json`` on their ``table_form``."""
     doc = {"schema_version": cli.SCHEMA_VERSION, "command": args.command,
-           "parameters": {"q_trunc": cli._rat(args.q_trunc), "seed": args.seed,
-                          "trials": args.trials},
+           "parameters": {"q_trunc": "%d/%d" % args.q_trunc.as_integer_ratio(),
+                          "seed": args.seed, "trials": args.trials},
            "results": tables, "all_passed": all_passed, "discrepancies": discrepancies}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -811,6 +813,17 @@ class TestVerifyOrders:
         assert record["all_passed"] is False
         assert "m=10" in record["failure"]
 
+    def test_order_mismatch_fails_with_a_record(self, monkeypatch, tmp_path):
+        # index 4's Wronskian plus q^(1/16), below its order 7/8 and inside its window
+        theta_wronskian = cli.theta_wronskian
+        monkeypatch.setattr(cli, "theta_wronskian", lambda m, q_trunc: (
+            theta_wronskian(m, q_trunc) + PuiseuxSeries({F(1, 16): 1}, math.inf) if m == 4
+            else theta_wronskian(m, q_trunc)))
+        out = tmp_path / "orders.json"
+        code = run_cli("verify-orders", "--m", "3..5", "--q-trunc", "6",
+                       "--format", "json", "--output", str(out))
+        assert code == 1
+        assert json.loads(out.read_text())["failure"] == "m=4: Wronskian order 1/16, expected 7/8"
 
     @pytest.mark.parametrize("q_trunc", ["10", "253/100"])
     def test_cofactor_windows_past_q_trunc(self, q_trunc, tmp_path):
@@ -921,6 +934,19 @@ class TestVerifyCharacters:
         record = json.loads(out.read_text())
         assert record["all_passed"] is False
         assert record["failure"] == message
+
+    def test_delta_power_mismatch_fails_with_a_record(self, monkeypatch, tmp_path):
+        # index 5's delta power moved by one: (m-1)(2m-1) = 36 is 0 mod 12,
+        # and so is the squared determinant's exponent 2 * 30/20
+        delta_power = cli.squared_determinant_delta_power
+        monkeypatch.setattr(cli, "squared_determinant_delta_power", lambda m: (
+            GammaCharacter(delta_power(m).delta_power + (m == 5))))
+        out = tmp_path / "chars.json"
+        code = run_cli("verify-characters", "--m", "3..6", "--format", "json",
+                       "--output", str(out))
+        assert code == 1
+        assert json.loads(out.read_text())["failure"] == \
+            "character check failed: m=5: squared determinant exponent 0/1, delta power 1"
 
     def test_exponents_are_reduced_pairs(self, tmp_path):
         # m = 5: 9/20 stays, 16/20 reduces to 4/5; m = 6: 25/24 reduces mod 1
@@ -1084,7 +1110,9 @@ class TestVerifyIdentities:
         monkeypatch.setattr(cli, "two_path_taylor", faulty)
         out = tmp_path / "report.json"
         code = run_cli(*argv, "--output", str(out))
-        assert calls.count((4, 2)) == 3  # two random tuples and the kernel tuple
+        # a clean run checks two random tuples and the kernel tuple; a failed
+        # row ends the run at the first tuple, before any other is checked
+        assert calls.count((4, 2)) == (3 if failure is None else 1)
         if failure is None:
             assert code == 0 and out.read_bytes() == clean.read_bytes()
         else:
@@ -1115,6 +1143,70 @@ class TestVerifyIdentities:
         assert code == 1
         assert json.loads(out.read_text())["failure"] == \
             "identity check failed: m=4 case=random_0 check=two_path_taylor"
+
+    @staticmethod
+    def recorded_draws(monkeypatch) -> list:
+        """The random tuples of the next run, in draw order, as they are drawn."""
+        draws = []
+        random_components = cli.random_components
+        monkeypatch.setattr(cli, "random_components",
+                            lambda *args: draws.append(random_components(*args)) or draws[-1])
+        return draws
+
+    def identities_failure(self, tmp_path, *argv) -> str:
+        out = tmp_path / "report.json"
+        assert run_cli("verify-identities", "--m", "3", "--q-trunc", "6", *argv,
+                       "--format", "json", "--output", str(out)) == 1
+        return json.loads(out.read_text())["failure"]
+
+    def test_earlier_tuple_fails_before_a_later_cramer_solve(self, monkeypatch, tmp_path):
+        # random_0's row 1 doubled fails its two-path check, and the Cramer
+        # solve of random_1 raises: the record names random_0's row, which
+        # comes first in the report, and random_1 is never solved
+        draws = self.recorded_draws(monkeypatch)
+        component_taylor = cli.component_taylor
+
+        def faulty_row(h, nu):
+            row = component_taylor(h, nu)
+            if h is draws[0] and nu == 1:
+                assert not row.is_zero()
+                row = 2 * row
+            return row
+
+        def faulty_solve(m, h, q_trunc, system):
+            assert h is draws[1]
+            raise cli.VerificationFailed("m=3 mu=1: adjugate identity fails at exponent 0")
+
+        monkeypatch.setattr(cli, "component_taylor", faulty_row)
+        monkeypatch.setattr(cli, "cramer_reconstruction", faulty_solve)
+        assert self.identities_failure(tmp_path, "--trials", "2") == \
+            "identity check failed: m=3 case=random_0 check=two_path_taylor"
+
+    def test_cramer_failure_names_its_tuple(self, monkeypatch, tmp_path):
+        # random_1's row 1 doubled in the system the Cramer check solves (its
+        # two-path check saw the true rows): the adjugate identity fails
+        draws = self.recorded_draws(monkeypatch)
+        cramer_reconstruction = cli.cramer_reconstruction
+
+        def faulty(m, h, q_trunc, system):
+            if h is draws[1]:
+                system = [2 * system[0], *system[1:]]
+            return cramer_reconstruction(m, h, q_trunc, system)
+
+        monkeypatch.setattr(cli, "cramer_reconstruction", faulty)
+        assert self.identities_failure(tmp_path, "--trials", "2") == \
+            ("identity check failed: m=3 case=random_1 check=cramer: "
+             "m=3 mu=1: adjugate identity fails at exponent 4/3")
+
+    def test_kernel_proportionality_failure_is_a_record(self, monkeypatch, tmp_path):
+        # eta^lam times (1 + q) is no longer proportional, term for term, to
+        # the kernel tuple's cofactor times top row
+        eta_power = wronskian.eta_power
+        monkeypatch.setattr(wronskian, "eta_power", lambda q_trunc, lam: (
+            eta_power(q_trunc, lam) * PuiseuxSeries({0: 1, 1: 1}, math.inf)))
+        assert self.identities_failure(tmp_path, "--trials", "0") == \
+            ("identity check failed: m=3 case=kernel check=cramer: "
+             "m=3 mu=1: component proportionality fails at exponent 7/4")
 
     def test_jacobi_file_ingestion(self, tmp_path):
         phi = from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
@@ -1266,6 +1358,15 @@ class TestClassifyAndSweep:
         assert (verdict["part_i"], verdict["part_ii"], verdict["part_iii"]) == \
             (False, True, True)
         assert doc["parameters"] == {"q_trunc": "12/1", "seed": 0, "trials": 5}
+
+    def test_false_window_flag_fails_classify(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "classify", lambda case: classify(case)._replace(window_ok=False))
+        out = tmp_path / "verdict.json"
+        code = run_cli("classify", "--k", "3", "--m", "5", "--N", "1",
+                       "--format", "json", "--output", str(out))
+        assert code == 1
+        assert json.loads(out.read_text())["failure"] == \
+            "window check failed for accepted case k=3 m=5"
 
     def test_sweep_reports_discrepancy_without_failing(self, tmp_path):
         out = tmp_path / "sweep.json"

@@ -108,8 +108,7 @@ class TestAgainstPerCaseOracle:
                 assert classify_levels(k, m, levels) == expected, (k, m, levels)
                 assert classify_levels(k, m, levels, level_classes(levels)) == expected
                 for N, (_, squarefree) in zip(levels, level_classes(levels)):
-                    assert classify(CaseInput(k, m, N), squarefree) \
-                        == oracle_classify(k, m, N, squarefree)
+                    assert classify(CaseInput(k, m, N)) == oracle_classify(k, m, N, squarefree)
 
 
 class TestClassifyLevels:

@@ -10,7 +10,7 @@ import pytest
 
 from conftest import (assert_agree, assert_same_store, laplace_det, long_division, matmul,
                       random_series)
-from oracles import from_orbit_values, partial_kernel_components, vandermonde
+from oracles import from_orbit_values, partial_kernel_components, truncate, vandermonde
 from qtheta import (INFINITY, PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
                     component_taylor, cramer_reconstruction, eta, eta_power, eta_power_exponent,
                     kernel_components, modular_wronskian, odd_theta_series, random_components,
@@ -269,6 +269,25 @@ class TestThetaMinors:
                 columns = [mu for mu in range(1, m) if mu != nu]
                 assert theta_minors(m, q_trunc, columns)[0].trunc == \
                     wronskian.theta_minor_window(m, q_trunc, columns)
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_windows_are_sound(self, m):
+        # for random column sets, every deleted row and every pair of windows
+        # q1 < q2, on and off the grid 1/4m: the minor on q1 is the minor on
+        # q2 cut below its own window, which is theta_minor_window's.  The
+        # engine against itself, with no product-window rule of the oracles
+        rng = random.Random(m)
+        windows = sorted({F(1, 4 * m), F((m - 1) ** 2, 4 * m), F(9, 7), F(5, 2), F(7, 2),
+                          F(rng.randint(1, 16 * m), 4 * m + 1)})
+        for _ in range(8):
+            columns = sorted(rng.sample(range(1, m), rng.randint(1, m - 1)))
+            rows = range(len(columns) + 1)
+            minors = {q: theta_minors(m, q, columns, rows) for q in windows}
+            for q1, q2 in itertools.combinations(windows, 2):
+                for d, narrow, wide in zip(rows, minors[q1], minors[q2], strict=True):
+                    assert narrow.trunc == wronskian.theta_minor_window(m, q1, columns)
+                    assert_same_series(narrow, truncate(wide, narrow.trunc),
+                                       columns, d, q1, q2)
 
     def test_empty_column_set_is_one(self):
         assert theta_minors(4, 3, [], [0]) == [PuiseuxSeries.one()]
