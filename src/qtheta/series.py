@@ -37,6 +37,10 @@ the left-to-right fold of ``*`` and ``+``.  A series divides only by a
 nonzero scalar; there is no series-by-series division.  Values are
 immutable after construction and all operations are pure, so series may
 be shared freely across threads or processes.
+
+``VerificationFailed``, the one exception of a failed exact check, lives
+here, in the module every check already imports, so a command raises it
+without loading the checks it does not run.
 """
 
 from __future__ import annotations
@@ -52,6 +56,10 @@ Exponent = Fraction
 Truncation = Union[Fraction, float]
 
 _ZERO = Fraction(0)
+
+
+class VerificationFailed(Exception):
+    """An exact identity check failed; the message carries the first witness."""
 
 
 def _as_trunc(value) -> Truncation:

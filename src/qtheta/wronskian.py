@@ -52,16 +52,14 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .jacobi import ThetaComponents
 from .modforms import HalfIntWeight, eta_power, modular_derivative
-from .series import PuiseuxSeries, _reduced, dot
+from .series import PuiseuxSeries, VerificationFailed, _reduced, dot
 from .theta import ThetaIndex, _residues, odd_theta_series
 
-
-class VerificationFailed(Exception):
-    """An exact identity check failed; the message carries the first witness."""
+if TYPE_CHECKING:
+    from .jacobi import ThetaComponents
 
 
 def eta_power_exponent(m: int) -> int:
@@ -325,16 +323,16 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     return SeriesMatrix(columns).det()
 
 
-def _minor_leading_coefficient(m: int, columns) -> Fraction:
+def _minor_leading_coefficient(m: int, columns) -> tuple[int, int]:
     """prod_S mu * V(mu^2/4m) on increasing ``columns`` S, V the Vandermonde
-    product, from one integer closed form: prod_S mu * prod_(i<j) (mu_j^2 -
-    mu_i^2), divided once by (4m)^C(|S|, 2).  Positive."""
+    product, as one unreduced int pair (N, D): N = prod_S mu * prod_(i<j)
+    (mu_j^2 - mu_i^2) > 0 and D = (4m)^C(|S|, 2)."""
     squares = [mu * mu for mu in columns]
     num = math.prod(columns)
     for j, b in enumerate(squares):
         num *= math.prod([b - a for a in squares[:j]])
     s = len(squares)
-    return Fraction(num, (4 * m) ** (s * (s - 1) // 2))
+    return num, (4 * m) ** (s * (s - 1) // 2)
 
 
 def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
@@ -343,9 +341,11 @@ def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
 
     Raises VerificationFailed, prefixed by ``where``, unless its own window
     passes the order sum_S mu^2/4m, the minor has that order, and its leading
-    coefficient is +/- prod_S mu * V(mu^2/4m), V the Vandermonde product,
-    which ``_minor_leading_coefficient`` gives in ints with one division.
-    Returns (order, leading coefficient, expected coefficient > 0).
+    coefficient is +/- prod_S mu * V(mu^2/4m), V the Vandermonde product.
+    That closed form is ``_minor_leading_coefficient``'s int pair (N, D), and
+    |lead| = N/D is compared as |num(lead)| * D = N * den(lead), so no gcd
+    runs on D; the Fraction N/D is built only for a failure message.
+    Returns (order, leading coefficient, its absolute value).
     """
     order = Fraction(sum(mu * mu for mu in columns), 4 * m)
     if order >= minor.trunc:
@@ -355,11 +355,11 @@ def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
     if observed != order:
         raise VerificationFailed(f"{where}: {name} order {observed}, expected {order}")
     lead = minor.coefficient(order)
-    expected = _minor_leading_coefficient(m, columns)
-    if abs(lead) != expected:
+    num, den = _minor_leading_coefficient(m, columns)
+    if abs(lead.numerator) * den != num * lead.denominator:
         raise VerificationFailed(
-            f"{where}: leading coefficient {lead}, expected +/-{expected}")
-    return order, lead, expected
+            f"{where}: leading coefficient {lead}, expected +/-{Fraction(num, den)}")
+    return order, lead, abs(lead)
 
 
 class WronskianReport(NamedTuple):
@@ -480,6 +480,8 @@ def kernel_components(m: int, q_trunc) -> ThetaComponents:
     coefficients below the top order vanish and the top one equals the
     determinant itself.
     """
+    from .jacobi import ThetaComponents  # here, so verify-wronskian never loads jacobi
+
     return ThetaComponents(m, tuple(theta_derivative_matrix(m, q_trunc).last_row_cofactors()))
 
 
@@ -492,10 +494,10 @@ def _cramer_operators(m: int, q_trunc: Fraction):
 
 
 class CramerReport(NamedTuple):
-    """Outcome of the adjugate identity and the top-coefficient proportionality."""
+    """Outcome of the adjugate identity and the top-coefficient proportionality;
+    a failed check raises instead."""
 
     index_m: int
-    cramer_ok: bool
     kernel_case: bool
     proportionality_ok: bool | None
     constant: Fraction | None
@@ -509,8 +511,10 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc, system) -> Cramer
     For any component tuple h the adjugate identity must hold termwise on
     the certified window.  When the first m-2 rows of the system vanish on
     h, additionally checks h_mu * eta^((m-1)(2m-1)) = constant * cofactor_mu
-    * (top row value) with a single constant across mu.  Raises
-    VerificationFailed on the first exact mismatch.
+    * (top row value) with a single constant across mu; when every cofactor_mu
+    * (top row value) vanishes, every h_mu * eta^lam must vanish too.  Raises
+    VerificationFailed on the first exact mismatch, naming m, mu and its
+    exponent.
     """
     if m < 3:
         raise ValueError("m must be at least 3")
@@ -542,20 +546,16 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc, system) -> Cramer
                 constant = (lhs.leading_term()[1] / rhs.leading_term()[1]
                             if not lhs.is_zero() else Fraction(0))
                 break
-        if constant is None:
-            # no observable right-hand side: holds only when h itself vanishes
-            proportionality_ok = all(series.is_zero() for series in lhs_list)
-        else:
-            for mu, (lhs, rhs) in enumerate(zip(lhs_list, rhs_list), start=1):
-                diff = lhs - constant * rhs
-                if not diff.is_zero():
-                    raise VerificationFailed(
-                        f"m={m} mu={mu}: component proportionality fails at "
-                        f"exponent {diff.ord_infty()}")
-            proportionality_ok = True
+        for mu, (lhs, rhs) in enumerate(zip(lhs_list, rhs_list), start=1):
+            # with no observable right-hand side, h_mu * eta^lam itself must vanish
+            diff = lhs if constant is None else lhs - constant * rhs
+            if not diff.is_zero():
+                raise VerificationFailed(
+                    f"m={m} mu={mu}: component proportionality fails at "
+                    f"exponent {diff.ord_infty()}")
+        proportionality_ok = True
     return CramerReport(
         index_m=m,
-        cramer_ok=True,
         kernel_case=kernel_case,
         proportionality_ok=proportionality_ok,
         constant=constant,

@@ -20,9 +20,9 @@ from conftest import (assert_same_store, oracle_component_taylor, oracle_from_th
                       perfbench_workloads)
 from oracles import from_orbit_values, truncate
 from qtheta import (CaseInput, CaseVerdict, GammaCharacter, PuiseuxSeries, SeriesMatrix,
-                    ThetaIndex, classify, cli, dump_jacobi_table, injectivity,
+                    ThetaIndex, characters, classify, cli, dump_jacobi_table, injectivity, jacobi,
                     nonintegrality_check, odd_theta_series, parse_series_text, random_components,
-                    translation_eigenvalue, wronskian)
+                    theta, translation_eigenvalue, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -35,8 +35,8 @@ def run_cli(*argv) -> int:
 def cut_wronskians(monkeypatch, ms):
     """verify-orders sees the Wronskian of each index in ``ms`` cut at q^1,
     below its order, so that index's order check fails with a record."""
-    theta_wronskian = cli.theta_wronskian
-    monkeypatch.setattr(cli, "theta_wronskian", lambda m, q_trunc: (
+    theta_wronskian = wronskian.theta_wronskian
+    monkeypatch.setattr(wronskian, "theta_wronskian", lambda m, q_trunc: (
         truncate(theta_wronskian(m, q_trunc), 1) if m in ms else theta_wronskian(m, q_trunc)))
 
 
@@ -815,8 +815,8 @@ class TestVerifyOrders:
 
     def test_order_mismatch_fails_with_a_record(self, monkeypatch, tmp_path):
         # index 4's Wronskian plus q^(1/16), below its order 7/8 and inside its window
-        theta_wronskian = cli.theta_wronskian
-        monkeypatch.setattr(cli, "theta_wronskian", lambda m, q_trunc: (
+        theta_wronskian = wronskian.theta_wronskian
+        monkeypatch.setattr(wronskian, "theta_wronskian", lambda m, q_trunc: (
             theta_wronskian(m, q_trunc) + PuiseuxSeries({F(1, 16): 1}, math.inf) if m == 4
             else theta_wronskian(m, q_trunc)))
         out = tmp_path / "orders.json"
@@ -918,7 +918,7 @@ class TestVerifyCharacters:
                       "differ by a non-integer"),
     ])
     def test_bad_column_fails_with_a_record(self, fault, message, jobs, monkeypatch, tmp_path):
-        # the case reads its eigenvalues through cli.odd_theta_exponents; the
+        # the case reads its eigenvalues through theta.odd_theta_exponents; the
         # faulty columns are read by its reference, translation_eigenvalue
         def faulty(m, q_trunc):
             columns = self.columns(m, q_trunc)
@@ -926,7 +926,7 @@ class TestVerifyCharacters:
                 columns[1] = getattr(self, fault)(columns[1])
             return self.eigenvalues(columns)
 
-        monkeypatch.setattr(cli, "odd_theta_exponents", faulty)
+        monkeypatch.setattr(theta, "odd_theta_exponents", faulty)
         out = tmp_path / "chars.json"
         code = run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--jobs", jobs, "--output", str(out))
@@ -938,8 +938,8 @@ class TestVerifyCharacters:
     def test_delta_power_mismatch_fails_with_a_record(self, monkeypatch, tmp_path):
         # index 5's delta power moved by one: (m-1)(2m-1) = 36 is 0 mod 12,
         # and so is the squared determinant's exponent 2 * 30/20
-        delta_power = cli.squared_determinant_delta_power
-        monkeypatch.setattr(cli, "squared_determinant_delta_power", lambda m: (
+        delta_power = characters.squared_determinant_delta_power
+        monkeypatch.setattr(characters, "squared_determinant_delta_power", lambda m: (
             GammaCharacter(delta_power(m).delta_power + (m == 5))))
         out = tmp_path / "chars.json"
         code = run_cli("verify-characters", "--m", "3..6", "--format", "json",
@@ -974,7 +974,7 @@ class TestVerifyCharacters:
                               column.trunc + 1, column.base_denom)
                 for column in self.columns(m, q_trunc)])
 
-        monkeypatch.setattr(cli, "odd_theta_exponents", lifted)
+        monkeypatch.setattr(theta, "odd_theta_exponents", lifted)
         out = tmp_path / "chars.json"
         assert run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--jobs", jobs, "--output", str(out)) == 0
@@ -1060,10 +1060,10 @@ class TestVerifyIdentities:
                 return result
             return wrapper
 
-        monkeypatch.setattr(cli, "component_taylor",
-                            checked(cli.component_taylor, oracle_component_taylor))
-        monkeypatch.setattr(cli, "from_theta_components",
-                            checked(cli.from_theta_components, oracle_from_theta_components))
+        monkeypatch.setattr(jacobi, "component_taylor",
+                            checked(jacobi.component_taylor, oracle_component_taylor))
+        monkeypatch.setattr(jacobi, "from_theta_components",
+                            checked(jacobi.from_theta_components, oracle_from_theta_components))
         table = tmp_path / "phi.jacobi"
         table.write_text(perfbench_workloads().jacobi_table(random.Random(0)))
         base = ("verify-identities", "--m", "3..7", "--trials", "2", "--seed", "4",
@@ -1088,7 +1088,7 @@ class TestVerifyIdentities:
         # a term below the window, the record names the two-path check; a
         # term at or past the window, on a window raised one past it, is not
         # compared, and the run writes the bytes of a clean run
-        two_path_taylor = cli.two_path_taylor
+        two_path_taylor = jacobi.two_path_taylor
         calls = []
 
         def faulty(moment, row, nu, m):
@@ -1107,7 +1107,7 @@ class TestVerifyIdentities:
                 "--seed", "3", "--format", "json")
         clean = tmp_path / "clean.json"
         assert run_cli(*argv, "--output", str(clean)) == 0
-        monkeypatch.setattr(cli, "two_path_taylor", faulty)
+        monkeypatch.setattr(jacobi, "two_path_taylor", faulty)
         out = tmp_path / "report.json"
         code = run_cli(*argv, "--output", str(out))
         # a clean run checks two random tuples and the kernel tuple; a failed
@@ -1124,7 +1124,7 @@ class TestVerifyIdentities:
         # row 2 of index 4's first tuple doubled: its two-path row fails, and
         # the Cramer check, which solves the same faulty rows and comes after
         # it in the report, does not run on that tuple to preempt it
-        component_taylor = cli.component_taylor
+        component_taylor = jacobi.component_taylor
         first = []
 
         def faulty(h, nu):
@@ -1136,7 +1136,7 @@ class TestVerifyIdentities:
                 row = 2 * row
             return row
 
-        monkeypatch.setattr(cli, "component_taylor", faulty)
+        monkeypatch.setattr(jacobi, "component_taylor", faulty)
         out = tmp_path / "report.json"
         code = run_cli("verify-identities", "--m", "3..5", "--q-trunc", "6", "--trials", "2",
                        "--seed", "3", "--format", "json", "--output", str(out))
@@ -1148,8 +1148,8 @@ class TestVerifyIdentities:
     def recorded_draws(monkeypatch) -> list:
         """The random tuples of the next run, in draw order, as they are drawn."""
         draws = []
-        random_components = cli.random_components
-        monkeypatch.setattr(cli, "random_components",
+        random_components = jacobi.random_components
+        monkeypatch.setattr(jacobi, "random_components",
                             lambda *args: draws.append(random_components(*args)) or draws[-1])
         return draws
 
@@ -1164,7 +1164,7 @@ class TestVerifyIdentities:
         # solve of random_1 raises: the record names random_0's row, which
         # comes first in the report, and random_1 is never solved
         draws = self.recorded_draws(monkeypatch)
-        component_taylor = cli.component_taylor
+        component_taylor = jacobi.component_taylor
 
         def faulty_row(h, nu):
             row = component_taylor(h, nu)
@@ -1177,8 +1177,8 @@ class TestVerifyIdentities:
             assert h is draws[1]
             raise cli.VerificationFailed("m=3 mu=1: adjugate identity fails at exponent 0")
 
-        monkeypatch.setattr(cli, "component_taylor", faulty_row)
-        monkeypatch.setattr(cli, "cramer_reconstruction", faulty_solve)
+        monkeypatch.setattr(jacobi, "component_taylor", faulty_row)
+        monkeypatch.setattr(wronskian, "cramer_reconstruction", faulty_solve)
         assert self.identities_failure(tmp_path, "--trials", "2") == \
             "identity check failed: m=3 case=random_0 check=two_path_taylor"
 
@@ -1186,14 +1186,14 @@ class TestVerifyIdentities:
         # random_1's row 1 doubled in the system the Cramer check solves (its
         # two-path check saw the true rows): the adjugate identity fails
         draws = self.recorded_draws(monkeypatch)
-        cramer_reconstruction = cli.cramer_reconstruction
+        cramer_reconstruction = wronskian.cramer_reconstruction
 
         def faulty(m, h, q_trunc, system):
             if h is draws[1]:
                 system = [2 * system[0], *system[1:]]
             return cramer_reconstruction(m, h, q_trunc, system)
 
-        monkeypatch.setattr(cli, "cramer_reconstruction", faulty)
+        monkeypatch.setattr(wronskian, "cramer_reconstruction", faulty)
         assert self.identities_failure(tmp_path, "--trials", "2") == \
             ("identity check failed: m=3 case=random_1 check=cramer: "
              "m=3 mu=1: adjugate identity fails at exponent 4/3")

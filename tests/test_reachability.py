@@ -115,11 +115,12 @@ def audit(work: Path) -> dict:
 
     statuses = [run(argv) for _, argv in invocations(work)]
     # exit 1: row 2 of each tuple doubled fails the first tuple's two-path check
-    component_taylor = cli.component_taylor
-    cli.component_taylor = lambda h, nu: 2 * component_taylor(h, nu) if nu == 2 \
+    from qtheta import jacobi
+    component_taylor = jacobi.component_taylor
+    jacobi.component_taylor = lambda h, nu: 2 * component_taylor(h, nu) if nu == 2 \
         else component_taylor(h, nu)
     statuses.append(run(["verify-identities", "--m", "3", "--q-trunc", "6", "--trials", "1"]))
-    cli.component_taylor = component_taylor
+    jacobi.component_taylor = component_taylor
     # a report written into $QTHETA_OUTPUT_DIR
     os.environ["QTHETA_OUTPUT_DIR"] = str(work / "reports")
     statuses.append(run(["verify-characters", "--m", "2..3", "--format", "csv"]))

@@ -53,8 +53,9 @@ class TestHelpers:
             for s in range(m):
                 for columns in itertools.combinations(range(1, m), s):
                     nodes = [F(mu * mu, 4 * m) for mu in columns]
-                    assert _minor_leading_coefficient(m, columns) == \
-                        math.prod(columns) * vandermonde(nodes), (m, columns)
+                    num, den = _minor_leading_coefficient(m, columns)
+                    assert num > 0 and den == (4 * m) ** math.comb(s, 2)
+                    assert F(num, den) == math.prod(columns) * vandermonde(nodes), (m, columns)
 
     def test_minor_leading_coefficient_on_every_cofactor_set(self):
         # up to m = 64, each cofactor's value from the full set's Vandermonde:
@@ -65,7 +66,7 @@ class TestHelpers:
             for nu, a in enumerate(nodes, start=1):
                 gaps = math.prod(abs(b - a) for b in nodes if b != a)
                 columns = [mu for mu in range(1, m) if mu != nu]
-                assert _minor_leading_coefficient(m, columns) == full / (nu * gaps), (m, nu)
+                assert F(*_minor_leading_coefficient(m, columns)) == full / (nu * gaps), (m, nu)
 
 
 class TestThetaDerivativeMatrix:
@@ -558,15 +559,13 @@ class TestCramer:
         rng = random.Random(73)
         for m in (3, 4):
             h = random_components(m, 8, rng)
-            report = cramer_reconstruction(m, h, 8, system_rows(h))
-            assert report.cramer_ok
+            report = cramer_reconstruction(m, h, 8, system_rows(h))  # raises on a mismatch
             assert not report.kernel_case or report.proportionality_ok
 
     def test_zero_components(self):
         zero = ThetaComponents(3, (PuiseuxSeries.zero(6, 12), PuiseuxSeries.zero(6, 12)))
         report = cramer_reconstruction(3, zero, 6, system_rows(zero))
-        assert report.cramer_ok
-        assert report.kernel_case
+        assert report.kernel_case and report.constant is None
 
     def test_cofactor_kernel_case(self):
         for m in (3, 4):
@@ -576,6 +575,19 @@ class TestCramer:
             assert report.proportionality_ok
             eta_report = verify_eta_power(m, 6)
             assert report.constant == 1 / eta_report.constant
+
+    def test_kernel_case_with_no_right_hand_side_fails(self, monkeypatch):
+        # operators that vanish: the adjugate identity holds as 0 = 0 and every
+        # cofactor times the top row vanishes, so h_mu * eta^lam, nonzero for
+        # the kernel tuple, must be named at its first exponent
+        h = kernel_components(3, 10)
+        zero = PuiseuxSeries.zero(10, 12)
+        monkeypatch.setattr(wronskian, "_cramer_operators",
+                            lambda m, q_trunc: (((zero, zero), (zero, zero)), zero))
+        expected = (h.components[0] * eta_power(10, eta_power_exponent(3))).ord_infty()
+        with pytest.raises(VerificationFailed, match=(
+                rf"^m=3 mu=1: component proportionality fails at exponent {expected}$")):
+            cramer_reconstruction(3, h, 10, system_rows(h))
 
     def test_division_constructed_kernel(self):
         # solve first-row vanishing for m=3 by series division: h = (-t2/t1, 1)
