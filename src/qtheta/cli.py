@@ -14,12 +14,13 @@ Identical arguments produce byte-identical output.  ``run`` is the one
 writer: once every case has run it opens the single target (stdout,
 --output, or ``$QTHETA_OUTPUT_DIR/<command>.<ext>``) and the renderer
 writes the report into it in row blocks, so a run holds the rows plus one
-block, never the whole report.  Exit status 0 means every check passed;
-discrepancy flags are informational and never affect the exit status.  On
-a failed check only a machine-readable failure record is written and the
-exit status is 1.  Malformed input, an output target of the wrong kind
-included, exits 2 with a usage error and checks nothing; a report or dump
-whose write fails anyway exits 2 with one ``cannot write`` error line.
+block, never the whole report.  A check fails only by raising, so a written
+report always passed and exits 0; discrepancy flags are informational and
+never affect the exit status.  On a failed check only a machine-readable
+failure record is written and the exit status is 1.  Malformed input, an
+output target of the wrong kind included, exits 2 with a usage error and
+checks nothing; a report or dump whose write fails anyway exits 2 with one
+``cannot write`` error line.
 
 Only parsing and what every command shares load with this module: the
 classifier, whose record fields name the verdict columns, and the series
@@ -93,8 +94,9 @@ ABSENT = ...  # the cell of a key a row lacks: a singleton of no JSON type, kept
 # dumps).  tables maps each table name to (keys, rows): the keys tuple is the
 # CSV header, in first-seen order, and each row is one tuple of cells, a str,
 # int, bool or None, or ABSENT where the row lacks that key (JSON and text
-# leave it out, CSV prints it empty).  A row whose "ok" cell is false fails
-# the run.  dumps maps a --dump-series file name to its series.
+# leave it out, CSV prints it empty).  Every "ok" cell is true: a failed
+# check raises VerificationFailed instead of returning a row.  dumps maps a
+# --dump-series file name to its series.
 #
 # The four verify commands share _run_cases.  Each of their cases takes
 # (args, m, inputs) and returns its own tables and dumps, so the parent
@@ -468,16 +470,28 @@ def _json_template(keys, present, templates, cell_text) -> tuple[str, list]:
     return templates[present]
 
 
-def _json_block(keys, block, templates, cell_text) -> list[str]:
-    """The rows' JSON texts: if every cell has a JSON type, converted a column at
-    a time into the table's template, else row by row on their present cells."""
+def _columns(block, cell_text) -> list:
+    """The block's cells as text, a column at a time: each column of one kind
+    through that kind's ``cell_text`` entry, a column of mixed kinds cell by
+    cell.  A cell of a kind the table lacks raises TypeError."""
     columns = []
     for column in zip(*block):
         kinds = set(map(type, column))
         if not kinds <= cell_text.keys():
-            return [_json_sparse_row(keys, row, templates, cell_text) for row in block]
+            bad = next(type(value) for value in column if type(value) not in cell_text)
+            raise TypeError(f"a report cell must be a str, int, bool or None, not {bad.__name__}")
         columns.append(map(cell_text[kinds.pop()], column) if len(kinds) == 1
                        else [cell_text[type(value)](value) for value in column])
+    return columns
+
+
+def _json_block(keys, block, templates, cell_text) -> list[str]:
+    """The rows' JSON texts, filled into the table's template; a block with an
+    ABSENT cell, which JSON's table lacks, goes row by row."""
+    try:
+        columns = _columns(block, cell_text)
+    except TypeError:  # a cell of no JSON type raises again in its row
+        return [_json_sparse_row(keys, row, templates, cell_text) for row in block]
     if not keys:
         return ["{}"] * len(block)
     template, order = _json_template(keys, tuple(range(len(keys))), templates, cell_text)
@@ -485,17 +499,13 @@ def _json_block(keys, block, templates, cell_text) -> list[str]:
 
 
 def _json_sparse_row(keys, row, templates, cell_text) -> str:
-    """A row with ABSENT cells; a cell of no JSON type raises TypeError."""
+    """A row with ABSENT cells, filled on its present cells."""
     present = tuple([i for i, value in enumerate(row) if value is not ABSENT])
     template, order = _json_template(keys, present, templates, cell_text)
-    cells = [row[i] for i in order]
-    bad = [type(value).__name__ for value in cells if type(value) not in cell_text]
-    if bad:
-        raise TypeError(f"a report cell must be a str, int, bool or None, not {bad[0]}")
-    return template % tuple([cell_text[type(value)](value) for value in cells])
+    return template % next(zip(*_columns([[row[i] for i in order]], cell_text)), ())
 
 
-def _render_json(out, args, tables, all_passed, discrepancies) -> None:
+def _render_json(out, args, tables, discrepancies) -> None:
     """Write the text of ``json.dumps(doc, indent=2, sort_keys=True)`` plus a newline.
 
     The envelope goes through ``json.dumps`` with the results left out; the
@@ -511,7 +521,7 @@ def _render_json(out, args, tables, all_passed, discrepancies) -> None:
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
            "parameters": {"q_trunc": _rat_str(args.q_trunc), "seed": args.seed,
                           "trials": args.trials},
-           "results": None, "all_passed": all_passed, "discrepancies": discrepancies}
+           "results": None, "all_passed": True, "discrepancies": discrepancies}
     # a JSON string holds no raw newline, so this line is the top-level key
     head, tail = json.dumps(doc, indent=2, sort_keys=True).split('\n  "results": null,\n')
     if not tables:
@@ -533,16 +543,11 @@ def _render_json(out, args, tables, all_passed, discrepancies) -> None:
 
 
 def _csv_str(text: str) -> str:
-    """A str cell with no "\r" as the csv writer prints it: quoted, its quotes
-    doubled, exactly when it holds a comma, a quote or a newline."""
-    if "," in text or '"' in text or "\n" in text:
+    """A str cell as CSV: quoted, its quotes doubled, exactly when it holds a
+    comma, a quote or a line break."""
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
-
-
-# a cell's CSV text by its exact type, but for a str holding "\r" (see _csv_block)
-_CSV_CELL = {str: _csv_str, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
-             type(None): {None: ""}.__getitem__, type(ABSENT): {ABSENT: ""}.__getitem__}
 
 
 class _IntTexts(dict):
@@ -554,79 +559,44 @@ class _IntTexts(dict):
         return text
 
 
-def _csv_block(block, int_texts) -> str | None:
-    """The rows' CSV lines, converted a column at a time (ints through
-    ``int_texts``) and joined; None for a block the csv writer must print: one
-    with a cell that CPython versions quote differently (a str holding "\r",
-    the empty cell of a one-cell row) or a cell of no report type."""
-    columns = []
-    for column in zip(*block):
-        kinds = set(map(type, column))
-        if not kinds <= _CSV_CELL.keys():
-            return None
-        if str in kinds:
-            text = "".join(column if len(kinds) == 1 else
-                           [value for value in column if type(value) is str])
-            if "\r" in text:
-                return None
-            if len(kinds) == 1 and not ("," in text or '"' in text or "\n" in text):
-                columns.append(column)  # every cell prints as it is
-                continue
-        if kinds == {int}:
-            columns.append(map(int_texts.__getitem__, column))
-        else:
-            columns.append(map(_CSV_CELL[kinds.pop()], column) if len(kinds) == 1 else
-                           [_CSV_CELL[type(value)](value) for value in column])
+def _csv_block(block, cell_text) -> str:
+    """The rows' CSV lines, converted a column at a time and joined."""
+    columns = _columns(block, cell_text)
     if not columns:
         return "\n" * len(block)
     if len(columns) == 1:
-        columns[0] = list(columns[0])
-        if "" in columns[0]:
-            return None
+        # a one-cell row that printed empty would read back as no cell at all
+        columns[0] = [text or '""' for text in columns[0]]
     return "\n".join(map(",".join, zip(*columns))) + "\n"
 
 
 def _render_csv(out, tables) -> None:
-    """Each table's keys are its header, then its rows in blocks: each block
-    converted a column at a time (each distinct int once by ``int.__repr__``,
-    bools looked up, a str quoted by hand), or printed by the csv writer
-    where ``_csv_block`` says so."""
-    import csv  # only CSV reports need it; kept out of every start-up
-
-    writer = csv.writer(out, lineterminator="\n")
-    int_texts = _IntTexts()
+    """Each table's keys are its header, then its rows in blocks, every line
+    converted by ``_csv_block``: each distinct int once by ``int.__repr__``,
+    bools looked up, a str quoted by hand."""
+    cell_text = {str: _csv_str, int: _IntTexts().__getitem__, bool: _BOOL_TEXT.__getitem__,
+                 type(None): {None: ""}.__getitem__, type(ABSENT): {ABSENT: ""}.__getitem__}
     separator = ""
     for name, (keys, rows) in tables.items():
         out.write(f"{separator}# table: {name}\n")
         separator = "\n"
         if rows:
-            writer.writerow(keys)
+            out.write(_csv_block([keys], cell_text))
         for start in range(0, len(rows), _BLOCK_ROWS):
-            block = rows[start:start + _BLOCK_ROWS]
-            text = _csv_block(block, int_texts)
-            if text is None:
-                # the writer prints None empty; bools and ABSENT become those first
-                writer.writerows([[_BOOL_TEXT[value] if type(value) is bool else
-                                   None if value is ABSENT else value for value in row]
-                                  for row in block])
-            else:
-                out.write(text)
+            out.write(_csv_block(rows[start:start + _BLOCK_ROWS], cell_text))
 
 
-def _render_text(out, args, tables, all_passed, discrepancies) -> None:
+def _render_text(out, args, tables, discrepancies) -> None:
     out.write(f"command: {args.command}\n")
     for name, (keys, rows) in tables.items():
         out.write(f"[{name}]\n")
-        # a row's status is its ok cell, else its residual_all_zero cell, else PASS
-        status = [keys.index(key) for key in ("ok", "residual_all_zero") if key in keys]
         for row in rows:
-            ok = next((row[i] for i in status if row[i] is not ABSENT), True)
             cells = " ".join(f"{key}={value}" for key, value in zip(keys, row)
                              if key != "ok" and value is not ABSENT)
-            out.write(f"  {'PASS' if ok else 'FAIL'} {cells}\n")
+            out.write(f"  PASS {cells}\n")
     for note in discrepancies:
         out.write(f"note: {note}\n")
-    out.write("all checks passed\n" if all_passed else "FAILURES PRESENT\n")
+    out.write("all checks passed\n")
 
 
 def _render_failure(out, args, error) -> None:
@@ -680,19 +650,18 @@ def _write_error(name, error: OSError) -> None:
 def run(args: argparse.Namespace) -> int:
     """Execute one command and write its report; returns the process exit status.
 
-    Once the handler has returned and ``all_passed`` is known, the one
-    report target (see ``_report_target``) is opened and the ``--format``
-    renderer writes into it as it goes: no whole report is held as one
-    string.  A failed check writes only its failure record, to the target
-    or else to stderr, and exits 1.  A dump or report that cannot be
-    written prints ``qtheta: error: cannot write ...`` and exits 2.
+    A check fails only by raising ``VerificationFailed``, so once the
+    handler has returned every check has passed: the one report target (see
+    ``_report_target``) is opened and the ``--format`` renderer writes into
+    it as it goes, holding no whole report as one string.  A failed check
+    writes only its failure record, to the target or else to stderr, and
+    exits 1.  A dump or report that cannot be written prints ``qtheta:
+    error: cannot write ...`` and exits 2.
     """
     try:
         tables, discrepancies, dumps = HANDLERS[args.command](args)
     except VerificationFailed as error:
         return 1 if _write_report(args, sys.stderr, _render_failure, args, error) else 2
-    all_passed = all(row[i] for keys, rows in tables.values() if "ok" in keys
-                     for i in (keys.index("ok"),) for row in rows)
     if args.dump_series is not None and dumps:
         path = args.dump_series
         try:
@@ -707,9 +676,8 @@ def run(args: argparse.Namespace) -> int:
         wrote = _write_report(args, sys.stdout, _render_csv, tables)
     else:
         render = _render_json if args.format == "json" else _render_text
-        wrote = _write_report(args, sys.stdout, render, args, tables, all_passed,
-                              discrepancies)
-    return (0 if all_passed else 1) if wrote else 2
+        wrote = _write_report(args, sys.stdout, render, args, tables, discrepancies)
+    return 0 if wrote else 2
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -887,25 +855,25 @@ def _check_identities_args(args: argparse.Namespace) -> None:
 
 
 def _short_window(m: int, q_trunc) -> str | None:
-    """``m=<m>[ nu=<nu>]: window <w> cannot reach <minor> order <o>`` for the
-    first minor of index m whose order lies outside its own window: the
-    Wronskian for m = 2, else a last-row cofactor; None if there is none.
+    """``m=<m>[ nu=1]: window <w> cannot reach <minor> order <o>`` if the
+    binding minor of index m has its order outside its own window: the
+    Wronskian for m = 2, else the last-row cofactor nu = 1; None if not.
 
-    Either is inside exactly when q_trunc passes (m-1)^2/4m, which grows
-    with m, so the top index of a range decides.  Below it the order checks
-    must fail, and the kernel tuple loses entries: on short windows every
-    tuple is zero, and the identity checks compare nothing.
+    A minor's order is inside exactly when q_trunc passes the largest
+    mu^2/4m of its columns.  That is (m-1)^2/4m for nu = 1 and no more for
+    any other nu, so nu = 1 fails whenever some cofactor does, and the bound
+    grows with m, so the top index of a range decides.  Below it the order
+    checks must fail, and the kernel tuple loses entries: on short windows
+    every tuple is zero, and the identity checks compare nothing.
     """
     from .wronskian import theta_minor_window
 
-    minors = ([("m=2", "Wronskian", [1])] if m == 2 else
-              [(f"m={m} nu={nu}", "cofactor", [mu for mu in range(1, m) if mu != nu])
-               for nu in range(1, m)])
-    for where, name, columns in minors:
-        order = Fraction(sum(mu * mu for mu in columns), 4 * m)
-        window = theta_minor_window(m, q_trunc, columns)
-        if order >= window:
-            return f"{where}: window {window} cannot reach {name} order {order}"
+    where, name, columns = (("m=2", "Wronskian", [1]) if m == 2 else
+                            (f"m={m} nu=1", "cofactor", range(2, m)))
+    order = Fraction(sum(mu * mu for mu in columns), 4 * m)
+    window = theta_minor_window(m, q_trunc, columns)
+    if order >= window:
+        return f"{where}: window {window} cannot reach {name} order {order}"
     return None
 
 

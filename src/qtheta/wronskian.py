@@ -499,7 +499,6 @@ class CramerReport(NamedTuple):
 
     index_m: int
     kernel_case: bool
-    proportionality_ok: bool | None
     constant: Fraction | None
 
 
@@ -534,7 +533,6 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc, system) -> Cramer
             raise VerificationFailed(
                 f"m={m} mu={mu + 1}: adjugate identity fails at exponent {e}")
     kernel_case = all(system[row].is_zero() for row in range(n - 1))
-    proportionality_ok = None
     constant = None
     if kernel_case:
         eta_lam = eta_power(q_trunc, eta_power_exponent(m))
@@ -553,10 +551,4 @@ def cramer_reconstruction(m: int, h: ThetaComponents, q_trunc, system) -> Cramer
                 raise VerificationFailed(
                     f"m={m} mu={mu}: component proportionality fails at "
                     f"exponent {diff.ord_infty()}")
-        proportionality_ok = True
-    return CramerReport(
-        index_m=m,
-        kernel_case=kernel_case,
-        proportionality_ok=proportionality_ok,
-        constant=constant,
-    )
+    return CramerReport(index_m=m, kernel_case=kernel_case, constant=constant)

@@ -37,8 +37,7 @@ REPORT_ROWS = [
      [("index_m", 3), ("nu", 2), ("ord_cofactor", "1/12"), ("ord_expected", "1/12"),
       ("leading_coeff", "1/1"), ("leading_expected_abs", "1/1"), ("sign", 1)]),
     (kernel_cramer_report,
-     [("index_m", 3), ("kernel_case", True), ("proportionality_ok", True),
-      ("constant", "2/1")]),
+     [("index_m", 3), ("kernel_case", True), ("constant", "2/1")]),
     (lambda: classify(CaseInput(3, 7, 6)),
      [("k", 3), ("m", 7), ("N", 6), ("part_i", True), ("part_ii", True),
       ("part_iii", False), ("s", 0), ("r", 4), ("beta", 26), ("eta_exponent", 78),

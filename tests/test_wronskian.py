@@ -560,7 +560,8 @@ class TestCramer:
         for m in (3, 4):
             h = random_components(m, 8, rng)
             report = cramer_reconstruction(m, h, 8, system_rows(h))  # raises on a mismatch
-            assert not report.kernel_case or report.proportionality_ok
+            # a random tuple leaves the first rows of M h nonzero
+            assert not report.kernel_case and report.constant is None
 
     def test_zero_components(self):
         zero = ThetaComponents(3, (PuiseuxSeries.zero(6, 12), PuiseuxSeries.zero(6, 12)))
@@ -572,7 +573,6 @@ class TestCramer:
             h = kernel_components(m, 10)
             report = cramer_reconstruction(m, h, 10, system_rows(h))
             assert report.kernel_case
-            assert report.proportionality_ok
             eta_report = verify_eta_power(m, 6)
             assert report.constant == 1 / eta_report.constant
 
@@ -597,7 +597,6 @@ class TestCramer:
                                 PuiseuxSeries.one(t1.trunc - t1.ord_infty())))
         report = cramer_reconstruction(3, h, 8, system_rows(h))
         assert report.kernel_case
-        assert report.proportionality_ok
 
 
 class TestPartialKernel:
