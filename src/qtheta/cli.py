@@ -866,15 +866,11 @@ def _short_window(m: int, q_trunc) -> str | None:
     checks must fail, and the kernel tuple loses entries: on short windows
     every tuple is zero, and the identity checks compare nothing.
     """
-    from .wronskian import theta_minor_window
+    from .wronskian import _short_minor, theta_minor_window
 
     where, name, columns = (("m=2", "Wronskian", [1]) if m == 2 else
                             (f"m={m} nu=1", "cofactor", range(2, m)))
-    order = Fraction(sum(mu * mu for mu in columns), 4 * m)
-    window = theta_minor_window(m, q_trunc, columns)
-    if order >= window:
-        return f"{where}: window {window} cannot reach {name} order {order}"
-    return None
+    return _short_minor(m, columns, theta_minor_window(m, q_trunc, columns), where, name)[1]
 
 
 def main(argv=None) -> int:

@@ -32,7 +32,7 @@ from typing import Mapping, NamedTuple
 
 from .series import (PuiseuxSeries, _key_bound, _lowest_terms, _rational_pair, _reduced, dot,
                      parse_rational)
-from .theta import ThetaIndex, ThetaTwoVar, _mul_sum, odd_theta_series, theta_series
+from .theta import ThetaIndex, ThetaTwoVar, odd_theta_series, theta_series
 
 
 class InvariantViolation(ValueError):
@@ -180,16 +180,16 @@ def from_theta_components(h: ThetaComponents, q_trunc) -> ThetaTwoVar:
     """Assemble sum_mu h_mu * (theta_{m,mu} - theta_{m,-mu}) as a two-variable series.
 
     Equal store for store to the fold ``total + pair.mul_series(h_mu)`` from
-    the empty series on q_trunc, built in one pass by ``theta._mul_sum``.  A
+    the empty series on q_trunc, built in one pass by ``_sum_products``.  A
     zero component whose window reaches q_trunc is skipped, so it moves
     neither the window nor the grid.
     """
     m = h.index_m
     q_trunc = Fraction(q_trunc)
-    return _mul_sum([(_theta_pair(m, mu, q_trunc), series)
-                    for mu, series in enumerate(h.components, start=1)
-                    if not (series.is_zero() and series.trunc >= q_trunc)],
-                   (q_trunc.numerator, q_trunc.denominator), 4 * m)
+    return ThetaTwoVar._sum_products([(_theta_pair(m, mu, q_trunc), series)
+                                      for mu, series in enumerate(h.components, start=1)
+                                      if not (series.is_zero() and series.trunc >= q_trunc)],
+                                     (q_trunc.numerator, q_trunc.denominator), 4 * m)
 
 
 def taylor_moments(phi_2var: ThetaTwoVar, nus) -> list[PuiseuxSeries]:

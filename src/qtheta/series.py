@@ -21,8 +21,10 @@ operations and the package's own producers use the trusted constructor
 
 There is one store, ``_IntStore``, under this class and the two-variable
 ``theta.ThetaTwoVar``: the trusted constructor, the window, equality,
-negation and the sum are written once.  The key shape is the only
-difference, n here and (n, r) there; the two types never add or compare equal.
+negation, the sum and the sum-of-products kernel are written once.  The
+key shape is the only difference, n here and (n, r) there; the two types
+never add or compare equal.  Each store gives the steps that read its keys:
+``_refine``, ``_below``, ``_keys`` and ``_convolve``.
 
 The window is stored as exact ints too: ``trunc`` = tn/td in lowest terms
 with td >= 1, and +infinity as (1, 0).  ``trunc`` builds the Fraction (or
@@ -32,11 +34,11 @@ window such as 115/84 on the 1/12 grid stays exact.
 
 Truncation bounds are recomputed pessimistically through every operation,
 so any identity observed on a result is certified on the stated window.
-``dot`` forms a sum of products in one pass, with the terms and window of
-the left-to-right fold of ``*`` and ``+``.  A series divides only by a
-nonzero scalar; there is no series-by-series division.  Values are
-immutable after construction and all operations are pure, so series may
-be shared freely across threads or processes.
+``dot`` forms a sum of products in one pass through that kernel, with the
+terms and window of the left-to-right fold of ``*`` and ``+``.  A series
+divides only by a nonzero scalar; there is no series-by-series division.
+Values are immutable after construction and all operations are pure, so
+series may be shared freely across threads or processes.
 
 ``VerificationFailed``, the one exception of a failed exact check, lives
 here, in the module every check already imports, so a command raises it
@@ -91,20 +93,6 @@ def _order(x, low: int | None, denom: int) -> tuple[int, int]:
     return (x._tn, x._td) if x._tn < 0 else (0, 1)
 
 
-def _product_window(x, y, ox: int | None, oy: int | None, denom: int) -> tuple[int, int]:
-    """The certified window of the product of x and y, as an unreduced int pair.
-
-    The unknown tail of one factor enters the product shifted by the other
-    factor's least exponent: min(trunc x + ord y, trunc y + ord x), where
-    ox, oy are the lowest keys on the 1/denom grid, None for a factor with
-    no known term (see ``_order``).  +infinity comes out as a pair (p > 0, 0).
-    """
-    (an, ad), (bn, bd) = _order(x, ox, denom), _order(y, oy, denom)
-    p1, q1 = x._tn * bd + bn * x._td, x._td * bd
-    p2, q2 = y._tn * ad + an * y._td, y._td * ad
-    return (p1, q1) if p1 * q2 <= p2 * q1 else (p2, q2)
-
-
 def _lowest_terms(p: int, q: int) -> tuple[int, int]:
     g = math.gcd(p, q)
     return p // g, q // g
@@ -136,10 +124,14 @@ def _over_lcm(values: Mapping) -> tuple[dict, int]:
 class _IntStore:
     """The one integer store, under ``PuiseuxSeries`` and ``theta.ThetaTwoVar``.
 
-    A subclass gives the two steps that read a key, each once per operation
-    on a whole dict: ``_refine(terms, f, g)`` moves a store onto a grid f
-    times finer with its numerators times g, and ``_below(terms, bound)``
-    keeps the nonzero terms whose grid key is below an int key bound.
+    A subclass gives the steps that read a key, each once per whole dict or
+    factor: ``_refine(terms, f, g)`` moves a store onto a grid f times finer
+    with its numerators times g, ``_below(terms, bound)`` keeps the nonzero
+    terms whose grid key is below an int key bound; for ``_sum_products``,
+    ``_keys(terms)`` yields the grid key of each term, and
+    ``_convolve(out, terms, b, top)`` adds the products of a left factor's
+    terms with the sorted (n, c) list b into the int dict ``out`` below the
+    grid key ``top``.
     """
 
     __slots__ = ("base_denom", "_tn", "_td", "_terms", "_den")
@@ -212,6 +204,47 @@ class _IntStore:
             return NotImplemented
         return self + (-other)
 
+    @classmethod
+    def _sum_products(cls, pairs, window: tuple[int, int] = (1, 0), denom: int = 1):
+        """sum_i x_i * y_i over the (x_i, y_i) of ``pairs``, x_i of this class and
+        y_i a ``PuiseuxSeries``, in one pass: equal store for store to the fold
+        of the products and ``+`` from the empty series on ``window`` (an int
+        pair as ``_window`` gives it) and the 1/denom grid.
+
+        Every factor goes onto the lcm grid and every product over the lcm
+        denominator.  The unknown tail of one factor enters its product
+        shifted by the other's least exponent (``_order``), so the products
+        add into one int dict below the least of their windows
+        min(trunc x + ord y, trunc y + ord x), and the sum is reduced once.
+        """
+        denom = math.lcm(denom, *(s.base_denom for pair in pairs for s in pair))
+        den = math.lcm(1, *(x._den * y._den for x, y in pairs))
+        p, q = window
+        factors = []
+        for x, y in pairs:
+            a = x._over(denom, den // y._den)
+            b = sorted(y._over(denom, y._den).items())
+            an, ad = _order(x, min(cls._keys(a)) if a else None, denom)
+            bn, bd = _order(y, b[0][0] if b else None, denom)
+            # +infinity is a pair (p > 0, 0), above every finite window
+            pi, qi = x._tn * bd + bn * x._td, x._td * bd
+            if pi * q < p * qi:
+                p, q = pi, qi
+            pi, qi = y._tn * ad + an * y._td, y._td * ad
+            if pi * q < p * qi:
+                p, q = pi, qi
+            factors.append((a, b))
+        tn, td = _lowest_terms(p, q)
+        bound = _key_bound(tn, td, denom)
+        out: dict = {}
+        for a, b in factors:
+            if a and b:
+                # an exact product has no key past the sum of the largest keys
+                top = max(cls._keys(a)) + b[-1][0] + 1 if bound is None else bound
+                cls._convolve(out, a, b, top)
+        terms, den = _reduced({k: c for k, c in out.items() if c}, den)
+        return cls._make(terms, tn, td, denom, den)
+
 
 class PuiseuxSeries(_IntStore):
     """Truncated formal series in q with rational exponents of bounded denominator."""
@@ -249,6 +282,22 @@ class PuiseuxSeries(_IntStore):
     @staticmethod
     def _below(terms: dict[int, int], bound: int) -> dict[int, int]:
         return {n: c for n, c in terms.items() if c and n < bound}
+
+    @staticmethod
+    def _keys(terms: dict[int, int]):
+        return terms
+
+    @staticmethod
+    def _convolve(out: dict[int, int], terms: dict[int, int], b, top: int) -> None:
+        nb_low = b[0][0]
+        for na, ca in sorted(terms.items()):
+            if na + nb_low >= top:
+                break
+            for nb, cb in b:
+                n = na + nb
+                if n >= top:
+                    break
+                out[n] = out.get(n, 0) + ca * cb
 
     # -- constructors ------------------------------------------------------
 
@@ -322,7 +371,7 @@ class PuiseuxSeries(_IntStore):
             return PuiseuxSeries._make(terms, self._tn, self._td, self.base_denom, den)
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
-        return dot((self,), (other,))
+        return PuiseuxSeries._sum_products(((self, other),))
 
     __rmul__ = __mul__
 
@@ -362,47 +411,14 @@ class PuiseuxSeries(_IntStore):
 
 def dot(xs, ys) -> PuiseuxSeries:
     """sum_i xs[i] * ys[i] in one pass, equal store for store to the fold
-    ``xs[0] * ys[0] + xs[1] * ys[1] + ...``; a product of two series is
-    the one-term sum.
-
-    Every factor goes onto one grid (the lcm of all the D) and every
-    product over one denominator (the lcm of the products' own); the
-    convolutions add into one int dict below the least product window,
-    and the sum is reduced once.
+    ``xs[0] * ys[0] + xs[1] * ys[1] + ...``: the one-variable call of the
+    store's kernel ``_IntStore._sum_products``, of which a product of two
+    series is the one-term sum.
     """
     pairs = list(zip(xs, ys, strict=True))
     if not pairs:
         raise ValueError("dot needs at least one product")
-    denom = math.lcm(*(s.base_denom for pair in pairs for s in pair))
-    den = math.lcm(*(x._den * y._den for x, y in pairs))
-    factors = []
-    p, q = 1, 0
-    for x, y in pairs:
-        a = sorted(x._over(denom, den // y._den).items())
-        b = sorted(y._over(denom, y._den).items())
-        pi, qi = _product_window(x, y, a[0][0] if a else None, b[0][0] if b else None, denom)
-        if pi * q < p * qi:
-            p, q = pi, qi
-        factors.append((a, b))
-    tn, td = _lowest_terms(p, q)
-    bound = _key_bound(tn, td, denom)
-    out: dict[int, int] = {}
-    for a, b in factors:
-        if not a or not b:
-            continue
-        # an exact product has no key past the sum of the largest keys
-        top = a[-1][0] + b[-1][0] + 1 if bound is None else bound
-        nb_low = b[0][0]
-        for na, ca in a:
-            if na + nb_low >= top:
-                break
-            for nb, cb in b:
-                n = na + nb
-                if n >= top:
-                    break
-                out[n] = out.get(n, 0) + ca * cb
-    terms, den = _reduced({n: c for n, c in out.items() if c}, den)
-    return PuiseuxSeries._make(terms, tn, td, denom, den)
+    return PuiseuxSeries._sum_products(pairs)
 
 
 # -- text format -------------------------------------------------------------

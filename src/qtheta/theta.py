@@ -8,8 +8,11 @@ q-exponents live on the grid (1/4m)*Z.
 
 ``ThetaTwoVar`` has the one store of ``PuiseuxSeries`` (the series module's
 ``_IntStore``), and the key shape is the only difference: c*q^(n/D)*zeta^r
-sits under (n, r) where a one-variable term sits under n.  The series here
-are built on those keys through the trusted ``_make``, with integer
+sits under (n, r) where a one-variable term sits under n.  So it gives only
+the key steps ``_refine``, ``_below``, ``_keys`` (the n of each (n, r)) and
+``_convolve``, and ``mul_series`` and ``jacobi.from_theta_components`` run
+the store's sum-of-products kernel on one product and on m - 1.  The series
+here are built on those keys through the trusted ``_make``, with integer
 coefficients over den 1: the term r sits at r^2 on the 1/4m grid, and
 r^2/4m < q_trunc is r^2 < ceil(4m*q_trunc).  That ceiling is the integer key
 bound, and ``_residues`` takes it: the residues of a class below it are one
@@ -21,8 +24,6 @@ its exponents, and ``odd_theta_exponents`` reads those of an index's m - 1
 odd series from the keys r^2 alone, in one pass over r with no series
 built; ``translation_eigenvalue`` of each ``odd_theta_series`` is its tests'
 reference.
-``_mul_sum`` adds products of two-variable series by one-variable series in
-one pass; ``ThetaTwoVar.mul_series`` is its case of one product.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Mapping, NamedTuple
 
 from .characters import UnityExponent
 from .series import (_ZERO, PuiseuxSeries, Truncation, _as_trunc, _IntStore, _key_bound,
-                     _lowest_terms, _over_lcm, _product_window, _reduced, _window)
+                     _over_lcm, _reduced, _window)
 
 
 class NotAnEigenvector(ValueError):
@@ -93,6 +94,19 @@ class ThetaTwoVar(_IntStore):
     def _below(terms: dict[tuple[int, int], int], bound: int) -> dict[tuple[int, int], int]:
         return {k: c for k, c in terms.items() if c and k[0] < bound}
 
+    @staticmethod
+    def _keys(terms: dict[tuple[int, int], int]):
+        return (n for n, _ in terms)
+
+    @staticmethod
+    def _convolve(out: dict[tuple[int, int], int], terms, b, top: int) -> None:
+        for (n, r), c in terms.items():
+            for nb, cb in b:
+                key = (n + nb, r)
+                if key[0] >= top:
+                    break
+                out[key] = out.get(key, 0) + c * cb
+
     q_trunc = _IntStore.trunc
 
     @property
@@ -103,7 +117,7 @@ class ThetaTwoVar(_IntStore):
 
     def mul_series(self, s: PuiseuxSeries) -> ThetaTwoVar:
         """Multiply by a one-variable series (acting on the q-side only)."""
-        return _mul_sum(((self, s),))
+        return ThetaTwoVar._sum_products(((self, s),))
 
     def zeta_moment(self, n: int) -> PuiseuxSeries:
         """Collapse the zeta variable: sum of coeff * r^n per q-exponent."""
@@ -137,46 +151,6 @@ class ThetaTwoVar(_IntStore):
     def is_zeta_odd(self) -> bool:
         """True when negating the zeta-exponent negates every coefficient."""
         return all(self._terms.get((e, -r)) == -c for (e, r), c in self._terms.items())
-
-
-def _mul_sum(pairs, window: tuple[int, int] = (1, 0), denom: int = 1) -> ThetaTwoVar:
-    """sum_i tv_i.mul_series(s_i) over the (tv_i, s_i) of ``pairs``, in one pass.
-
-    Equal store for store to the fold of ``mul_series`` and ``+`` from the
-    empty series on ``window`` (an int pair as ``series._window`` gives it,
-    (1, 0) for +infinity) and the 1/denom grid, as ``series.dot`` is to its
-    fold: every product goes
-    onto the lcm grid over the lcm denominator, the products add into one
-    int dict below the least window, and the sum is reduced once.
-    """
-    denom = math.lcm(denom, *(x.base_denom for pair in pairs for x in pair))
-    den = math.lcm(1, *(tv._den * s._den for tv, s in pairs))
-    p, q = window
-    products = []
-    for tv, s in pairs:
-        own = tv._over(denom, den // s._den)
-        b = sorted(s._over(denom, s._den).items())
-        pi, qi = _product_window(tv, s, min(n for n, _ in own) if own else None,
-                                 b[0][0] if b else None, denom)
-        if pi * q < p * qi:
-            p, q = pi, qi
-        products.append((own, b))
-    tn, td = _lowest_terms(p, q)
-    bound = _key_bound(tn, td, denom)
-    out: dict[tuple[int, int], int] = {}
-    for own, b in products:
-        if not own or not b:
-            continue
-        # an exact product has no key past the sum of the largest keys
-        top = max(n for n, _ in own) + b[-1][0] + 1 if bound is None else bound
-        for (n, r), c in own.items():
-            for nb, cb in b:
-                key = (n + nb, r)
-                if key[0] >= top:
-                    break
-                out[key] = out.get(key, 0) + c * cb
-    terms, den = _reduced({k: c for k, c in out.items() if c}, den)
-    return ThetaTwoVar._make(terms, tn, td, denom, den)
 
 
 def _residues(m: int, mu: int, bound: int) -> range:

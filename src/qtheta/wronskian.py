@@ -335,22 +335,32 @@ def _minor_leading_coefficient(m: int, columns) -> tuple[int, int]:
     return num, (4 * m) ** (s * (s - 1) // 2)
 
 
+def _short_minor(m: int, columns, window, where: str,
+                 name: str) -> tuple[Fraction, str | None]:
+    """The order o = sum_S mu^2/4m of the minors on ``columns`` S, and
+    ``<where>: window <window> cannot reach <name> order <o>`` when o is not
+    below ``window``, the minor's certified window (None when it is)."""
+    order = Fraction(sum(mu * mu for mu in columns), 4 * m)
+    return order, (f"{where}: window {window} cannot reach {name} order {order}"
+                   if order >= window else None)
+
+
 def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
                        name: str) -> tuple[Fraction, Fraction, Fraction]:
     """Check the minor on increasing ``columns`` S and rows 0..|S|-1.
 
     Raises VerificationFailed, prefixed by ``where``, unless its own window
-    passes the order sum_S mu^2/4m, the minor has that order, and its leading
-    coefficient is +/- prod_S mu * V(mu^2/4m), V the Vandermonde product.
+    passes the order sum_S mu^2/4m (``_short_minor``), the minor has that
+    order, and its leading coefficient is +/- prod_S mu * V(mu^2/4m), V the
+    Vandermonde product.
     That closed form is ``_minor_leading_coefficient``'s int pair (N, D), and
     |lead| = N/D is compared as |num(lead)| * D = N * den(lead), so no gcd
     runs on D; the Fraction N/D is built only for a failure message.
     Returns (order, leading coefficient, its absolute value).
     """
-    order = Fraction(sum(mu * mu for mu in columns), 4 * m)
-    if order >= minor.trunc:
-        raise VerificationFailed(
-            f"{where}: window {minor.trunc} cannot reach {name} order {order}")
+    order, short = _short_minor(m, columns, minor.trunc, where, name)
+    if short:
+        raise VerificationFailed(short)
     observed = minor.ord_infty()
     if observed != order:
         raise VerificationFailed(f"{where}: {name} order {observed}, expected {order}")

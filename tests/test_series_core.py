@@ -8,7 +8,8 @@ Fraction-keyed dicts, on random series whose grids D = 1..12 differ, so
 the lcm refinement is exercised; every result is checked against the
 stored invariants; equal values must have one store; computing on a
 longer window and cutting down must agree below the certified window;
-the kernel ``dot`` is the fold of ``*`` and ``+`` store for store; and
+the one sum-of-products kernel, ``dot`` on series and ``_sum_products`` on
+both stores, is the fold of its products and ``+`` store for store; and
 every reported window is sound against exact polynomials.
 """
 
@@ -18,12 +19,13 @@ from fractions import Fraction
 
 import pytest
 
+import qtheta.theta
 from conftest import random_series
 from oracles import truncate
 from qtheta import (INFINITY, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot, dump_series_text,
                     odd_theta_series, parse_series_text, theta_series)
 from qtheta.cli import main
-from qtheta.series import _key_bound
+from qtheta.series import _key_bound, _window
 
 F = Fraction
 
@@ -78,6 +80,15 @@ def ref_mul_series(tv, s):
             if e + es < trunc:
                 out[(e + es, r)] = out.get((e + es, r), F(0)) + c * cs
     return {k: c for k, c in out.items() if c}, trunc, math.lcm(dt, ds)
+
+
+def ref_add_two_var(a, b):
+    (ta, tra, da), (tb, trb, db) = a, b
+    out = dict(ta)
+    for k, c in tb.items():
+        out[k] = out.get(k, F(0)) + c
+    trunc = min(tra, trb)
+    return {k: c for k, c in out.items() if c and k[0] < trunc}, trunc, math.lcm(da, db)
 
 
 # -- invariants and random inputs --------------------------------------------
@@ -187,15 +198,10 @@ class TestAgainstReference:
         rng = random.Random(127)
         for _ in range(120):
             x, y, s = random_two_var(rng), random_two_var(rng), mixed(rng, lowest=-1)
-            (tx, trx, dx), (ty, try_, dy) = ref_two_var(x), ref_two_var(y)
-            merged = dict(tx)
-            for k, c in ty.items():
-                merged[k] = merged.get(k, F(0)) + c
-            trunc = min(trx, try_)
+            tx, trx, dx = ref_two_var(x)
             total = x + y
             check_two_var_invariants(total)
-            assert ref_two_var(total) == (
-                {k: c for k, c in merged.items() if c and k[0] < trunc}, trunc, math.lcm(dx, dy))
+            assert ref_two_var(total) == ref_add_two_var(ref_two_var(x), ref_two_var(y))
             product = x.mul_series(s)
             check_two_var_invariants(product)
             assert ref_two_var(product) == ref_mul_series(ref_two_var(x), ref(s))
@@ -401,9 +407,15 @@ class TestOneStore:
     def test_the_two_var_type_keeps_no_copy_of_the_store(self):
         own = vars(ThetaTwoVar)
         shared = {"_make", "_over", "__eq__", "__hash__", "__neg__", "__add__", "__sub__",
-                  "is_zero"}
+                  "is_zero", "_sum_products"}
         assert not shared & own.keys() and own["__slots__"] == ()
         assert ThetaTwoVar.q_trunc is PuiseuxSeries.trunc
+
+    def test_one_product_kernel(self):
+        # both stores inherit the one kernel, and no module keeps a second one
+        assert "_sum_products" not in vars(PuiseuxSeries)
+        assert ThetaTwoVar._sum_products.__func__ is PuiseuxSeries._sum_products.__func__
+        assert not hasattr(qtheta.theta, "_mul_sum")
 
 
 # -- the sum-of-products kernel ----------------------------------------------------
@@ -411,14 +423,6 @@ class TestOneStore:
 
 def store(s: PuiseuxSeries):
     return s._terms, s._tn, s._td, s.base_denom, s._den
-
-
-def fold(xs, ys):
-    acc = None
-    for x, y in zip(xs, ys):
-        term = x * y
-        acc = term if acc is None else acc + term
-    return acc
 
 
 def kernel_factor(rng, dens):
@@ -442,30 +446,63 @@ def kernel_factor(rng, dens):
     return PuiseuxSeries(terms, window, denom)
 
 
-class TestDot:
-    """``dot`` is the left-to-right fold of ``*`` and ``+``, store for store."""
+def kernel_two_var(rng, dens):
+    """A two-variable factor on the grids and windows of ``kernel_factor``:
+    each of its q-exponents carries one or two zeta-exponents."""
+    s = kernel_factor(rng, dens)
+    terms = {(e, r): c for e, c in s.terms.items()
+             for r in rng.sample(range(-4, 5), rng.randint(1, 2))}
+    return ThetaTwoVar(terms, s.trunc, s.base_denom)
 
-    @pytest.mark.parametrize("seed, dens", [(173, (6,)), (179, (1, 5, 7)),
-                                            (181, (2, 3, 4, 9, 35))],
-                             ids=["shared", "coprime", "mixed"])
-    def test_dot_is_the_fold(self, seed, dens):
+
+# store -> (left factor, its reference, the product and the sum in Fractions,
+# its invariants)
+STORES = {PuiseuxSeries: (kernel_factor, ref, ref_mul, ref_add, check_invariants),
+          ThetaTwoVar: (kernel_two_var, ref_two_var, ref_mul_series, ref_add_two_var,
+                        check_two_var_invariants)}
+
+
+class TestDot:
+    """``dot``, and the kernel ``_sum_products`` under it on either store, is
+    the fold of the products and ``+`` from the empty series on its window
+    and grid, store for store, and the sum of the Fraction references."""
+
+    @pytest.mark.parametrize("cls, seed, dens",
+                             [(PuiseuxSeries, 173, (6,)), (PuiseuxSeries, 179, (1, 5, 7)),
+                              (PuiseuxSeries, 181, (2, 3, 4, 9, 35)),
+                              (ThetaTwoVar, 191, (6,)), (ThetaTwoVar, 193, (1, 5, 7)),
+                              (ThetaTwoVar, 197, (2, 3, 4, 9, 35))],
+                             ids=["shared", "coprime", "mixed",
+                                  "two-var-shared", "two-var-coprime", "two-var-mixed"])
+    def test_dot_is_the_fold(self, cls, seed, dens):
+        left, reference, ref_product, ref_sum, check = STORES[cls]
         rng = random.Random(seed)
         for _ in range(150):
-            size = rng.randint(1, 5)
-            xs = [kernel_factor(rng, dens) for _ in range(size)]
-            ys = [kernel_factor(rng, dens) for _ in range(size)]
-            kernel = dot(xs, ys)
-            assert store(kernel) == store(fold(xs, ys))
-            check_invariants(kernel)
-            expected = ref_mul(ref(xs[0]), ref(ys[0]))
-            for x, y in zip(xs[1:], ys[1:]):
-                expected = ref_add(expected, ref_mul(ref(x), ref(y)))
-            assert ref(kernel) == expected
+            pairs = [(left(rng, dens), kernel_factor(rng, dens))
+                     for _ in range(rng.randint(0, 5))]
+            if rng.random() < 0.5:
+                window, denom = INFINITY, 1
+                kernel = (dot(*zip(*pairs)) if cls is PuiseuxSeries and pairs
+                          else cls._sum_products(pairs))
+            else:
+                window = rng.choice([INFINITY, F(115, 84) * rng.randint(1, 5),
+                                     F(rng.randint(-6, 60), rng.choice((1, 7, 12)))])
+                denom = rng.choice((1, 12, 4 * rng.randint(2, 7), 84))
+                kernel = cls._sum_products(pairs, _window(window), denom)
+            total = cls({}, window, denom)
+            expected = reference(total)
+            for x, y in pairs:
+                total = total + (x * y if cls is PuiseuxSeries else x.mul_series(y))
+                expected = ref_sum(expected, ref_product(reference(x), ref(y)))
+            assert store(kernel) == store(total)
+            check(kernel)
+            assert reference(kernel) == expected
         # there is no fold of nothing, and every factor needs a partner
         with pytest.raises(ValueError):
             dot([], [])
+        x = kernel_factor(rng, dens)
         with pytest.raises(ValueError):
-            dot(xs + ys, ys)
+            dot([x, x], [x])
 
 
 # -- every reported window is sound ------------------------------------------------
