@@ -30,8 +30,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .series import (PuiseuxSeries, _key_bound, _lowest_terms, _rational_pair, _reduced, dot,
-                     parse_rational)
+from .series import (PuiseuxSeries, _key_bound, _line_error, _lowest_terms, _rational_pair,
+                     _reduced, dot, parse_rational)
 from .theta import ThetaIndex, ThetaTwoVar, odd_theta_series, theta_series
 
 
@@ -426,10 +426,7 @@ def parse_jacobi_table(text: str) -> JacobiFormData:
                 c = pairs[c_text] = _rational_pair(c_text)
             coeffs[(int(n_text), int(r_text))] = c
     except ValueError as error:
-        # ln is the failed entry of lines; count the blank lines before it too
-        position = next(i for i, line in enumerate(lines) if line is ln)
-        number = [i for i, line in enumerate(text.splitlines(), 1) if line.strip()][position]
-        raise ValueError(f"line {number} {ln.strip()!r}: {error}") from None
+        raise _line_error(text, lines, ln, error) from None
     phi = object.__new__(JacobiFormData)
     phi._validate(*header, coeffs.items())
     return phi

@@ -461,16 +461,29 @@ def dump_series_text(series: PuiseuxSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _line_error(text: str, lines: list, ln: str, error: Exception) -> ValueError:
+    """``error`` named by its line ``ln`` of ``lines``, the non-blank lines of ``text``."""
+    position = next(i for i, line in enumerate(lines) if line is ln)
+    number = [i for i, line in enumerate(text.splitlines(), 1) if line.strip()][position]
+    return ValueError(f"line {number} {ln.strip()!r}: {error}")
+
+
 def parse_series_text(text: str) -> PuiseuxSeries:
+    """The series of ``dump_series_text``'s format; a bad line raises as in ``_line_error``."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series text")
-    header = lines[0].split()
-    fields = dict(part.split("=", 1) for part in header)
-    base_denom = int(fields["D"])
-    trunc = parse_rational(fields["trunc"])
-    terms = {}
-    for ln in lines[1:]:
-        coeff_text, exp_text = ln.split()
-        terms[parse_rational(exp_text)] = parse_rational(coeff_text)
+    ln = lines[0]
+    try:
+        fields = dict(part.split("=", 1) for part in ln.split())
+        if not fields.keys() >= {"D", "trunc"}:
+            raise ValueError("the header needs a D= and a trunc= field")
+        base_denom = int(fields["D"])
+        trunc = parse_rational(fields["trunc"])
+        terms = {}
+        for ln in lines[1:]:
+            coeff_text, exp_text = ln.split()
+            terms[parse_rational(exp_text)] = parse_rational(coeff_text)
+    except ValueError as error:
+        raise _line_error(text, lines, ln, error) from None
     return PuiseuxSeries(terms, trunc, base_denom)

@@ -234,6 +234,21 @@ class TestTextFormat:
             back = parse_series_text(dump_series_text(s))
             assert back == s and back.base_denom == s.base_denom
 
+    @pytest.mark.parametrize("text, message", [
+        ("D=8\n1/1 1/8\n", "line 1 'D=8': the header needs a D= and a trunc= field"),
+        ("trunc=5/1\n", "line 1 'trunc=5/1': the header needs a D= and a trunc= field"),
+        ("D=8 trunc\n", "line 1 'D=8 trunc': dictionary update sequence element #1 has "
+                        "length 1; 2 is required"),
+        # blank lines count toward the number
+        ("D=8 trunc=5/1\n\n1/1\n", "line 3 '1/1': not enough values to unpack "
+                                   "(expected 2, got 1)"),
+        ("D=8 trunc=5/1\n1/1 1/8\n-3/0 9/8\n", "line 3 '-3/0 9/8': zero denominator in '-3/0'"),
+    ])
+    def test_malformed_line_named(self, text, message):
+        with pytest.raises(ValueError) as error:
+            parse_series_text(text)
+        assert str(error.value) == message
+
     def test_infinite_trunc_not_serializable(self):
         with pytest.raises(ValueError):
             dump_series_text(PuiseuxSeries.one())
