@@ -1,8 +1,6 @@
 """Exact q-series arithmetic for congruent theta Wronskians and
-odd-weight Jacobi form operators.
-
-Everything is computed over the rationals with certified truncation
-windows; no floating point is used anywhere.
+odd-weight Jacobi form operators, over the rationals with certified
+truncation windows and no floating point.
 
 The exports load on first use (PEP 562): ``import qtheta`` runs none of the
 package's modules, and ``qtheta.<name>`` imports only the module that
@@ -13,8 +11,10 @@ from importlib import import_module
 
 # module -> the names the package exports from it
 _EXPORTS = {
-    "characters": ("GammaCharacter", "UnityExponent", "squared_determinant_delta_power",
-                   "squared_determinant_translation", "translation_eigenvalues"),
+    "characters": ("GammaCharacter", "NotAnEigenvector", "UnityExponent",
+                   "squared_determinant_delta_power", "squared_determinant_translation",
+                   "translation_eigenvalues"),
+    "exact": ("VerificationFailed", "parse_rational"),
     "injectivity": ("CaseInput", "CaseVerdict", "InvalidInput", "NonintegralityReport",
                     "classify", "classify_levels", "is_squarefree", "level_classes",
                     "nonintegrality_check"),
@@ -24,10 +24,9 @@ _EXPORTS = {
                "parse_jacobi_table", "random_components", "taylor_coefficient",
                "taylor_from_moment", "taylor_moments", "theta_components", "two_path_taylor"),
     "modforms": ("HalfIntWeight", "eisenstein_e2", "eta", "eta_power", "modular_derivative"),
-    "series": ("INFINITY", "PuiseuxSeries", "VerificationFailed", "dot", "dump_series_text",
-               "parse_rational", "parse_series_text"),
-    "theta": ("NotAnEigenvector", "ThetaIndex", "ThetaTwoVar", "odd_theta_series",
-              "theta_series", "translation_eigenvalue"),
+    "series": ("INFINITY", "PuiseuxSeries", "dot", "dump_series_text", "parse_series_text"),
+    "theta": ("ThetaIndex", "ThetaTwoVar", "odd_theta_series", "theta_series",
+              "translation_eigenvalue"),
     "wronskian": ("CofactorOrderReport", "CramerReport", "SeriesMatrix",
                   "ThetaDerivativeMatrix", "WronskianReport", "cramer_reconstruction",
                   "eta_power_exponent", "kernel_components", "modular_wronskian",

@@ -3,11 +3,11 @@
 Roots of unity are never materialized as complex numbers: a value x in
 [0, 1) stands for exp(2*pi*i*x), and multiplying roots adds exponents
 mod 1.  This covers everything the translation tau -> tau + 1 does to the
-series in this package.
-
-A ``UnityExponent`` stores x as a reduced pair of integers num/den with
+series in this package.  A ``UnityExponent`` stores x as a reduced pair of integers num/den with
 0 <= num < den, built directly from an integer pair such as (mu^2, 4m)
 with one gcd; a ``Fraction`` is built only when ``value`` is read.
+``odd_theta_exponents`` builds no series, so ``verify-characters`` loads
+no series code.
 """
 
 from __future__ import annotations
@@ -16,7 +16,13 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from .exact import _key_bound
+
 _set = object.__setattr__
+
+
+class NotAnEigenvector(ValueError):
+    """Raised when a series is not an eigenvector of tau -> tau + 1."""
 
 
 class UnityExponent:
@@ -95,6 +101,49 @@ def translation_eigenvalues(m: int) -> list[UnityExponent]:
         raise ValueError("m must be at least 2")
     den = 4 * m
     return [UnityExponent(mu * mu, den) for mu in range(1, m)]
+
+
+def odd_theta_exponents(m: int, q_trunc):
+    """The translation eigenvalue of ``theta.odd_theta_series(ThetaIndex(m,
+    mu), q_trunc)`` for each mu = 1..m-1, read in one pass over r with no
+    series built: a generator of reduced pairs (num, den), raising what
+    ``theta.translation_eigenvalue`` raises on that series.
+
+    Each r below the key bound goes to its class c = r mod 2m, folded to
+    2m - c when c > m (r and -r share the key r^2).  A column's first key
+    fixes its residue mod 4m; as keys grow with r, the first that does not
+    match is its least key off the class.  The pairs, or an error, are
+    yielded in mu order once the pass is done.
+    """
+    if m < 1:
+        raise ValueError("index_m must be a positive integer")
+    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
+    step = 2 * m
+    den = 2 * step
+    bound = _key_bound(tn, td, den)
+    first = [0] * (m + 1)  # each column's first key; 0 while it has none
+    residue = [-1] * (m + 1)  # its residue mod 4m; -1 matches no key
+    off: dict[int, int] = {}  # column -> its least key off the class
+    for r in range(1, math.isqrt(bound - 1) + 1 if bound > 0 else 1):
+        c = r % step
+        if c > m:
+            c = step - c
+        n = r * r
+        if n % den != residue[c]:
+            if not first[c]:
+                first[c], residue[c] = n, n % den
+            elif c not in off:
+                off[c] = n
+    for mu in range(1, m):
+        n = first[mu]
+        if not n:
+            raise ValueError("the zero series scales under every eigenvalue")
+        if mu in off:
+            raise NotAnEigenvector(f"exponents {Fraction(n, den)} and {Fraction(off[mu], den)} "
+                                   f"differ by a non-integer")
+        num = residue[mu]
+        g = math.gcd(num, den)
+        yield num // g, den // g
 
 
 def squared_determinant_translation(m: int) -> UnityExponent:

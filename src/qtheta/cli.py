@@ -1,13 +1,5 @@
-"""Command-line verification front end.
-
-Subcommands run the exact checks and write deterministic reports:
-
-    verify-wronskian    eta-power identity for a range of indices
-    verify-orders       vanishing orders and leading coefficients
-    verify-characters   translation eigenvalues and character exponents
-    verify-identities   two-path Taylor identity, kernel equivalence, Cramer
-    classify            one case of the applicability conditions
-    sweep               a grid of cases plus the integrality discrepancy table
+"""Command-line verification front end: the parser, the one report writer
+``run`` and its renderers.
 
 Reports contain no floating point: every rational is rendered "num/den".
 Identical arguments produce byte-identical output.  ``run`` is the one
@@ -22,11 +14,9 @@ output target of the wrong kind included, exits 2 with a usage error and
 checks nothing; a report or dump whose write fails anyway exits 2 with one
 ``cannot write`` error line.
 
-Only parsing and what every command shares load with this module: the
-classifier, whose record fields name the verdict columns, and the series
-module.  Each case or handler imports its own engine when it runs, so
-``sweep`` and ``classify`` never compile the theta, Jacobi or Wronskian
-code, and ``verify-characters`` adds only theta and characters.
+Parsing loads this module, ``qtheta.exact`` and the classifier.  Each
+command is a module of its own, named in ``COMMANDS`` and imported when
+the command is checked; it imports its engine when it runs.
 """
 
 from __future__ import annotations
@@ -35,12 +25,14 @@ import argparse
 import os
 import sys
 from fractions import Fraction
-from math import gcd
+from importlib import import_module
 from pathlib import Path
 
-from .injectivity import (CaseInput, CaseVerdict, NonintegralityReport, classify,
-                          classify_levels, level_classes, nonintegrality_check)
-from .series import VerificationFailed, _rat_str, dump_series_text, parse_rational
+# not read here: perfbench's restore test needs it loaded before the tracer
+# imports its targets; drop it once that test loads them (ROADMAP item 1)
+from . import injectivity
+# to_jsonable is re-exported: perfbench traces it as ``cli.to_jsonable``
+from .exact import ABSENT, VerificationFailed, _rat_str, parse_rational, to_jsonable
 
 SCHEMA_VERSION = 1
 OUTPUT_DIR_ENV = "QTHETA_OUTPUT_DIR"
@@ -73,171 +65,32 @@ def parse_levels(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
-def to_jsonable(value):
-    """A report record's fields as a row under its ``_fields``; a field is a
-    Fraction, int, bool, str or None."""
-    if isinstance(value, (bool, int, str)) or value is None:
-        return value
-    if isinstance(value, Fraction):
-        return _rat_str(value)
-    if isinstance(value, tuple) and hasattr(value, "_fields"):
-        return tuple([to_jsonable(field) for field in value])
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-ABSENT = ...  # the cell of a key a row lacks: a singleton of no JSON type, kept by pickle
-
-
-# -- command implementations --------------------------------------------------
+# -- commands ------------------------------------------------------------------
 #
-# Each handler takes the parsed arguments and returns (tables, discrepancies,
-# dumps).  tables maps each table name to (keys, rows): the keys tuple is the
-# CSV header, in first-seen order, and each row is one tuple of cells, a str,
-# int, bool or None, or ABSENT where the row lacks that key (JSON and text
-# leave it out, CSV prints it empty).  Every "ok" cell is true: a failed
-# check raises VerificationFailed instead of returning a row.  dumps maps a
-# --dump-series file name to its series.
-#
-# The four verify commands share _run_cases.  Each of their cases takes
-# (args, m, inputs) and returns its own tables and dumps, so the parent
-# computes no series once the cases have run.  A case imports its engine
-# in its body: a command loads only the modules its cases read, and each
-# name is read off its module when the case runs.
+# Each command's module gives ``check(args)``, which raises ValueError on
+# malformed input, and ``handle(args)``, which returns (tables,
+# discrepancies, dumps).  tables maps each table name to (keys, rows): the
+# keys tuple is the CSV header, in first-seen order, and each row is one
+# tuple of cells, a str, int, bool or None, or ABSENT where the row lacks
+# that key (JSON and text leave it out, CSV prints it empty).  dumps maps a
+# --dump-series file name to its series.  No command module imports this
+# one: ``python -m qtheta.cli`` runs it as ``__main__``, and the import
+# would compile it a second time.
+
+COMMANDS = {"verify-wronskian": "cmd_wronskian", "verify-orders": "cmd_orders",
+            "verify-characters": "cmd_characters", "verify-identities": "cmd_identities",
+            "classify": "cmd_classify", "sweep": "cmd_sweep"}
 
 
-def _wronskian_case(job):
-    from .wronskian import theta_wronskian, verify_eta_power
-
-    args, m, _ = job
-    dumps = {}
-    if args.dump_series is not None:
-        dumps[f"wronskian_m{m}.series"] = theta_wronskian(m, args.q_trunc)
-    report = verify_eta_power(m, args.q_trunc)
-    return {"reports": (report._fields, [to_jsonable(report)])}, dumps
+def _command(name: str):
+    return import_module(f"{__package__}.{COMMANDS[name]}")
 
 
-def _orders_case(job):
-    from .wronskian import (_check_theta_minor, _cofactor_order_reports,
-                            theta_derivative_matrix, theta_wronskian)
-
-    args, m, _ = job
-    value, _, _ = _check_theta_minor(m, range(1, m), theta_wronskian(m, args.q_trunc),
-                                     f"m={m}", "Wronskian")
-    rows = [(m, "wronskian_order", _rat_str(value), _rat_str(value), True),
-            (m, "wronskian_square_order", _rat_str(2 * value), _rat_str(2 * value), True)]
-    dumps = {}
-    if m >= 3:
-        cofactors = theta_derivative_matrix(m, args.q_trunc).last_row_cofactors()
-        rows += [(m, f"cofactor_order_nu_{rep.nu}", _rat_str(rep.ord_cofactor),
-                  _rat_str(rep.ord_expected), rep.passed)
-                 for rep in _cofactor_order_reports(m, cofactors)]
-        if args.dump_series is not None:
-            for nu, cof in enumerate(cofactors, start=1):
-                dumps[f"cofactor_m{m}_nu{nu}.series"] = cof
-    return {"orders": (("m", "check", "value", "expected", "ok"), rows)}, dumps
+def _handle(args: argparse.Namespace):
+    return _command(args.command).handle(args)
 
 
-def _characters_case(job):
-    from .characters import squared_determinant_delta_power, squared_determinant_translation
-    from .theta import odd_theta_exponents
-
-    _, m, _ = job
-    den = 4 * m
-    # every class mu = 1..m-1 has its two least residues mu and 2m - mu below
-    # 2m, so on 2m + 2 (r^2 < 8m^2 + 8m) each column has at least two terms
-    # and each eigenvalue compares at least one pair of exponents
-    eigen_rows = []
-    try:
-        for mu, (num, d) in zip(range(1, m), odd_theta_exponents(m, 2 * m + 2)):
-            if num * den != mu * mu % den * d:  # num/d is not mu^2/4m mod 1
-                g = gcd(mu * mu, den)
-                raise VerificationFailed(
-                    f"character check failed: m={m} mu={mu}: series exponent "
-                    f"{num}/{d}, expected {mu * mu % den // g}/{den // g}")
-            eigen_rows.append((m, mu, f"{num}/{d}", True))
-    except ValueError as error:  # column mu = len(eigen_rows) + 1 is not an eigenvector, or zero
-        raise VerificationFailed(f"character check failed: m={m} "
-                                 f"mu={len(eigen_rows) + 1}: {error}") from None
-    xi = squared_determinant_translation(m)
-    power = squared_determinant_delta_power(m)
-    if xi != power.translation_value:
-        raise VerificationFailed(
-            f"character check failed: m={m}: squared determinant exponent "
-            f"{xi.num}/{xi.den}, delta power {power.delta_power}")
-    return {"eigenvalues": (("m", "mu", "exponent", "matches_series"), eigen_rows),
-            "characters": (("m", "xi", "delta_power", "consistent"),
-                           [(m, f"{xi.num}/{xi.den}", power.delta_power, True)])}, {}
-
-
-def _identity_rows_for_components(m, label, h, q_trunc, weight_k):
-    """The rows (m, case, check, ok) of one tuple h, and its kernel_case cell from m = 3 on.
-
-    Each check runs in report order, two-path Taylor, kernel equivalence,
-    then Cramer from m = 3 on, and the first that fails raises
-    ``identity check failed: m=<m> case=<label> check=<check>``; a Cramer
-    failure appends its own message.  So the Cramer check solves the rows
-    M h only once the rows before it hold.
-    """
-    from .jacobi import (component_taylor, from_theta_components, kernel_equivalence,
-                         taylor_from_moment, taylor_moments, two_path_taylor)
-    from .wronskian import cramer_reconstruction
-
-    def failed(check, detail=""):
-        return VerificationFailed(
-            f"identity check failed: m={m} case={label} check={check}{detail}")
-
-    assembled = from_theta_components(h, q_trunc)
-    # the rows M h and the zeta-moments, built once: compared here on the int
-    # stores; the rows are then solved by the Cramer check, and the moments
-    # over (2nu - 1)! are the Taylor coefficients the kernel equivalence reads
-    nus = range(1, m)
-    system = [component_taylor(h, nu) for nu in nus]
-    moments = taylor_moments(assembled, nus)
-    if not all(two_path_taylor(moment, row, nu, m)
-               for nu, moment, row in zip(nus, moments, system)):
-        raise failed("two_path_taylor")
-    taylors = [taylor_from_moment(moment, nu) for nu, moment in zip(nus, moments)]
-    ops_vanish, taylors_vanish = kernel_equivalence(taylors, weight_k, m)
-    if ops_vanish != taylors_vanish:
-        raise failed("kernel_equivalence")
-    rows = [(m, label, "two_path_taylor", True), (m, label, "kernel_equivalence", True)]
-    if m < 3:
-        return rows
-    try:
-        report = cramer_reconstruction(m, h, q_trunc, system)
-    except VerificationFailed as error:
-        raise failed("cramer", f": {error}") from None
-    return [row + (ABSENT,) for row in rows] + [(m, label, "cramer", True, report.kernel_case)]
-
-
-def _identities_case(job):
-    """Index m's random tuples ``draws`` and its kernel tuple; m None is the --jacobi-file case."""
-    from .jacobi import ThetaComponents, theta_components
-    from .wronskian import _cramer_operators
-
-    args, m, draws = job
-    if m is None:
-        phi = args.jacobi_form
-        m, q_trunc, weight_k = phi.index_m, phi.n_trunc, phi.weight_k
-        draws = [("jacobi_file", theta_components(phi))]
-    else:
-        q_trunc, weight_k = args.q_trunc, args.weight_k
-        if m >= 3:
-            # the last-row cofactors: the last column of the adjugate Cramer solves with
-            adj = _cramer_operators(m, Fraction(q_trunc))[0]
-            draws = draws + [("kernel", ThetaComponents(m, tuple(row[-1] for row in adj)))]
-    rows = [row for label, h in draws
-            for row in _identity_rows_for_components(m, label, h, q_trunc, weight_k)]
-    keys = ("m", "case", "check", "ok", "kernel_case") if m >= 3 else ("m", "case", "check", "ok")
-    return {"identities": (keys, rows)}, {}
-
-
-CASES = {
-    "verify-wronskian": _wronskian_case,
-    "verify-orders": _orders_case,
-    "verify-characters": _characters_case,
-    "verify-identities": _identities_case,
-}
+HANDLERS = dict.fromkeys(COMMANDS, _handle)
 
 
 def _lift_int_str_limit() -> int | None:
@@ -249,205 +102,6 @@ def _lift_int_str_limit() -> int | None:
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     return saved
-
-
-# A task token is a 4-byte run number.  POSIX guarantees that a pipe holds
-# PIPE_BUF = 4096 bytes, so up to 1024 tokens go into the task pipe before
-# the first fork without blocking; past 1024 cases a run spans several.
-_TOKEN_BYTES = 4
-_MAX_TOKENS = 1024
-
-
-def _work_runs(worker, items, bounds, tasks) -> dict:
-    """Take tokens from the task pipe until it is empty and run every case of
-    each token's run, failed or not: {index: (True, result) or (False, error)}."""
-    results = {}
-    while len(token := os.read(tasks, _TOKEN_BYTES)) == _TOKEN_BYTES:
-        run = int.from_bytes(token, "little")
-        for index in reversed(range(bounds[run], bounds[run + 1])):
-            try:
-                results[index] = (True, worker(items[index]))
-            except Exception as error:
-                results[index] = (False, error)
-    return results
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one (a ``taskset`` or a cpuset container narrows it), else the host count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_parallel(worker, items, jobs):
-    """``[worker(item) for item in items]`` on up to ``jobs`` processes.
-
-    The parent is one worker and forks the others (the CLI runs no thread
-    that a fork would leave behind).  Every process takes
-    tokens from one task pipe, largest index first, and runs all the cases it
-    takes, so the lowest failing index is always seen.  A child pickles its
-    results to its own pipe and ends with ``os._exit``, never flushing the
-    parent's stdio buffers.  The results are merged in item order and the
-    first failure is raised, as a serial run raises it; a case that no
-    process returned (its worker died) fails with the children's wait
-    statuses.
-    """
-    workers = min(jobs, len(items), _usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [worker(item) for item in items]
-    import pickle  # only worker processes need it; kept out of every start-up
-
-    runs = min(len(items), _MAX_TOKENS)
-    bounds = [run * len(items) // runs for run in range(runs + 1)]
-    tasks, feed = os.pipe()
-    os.write(feed, b"".join(run.to_bytes(_TOKEN_BYTES, "little")
-                            for run in reversed(range(runs))))
-    os.close(feed)
-    pids, inboxes = [], []
-    try:
-        for _ in range(workers - 1):
-            inbox, outbox = os.pipe()
-            inboxes.append(inbox)
-            pid = os.fork()
-            if pid == 0:
-                status = 1
-                try:
-                    for fd in inboxes:
-                        os.close(fd)
-                    with open(outbox, "wb") as out:
-                        pickle.dump(_work_runs(worker, items, bounds, tasks), out,
-                                    pickle.HIGHEST_PROTOCOL)
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-            os.close(outbox)
-        results = _work_runs(worker, items, bounds, tasks)
-        sent = []
-        for inbox in inboxes:
-            with open(inbox, "rb", closefd=False) as stream:
-                sent.append(stream.read())
-    finally:
-        # on an early exit, take the tokens left so the children stop after
-        # their current case, and close the result pipes so none blocks
-        while os.read(tasks, _TOKEN_BYTES * _MAX_TOKENS):
-            pass
-        os.close(tasks)
-        for inbox in inboxes:
-            os.close(inbox)
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    for data, status in zip(sent, statuses):
-        if status == 0:
-            results.update(pickle.loads(data))
-    merged = []
-    for index in range(len(items)):
-        if index not in results:
-            raise VerificationFailed(
-                f"case {index} has no result: worker process wait statuses "
-                f"{', '.join(map(str, statuses))}")
-        ok, value = results[index]
-        if not ok:
-            raise value
-        merged.append(value)
-    return merged
-
-
-def _run_cases(args: argparse.Namespace):
-    """Handler of the four verify commands: one case per index, merged in index order."""
-    lo, hi = args.m
-    ms = range(max(lo, 2), hi + 1)
-    if args.command == "verify-identities":
-        import random
-
-        from .jacobi import random_components
-
-        # every random tuple is drawn here, in index order, so the seeded
-        # stream is the same for any --jobs
-        rng = random.Random(args.seed)
-        jobs = [(args, m, [(f"random_{trial}", random_components(m, args.q_trunc, rng))
-                           for trial in range(args.trials)]) for m in ms]
-        if args.jacobi_file is not None:
-            jobs.append((args, None, None))
-    else:
-        jobs = [(args, m, None) for m in ms]
-    parts, dumps = {}, {}
-    for case_tables, case_dumps in _run_parallel(CASES[args.command], jobs, args.jobs):
-        for name, table in case_tables.items():
-            parts.setdefault(name, []).append(table)
-        dumps.update(case_dumps)
-    return {name: _join(tables) for name, tables in parts.items()}, [], dumps
-
-
-def _join(tables) -> tuple:
-    """One table of several: the keys in first-seen order, ABSENT where a row's table lacks one."""
-    keys = tuple(dict.fromkeys(key for table_keys, rows in tables if rows for key in table_keys))
-    joined = []
-    for table_keys, rows in tables:
-        if table_keys != keys:
-            at = [table_keys.index(key) if key in table_keys else None for key in keys]
-            rows = [tuple(ABSENT if i is None else row[i] for i in at) for row in rows]
-        joined += rows
-    return keys, joined
-
-
-# a verdict's fields, then ``discrepancy_flags``: blank, as no accepted case has m = 6
-_VERDICT_KEYS = CaseVerdict._fields + ("discrepancy_flags",)
-_INTEGRALITY_KEYS = NonintegralityReport._fields + ("discrepancy",)
-
-
-def _cmd_classify(args: argparse.Namespace):
-    verdict = classify(CaseInput(args.k, args.m, args.N))
-    discrepancies = []
-    tables = {"verdicts": (_VERDICT_KEYS, [verdict + ("",)])}
-    if args.m > 3:
-        report = nonintegrality_check(args.m)
-        tables["nonintegrality"] = (_INTEGRALITY_KEYS,
-                                    [to_jsonable(report) + (report.discrepancy,)])
-        if report.discrepancy:
-            discrepancies.append(f"m={args.m}: integrality discrepancy")
-    if verdict.any_part and not verdict.window_ok:
-        raise VerificationFailed(
-            f"window check failed for accepted case k={args.k} m={args.m}")
-    return tables, discrepancies, {}
-
-
-def _cmd_sweep(args: argparse.Namespace):
-    k_lo, k_hi = args.k
-    rows, integrality_rows, discrepancies, ms_seen = [], [], [], set()
-    # config_from_args has checked the grid, so each level's class is worked
-    # out once here and no (k, m) validates or tests a level again
-    classes = level_classes(args.N)
-    for k in range(k_lo, k_hi + 1):
-        if k % 2 == 0:
-            continue
-        if args.m_offset is not None:
-            off_lo, off_hi = args.m_offset
-            ms = range(k + off_lo, k + off_hi + 1)
-        else:
-            ms = range(args.m[0], args.m[1] + 1)
-        for m in ms:
-            if m < 3:
-                continue
-            ms_seen.add(m)
-            for verdict in classify_levels(k, m, args.N, classes):
-                if not verdict.window_ok and verdict.any_part:
-                    raise VerificationFailed(
-                        f"window check failed for accepted case k={k} m={m} N={verdict.N}")
-                rows.append(verdict + ("",))
-    for m in sorted(ms_seen):
-        if m <= 3:
-            continue
-        report = nonintegrality_check(m)
-        integrality_rows.append(to_jsonable(report) + (report.discrepancy,))
-        if report.discrepancy:
-            discrepancies.append(f"m={m}: (m-2)(m-1)(2m-3)/m is an integer")
-    tables = {"verdicts": (_VERDICT_KEYS, rows),
-              "nonintegrality": (_INTEGRALITY_KEYS, integrality_rows)}
-    return tables, sorted(set(discrepancies)), {}
-
-
-HANDLERS = {**dict.fromkeys(CASES, _run_cases), "classify": _cmd_classify, "sweep": _cmd_sweep}
 
 
 # -- rendering -----------------------------------------------------------------
@@ -648,21 +302,16 @@ def _write_error(name, error: OSError) -> None:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Execute one command and write its report; returns the process exit status.
-
-    A check fails only by raising ``VerificationFailed``, so once the
-    handler has returned every check has passed: the one report target (see
-    ``_report_target``) is opened and the ``--format`` renderer writes into
-    it as it goes, holding no whole report as one string.  A failed check
-    writes only its failure record, to the target or else to stderr, and
-    exits 1.  A dump or report that cannot be written prints ``qtheta:
-    error: cannot write ...`` and exits 2.
-    """
+    """Execute one command and write its report into the target of
+    ``_report_target``, or its failure record there or else to stderr;
+    returns the exit status that the module docstring gives."""
     try:
         tables, discrepancies, dumps = HANDLERS[args.command](args)
     except VerificationFailed as error:
         return 1 if _write_report(args, sys.stderr, _render_failure, args, error) else 2
     if args.dump_series is not None and dumps:
+        from .series import dump_series_text
+
         path = args.dump_series
         try:
             path.mkdir(parents=True, exist_ok=True)
@@ -756,46 +405,13 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check the parsed arguments; raises ValueError on malformed input, else returns them.
 
-    verify-identities also gains ``jacobi_form``, its parsed --jacobi-file
-    table or None, so a bad table is rejected before any case runs.  A
-    verify-orders or verify-identities --q-trunc that ``_short_window``
-    finds too short for the top index, and a report or dump target that
-    names the wrong kind of file, are rejected here too.
+    A report or dump target that names the wrong kind of file is rejected
+    here, then the command's module checks its own arguments: verify-identities
+    also gains ``jacobi_form``, its parsed --jacobi-file table or None, so a
+    bad table is rejected before any case runs.
     """
     _check_targets(args)
-    if args.command in CASES:
-        if args.m[1] < 2:
-            raise ValueError(f"--m {args.m[0]}..{args.m[1]} has no index m >= 2 to check")
-        if args.q_trunc <= 0:
-            raise ValueError("q_trunc must be positive")
-        if args.jobs < 1:
-            raise ValueError("--jobs must be at least 1")
-        short = args.command in ("verify-orders", "verify-identities") and \
-            _short_window(args.m[1], args.q_trunc)
-        if short:
-            raise ValueError(f"--q-trunc {args.q_trunc} is too short for the top index: {short}")
-        if args.command == "verify-identities":
-            _check_identities_args(args)
-    elif args.command == "classify":
-        CaseInput(args.k, args.m, args.N)  # its InvalidInput is a ValueError
-    elif args.command == "sweep":
-        if args.m is None and args.m_offset is None:
-            raise ValueError("sweep needs --m or --m-offset")
-        if args.m is not None and args.m_offset is not None:
-            raise ValueError("sweep takes --m or --m-offset, not both")
-        if min(args.N) < 1:
-            raise ValueError("--N levels must be positive integers")
-        if len(set(args.N)) < len(args.N):
-            levels = ",".join(map(str, args.N))
-            raise ValueError(f"--N {levels} lists a level more than once")
-        if any(k % 2 for k in range(args.k[0], min(args.k[1], 2) + 1)):
-            raise ValueError("--k includes an odd weight below 3")
-        odd = [k for k in range(args.k[0], args.k[1] + 1) if k % 2]
-        if not odd:
-            raise ValueError(f"--k {args.k[0]}..{args.k[1]} has no odd weight to check")
-        top = args.m[1] if args.m_offset is None else odd[-1] + args.m_offset[1]
-        if top < 3:
-            raise ValueError("the sweep grid has no index m >= 3 to check")
+    _command(args.command).check(args)
     return args
 
 
@@ -811,66 +427,6 @@ def _check_targets(args: argparse.Namespace) -> None:
     if args.dump_series is not None and args.dump_series.exists() \
             and not args.dump_series.is_dir():
         raise ValueError(f"--dump-series {args.dump_series} is not a directory")
-
-
-def _check_identities_args(args: argparse.Namespace) -> None:
-    """Validate verify-identities input and parse its --jacobi-file into ``args.jacobi_form``."""
-    if args.weight_k < 1 or args.weight_k % 2 == 0:
-        raise ValueError("--weight-k must be a positive odd integer")
-    if args.trials < 0:
-        raise ValueError("--trials must be nonnegative")
-    if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
-        raise ValueError("no case to check: every index is below 3, --trials is 0 "
-                         "and there is no --jacobi-file")
-    # a random h_mu samples the exponents n - mu^2/4m, n an integer with
-    # mu^2/4m <= n < q_trunc; class 1 has the most, ceil(q_trunc) - 1, and
-    # a range of more than sys.maxsize points has no len()
-    points = -(-args.q_trunc.numerator // args.q_trunc.denominator) - 1
-    if points > sys.maxsize:
-        raise ValueError(f"--q-trunc {args.q_trunc} is too long for the top index: "
-                         f"m={args.m[1]} mu=1: {points} exponents to draw from, "
-                         f"more than sys.maxsize = {sys.maxsize}")
-    args.jacobi_form = None
-    if args.jacobi_file is not None:
-        from .jacobi import parse_jacobi_table
-
-        try:
-            phi = parse_jacobi_table(args.jacobi_file.read_text())
-        except KeyError as error:
-            raise ValueError(f"--jacobi-file {args.jacobi_file}: "
-                             f"header has no {error.args[0]}= field") from error
-        except (OSError, ValueError) as error:
-            raise ValueError(f"--jacobi-file {args.jacobi_file}: {error}") from error
-        if phi.index_m < 2:
-            raise ValueError(f"--jacobi-file {args.jacobi_file}: index m={phi.index_m} "
-                             f"has no odd theta component to check")
-        short = _short_window(phi.index_m, phi.n_trunc)
-        if short:
-            raise ValueError(f"--jacobi-file {args.jacobi_file}: trunc={phi.n_trunc} "
-                             f"is too short for its index: {short}")
-        if phi.is_zero():
-            raise ValueError(f"--jacobi-file {args.jacobi_file}: every coefficient is zero, "
-                             f"so every check would compare zero series")
-        args.jacobi_form = phi
-
-
-def _short_window(m: int, q_trunc) -> str | None:
-    """``m=<m>[ nu=1]: window <w> cannot reach <minor> order <o>`` if the
-    binding minor of index m has its order outside its own window: the
-    Wronskian for m = 2, else the last-row cofactor nu = 1; None if not.
-
-    A minor's order is inside exactly when q_trunc passes the largest
-    mu^2/4m of its columns.  That is (m-1)^2/4m for nu = 1 and no more for
-    any other nu, so nu = 1 fails whenever some cofactor does, and the bound
-    grows with m, so the top index of a range decides.  Below it the order
-    checks must fail, and the kernel tuple loses entries: on short windows
-    every tuple is zero, and the identity checks compare nothing.
-    """
-    from .wronskian import _short_minor, theta_minor_window
-
-    where, name, columns = (("m=2", "Wronskian", [1]) if m == 2 else
-                            (f"m={m} nu=1", "cofactor", range(2, m)))
-    return _short_minor(m, columns, theta_minor_window(m, q_trunc, columns), where, name)[1]
 
 
 def main(argv=None) -> int:

@@ -7,18 +7,8 @@ scaled by 2m) and builds the congruence text of a part-(ii)/(iii) case,
 once per index m.  One side claim (that (m-2)(m-1)(2m-3)/m is never an
 integer for m > 3) fails at m = 6, where ``classify`` accepts no case;
 ``nonintegrality_check`` surfaces it as a documented discrepancy and never
-as a verification failure.
-
-A verdict reads the level N only through whether N is square-free and
-whether N = 1.  ``classify_levels`` classifies one (k, m) on a list of
-levels in one pass: ``_class_fields`` works out what depends on (k, m)
-alone once (m - k, the eta exponent, part (i), and the one (s, r) an
-accepted case takes, with its beta and window), then the fields of each
-such class, at most three, once, and every level's verdict is (k, m, N)
-plus its class's fields.  ``classify`` is its call on one level, so the
-arithmetic is done in one place.  ``level_classes`` works out the classes
-of a list of levels, so a sweep over many (k, m) tests each level's
-square-freeness once.
+as a verification failure.  The arithmetic is done in one place,
+``classify_levels``, which classifies one (k, m) on a list of levels.
 """
 
 from __future__ import annotations
@@ -154,13 +144,11 @@ def _class_fields(k: int, m: int, keys) -> dict[tuple[bool, bool], tuple]:
     square-free) of ``keys``: the arithmetic of ``classify``, once per (k, m)
     and once per class.
 
-    m - k, the eta exponent, part (i), and whether parts (ii)/(iii) can hold
-    at all (m odd and m - k >= 2) depend on (k, m) alone, and so does the
-    one (s, r) an accepted class takes, with its beta and window: part (i)'s
-    choice when it holds, else (m-k-2, 0).  A class adds its part-(ii)/(iii)
-    flags, which pick its fields: those of an accepted case, with the
-    congruence text when part (ii) or (iii) holds, or those of a rejected
-    one, (s, r) = (0, 0) and no window.
+    m - k, the eta exponent, part (i), whether parts (ii)/(iii) can hold
+    (m odd and m - k >= 2), and the one (s, r) an accepted class takes, with
+    its beta and window, depend on (k, m) alone.  A class's part-(ii)/(iii)
+    flags pick an accepted case's fields, or a rejected one's: (s, r) =
+    (0, 0) and no window.
     """
     mk = m - k
     lam = (m - 1) * (2 * m - 1)
@@ -192,17 +180,12 @@ def _class_fields(k: int, m: int, keys) -> dict[tuple[bool, bool], tuple]:
 def classify_levels(k: int, m: int, levels, classes=None) -> list[CaseVerdict]:
     """``[classify(CaseInput(k, m, N)) for N in levels]``, one field tuple per level class.
 
-    A verdict reads N only through two facts, whether N is square-free
-    (part ii) and whether N = 1 (part iii), so the levels fall into at
-    most three classes: 1, the other square-free levels, the rest.
-    ``_class_fields`` works out each class's fields once, and each level's
-    verdict is (k, m, N) plus its class's fields.
-
-    Without ``classes`` the case is checked as ``CaseInput`` checks it and
-    each level's class is worked out here.  A caller that classifies many
-    (k, m) on the same levels, each already checked, passes
-    ``level_classes(levels)``, worked out once, so no level is validated or
-    tested for square-freeness a second time.
+    A verdict reads N only through whether N is square-free (part ii) and
+    whether N = 1 (part iii), so the levels fall into at most three classes,
+    and each level's verdict is (k, m, N) plus its class's fields.  Without
+    ``classes`` the case is checked as ``CaseInput`` checks it; a caller that
+    classifies many (k, m) on levels already checked passes
+    ``level_classes(levels)``, worked out once.
     """
     if classes is None:
         classes = level_classes(levels)

@@ -9,17 +9,10 @@ h_1..h_{m-1}, and the Taylor operators extract the odd coefficients of the
 expansion in z (with every power of 2*pi*i absorbed so that all series
 stay rational).
 
-The series that do not depend on h are built once per process, keyed by
-exactly what they depend on, and shared by every tuple: for each (m, mu,
-window) the ladder of the odd theta series and its m-2 q-derivatives that
-``component_taylor`` reads (the window is trunc h_mu + mu^2/4m), and for
-each (m, mu, q_trunc) the pair theta_{m,mu} - theta_{m,-mu} that
-``from_theta_components`` multiplies.  ``taylor_moments`` takes the
-zeta-moment of order 2*nu - 1 of every nu of an assembled form from one
-oddness scan and one moment pass; ``two_path_taylor`` compares each with its
-row M h on the int stores, and ``taylor_from_moment`` divides it by
-(2*nu - 1)! once, in integers, for chi_nu.  A table is read and validated on
-int pairs (num, den), and its components are built through ``_make``.
+The series that do not depend on h (``_theta_ladder``, ``_theta_pair``)
+are built once per process, keyed by exactly what they depend on, and
+shared by every tuple.  A table is read and validated on int pairs
+(num, den), and its components are built through ``_make``.
 """
 
 from __future__ import annotations
@@ -30,8 +23,8 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .series import (PuiseuxSeries, _key_bound, _line_error, _lowest_terms, _rational_pair,
-                     _reduced, dot, parse_rational)
+from .exact import _key_bound, _rational_pair, parse_rational
+from .series import PuiseuxSeries, _line_error, _lowest_terms, _reduced, dot
 from .theta import ThetaIndex, ThetaTwoVar, odd_theta_series, theta_series
 
 
@@ -417,6 +410,9 @@ def parse_jacobi_table(text: str) -> JacobiFormData:
     ln = lines[0]
     try:
         fields = dict(part.split("=", 1) for part in ln.split())
+        for key in ("k", "m", "N", "trunc"):
+            if key not in fields:
+                raise ValueError(f"header has no {key}= field")
         header = (int(fields["k"]), int(fields["m"]), int(fields["N"]),
                   parse_rational(fields["trunc"]))
         for ln in lines[1:]:

@@ -17,32 +17,18 @@ gcd once.  Operands on different grids meet on the lcm of their D.
 ``terms``, ``coefficient`` and ``leading_term`` build their Fractions on
 demand.  The public constructor takes and validates Fractions; the ring
 operations and the package's own producers use the trusted constructor
-``_make``, which checks nothing.
-
-There is one store, ``_IntStore``, under this class and the two-variable
-``theta.ThetaTwoVar``: the trusted constructor, the window, equality,
-negation, the sum and the sum-of-products kernel are written once.  The
-key shape is the only difference, n here and (n, r) there; the two types
-never add or compare equal.  Each store gives the steps that read its keys:
-``_refine``, ``_below``, ``_keys`` and ``_convolve``.
+``_make``, which checks nothing.  One store, ``_IntStore``, lies under this
+class and the two-variable ``theta.ThetaTwoVar``; the two never add or
+compare equal.
 
 The window is stored as exact ints too: ``trunc`` = tn/td in lowest terms
-with td >= 1, and +infinity as (1, 0).  ``trunc`` builds the Fraction (or
-``math.inf``) when read.  Windows are compared and shifted by integer
-cross-multiplication, so they need not lie on the series' grid: a product
-window such as 115/84 on the 1/12 grid stays exact.
-
-Truncation bounds are recomputed pessimistically through every operation,
-so any identity observed on a result is certified on the stated window.
-``dot`` forms a sum of products in one pass through that kernel, with the
-terms and window of the left-to-right fold of ``*`` and ``+``.  A series
-divides only by a nonzero scalar; there is no series-by-series division.
-Values are immutable after construction and all operations are pure, so
-series may be shared freely across threads or processes.
-
-``VerificationFailed``, the one exception of a failed exact check, lives
-here, in the module every check already imports, so a command raises it
-without loading the checks it does not run.
+with td >= 1, and +infinity as (1, 0).  Windows are compared and shifted
+by integer cross-multiplication, so they need not lie on the series' grid:
+a product window such as 115/84 on the 1/12 grid stays exact.  They are
+recomputed pessimistically through every operation, so any identity
+observed on a result is certified on the stated window.  A series divides
+only by a nonzero scalar.  Values are immutable and all operations are
+pure, so series may be shared freely across threads or processes.
 """
 
 from __future__ import annotations
@@ -52,16 +38,12 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
+# VerificationFailed and parse_rational are re-exported: their home was here
+from .exact import VerificationFailed, _key_bound, _rat_str, parse_rational
+
 INFINITY = math.inf
-
-Exponent = Fraction
 Truncation = Union[Fraction, float]
-
 _ZERO = Fraction(0)
-
-
-class VerificationFailed(Exception):
-    """An exact identity check failed; the message carries the first witness."""
 
 
 def _as_trunc(value) -> Truncation:
@@ -76,12 +58,6 @@ def _window(trunc: Truncation) -> tuple[int, int]:
     """A truncation from ``_as_trunc`` as its int pair (tn, td): lowest terms
     with td >= 1, and (1, 0) for +infinity."""
     return (1, 0) if isinstance(trunc, float) else (trunc.numerator, trunc.denominator)
-
-
-def _key_bound(tn: int, td: int, denom: int) -> int | None:
-    """The integer keys n on the 1/denom grid with n/denom < tn/td are those
-    below this; None when the window is +infinity."""
-    return -(-tn * denom // td) if td else None
 
 
 def _order(x, low: int | None, denom: int) -> tuple[int, int]:
@@ -428,28 +404,6 @@ def dot(xs, ys) -> PuiseuxSeries:
 # exponent.  Used by the CLI's --dump-series output and by golden-file tests.
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' into an exact Fraction."""
-    return Fraction(*_rational_pair(text))
-
-
-def _rational_pair(text: str) -> tuple[int, int]:
-    """``parse_rational(text)`` as its int pair (num, den), in lowest terms with den >= 1."""
-    text = text.strip()
-    if "/" not in text:
-        return int(text), 1
-    num, den = (int(part) for part in text.split("/", 1))
-    if den == 0:
-        raise ValueError(f"zero denominator in {text!r}")
-    g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-    return num // g, den // g
-
-
-def _rat_str(x: Fraction) -> str:
-    x = Fraction(x)
-    return f"{x.numerator}/{x.denominator}"
-
-
 def dump_series_text(series: PuiseuxSeries) -> str:
     if not series._td:
         raise ValueError("only series with a finite truncation can be serialized")
@@ -469,7 +423,9 @@ def _line_error(text: str, lines: list, ln: str, error: Exception) -> ValueError
 
 
 def parse_series_text(text: str) -> PuiseuxSeries:
-    """The series of ``dump_series_text``'s format; a bad line raises as in ``_line_error``."""
+    """The series of ``dump_series_text``'s format; a bad line raises as in
+    ``_line_error``, a term at or past the header's window or on an exponent
+    an earlier line gave included: either reads as another series."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty series text")
@@ -483,7 +439,12 @@ def parse_series_text(text: str) -> PuiseuxSeries:
         terms = {}
         for ln in lines[1:]:
             coeff_text, exp_text = ln.split()
-            terms[parse_rational(exp_text)] = parse_rational(coeff_text)
+            e = parse_rational(exp_text)
+            if e in terms:
+                raise ValueError(f"exponent {e} is repeated")
+            if e >= trunc:
+                raise ValueError(f"exponent {e} is not below trunc={trunc}")
+            terms[e] = parse_rational(coeff_text)
     except ValueError as error:
         raise _line_error(text, lines, ln, error) from None
     return PuiseuxSeries(terms, trunc, base_denom)

@@ -7,23 +7,13 @@ weight-3/2 series whose derivatives fill the Wronskian matrix.  All
 q-exponents live on the grid (1/4m)*Z.
 
 ``ThetaTwoVar`` has the one store of ``PuiseuxSeries`` (the series module's
-``_IntStore``), and the key shape is the only difference: c*q^(n/D)*zeta^r
-sits under (n, r) where a one-variable term sits under n.  So it gives only
-the key steps ``_refine``, ``_below``, ``_keys`` (the n of each (n, r)) and
-``_convolve``, and ``mul_series`` and ``jacobi.from_theta_components`` run
-the store's sum-of-products kernel on one product and on m - 1.  The series
-here are built on those keys through the trusted ``_make``, with integer
-coefficients over den 1: the term r sits at r^2 on the 1/4m grid, and
-r^2/4m < q_trunc is r^2 < ceil(4m*q_trunc).  That ceiling is the integer key
-bound, and ``_residues`` takes it: the residues of a class below it are one
-``range``.
-
-``odd_theta_series`` builds the odd series of one class on its own window.
-``translation_eigenvalue`` reads the translation eigenvalue of a series off
-its exponents, and ``odd_theta_exponents`` reads those of an index's m - 1
-odd series from the keys r^2 alone, in one pass over r with no series
-built; ``translation_eigenvalue`` of each ``odd_theta_series`` is its tests'
-reference.
+``_IntStore``): c*q^(n/D)*zeta^r sits under (n, r) where a one-variable
+term sits under n, so it gives only the steps that read a key.  The series
+here are built through the trusted ``_make``, with integer coefficients
+over den 1: the term r sits at r^2 on the 1/4m grid, and r^2/4m < q_trunc
+is r^2 < ceil(4m*q_trunc), the integer key bound ``_residues`` takes.
+``translation_eigenvalue`` of each ``odd_theta_series`` is the tests'
+reference for ``characters.odd_theta_exponents``, which builds no series.
 """
 
 from __future__ import annotations
@@ -33,13 +23,10 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-from .characters import UnityExponent
+# NotAnEigenvector and odd_theta_exponents are re-exported: their home was here
+from .characters import NotAnEigenvector, UnityExponent, odd_theta_exponents
 from .series import (_ZERO, PuiseuxSeries, Truncation, _as_trunc, _IntStore, _key_bound,
                      _over_lcm, _reduced, _window)
-
-
-class NotAnEigenvector(ValueError):
-    """Raised when a series is not an eigenvector of tau -> tau + 1."""
 
 
 class ThetaIndex(NamedTuple("ThetaIndex", [("index_m", int), ("residue_mu", int)])):
@@ -182,51 +169,6 @@ def odd_theta_series(idx: ThetaIndex, q_trunc) -> PuiseuxSeries:
     tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
     terms = {r * r: r for r in _residues(m, mu, _key_bound(tn, td, 4 * m))} if mu % m else {}
     return PuiseuxSeries._make(terms, tn, td, 4 * m, 1)
-
-
-def odd_theta_exponents(m: int, q_trunc):
-    """The translation eigenvalue of ``odd_theta_series(ThetaIndex(m, mu),
-    q_trunc)`` for each mu = 1..m-1, read in one pass over r with no series
-    built: a generator of reduced pairs (num, den), raising what
-    ``translation_eigenvalue`` raises on that series.
-
-    r = 1, 2, ... below the key bound goes to its class c = r mod 2m, folded
-    to 2m - c when c > m (r and -r share the key r^2 on the 1/4m grid).  The
-    first key of a column fixes its residue mod 4m, and every later key must
-    match it; the first one that does not is the column's least key off the
-    class, as keys grow with r.  The zero classes 0 and m are read too and
-    dropped.  Column mu's pair, or its error, is yielded in mu order once the
-    pass is done.
-    """
-    if m < 1:
-        raise ValueError("index_m must be a positive integer")
-    tn, td = (q_trunc if type(q_trunc) is Fraction else Fraction(q_trunc)).as_integer_ratio()
-    step = 2 * m
-    den = 2 * step
-    bound = _key_bound(tn, td, den)
-    first = [0] * (m + 1)  # each column's first key; 0 while it has none
-    residue = [-1] * (m + 1)  # its residue mod 4m; -1 matches no key
-    off: dict[int, int] = {}  # column -> its least key off the class
-    for r in range(1, math.isqrt(bound - 1) + 1 if bound > 0 else 1):
-        c = r % step
-        if c > m:
-            c = step - c
-        n = r * r
-        if n % den != residue[c]:
-            if not first[c]:
-                first[c], residue[c] = n, n % den
-            elif c not in off:
-                off[c] = n
-    for mu in range(1, m):
-        n = first[mu]
-        if not n:
-            raise ValueError("the zero series scales under every eigenvalue")
-        if mu in off:
-            raise NotAnEigenvector(f"exponents {Fraction(n, den)} and {Fraction(off[mu], den)} "
-                                   f"differ by a non-integer")
-        num = residue[mu]
-        g = math.gcd(num, den)
-        yield num // g, den // g
 
 
 def translation_eigenvalue(s: PuiseuxSeries) -> UnityExponent:

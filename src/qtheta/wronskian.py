@@ -3,48 +3,25 @@
 The central object for index m is the (m-1) x (m-1) matrix M whose entry
 in row j = 0..m-2 and column mu = 1..m-1 is (q d/dq)^j applied to the odd
 theta series of residue mu.  Every minor of M that a check or a
-``--dump-series`` file uses comes from one integer lattice sum,
-``theta_minors``.  M is multilinear in its columns, and column mu is a
-sum over r = mu mod 2m of r times the powers of r^2/4m at exponent
-r^2/4m.  So the minor on a column set S of size s and the rows
-{0, ..., s} minus d is the sum over tuples (r_mu), mu in S, of
-prod r_mu * V(r_mu^2) * e_(s-d)(r_mu^2) at exponent sum r_mu^2/4m,
-divided once by (4m)^(C(s, 2) + s - d); V is the Vandermonde product and
-e_j the j-th elementary symmetric polynomial.  d = s gives the Wronskian
-W = det M (``theta_wronskian``) and the last-row cofactors; every d gives
-one column of the adjugate.
-``theta_derivative_matrix`` returns a ``ThetaDerivativeMatrix``, whose
-``last_row_cofactors`` and ``adjugate`` take their minors from here.
-
-The sum is exact at every exponent.  Each minor reports the window the
-series-matrix minor certifies for the same input: q_trunc + sum mu^2/4m -
-max mu^2/4m (over mu in S) once q_trunc passes max mu^2/4m, and q_trunc
-otherwise (``theta_minor_window``), so reports and dumps do not depend on
-the route.  That W is a multiple of eta^((m-1)(2m-1)), the eta power of
-dimension dim C_(m-1), is the type-C Macdonald identity (Macdonald, "Affine
-root systems and Dedekind's eta-function", Invent. Math. 15, 1972).
+``--dump-series`` file uses comes from one exact integer lattice sum,
+``theta_minors``, on the window ``theta_minor_window`` gives, the one the
+series-matrix minor certifies, so reports and dumps do not depend on the
+route.  That W = det M is a multiple of eta^((m-1)(2m-1)), the eta power
+of dimension dim C_(m-1), is the type-C Macdonald identity (Macdonald,
+"Affine root systems and Dedekind's eta-function", Invent. Math. 15, 1972).
 
 Two routes are kept only as independent oracles for the tests; no check
-takes a minor from them.  A plain ``SeriesMatrix`` (for instance one built
-from the entries of a ``ThetaDerivativeMatrix``) takes ``det``,
-``last_row_cofactors`` and ``adjugate`` from the bitmask minor table
-``_prefix_minors``.  ``modular_wronskian`` is
-det(F, DF, D^2 F, ..., D^(m-2) F) built from the weight-stepping modular
-derivative, equal to W because row reduction removes the Eisenstein
-corrections without changing the determinant when derivatives are
-normalized as q d/dq.
+takes a minor from them: the bitmask minor table of a plain
+``SeriesMatrix``, and ``modular_wronskian``, built from the weight-stepping
+modular derivative, equal to W because row reduction removes the
+Eisenstein corrections without changing the determinant.
 
-The verification entry points certify, on an explicit exponent window,
-that W is a constant multiple of the Dedekind eta function raised to
-(m-1)(2m-1), that the vanishing orders and leading coefficients of W and
-its last-row cofactors match the closed Vandermonde formulas, and that
-the adjugate rebuilds a component tuple from the system it solves.  The
-eta-power check divides no series: it certifies W - c * eta^lam = 0, c the
-ratio of the two leading coefficients.  One
-check, ``_check_theta_minor``, takes the order and leading coefficient of
-W, the minor on every column, and of cofactor nu, +/- the minor without nu.
-Cramer solves the rows M h its caller built with ``jacobi.component_taylor``,
-the only builder of M h, for the two-path Taylor check.
+The checks certify, on an explicit window, that W is a constant multiple
+of eta^((m-1)(2m-1)) (``verify_eta_power``, which divides no series), that
+the orders and leading coefficients of W and its last-row cofactors match
+the closed Vandermonde formulas (``_check_theta_minor``), and that the
+adjugate rebuilds a component tuple from the rows M h that
+``jacobi.component_taylor`` built (``cramer_reconstruction``).
 """
 
 from __future__ import annotations
@@ -89,9 +66,7 @@ class SeriesMatrix:
         """Determinants of all submatrices on rows 0..s-1 and column sets of size s.
 
         Keyed by column bitmask; computed bottom-up by expansion along the
-        last row of each submatrix, 2^cols masks in all.  The cofactors (and
-        through them det) and the adjugate of a plain ``SeriesMatrix`` come
-        from here; those of a ``ThetaDerivativeMatrix`` do not.
+        last row of each submatrix, 2^cols masks in all.
         """
         minors: dict[int, PuiseuxSeries] = {}
         for j in range(self.cols):
@@ -239,10 +214,8 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     prod r_mu * V(r_mu^2) * e_(s-d)(r_mu^2) at exponent sum r_mu^2/4m, in
     integers; each sum is divided once by (4m)^(C(s, 2) + s - d).  The
     tuples are enumerated depth first, cut where the partial sum of r^2
-    plus the least sum the remaining classes can add reaches the window;
-    when some d < s asks, the e_j of the prior squares are formed once per
-    last-level parent, and each leaf adds its square times e_(j-1).
-    The window is ``theta_minor_window``'s.  An empty column set gives the
+    plus the least sum the remaining classes can add reaches the window,
+    ``theta_minor_window``'s.  An empty column set gives the
     constant 1, the cofactor ``SeriesMatrix`` gives for a 1 x 1 matrix.
     """
     if m < 2:
@@ -351,12 +324,10 @@ def _check_theta_minor(m: int, columns, minor: PuiseuxSeries, where: str,
 
     Raises VerificationFailed, prefixed by ``where``, unless its own window
     passes the order sum_S mu^2/4m (``_short_minor``), the minor has that
-    order, and its leading coefficient is +/- prod_S mu * V(mu^2/4m), V the
-    Vandermonde product.
-    That closed form is ``_minor_leading_coefficient``'s int pair (N, D), and
-    |lead| = N/D is compared as |num(lead)| * D = N * den(lead), so no gcd
-    runs on D; the Fraction N/D is built only for a failure message.
-    Returns (order, leading coefficient, its absolute value).
+    order, and its leading coefficient is +/- N/D, the closed form of
+    ``_minor_leading_coefficient``, compared as |num(lead)| * D = N *
+    den(lead), so no gcd runs on D.  Returns (order, leading coefficient,
+    its absolute value).
     """
     order, short = _short_minor(m, columns, minor.trunc, where, name)
     if short:
@@ -400,12 +371,10 @@ def verify_eta_power(m: int, q_trunc) -> WronskianReport:
     D = W - c * eta^lam.  eta^lam leads with 1 at q^(lam/24), so
     W / eta^lam = c + O(q^w) exactly when D = O(q^(w + lam/24)); the
     reported window is D's minus lam/24, and a first term r * q^e of D is
-    the residual r at exponent e - lam/24.  The Wronskian and the eta power
-    are generated with enough headroom (the eta power shifts the window by
-    its vanishing order, plus slack 2) so the check is certified strictly
-    beyond ``q_trunc``.  Raises VerificationFailed with the first offending
-    exponent if any residual coefficient is nonzero, or if the order or
-    leading coefficient disagrees with the Vandermonde formula.
+    the residual r at exponent e - lam/24.  Both are generated on q_trunc +
+    lam/24 + 2, so the check is certified strictly beyond ``q_trunc``.
+    Raises VerificationFailed on the first nonzero residual, or if the order
+    or leading coefficient disagrees with the Vandermonde formula.
     """
     if m < 2:
         raise ValueError("m must be at least 2")

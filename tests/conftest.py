@@ -157,6 +157,9 @@ def oracle_jacobi_table(text: str):
     number, ln = numbered[0]
     try:
         fields = dict(part.split("=", 1) for part in ln.split())
+        missing = [key for key in ("k", "m", "N", "trunc") if key not in fields]
+        if missing:
+            raise ValueError(f"header has no {missing[0]}= field")
         k, m, level, n_trunc = int(fields["k"]), int(fields["m"]), int(fields["N"]), \
             rational(fields["trunc"])
         for number, ln in numbered[1:]:

@@ -20,9 +20,10 @@ from conftest import (assert_same_store, oracle_component_taylor, oracle_from_th
                       perfbench_workloads)
 from oracles import from_orbit_values, truncate
 from qtheta import (CaseInput, CaseVerdict, GammaCharacter, PuiseuxSeries, SeriesMatrix,
-                    ThetaIndex, characters, classify, cli, dump_jacobi_table, injectivity, jacobi,
-                    nonintegrality_check, odd_theta_series, parse_series_text, random_components,
-                    theta, translation_eigenvalue, wronskian)
+                    ThetaIndex, cases, characters, classify, cli, cmd_characters,
+                    dump_jacobi_table, injectivity, jacobi, nonintegrality_check,
+                    odd_theta_series, parse_series_text, pool, random_components,
+                    translation_eigenvalue, wronskian)
 from qtheta.cli import main, parse_range
 
 F = Fraction
@@ -136,29 +137,29 @@ class TestParallelRuns:
         # 1: a one-CPU affinity mask on an eight-CPU host; None: no affinity
         # mask and an unknown host count, which counts as one CPU
         if cpus is None:
-            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
         else:
-            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 8 if cpus else None)
-        assert cli._usable_cpus() == 1
-        monkeypatch.setattr(cli.os, "fork", self.no_fork)
-        assert cli._run_parallel(abs, [-1, -2], 2) == [1, 2]
+            monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(pool.os, "cpu_count", lambda: 8 if cpus else None)
+        assert pool._usable_cpus() == 1
+        monkeypatch.setattr(pool.os, "fork", self.no_fork)
+        assert pool._run_parallel(abs, [-1, -2], 2) == [1, 2]
 
     def test_workers_clamped_to_case_count(self, monkeypatch):
-        monkeypatch.setattr(cli.os, "fork", self.no_fork)
-        assert cli._run_parallel(abs, [-3], 2) == [3]
+        monkeypatch.setattr(pool.os, "fork", self.no_fork)
+        assert pool._run_parallel(abs, [-3], 2) == [3]
 
     def test_one_worker_without_fork(self, monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 4)
-        monkeypatch.delattr(cli.os, "fork")
-        assert cli._run_parallel(abs, [-1, -2, -3], 3) == [1, 2, 3]
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 4)
+        monkeypatch.delattr(pool.os, "fork")
+        assert pool._run_parallel(abs, [-1, -2, -3], 3) == [1, 2, 3]
 
     def test_results_in_item_order_past_the_token_cap(self, monkeypatch):
         # 2500 items share the 1024 tokens: a token names a run of cases
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
         items = list(range(2500))
-        assert len(items) > cli._MAX_TOKENS
-        assert cli._run_parallel(lambda x: -x, items, 3) == [-x for x in items]
+        assert len(items) > pool._MAX_TOKENS
+        assert pool._run_parallel(lambda x: -x, items, 3) == [-x for x in items]
 
         def fail_twice(x):
             if x in (1500, 2400):
@@ -166,12 +167,12 @@ class TestParallelRuns:
             return x
 
         with pytest.raises(cli.VerificationFailed, match="^item 1500$"):
-            cli._run_parallel(fail_twice, items, 3)
+            pool._run_parallel(fail_twice, items, 3)
 
     def test_dead_worker_is_a_failure_record(self, monkeypatch, tmp_path):
         # the parent holds its first case until the child has taken another
         # one and killed itself on it; the child took case 1 or case 2
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
         parent = os.getpid()
         died, signal_died = os.pipe()
         waited = []
@@ -185,7 +186,7 @@ class TestParallelRuns:
                 assert select.select([died], [], [], 60)[0], "no child took a case"
             return {"characters": []}, {}
 
-        monkeypatch.setitem(cli.CASES, "verify-characters", worker)
+        monkeypatch.setattr(cmd_characters, "case", worker)
         out = tmp_path / "record.json"
         try:
             code = run_cli("verify-characters", "--m", "2..4", "--jobs", "2",
@@ -861,7 +862,7 @@ class TestVerifyOrders:
         # one column list per cofactor took tens of MB here
         tracemalloc.start()
         try:
-            short = cli._short_window(1000, 12)
+            short = cases.short_window(1000, 12)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -885,7 +886,7 @@ class TestVerifyOrders:
                     if order >= window:
                         first = f"{where}: window {window} cannot reach {name} order {order}"
                         break
-                assert cli._short_window(m, q_trunc) == first
+                assert cases.short_window(m, q_trunc) == first
 
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_window_rule_is_the_top_index_rule(self, m, tmp_path):
@@ -956,7 +957,7 @@ class TestVerifyCharacters:
                       "differ by a non-integer"),
     ])
     def test_bad_column_fails_with_a_record(self, fault, message, jobs, monkeypatch, tmp_path):
-        # the case reads its eigenvalues through theta.odd_theta_exponents; the
+        # the case reads its eigenvalues through characters.odd_theta_exponents; the
         # faulty columns are read by its reference, translation_eigenvalue
         def faulty(m, q_trunc):
             columns = self.columns(m, q_trunc)
@@ -964,7 +965,7 @@ class TestVerifyCharacters:
                 columns[1] = getattr(self, fault)(columns[1])
             return self.eigenvalues(columns)
 
-        monkeypatch.setattr(theta, "odd_theta_exponents", faulty)
+        monkeypatch.setattr(characters, "odd_theta_exponents", faulty)
         out = tmp_path / "chars.json"
         code = run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--jobs", jobs, "--output", str(out))
@@ -1012,7 +1013,7 @@ class TestVerifyCharacters:
                               column.trunc + 1, column.base_denom)
                 for column in self.columns(m, q_trunc)])
 
-        monkeypatch.setattr(theta, "odd_theta_exponents", lifted)
+        monkeypatch.setattr(characters, "odd_theta_exponents", lifted)
         out = tmp_path / "chars.json"
         assert run_cli("verify-characters", "--m", "2..8", "--format", "json",
                        "--jobs", jobs, "--output", str(out)) == 0
@@ -1398,7 +1399,7 @@ class TestClassifyAndSweep:
         assert doc["parameters"] == {"q_trunc": "12/1", "seed": 0, "trials": 5}
 
     def test_false_window_flag_fails_classify(self, monkeypatch, tmp_path):
-        monkeypatch.setattr(cli, "classify", lambda case: classify(case)._replace(window_ok=False))
+        monkeypatch.setattr(injectivity, "classify", lambda case: classify(case)._replace(window_ok=False))
         out = tmp_path / "verdict.json"
         code = run_cli("classify", "--k", "3", "--m", "5", "--N", "1",
                        "--format", "json", "--output", str(out))

@@ -17,7 +17,7 @@ from qtheta import (EvenIndex, InvariantViolation, JacobiFormData, NotOdd,
                     odd_theta_series, parse_jacobi_table, random_components, taylor_coefficient,
                     taylor_from_moment, taylor_moments, theta_components, theta_series,
                     two_path_taylor)
-from qtheta.series import _rational_pair
+from qtheta.exact import _rational_pair
 
 F = Fraction
 
@@ -180,12 +180,13 @@ class TestTableIngestion:
         # a zero denominator, also on a zero value
         (lambda rows: rows + ["5 1 0/0"], ValueError),
         (lambda rows: rows[:3] + ["3 1 7/0"] + rows[3:], ValueError),
-        # a header with no trunc= field, and one with no N= field
-        (lambda rows: [rows[0].replace(" trunc=4/1", "")] + rows[1:], KeyError),
-        (lambda rows: [rows[0].replace(" N=1", "")] + rows[1:], KeyError),
         # every row is read before the header is checked, and the header is
         # checked before any row is validated
         (lambda rows: [rows[0].replace("k=3", "k=4")] + rows[1:] + ["9 9 1/0"], ValueError),
+        # a header with no trunc= field, and one with no N= field: each named
+        # by its line, as any line that does not parse
+        (lambda rows: [rows[0].replace(" trunc=4/1", "")] + rows[1:], ValueError),
+        (lambda rows: [rows[0].replace(" N=1", "")] + rows[1:], ValueError),
         (lambda rows: [rows[0].replace("k=3", "k=4")] + rows[1:] + ["-1 1 1/1"],
          InvariantViolation),
         (lambda rows: [rows[0].replace("trunc=4/1", "trunc=0/3")] + rows[1:],

@@ -4,8 +4,9 @@ A fresh interpreter (so no cache warmed by an earlier test can hide a
 function) runs a fixed set of CLI invocations under ``sys.setprofile``:
 every subcommand and format, ``--dump-series`` and ``--jacobi-file``, one
 input for each class of exit status 2, and one check failure for exit
-status 1, made by a patch inside that interpreter.  Every run takes the
-default ``--jobs 1``, as forked workers are not profiled.  Each function,
+status 1, made by a patch inside that interpreter.  No run forks, as
+forked workers are not profiled: the one ``--jobs 2`` run has a single case,
+which the pool module runs in process.  Each function,
 method, nested closure and generator of the package whose code object was
 never called is mapped to ``<file>:<qualname>`` through ``ast`` (CPython
 3.10 has no ``co_qualname``; a decorated function's code starts at its
@@ -69,6 +70,7 @@ def invocations(work: Path) -> list[tuple[int, list[str]]]:
         (0, ["classify", "--k", "3", "--m", "6", "--N", "2", "--format", "text"]),
         (0, ["sweep", "--k", "3..7", "--m-offset", "1..4", "--N", "1,6", "--format", "csv"]),
         (0, ["sweep", "--k", "3..5", "--m", "4..6", "--format", "json"]),
+        (0, ["verify-characters", "--m", "2", "--jobs", "2", "--format", "json"]),
         # exit 2, one input per class: argument syntax, argument value, a
         # window too short, a table line, an unreadable table, a header
         # field, a case, a grid, a report target, a report or dump write

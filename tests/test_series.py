@@ -243,11 +243,30 @@ class TestTextFormat:
         ("D=8 trunc=5/1\n\n1/1\n", "line 3 '1/1': not enough values to unpack "
                                    "(expected 2, got 1)"),
         ("D=8 trunc=5/1\n1/1 1/8\n-3/0 9/8\n", "line 3 '-3/0 9/8': zero denominator in '-3/0'"),
+        # a term the window drops, and an exponent given twice, of which one
+        # coefficient would be lost: either text reads as another series
+        ("D=4 trunc=1\n1/1 2\n", "line 2 '1/1 2': exponent 2 is not below trunc=1"),
+        ("D=4 trunc=1\n1/1 3/4\n2/1 1\n", "line 3 '2/1 1': exponent 1 is not below trunc=1"),
+        ("D=4 trunc=1\n1/1 1/4\n3/1 1/4\n", "line 3 '3/1 1/4': exponent 1/4 is repeated"),
     ])
     def test_malformed_line_named(self, text, message):
         with pytest.raises(ValueError) as error:
             parse_series_text(text)
         assert str(error.value) == message
+
+    def test_orders_dumps_parse_back(self, tmp_path):
+        # the orders-dump benchmark run: its 44 cofactor dumps each read back
+        # as the series that wrote them, so no dump breaks the stricter parser
+        from qtheta.cli import main
+
+        assert main(["verify-orders", "--m", "3..10", "--q-trunc", "10", "--format", "csv",
+                     "--dump-series", str(tmp_path / "dumps"),
+                     "--output", str(tmp_path / "orders.csv")]) == 0
+        dumps = sorted((tmp_path / "dumps").iterdir())
+        assert len(dumps) == 44
+        for dump in dumps:
+            text = dump.read_text()
+            assert dump_series_text(parse_series_text(text)) == text, dump.name
 
     def test_infinite_trunc_not_serializable(self):
         with pytest.raises(ValueError):

@@ -2,12 +2,14 @@
 
 ``import qtheta`` runs none of the package's modules, ``import qtheta.cli``
 loads parsing and what every command shares, and each command imports its
-own engine.  Every entry point runs in a fresh interpreter without ``site``
-(``-S``), so no module that a site hook preloads can hide an import.
+own module and engine, through ``main`` and through ``python -m
+qtheta.cli`` alike.  Every entry point runs in a fresh interpreter without
+``site`` (``-S``), so no module that a site hook preloads can hide an import.
 """
 
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import import_module
@@ -20,10 +22,25 @@ from qtheta import cli, wronskian
 
 ROOT = Path(__file__).resolve().parents[1]
 
-CLI = {"qtheta", "qtheta.cli", "qtheta.injectivity", "qtheta.series"}
-CHARACTERS = CLI | {"qtheta.theta", "qtheta.characters"}
-OPERATORS = CHARACTERS | {"qtheta.modforms", "qtheta.wronskian"}
-EVERY = OPERATORS | {"qtheta.jacobi", "random"}
+CLI = {"qtheta", "qtheta.cli", "qtheta.exact", "qtheta.injectivity"}
+SWEEP = CLI | {"qtheta.cmd_sweep"}
+VERIFY = CLI | {"qtheta.cases"}
+CHARACTERS = VERIFY | {"qtheta.cmd_characters", "qtheta.characters"}
+OPERATORS = VERIFY | {"qtheta.series", "qtheta.characters", "qtheta.theta", "qtheta.modforms",
+                      "qtheta.wronskian"}
+ORDERS = OPERATORS | {"qtheta.cmd_orders"}
+
+# each command, one per row, then --jobs above 1, which alone loads the pool
+COMMANDS = [
+    (["sweep", "--k", "3..5", "--m", "4..6"], SWEEP),
+    (["classify", "--k", "3", "--m", "5", "--N", "1"], SWEEP | {"qtheta.cmd_classify"}),
+    (["verify-characters", "--m", "2..4"], CHARACTERS),
+    (["verify-wronskian", "--m", "2..3", "--q-trunc", "4"], OPERATORS | {"qtheta.cmd_wronskian"}),
+    (["verify-orders", "--m", "3", "--q-trunc", "4"], ORDERS),
+    (["verify-identities", "--m", "3", "--q-trunc", "4", "--trials", "1"],
+     OPERATORS | {"qtheta.cmd_identities", "qtheta.jacobi", "random"}),
+    (["verify-orders", "--m", "3..4", "--q-trunc", "4", "--jobs", "2"], ORDERS | {"qtheta.pool"}),
+]
 
 # every name the package exported when its __init__ imported all seven modules
 FORMER_EXPORTS = {
@@ -56,36 +73,48 @@ print(json.dumps(sorted(n for n in sys.modules if n == "random" or n.split(".")[
 """
 
 
-def loaded(body: str, *argv: str) -> set:
-    """The qtheta modules (and ``random``) a fresh interpreter holds after ``body``."""
+def fresh(*argv: str) -> subprocess.CompletedProcess:
+    """``python -S -B <argv>`` with ``src`` on the path, after it exited 0."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("QTHETA_OUTPUT_DIR", None)
-    done = subprocess.run([sys.executable, "-S", "-B", "-c", PROBE.format(body=body), *argv],
+    done = subprocess.run([sys.executable, "-S", "-B", *argv],
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    return set(json.loads(done.stdout))
+    return done
+
+
+def loaded(body: str, *argv: str) -> set:
+    """The qtheta modules (and ``random``) a fresh interpreter holds after ``body``."""
+    return set(json.loads(fresh("-c", PROBE.format(body=body), *argv).stdout))
 
 
 @pytest.mark.parametrize("body, expected", [
     ("import qtheta", {"qtheta"}),
-    ("import qtheta; qtheta.PuiseuxSeries", {"qtheta", "qtheta.series"}),
+    ("import qtheta; qtheta.PuiseuxSeries", {"qtheta", "qtheta.series", "qtheta.exact"}),
     ("import qtheta.cli", CLI),
 ])
 def test_import_loads_only_its_modules(body, expected):
     assert loaded(body) == expected
 
 
-@pytest.mark.parametrize("argv, expected", [
-    (["sweep", "--k", "3..5", "--m", "4..6"], CLI),
-    (["classify", "--k", "3", "--m", "5", "--N", "1"], CLI),
-    (["verify-characters", "--m", "2..4"], CHARACTERS),
-    (["verify-wronskian", "--m", "2..3", "--q-trunc", "4"], OPERATORS),
-    (["verify-orders", "--m", "3", "--q-trunc", "4"], OPERATORS),
-    (["verify-identities", "--m", "3", "--q-trunc", "4", "--trials", "1"], EVERY),
-], ids=lambda value: value[0] if isinstance(value, list) else None)
+@pytest.mark.parametrize("argv, expected", COMMANDS,
+                         ids=lambda value: value[0] if isinstance(value, list) else None)
 def test_command_loads_only_its_engine(argv, expected, tmp_path):
     body = "from qtheta.cli import main\nassert main(sys.argv[1:]) == 0"
     assert loaded(body, *argv, "--output", str(tmp_path / "report.txt")) == expected
+
+
+@pytest.mark.parametrize("argv, expected", COMMANDS,
+                         ids=lambda value: value[0] if isinstance(value, list) else None)
+def test_main_entry_loads_only_its_engine(argv, expected, tmp_path):
+    # -m runs cli as __main__, and -v names every module loaded by name
+    # (-X importtime misses those that importlib.import_module loads):
+    # qtheta.cli among them would be cli compiled a second time
+    done = fresh("-v", "-m", "qtheta.cli", *argv, "--output", str(tmp_path / "report.txt"))
+    names = re.findall(r"^import '([^']+)' #", done.stderr, re.M)
+    modules = {name for name in names if name == "random" or name.split(".")[0] == "qtheta"}
+    assert "qtheta.cli" not in modules
+    assert modules == expected - {"qtheta.cli"}
 
 
 def test_former_exports_resolve_to_their_modules():
