@@ -19,8 +19,8 @@ def handle(args):
     if args.m > 3:
         report = nonintegrality_check(args.m)
         tables["nonintegrality"] = (INTEGRALITY_KEYS,
-                                    [to_jsonable(report) + (report.discrepancy,)])
-        if report.discrepancy:
+                                    [to_jsonable(report) + (report.is_integer,)])
+        if report.is_integer:
             discrepancies.append(f"m={args.m}: integrality discrepancy")
     if verdict.any_part and not verdict.window_ok:
         raise VerificationFailed(

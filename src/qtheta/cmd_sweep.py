@@ -51,8 +51,8 @@ def handle(args):
                 rows.append(verdict + ("",))
     for m in sorted(ms_seen - {3}):
         report = nonintegrality_check(m)
-        integrality_rows.append(to_jsonable(report) + (report.discrepancy,))
-        if report.discrepancy:
+        integrality_rows.append(to_jsonable(report) + (report.is_integer,))
+        if report.is_integer:
             discrepancies.append(f"m={m}: (m-2)(m-1)(2m-3)/m is an integer")
     tables = {"verdicts": (VERDICT_KEYS, rows),
               "nonintegrality": (INTEGRALITY_KEYS, integrality_rows)}

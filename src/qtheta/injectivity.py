@@ -78,10 +78,6 @@ class NonintegralityReport(NamedTuple):
     value: Fraction
     is_integer: bool
 
-    @property
-    def discrepancy(self) -> bool:
-        return self.is_integer
-
 
 def nonintegrality_check(m: int) -> NonintegralityReport:
     """Report whether (m-2)(m-1)(2m-3)/m is an integer.

@@ -140,20 +140,25 @@ def theta_components(phi: JacobiFormData) -> ThetaComponents:
 
     h_mu collects the class values at exponents (4mn - mu^2)/(4m); it is
     certified below n_trunc - mu^2/(4m), since every class reachable below
-    that bound has a representative inside the table's window.  Each h_mu
-    is built through ``_make``, its values over their least common
-    denominator, which is already canonical.
+    that bound has a representative inside the table's window.
     """
     m = phi.index_m
-    grid = 4 * m
     classes: list[dict[int, tuple[int, int]]] = [{} for _ in range(m)]
     for (mu, disc), c in phi._orbit.items():
         if mu < m:
             classes[mu][disc] = c
-    tn, td = phi.n_trunc.as_integer_ratio()
+    return _components(m, phi.n_trunc, classes[1:])
+
+
+def _components(m: int, n_trunc: Fraction, classes) -> ThetaComponents:
+    """(h_1, ..., h_{m-1}), h_mu holding ``classes[mu - 1]``, a dict {disc:
+    (num, den)} of reduced values, at the exponents disc/4m, on the 1/4m grid
+    and the window n_trunc - mu^2/4m: each built through ``_make``, over its
+    values' least common denominator, which is already canonical."""
+    grid = 4 * m
+    tn, td = n_trunc.numerator, n_trunc.denominator
     out = []
-    for mu in range(1, m):
-        values = classes[mu]
+    for mu, values in enumerate(classes, start=1):
         den = math.lcm(1, *(d for _, d in values.values()))
         terms = {disc: num * (den // d) for disc, (num, d) in values.items()}
         window = _lowest_terms(grid * tn - mu * mu * td, grid * td)
@@ -364,21 +369,17 @@ def random_components(index_m: int, n_trunc, rng) -> ThetaComponents:
     n_trunc = Fraction(n_trunc)
     # disc/4m < n_trunc - mu^2/4m is disc < ceil(4m n_trunc) - mu^2
     cap = -(-grid_denom * n_trunc.numerator // n_trunc.denominator)
-    components = []
+    classes = []
     for mu in range(1, m):
         grid = range((-mu * mu) % grid_denom, cap - mu * mu, grid_denom)
-        drawn = []
+        values = {}
         for disc in rng.sample(grid, min(3, len(grid))):
             numerator = rng.choice(_NUMERATORS)
             d = rng.randint(1, 4)
             g = math.gcd(numerator, d)
-            drawn.append((disc, numerator // g, d // g))
-        den = math.lcm(1, *(d for _, _, d in drawn))
-        tn, td = _lowest_terms(grid_denom * n_trunc.numerator - mu * mu * n_trunc.denominator,
-                               grid_denom * n_trunc.denominator)
-        components.append(PuiseuxSeries._make(
-            {disc: c * (den // d) for disc, c, d in drawn}, tn, td, grid_denom, den))
-    return ThetaComponents(m, tuple(components))
+            values[disc] = (numerator // g, d // g)
+        classes.append(values)
+    return _components(m, n_trunc, classes)
 
 
 # -- coefficient file format --------------------------------------------------
@@ -398,16 +399,16 @@ def dump_jacobi_table(phi: JacobiFormData) -> str:
 
 def parse_jacobi_table(text: str) -> JacobiFormData:
     """The table of ``dump_jacobi_table``'s format, each c(n, r) read as its
-    reduced int pair; a repeated (n, r) keeps its last value.  A class's value
-    repeats on each of its representatives' rows, so each distinct value text
-    is parsed once.  A line that does not parse raises ValueError naming its
-    number in ``text`` and its text."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    reduced int pair.  A class's value repeats on each of its representatives'
+    rows, so each distinct value text is parsed once.  A line that does not
+    parse, or gives an (n, r) an earlier line gave, raises as in
+    ``_line_error``: a repeated row reads as another table."""
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise ValueError("empty coefficient table")
     coeffs = {}
     pairs: dict[str, tuple[int, int]] = {}
-    ln = lines[0]
+    number, ln = numbered[0]
     try:
         fields = dict(part.split("=", 1) for part in ln.split())
         for key in ("k", "m", "N", "trunc"):
@@ -415,14 +416,17 @@ def parse_jacobi_table(text: str) -> JacobiFormData:
                 raise ValueError(f"header has no {key}= field")
         header = (int(fields["k"]), int(fields["m"]), int(fields["N"]),
                   parse_rational(fields["trunc"]))
-        for ln in lines[1:]:
+        for number, ln in numbered[1:]:
             n_text, r_text, c_text = ln.split()
+            key = (int(n_text), int(r_text))
+            if key in coeffs:
+                raise ValueError(f"c({key[0]},{key[1]}) is repeated")
             c = pairs.get(c_text)
             if c is None:
                 c = pairs[c_text] = _rational_pair(c_text)
-            coeffs[(int(n_text), int(r_text))] = c
+            coeffs[key] = c
     except ValueError as error:
-        raise _line_error(text, lines, ln, error) from None
+        raise _line_error(number, ln, error) from None
     phi = object.__new__(JacobiFormData)
     phi._validate(*header, coeffs.items())
     return phi

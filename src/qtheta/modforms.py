@@ -42,21 +42,20 @@ class HalfIntWeight(NamedTuple("HalfIntWeight", [("twice_weight", int)])):
         return cls(int(twice))
 
 
+@lru_cache(maxsize=None)
 def eta(trunc) -> PuiseuxSeries:
     """q^(1/24) * prod_{n>=1} (1 - q^n), expanded below ``trunc``.
 
     The product is expanded directly; factors with n >= trunc cannot
     contribute below the truncation and are skipped.  Exponents live on
-    the grid (1/24)*Z.  Cached per truncation.
+    the grid (1/24)*Z.  Cached per truncation; a call that raises caches
+    nothing.
     """
-    trunc = Fraction(trunc)
-    if trunc <= 0:
+    window = Fraction(trunc)
+    if window <= 0:
         raise ValueError("trunc must be positive")
-    return _eta_cached(trunc)
-
-
-@lru_cache(maxsize=None)
-def _eta_cached(trunc: Fraction) -> PuiseuxSeries:
+    if type(trunc) is not Fraction:
+        return eta(window)  # so 17 and Fraction(17) share one cached series
     product = {0: Fraction(1)}
     n = 1
     while n < trunc:
@@ -115,20 +114,19 @@ def eta_power(trunc, lam: int) -> PuiseuxSeries:
                                trunc.numerator, trunc.denominator, 24, 1)
 
 
+@lru_cache(maxsize=None)
 def eisenstein_e2(trunc) -> PuiseuxSeries:
     """1 - 24 * sum_{n>=1} sigma_1(n) q^n below ``trunc``; integer exponents.
 
     sigma_1 is computed by a divisor sieve.  Cached per truncation since the
-    series is multiplied into every modular-derivative application.
+    series is multiplied into every modular-derivative application; a call
+    that raises caches nothing.
     """
-    trunc = Fraction(trunc)
-    if trunc <= 0:
+    window = Fraction(trunc)
+    if window <= 0:
         raise ValueError("trunc must be positive")
-    return _e2_cached(trunc)
-
-
-@lru_cache(maxsize=None)
-def _e2_cached(trunc: Fraction) -> PuiseuxSeries:
+    if type(trunc) is not Fraction:
+        return eisenstein_e2(window)  # so 17 and Fraction(17) share one cached series
     n_max = math.ceil(trunc) - 1
     sigma = [0] * (n_max + 1)
     for d in range(1, n_max + 1):

@@ -38,8 +38,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-# VerificationFailed and parse_rational are re-exported: their home was here
-from .exact import VerificationFailed, _key_bound, _rat_str, parse_rational
+from .exact import _key_bound, _rat_str, parse_rational
 
 INFINITY = math.inf
 Truncation = Union[Fraction, float]
@@ -415,36 +414,45 @@ def dump_series_text(series: PuiseuxSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _line_error(text: str, lines: list, ln: str, error: Exception) -> ValueError:
-    """``error`` named by its line ``ln`` of ``lines``, the non-blank lines of ``text``."""
-    position = next(i for i, line in enumerate(lines) if line is ln)
-    number = [i for i, line in enumerate(text.splitlines(), 1) if line.strip()][position]
-    return ValueError(f"line {number} {ln.strip()!r}: {error}")
+def _line_error(number: int, line: str, error: Exception) -> ValueError:
+    """``error`` named by its line: its ``number``, blank lines counted, and its text."""
+    return ValueError(f"line {number} {line.strip()!r}: {error}")
 
 
 def parse_series_text(text: str) -> PuiseuxSeries:
     """The series of ``dump_series_text``'s format; a bad line raises as in
-    ``_line_error``, a term at or past the header's window or on an exponent
-    an earlier line gave included: either reads as another series."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    ``_line_error``: a header whose D is not a positive integer, and a term
+    off the 1/D grid, at or past the header's window, on an exponent an
+    earlier line gave, or with a zero coefficient, included, as no dump
+    writes any of them."""
+    numbered = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not numbered:
         raise ValueError("empty series text")
-    ln = lines[0]
+    number, ln = numbered[0]
     try:
         fields = dict(part.split("=", 1) for part in ln.split())
         if not fields.keys() >= {"D", "trunc"}:
             raise ValueError("the header needs a D= and a trunc= field")
         base_denom = int(fields["D"])
+        if base_denom < 1:
+            raise ValueError(f"D={base_denom} is not a positive integer")
         trunc = parse_rational(fields["trunc"])
         terms = {}
-        for ln in lines[1:]:
+        for number, ln in numbered[1:]:
             coeff_text, exp_text = ln.split()
             e = parse_rational(exp_text)
-            if e in terms:
+            key = e * base_denom
+            if key.denominator != 1:
+                raise ValueError(f"exponent {e} is not a multiple of 1/{base_denom}")
+            if key.numerator in terms:
                 raise ValueError(f"exponent {e} is repeated")
             if e >= trunc:
                 raise ValueError(f"exponent {e} is not below trunc={trunc}")
-            terms[e] = parse_rational(coeff_text)
+            c = parse_rational(coeff_text)
+            if not c:
+                raise ValueError(f"exponent {e} has a zero coefficient")
+            terms[key.numerator] = c
     except ValueError as error:
-        raise _line_error(text, lines, ln, error) from None
-    return PuiseuxSeries(terms, trunc, base_denom)
+        raise _line_error(number, ln, error) from None
+    terms, den = _over_lcm(terms)
+    return PuiseuxSeries._make(terms, trunc.numerator, trunc.denominator, base_denom, den)

@@ -23,8 +23,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
-# NotAnEigenvector and odd_theta_exponents are re-exported: their home was here
-from .characters import NotAnEigenvector, UnityExponent, odd_theta_exponents
+from .characters import NotAnEigenvector, UnityExponent
 from .series import (_ZERO, PuiseuxSeries, Truncation, _as_trunc, _IntStore, _key_bound,
                      _over_lcm, _reduced, _window)
 

@@ -31,8 +31,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
+from .exact import VerificationFailed
 from .modforms import HalfIntWeight, eta_power, modular_derivative
-from .series import PuiseuxSeries, VerificationFailed, _reduced, dot
+from .series import PuiseuxSeries, _reduced, dot
 from .theta import ThetaIndex, _residues, odd_theta_series
 
 if TYPE_CHECKING:
@@ -356,12 +357,6 @@ class WronskianReport(NamedTuple):
     residual_max_exponent_checked: Fraction
     residual_all_zero: bool
 
-    @property
-    def passed(self) -> bool:
-        return (self.residual_all_zero and self.constant != 0
-                and self.ord_w == self.ord_w_expected
-                and self.leading_coeff == self.leading_expected)
-
 
 def verify_eta_power(m: int, q_trunc) -> WronskianReport:
     """Certify W = constant * eta^((m-1)(2m-1)) below the requested window.
@@ -420,11 +415,6 @@ class CofactorOrderReport(NamedTuple):
     leading_coeff: Fraction
     leading_expected_abs: Fraction
     sign: int
-
-    @property
-    def passed(self) -> bool:
-        return (self.ord_cofactor == self.ord_expected
-                and abs(self.leading_coeff) == self.leading_expected_abs)
 
 
 def verify_cofactor_orders(m: int, q_trunc) -> list[CofactorOrderReport]:

@@ -141,7 +141,8 @@ def oracle_jacobi_table(text: str):
     route ``jacobi.parse_jacobi_table`` took before tables were read on int
     pairs: every value a Fraction, the header (k, m, N, trunc), and the same
     checks, in the same order and with the same messages; a line that does
-    not parse is named by its number, blank lines counted, and its text."""
+    not parse, or repeats an earlier line's (n, r), is named by its number,
+    blank lines counted, and its text."""
     def rational(text):
         if "/" in text:
             num, den = (int(part) for part in text.split("/", 1))
@@ -164,7 +165,10 @@ def oracle_jacobi_table(text: str):
             rational(fields["trunc"])
         for number, ln in numbered[1:]:
             n_text, r_text, c_text = ln.split()
-            table[(int(n_text), int(r_text))] = rational(c_text)
+            n, r = int(n_text), int(r_text)
+            if (n, r) in table:
+                raise ValueError(f"c({n},{r}) is repeated")
+            table[(n, r)] = rational(c_text)
     except ValueError as error:
         raise ValueError(f"line {number} {ln.strip()!r}: {error}") from None
     if k < 1 or k % 2 == 0:

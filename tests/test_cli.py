@@ -94,6 +94,8 @@ class TestParsing:
         ("sweep", "--k", "3..5"),
         ("verify-orders", "--m", "64", "--q-trunc", "12"),
         ("verify-orders", "--m", "2", "--q-trunc", "1/8"),
+        ("verify-identities", "--m", "3..4", "--trials", "1",
+         "--q-trunc", "100000000000000000000/3"),
     ])
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -1307,7 +1309,12 @@ class TestVerifyIdentities:
         ("\nk=3 m=7 N=1 trunc=x\n", "line 2 'k=3 m=7 N=1 trunc=x': invalid literal for int()"),
         ("k=3 m=2 N=1 trunc=4/1\n1 1 1/1\n1 -1 -1/1\n  \n1 3 1/0\n",
          "line 5 '1 3 1/0': zero denominator in '1/0'"),
-    ], ids=["short-row", "bad-int", "bad-header", "bad-trunc", "zero-denominator"])
+        ("k=3 m=7 trunc=4/1\n", "line 1 'k=3 m=7 trunc=4/1': header has no N= field"),
+        # kept, the last value of each row would validate as c(1, +/-1) = +/-5
+        ("k=3 m=2 N=1 trunc=2/1\n1 1 1/1\n1 -1 -1/1\n1 1 5/1\n1 -1 -5/1\n",
+         "line 4 '1 1 5/1': c(1,1) is repeated"),
+    ], ids=["short-row", "bad-int", "bad-header", "bad-trunc", "zero-denominator", "no-level",
+            "repeated-row"])
     def test_malformed_jacobi_line_named(self, text, message, tmp_path, capsys):
         # the record names the line, counted with the blank lines, and its text
         self.assert_table_rejected(tmp_path, capsys, text,

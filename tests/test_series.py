@@ -6,9 +6,9 @@ from fractions import Fraction
 import pytest
 
 from conftest import assert_agree, convolve, long_division, random_series
-from oracles import truncate
-from qtheta import (INFINITY, PuiseuxSeries, dump_series_text, parse_rational,
-                    parse_series_text)
+from oracles import from_orbit_values, truncate
+from qtheta import (INFINITY, PuiseuxSeries, dump_jacobi_table, dump_series_text,
+                    parse_jacobi_table, parse_rational, parse_series_text)
 
 F = Fraction
 
@@ -248,11 +248,60 @@ class TestTextFormat:
         ("D=4 trunc=1\n1/1 2\n", "line 2 '1/1 2': exponent 2 is not below trunc=1"),
         ("D=4 trunc=1\n1/1 3/4\n2/1 1\n", "line 3 '2/1 1': exponent 1 is not below trunc=1"),
         ("D=4 trunc=1\n1/1 1/4\n3/1 1/4\n", "line 3 '3/1 1/4': exponent 1/4 is repeated"),
+        # an exponent off the header's grid, a grid that is not one, and a
+        # zero coefficient, which no dump writes
+        ("D=4 trunc=1\n1/1 1/3\n", "line 2 '1/1 1/3': exponent 1/3 is not a multiple of 1/4"),
+        ("D=0 trunc=1\n", "line 1 'D=0 trunc=1': D=0 is not a positive integer"),
+        ("D=4 trunc=1\n1/1 1/4\n\n-0/5 1/2\n",
+         "line 4 '-0/5 1/2': exponent 1/2 has a zero coefficient"),
     ])
     def test_malformed_line_named(self, text, message):
         with pytest.raises(ValueError) as error:
             parse_series_text(text)
         assert str(error.value) == message
+
+    def test_both_formats_round_trip_and_name_a_repeated_line(self):
+        # random series and random orbit-complete tables read back as written;
+        # a copy of any one term or row line, anywhere after the header and
+        # with a blank line somewhere, is named at its second occurrence
+        rng = random.Random(33)
+        texts = []
+        for _ in range(40):
+            s = random_series(rng, trunc=F(rng.randint(1, 9), rng.randint(1, 3)),
+                              base_denom=rng.choice([1, 2, 4, 12, 24]), max_terms=8)
+            text = dump_series_text(s)
+            back = parse_series_text(text)
+            assert back == s and back.base_denom == s.base_denom
+            texts.append((parse_series_text, text, "exponent "))
+            m = rng.randint(2, 6)
+            values = {}
+            for _ in range(rng.randint(1, 4)):
+                mu = rng.randint(1, m - 1)
+                disc = 4 * m * rng.randint(-(-mu * mu // (4 * m)), 5) - mu * mu
+                values[(mu, disc)] = F(rng.choice([c for c in range(-9, 10) if c]),
+                                       rng.randint(1, 5))
+            phi = from_orbit_values(rng.choice([1, 3, 5, 7]), m, rng.randint(1, 4),
+                                    F(rng.randint(1, 12), rng.randint(1, 3)), values)
+            text = dump_jacobi_table(phi)
+            back = parse_jacobi_table(text)
+            assert dict(back.coeffs) == dict(phi.coeffs)
+            assert (back.weight_k, back.index_m, back.level_N, back.n_trunc) == \
+                (phi.weight_k, phi.index_m, phi.level_N, phi.n_trunc)
+            texts.append((parse_jacobi_table, text, "c("))
+        repeats = 0
+        for parse, text, subject in texts:
+            lines = text.splitlines()
+            for i in range(1, len(lines)):
+                edited = lines[:]
+                edited.insert(rng.randint(1, len(lines)), lines[i])
+                edited.insert(rng.randint(1, len(edited)), "")
+                second = [n for n, ln in enumerate(edited, 1) if ln == lines[i]][1]
+                with pytest.raises(ValueError) as error:
+                    parse("\n".join(edited) + "\n")
+                assert str(error.value).startswith(f"line {second} {lines[i]!r}: {subject}")
+                assert str(error.value).endswith(" is repeated")
+                repeats += 1
+        assert repeats > 200
 
     def test_orders_dumps_parse_back(self, tmp_path):
         # the orders-dump benchmark run: its 44 cofactor dumps each read back

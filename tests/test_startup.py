@@ -42,10 +42,12 @@ COMMANDS = [
     (["verify-orders", "--m", "3..4", "--q-trunc", "4", "--jobs", "2"], ORDERS | {"qtheta.pool"}),
 ]
 
-# every name the package exported when its __init__ imported all seven modules
+# every name the package exported when its __init__ imported all seven modules,
+# under the module that defines it now
 FORMER_EXPORTS = {
     "characters": ["GammaCharacter", "UnityExponent", "squared_determinant_delta_power",
                    "squared_determinant_translation", "translation_eigenvalues"],
+    "exact": ["VerificationFailed", "parse_rational"],
     "injectivity": ["CaseInput", "CaseVerdict", "InvalidInput", "NonintegralityReport",
                     "classify", "classify_levels", "is_squarefree", "level_classes",
                     "nonintegrality_check"],
@@ -55,8 +57,7 @@ FORMER_EXPORTS = {
                "random_components", "taylor_coefficient", "taylor_from_moment",
                "taylor_moments", "theta_components", "two_path_taylor"],
     "modforms": ["HalfIntWeight", "eisenstein_e2", "eta", "eta_power", "modular_derivative"],
-    "series": ["INFINITY", "PuiseuxSeries", "VerificationFailed", "dot", "dump_series_text",
-               "parse_rational", "parse_series_text"],
+    "series": ["INFINITY", "PuiseuxSeries", "dot", "dump_series_text", "parse_series_text"],
     "theta": ["NotAnEigenvector", "ThetaIndex", "ThetaTwoVar", "odd_theta_series",
               "theta_series", "translation_eigenvalue"],
     "wronskian": ["CofactorOrderReport", "CramerReport", "SeriesMatrix", "ThetaDerivativeMatrix",

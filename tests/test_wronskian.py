@@ -389,7 +389,8 @@ class TestVerifyEtaPower:
         assert report.ord_w == F(1, 8)
         assert report.eta_exponent == 3
         assert report.residual_all_zero
-        assert report.passed
+        assert report.ord_w == report.ord_w_expected
+        assert report.leading_coeff == report.leading_expected
 
     def test_m3_leading_coefficient(self):
         report = verify_eta_power(3, 12)
@@ -416,7 +417,10 @@ class TestVerifyEtaPower:
         report = verify_eta_power(m, q_trunc)
         assert report.constant == quotient.coefficient(0)
         assert report.residual_max_exponent_checked == quotient.trunc
-        assert report.passed == (set(quotient.terms) == {0})
+        assert set(quotient.terms) == {0}
+        assert report.residual_all_zero and report.constant != 0
+        assert report.ord_w == report.ord_w_expected
+        assert report.leading_coeff == report.leading_expected
 
 
 def eta_order_monomial(lam: int, coefficient, shift) -> PuiseuxSeries:
@@ -447,11 +451,17 @@ class TestEtaPowerFaults:
         assert str(failure.value) == f"m={m}: residual coefficient {coefficient} at exponent 1"
 
 
+def cofactor_checked(report) -> bool:
+    """The report's order and |leading coefficient| equal their expected values."""
+    return (report.ord_cofactor == report.ord_expected
+            and abs(report.leading_coeff) == report.leading_expected_abs)
+
+
 class TestVerifyCofactorOrders:
     def test_m3_orders(self):
         reports = verify_cofactor_orders(3, 6)
         assert [r.ord_cofactor for r in reports] == [F(1, 3), F(1, 12)]
-        assert all(r.passed for r in reports)
+        assert all(cofactor_checked(r) for r in reports)
 
     def test_m4_nu3(self):
         reports = verify_cofactor_orders(4, 6)
@@ -472,7 +482,7 @@ class TestVerifyCofactorOrders:
         with pytest.raises(VerificationFailed, match="nu=1: window .* cannot reach"):
             verify_cofactor_orders(m, edge)
         reports = verify_cofactor_orders(m, edge + F(1, 1000))
-        assert len(reports) == m - 1 and all(r.passed for r in reports)
+        assert len(reports) == m - 1 and all(cofactor_checked(r) for r in reports)
 
 
 class TestThetaMinorCheck:
@@ -488,7 +498,7 @@ class TestThetaMinorCheck:
         before = wronskian._cofactor_order_reports(m, cofactors)
         after = wronskian._cofactor_order_reports(m, [-cofactors[0]] + cofactors[1:])
         assert after[0].leading_coeff == -before[0].leading_coeff
-        assert after[0].sign == -before[0].sign and after[0].passed
+        assert after[0].sign == -before[0].sign and cofactor_checked(after[0])
         assert after[1:] == before[1:]
 
     def test_scaled_minor_fails(self):
