@@ -169,8 +169,8 @@ def _render_json(out, args, tables, discrepancies) -> None:
     import json  # only JSON reports need it; kept out of every start-up
 
     escape = json.encoder.encode_basestring_ascii
-    # a cell's JSON text by its exact type (a bool is an int), all from C-level calls
-    cell_text = {str: escape, int: int.__repr__, bool: _BOOL_TEXT.__getitem__,
+    # a cell's JSON text by its exact type (a bool is an int); ints as in CSV
+    cell_text = {str: escape, int: _IntTexts().__getitem__, bool: _BOOL_TEXT.__getitem__,
                  type(None): {None: "null"}.__getitem__}
     doc = {"schema_version": SCHEMA_VERSION, "command": args.command,
            "parameters": {"q_trunc": _rat_str(args.q_trunc), "seed": args.seed,
@@ -379,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=argparse.SUPPRESS,
                    help="random tuples per index")
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--weight-k", type=int, default=3, help="odd weight for the operators")
     p.add_argument("--jacobi-file", type=Path, default=argparse.SUPPRESS,
                    help="coefficient table to ingest and validate")
 

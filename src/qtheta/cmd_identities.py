@@ -8,30 +8,29 @@ from fractions import Fraction
 from .cases import check_window, indices, run_cases, short_window
 from .exact import ABSENT, VerificationFailed
 
+# the k of the random and kernel tuples; the kernel equivalence holds for every odd k
+WEIGHT_K = 3
+
 
 def check(args) -> None:
     """``check_window``, then this command's own checks; a --jacobi-file is
     parsed into ``args.jacobi_form``, so a bad table fails before any case."""
+    from .jacobi import _class_grid, parse_jacobi_table
+
     check_window(args)
-    if args.weight_k < 1 or args.weight_k % 2 == 0:
-        raise ValueError("--weight-k must be a positive odd integer")
     if args.trials < 0:
         raise ValueError("--trials must be nonnegative")
     if args.m[1] < 3 and args.trials == 0 and args.jacobi_file is None:
         raise ValueError("no case to check: every index is below 3, --trials is 0 "
                          "and there is no --jacobi-file")
-    # a random h_mu samples the exponents n - mu^2/4m, n an integer with
-    # mu^2/4m <= n < q_trunc; class 1 has the most, ceil(q_trunc) - 1, and
-    # a range of more than sys.maxsize points has no len()
-    points = -(-args.q_trunc.numerator // args.q_trunc.denominator) - 1
+    grid = _class_grid(args.m[1], 1, args.q_trunc)  # the class with the most points
+    points = -((grid.start - grid.stop) // grid.step)  # a range past sys.maxsize has no len()
     if points > sys.maxsize:
         raise ValueError(f"--q-trunc {args.q_trunc} is too long for the top index: "
                          f"m={args.m[1]} mu=1: {points} exponents to draw from, "
                          f"more than sys.maxsize = {sys.maxsize}")
     args.jacobi_form = None
     if args.jacobi_file is not None:
-        from .jacobi import parse_jacobi_table
-
         try:
             phi = parse_jacobi_table(args.jacobi_file.read_text())
         except (OSError, ValueError) as error:
@@ -117,7 +116,7 @@ def case(job):
         m, q_trunc, weight_k = phi.index_m, phi.n_trunc, phi.weight_k
         draws = [("jacobi_file", theta_components(phi))]
     else:
-        q_trunc, weight_k = args.q_trunc, args.weight_k
+        q_trunc, weight_k = args.q_trunc, WEIGHT_K
         if m >= 3:
             # the last-row cofactors: the last column of the adjugate Cramer solves with
             adj = _cramer_operators(m, Fraction(q_trunc))[0]

@@ -357,21 +357,22 @@ def kernel_equivalence(taylors, k: int, m: int) -> tuple[bool, bool]:
 _NUMERATORS = tuple(x for x in range(-9, 10) if x)  # a random value's numerator
 
 
-def random_components(index_m: int, n_trunc, rng) -> ThetaComponents:
-    """Sparse random component tuple on the exact exponent grids.
+def _class_grid(m: int, mu: int, n_trunc: Fraction) -> range:
+    """The discs a random h_mu draws its exponents disc/4m from: disc >= 0, disc = -mu^2
+    mod 4m and disc/4m < n_trunc - mu^2/4m, that is disc < ceil(4m n_trunc) - mu^2."""
+    cap = -(-4 * m * n_trunc.numerator // n_trunc.denominator)
+    return range((-mu * mu) % (4 * m), cap - mu * mu, 4 * m)
 
-    Each h_mu gets up to 3 terms at exponents disc/(4m) with
-    disc >= 0 and disc = -mu^2 mod 4m, so the assembled two-variable series
-    has an integral Fourier table.  Deterministic given the rng state.
-    """
+
+def random_components(index_m: int, n_trunc, rng) -> ThetaComponents:
+    """Sparse random (h_1, ..., h_{m-1}), each h_mu with up to 3 terms on its
+    ``_class_grid``, so the assembled two-variable series has an integral
+    Fourier table.  Deterministic given the rng state."""
     m = index_m
-    grid_denom = 4 * m
     n_trunc = Fraction(n_trunc)
-    # disc/4m < n_trunc - mu^2/4m is disc < ceil(4m n_trunc) - mu^2
-    cap = -(-grid_denom * n_trunc.numerator // n_trunc.denominator)
     classes = []
     for mu in range(1, m):
-        grid = range((-mu * mu) % grid_denom, cap - mu * mu, grid_denom)
+        grid = _class_grid(m, mu, n_trunc)
         values = {}
         for disc in rng.sample(grid, min(3, len(grid))):
             numerator = rng.choice(_NUMERATORS)

@@ -79,7 +79,8 @@ class TestParsing:
         ("classify", "--k", "3", "--m", "2", "--N", "1"),
         ("sweep", "--k", "3..5", "--m", "4..6", "--N", "0"),
         ("sweep", "--k", "1..5", "--m", "4..6"),
-        ("verify-identities", "--m", "3", "--q-trunc", "6", "--weight-k", "4"),
+        # the deleted --weight-k option, at the odd value it once accepted
+        ("verify-identities", "--m", "3", "--q-trunc", "6", "--weight-k", "5"),
         ("sweep", "--k", "4..4", "--m", "4..5"),
         ("sweep", "--k", "3..5", "--m", "1..2"),
         ("sweep", "--k", "3..5", "--m-offset=-5..-3"),
@@ -1381,6 +1382,28 @@ class TestVerifyIdentities:
     def test_numerators_past_the_int_str_digit_limit_with_two_jobs(self, tmp_path):
         # the forked workers inherit the limit that main lifted
         self.test_numerators_past_the_int_str_digit_limit(tmp_path, jobs="2")
+
+    @pytest.mark.parametrize("m, n_trunc", [(3, 8), (7, 20)])
+    def test_jacobi_file_report_independent_of_weight(self, m, n_trunc, tmp_path):
+        # the kernel equivalence holds for every odd k, so one table's rows
+        # under the headers k = 3, 5, 7 and 9 give one report: the fact that
+        # left the random tuples no weight option
+        reports, rows = set(), set()
+        for k in (3, 5, 7, 9):
+            text = perfbench_workloads().jacobi_table(random.Random(0), m, n_trunc, k)
+            assert text.startswith(f"k={k} m={m} ")
+            rows.add(text.split("\n", 1)[1])
+            table = tmp_path / f"k{k}.jacobi"
+            table.write_text(text)
+            out = tmp_path / f"k{k}.json"
+            assert run_cli("verify-identities", "--m", "3", "--q-trunc", "6", "--trials", "0",
+                           "--jacobi-file", str(table), "--format", "json",
+                           "--output", str(out)) == 0
+            reports.add(out.read_bytes())
+        assert len(rows) == 1 and len(reports) == 1
+        checks = [row["check"] for row in json.loads(reports.pop())["results"]["identities"]
+                  if row["case"] == "jacobi_file"]
+        assert checks == ["two_path_taylor", "kernel_equivalence", "cramer"]
 
     def test_jacobi_file_parsed_before_cases(self, tmp_path):
         phi = from_orbit_values(3, 2, 1, 8, {(1, 7): F(1)})
