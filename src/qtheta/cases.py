@@ -1,7 +1,7 @@
 """What the four verify commands share: their argument checks, the window
-rule of verify-orders and verify-identities, and the case runner.  A case
-takes a job (args, m, inputs) for one index m, returns (tables, dumps) and
-imports its engine in its body, reading each name off its module as it runs."""
+rule of verify-identities and verify-orders --dump-series, and the case
+runner.  A case takes a job (args, m, inputs) for one index m, returns
+(tables, dumps) and imports its engine in its body, reading each name off its module."""
 
 from .exact import ABSENT
 
@@ -17,7 +17,8 @@ def check(args) -> None:
 
 
 def check_window(args) -> None:
-    """``check``, and a --q-trunc too short for the top index is malformed."""
+    """``check``, and a --q-trunc too short for the top index is malformed,
+    for the commands that build their minors on --q-trunc itself."""
     check(args)
     short = short_window(args.m[1], args.q_trunc)
     if short:
@@ -32,8 +33,8 @@ def short_window(m: int, q_trunc) -> str | None:
     A minor's order is inside exactly when q_trunc passes the largest
     mu^2/4m of its columns: (m-1)^2/4m for nu = 1, no less than for any
     other nu, and growing with m, so the top index of a range decides.
-    Below it the order checks must fail, and on short windows every kernel
-    tuple is zero, so the identity checks compare nothing.
+    Below it a dumped minor stops short of its order, and on short windows
+    every kernel tuple is zero, so the identity checks compare nothing.
     """
     from .wronskian import _short_minor, theta_minor_window
 

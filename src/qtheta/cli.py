@@ -349,12 +349,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"report path (default: stdout, or ${OUTPUT_DIR_ENV})")
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
-    def common(p, q_trunc=True):
+    def common(p, q_trunc="certified window, e.g. 40 or 81/2"):
         p.add_argument("--m", type=parse_range, default="2..8",
                        help="index range, e.g. 2..8 or 5")
         if q_trunc:
             p.add_argument("--q-trunc", type=parse_rational, default=argparse.SUPPRESS,
-                           help="certified window, e.g. 40 or 81/2")
+                           help=q_trunc)
         output_flags(p)
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
@@ -364,14 +364,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for Wronskian series dumps")
 
     p = sub.add_parser("verify-orders", help="vanishing orders and leading coefficients")
-    common(p)
+    common(p, q_trunc="window of the --dump-series files, e.g. 10 or 81/2; each "
+                      "index m checks its orders on its own window ((m-1)^2 + 1)/4m")
     p.add_argument("--dump-series", type=Path, default=argparse.SUPPRESS,
                    help="directory for cofactor series dumps")
 
     # each index m reads its eigenvalues on its own window 2m + 2, so this
     # command takes no --q-trunc
     p = sub.add_parser("verify-characters", help="translation eigenvalues and characters")
-    common(p, q_trunc=False)
+    common(p, q_trunc=None)
 
     p = sub.add_parser("verify-identities",
                        help="two-path Taylor identity, kernel equivalence, Cramer")

@@ -38,7 +38,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, Union
 
-from .exact import _key_bound, _rat_str, parse_rational
+from .exact import _key_bound, parse_rational
 
 INFINITY = math.inf
 Truncation = Union[Fraction, float]
@@ -410,7 +410,9 @@ def dump_series_text(series: PuiseuxSeries) -> str:
     lines = [f"D={d} trunc={series._tn}/{series._td}"]
     den = series._den
     for n, c in sorted(series._terms.items()):
-        lines.append(f"{_rat_str(Fraction(c, den))} {_rat_str(Fraction(n, d))}")
+        # each rational in lowest terms over its positive denominator, as _rat_str writes it
+        g, h = math.gcd(c, den), math.gcd(n, d)
+        lines.append(f"{c // g}/{den // g} {n // h}/{d // h}")
     return "\n".join(lines) + "\n"
 
 

@@ -93,17 +93,21 @@ class TestParsing:
         ("sweep", "--k", "3..3", "--m-offset", "1..2", "--N", "1,1"),
         ("sweep", "--k", "3..3", "--m", "10..11", "--m-offset", "1..2"),
         ("sweep", "--k", "3..5"),
-        ("verify-orders", "--m", "64", "--q-trunc", "12"),
-        ("verify-orders", "--m", "2", "--q-trunc", "1/8"),
+        # the dumps are on --q-trunc, so it must reach the top index's orders
+        ("verify-orders", "--m", "64", "--q-trunc", "12", "--dump-series"),
+        ("verify-orders", "--m", "2", "--q-trunc", "1/8", "--dump-series"),
         ("verify-identities", "--m", "3..4", "--trials", "1",
          "--q-trunc", "100000000000000000000/3"),
     ])
     def test_malformed_input_exits_2(self, argv, tmp_path, capsys):
+        if argv[-1] == "--dump-series":
+            argv += (str(tmp_path / "dumps"),)
         with pytest.raises(SystemExit) as exit_info:
             run_cli(*argv, "--output", str(tmp_path / "r.txt"))
         assert exit_info.value.code == 2
         assert "usage: qtheta" in capsys.readouterr().err
         assert not (tmp_path / "r.txt").exists()
+        assert not (tmp_path / "dumps").exists()
 
 
 @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
@@ -848,17 +852,17 @@ class TestVerifyOrders:
         assert len(rows) == 2 + 11 and all(row["ok"] for row in rows)
 
     def test_window_edge_fails(self, tmp_path, capsys):
-        # W's own window would be q_trunc here, below its order 253/24: bad
-        # input, rejected before any case runs
-        out = tmp_path / "orders.json"
+        # the dumps' window would be q_trunc here, below the cofactor order
+        # 505/48: bad input, rejected before any case runs
+        out, dumps = tmp_path / "orders.json", tmp_path / "dumps"
         with pytest.raises(SystemExit) as exit_info:
             run_cli("verify-orders", "--m", "12", "--q-trunc", "121/48",
-                    "--format", "json", "--output", str(out))
+                    "--format", "json", "--output", str(out), "--dump-series", str(dumps))
         assert exit_info.value.code == 2
         err = capsys.readouterr().err
         assert ("--q-trunc 121/48 is too short for the top index: m=12 nu=1: "
                 "window 121/48 cannot reach cofactor order 505/48") in err
-        assert not out.exists()
+        assert not out.exists() and not dumps.exists()
 
     def test_short_window_checks_one_minor(self):
         # the binding minor alone, cofactor nu = 1, in memory linear in m:
@@ -893,18 +897,40 @@ class TestVerifyOrders:
 
     @pytest.mark.parametrize("m", [2, 3, 7])
     def test_window_rule_is_the_top_index_rule(self, m, tmp_path):
-        # every order of index m is inside its window exactly when q_trunc
-        # passes (m-1)^2/4m, and lower indices need less
+        # with dumps on q_trunc, every order of index m is inside its window
+        # exactly when q_trunc passes (m-1)^2/4m, and lower indices need less
         edge = F((m - 1) ** 2, 4 * m)
         for q_trunc, status in ((edge, 2), (edge + F(1, 100), 0)):
             out = tmp_path / f"orders-{status}.json"
             try:
                 code = run_cli("verify-orders", "--m", f"2..{m}", "--q-trunc", str(q_trunc),
-                               "--format", "json", "--output", str(out))
+                               "--format", "json", "--output", str(out),
+                               "--dump-series", str(tmp_path / f"dumps-{status}"))
             except SystemExit as error:
                 code = error.code
             assert code == status
             assert out.exists() == (status == 0)
+
+    @pytest.mark.parametrize("m, windows", [("2..8", ("1/8", "10", "20")), ("32", ("8", "60"))])
+    def test_results_do_not_depend_on_q_trunc(self, m, windows, tmp_path, monkeypatch):
+        # without dumps each index checks on its own least window, so --q-trunc
+        # moves neither the results nor the work: every minor built is one term
+        theta_minors, sizes = wronskian.theta_minors, []
+
+        def counted(*args):
+            minors = theta_minors(*args)
+            sizes.extend(len(minor.terms) for minor in minors)
+            return minors
+
+        monkeypatch.setattr(wronskian, "theta_minors", counted)
+        results = []
+        for i, q_trunc in enumerate(windows):
+            out = tmp_path / f"orders{i}.json"
+            assert run_cli("verify-orders", "--m", m, "--q-trunc", q_trunc,
+                           "--format", "json", "--output", str(out)) == 0
+            results.append(json.loads(out.read_text())["results"])
+        assert all(result == results[0] for result in results[1:])
+        assert sizes and set(sizes) == {1}
 
 
 class TestVerifyCharacters:

@@ -61,6 +61,9 @@ def invocations(work: Path) -> list[tuple[int, list[str]]]:
              "--dump-series", str(work / "wronskian")]),
         (0, ["verify-orders", "--m", "3..4", "--q-trunc", "6", "--format", "csv",
              "--dump-series", str(work / "cofactors")]),
+        # without dumps each index checks on its own least window, so a short
+        # --q-trunc runs
+        (0, ["verify-orders", "--m", "2..3", "--q-trunc", "1/8", "--format", "text"]),
         (0, ["verify-characters", "--m", "2..6", "--format", "text"]),
         (0, ["verify-identities", "--m", "2..4", "--q-trunc", "6", "--trials", "1",
              "--jacobi-file", table, "--format", "json", "--output", str(work / "ids.json")]),
@@ -76,7 +79,8 @@ def invocations(work: Path) -> list[tuple[int, list[str]]]:
         # field, a case, a grid, a report target, a report or dump write
         (2, ["verify-wronskian", "--m", "x"]),
         (2, ["verify-wronskian", "--m", "2", "--jobs", "0"]),
-        (2, ["verify-orders", "--m", "64", "--q-trunc", "12"]),
+        (2, ["verify-orders", "--m", "64", "--q-trunc", "12",
+             "--dump-series", str(work / "short")]),
         (2, [*identities, "--jacobi-file", str(work / "malformed.jacobi")]),
         (2, [*identities, "--jacobi-file", str(work / "absent.jacobi")]),
         (2, [*identities, "--jacobi-file", str(work / "headless.jacobi")]),

@@ -12,10 +12,10 @@ from conftest import (assert_agree, assert_same_store, laplace_det, long_divisio
                       random_series)
 from oracles import from_orbit_values, partial_kernel_components, truncate, vandermonde
 from qtheta import (INFINITY, PuiseuxSeries, SeriesMatrix, ThetaIndex, VerificationFailed,
-                    component_taylor, cramer_reconstruction, eta, eta_power, eta_power_exponent,
-                    kernel_components, modular_wronskian, odd_theta_series, random_components,
-                    theta_components, theta_derivative_matrix, theta_minors, theta_wronskian,
-                    verify_cofactor_orders, verify_eta_power, wronskian)
+                    cases, cmd_orders, component_taylor, cramer_reconstruction, eta, eta_power,
+                    eta_power_exponent, kernel_components, modular_wronskian, odd_theta_series,
+                    random_components, theta_components, theta_derivative_matrix, theta_minors,
+                    theta_wronskian, verify_cofactor_orders, verify_eta_power, wronskian)
 from qtheta.jacobi import ThetaComponents
 from qtheta.wronskian import _minor_leading_coefficient
 
@@ -483,6 +483,33 @@ class TestVerifyCofactorOrders:
             verify_cofactor_orders(m, edge)
         reports = verify_cofactor_orders(m, edge + F(1, 1000))
         assert len(reports) == m - 1 and all(cofactor_checked(r) for r in reports)
+
+    def test_least_window_holds_one_term_per_minor(self):
+        # verify-orders' window without dumps: the least the top-index rule
+        # admits.  Each minor is then its minimal tuple alone, every other
+        # tuple adding at least 1 to the exponent, so the check reads what it
+        # reads on any longer window: one term at the order, of closed-form size
+        excess = []
+        for m in range(2, 41):
+            window = cmd_orders.least_window(m)
+            assert cases.short_window(m, window) is None
+            assert cases.short_window(m, window - F(1, 4 * m)) is not None
+            minors = [(range(1, m), theta_wronskian(m, window))]
+            if m >= 3:
+                cofactors = theta_derivative_matrix(m, window).last_row_cofactors()
+                minors += [([mu for mu in range(1, m) if mu != nu], cofactors[nu - 1])
+                           for nu in range(1, m)]
+            gaps = []
+            for columns, minor in minors:
+                order = F(sum(mu * mu for mu in columns), 4 * m)
+                assert list(minor.terms) == [order], (m, columns)
+                assert abs(minor.terms[order]) == F(*_minor_leading_coefficient(m, columns))
+                gaps.append(minor.trunc - order)
+            # W and cofactor nu = 1 pass their orders by the least step
+            assert gaps[:2] == [F(1, 4 * m)] * min(m - 1, 2)
+            assert all(0 < gap < 1 for gap in gaps), m
+            excess += gaps
+        assert max(excess) == F(39, 80)
 
 
 class TestThetaMinorCheck:
