@@ -3,7 +3,16 @@ rule of verify-identities and verify-orders --dump-series, and the case
 runner.  A case takes a job (args, m, inputs) for one index m, returns
 (tables, dumps) and imports its engine in its body, reading each name off its module."""
 
+import os
+import time
+
 from .exact import ABSENT
+
+# What one forked worker costs the run it joins: the fork itself, the
+# copy-on-write faults on the parent's heap (about 20 MB) and the pickled
+# results.  verify-orders --m 3..10 --q-trunc 10 --dump-series took 4.3 ms of
+# cases in one process and 13 ms with one worker forked (2-core host).
+FORK_SECONDS = 0.008
 
 
 def check(args) -> None:
@@ -49,22 +58,51 @@ def indices(args) -> range:
 
 
 def run_cases(args, case, jobs=None):
-    """``case`` of each job, by default (args, m, None) for each index, on up to
-    ``--jobs`` processes; their tables merged in job order, and their dumps."""
+    """``case`` of each job, by default (args, m, None) for each index, on at
+    most ``--jobs`` processes; their tables merged in job order, and their dumps.
+
+    A run with fewer than three cases per process forks at once.  Otherwise
+    the parent runs the cases itself in index order and forks for the rest
+    only once the cases left times the last case's CPU seconds reach twice
+    ``FORK_SECONDS``.  Cases grow with the index, so that product never
+    overstates the work left; each command loads its engine before calling
+    this, so no case's seconds hold a one-time import.  The results, and a
+    failure's record, are those of a run in one process, whether or when it
+    forks.
+    """
     if jobs is None:
         jobs = [(args, m, None) for m in indices(args)]
-    if args.jobs > 1:
+    processes = 1
+    if args.jobs > 1 and hasattr(os, "fork"):
+        processes = min(args.jobs, len(jobs), _usable_cpus())
+    results = []
+    if processes > 1 and len(jobs) >= 3 * processes:
+        for job in jobs:
+            start = time.process_time()
+            results.append(case(job))
+            if (len(jobs) - len(results)) * (time.process_time() - start) >= 2 * FORK_SECONDS:
+                break
+    rest = jobs[len(results):]
+    if processes > 1 and len(rest) > 1:
         from .pool import _run_parallel
 
-        results = _run_parallel(case, jobs, args.jobs)
+        results += _run_parallel(case, rest, processes, len(results))
     else:
-        results = map(case, jobs)
+        results += map(case, rest)
     parts, dumps = {}, {}
     for case_tables, case_dumps in results:
         for name, table in case_tables.items():
             parts.setdefault(name, []).append(table)
         dumps.update(case_dumps)
     return {name: _join(tables) for name, tables in parts.items()}, [], dumps
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the platform
+    has one (a ``taskset`` or a cpuset container narrows it), else the host count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _join(tables) -> tuple:

@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--q-trunc", type=parse_rational, default=argparse.SUPPRESS,
                            help=q_trunc)
         output_flags(p)
-        p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+        p.add_argument("--jobs", type=int, default=1, metavar="N",
+                       help="at most N processes; forks only for cases that outweigh a fork")
 
     p = sub.add_parser("verify-wronskian", help="eta-power identity per index")
     common(p)

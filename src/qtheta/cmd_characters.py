@@ -8,6 +8,8 @@ from .exact import VerificationFailed
 
 
 def handle(args):
+    from . import characters  # loaded before the cases, so no case's seconds hold its import
+
     return run_cases(args, case)
 
 

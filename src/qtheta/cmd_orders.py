@@ -12,6 +12,8 @@ def check(args) -> None:
 
 
 def handle(args):
+    from . import wronskian  # loaded before the cases, so no case's seconds hold its import
+
     return run_cases(args, case)
 
 

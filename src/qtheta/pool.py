@@ -1,6 +1,7 @@
-"""The fork pool behind ``--jobs`` above 1; a run with one job never loads it."""
+"""The fork pool behind ``--jobs`` above 1; only a run that forks loads it."""
 
 import os
+import pickle
 
 from .exact import VerificationFailed
 
@@ -25,16 +26,9 @@ def _work_runs(worker, items, bounds, tasks) -> dict:
     return results
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the platform
-    has one (a ``taskset`` or a cpuset container narrows it), else the host count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _run_parallel(worker, items, jobs):
-    """``[worker(item) for item in items]`` on up to ``jobs`` processes.
+def _run_parallel(worker, items, workers, first=0):
+    """``[worker(item) for item in items]`` on ``workers`` processes, at most
+    one per item; ``cases.run_cases`` chooses how many and when to fork.
 
     The parent is one worker and forks the others (the CLI runs no thread
     that a fork would leave behind).  Every process takes tokens from one
@@ -44,13 +38,10 @@ def _run_parallel(worker, items, jobs):
     parent's stdio buffers.  The results are merged in item order and the
     first failure is raised, as a serial run raises it; a case that no
     process returned (its worker died) fails with the children's wait
-    statuses.
+    statuses, named by its index over the whole run: ``first`` cases ran
+    before these.
     """
-    workers = min(jobs, len(items), _usable_cpus())
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [worker(item) for item in items]
-    import pickle  # only worker processes need it; kept out of every start-up
-
+    workers = min(workers, len(items))
     runs = min(len(items), _MAX_TOKENS)
     bounds = [run * len(items) // runs for run in range(runs + 1)]
     tasks, feed = os.pipe()
@@ -97,7 +88,7 @@ def _run_parallel(worker, items, jobs):
     for index in range(len(items)):
         if index not in results:
             raise VerificationFailed(
-                f"case {index} has no result: worker process wait statuses "
+                f"case {first + index} has no result: worker process wait statuses "
                 f"{', '.join(map(str, statuses))}")
         ok, value = results[index]
         if not ok:

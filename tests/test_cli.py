@@ -1,6 +1,7 @@
 """Command-line behavior: determinism, formats, exit codes, ingestion."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -10,7 +11,9 @@ import select
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -139,31 +142,49 @@ class TestParallelRuns:
     def no_fork():
         raise AssertionError("no worker process expected")
 
+    @staticmethod
+    def pids(jobs, count, case):
+        """``run_cases`` of ``case`` on m = 2 .. count + 1 under ``--jobs jobs``,
+        where ``case(m)`` runs in the case: the (m, pid) of each case."""
+        def row(job):
+            case(job[1])
+            return {"t": (("m", "pid"), [(job[1], os.getpid())])}, {}
+
+        args = types.SimpleNamespace(jobs=jobs, m=(2, count + 1))
+        tables, _, _ = cases.run_cases(args, row)
+        return tables["t"][1]
+
+    @staticmethod
+    def spin(seconds):
+        """Busy for ``seconds`` of CPU time, which is what the fork rule reads."""
+        end = time.process_time() + seconds
+        while time.process_time() < end:
+            pass
+
     @pytest.mark.parametrize("cpus", [1, None])
     def test_workers_clamped_to_cpu_count(self, cpus, monkeypatch):
         # 1: a one-CPU affinity mask on an eight-CPU host; None: no affinity
         # mask and an unknown host count, which counts as one CPU
         if cpus is None:
-            monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         else:
-            monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        monkeypatch.setattr(pool.os, "cpu_count", lambda: 8 if cpus else None)
-        assert pool._usable_cpus() == 1
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8 if cpus else None)
+        assert cases._usable_cpus() == 1
         monkeypatch.setattr(pool.os, "fork", self.no_fork)
-        assert pool._run_parallel(abs, [-1, -2], 2) == [1, 2]
+        assert self.pids(2, 2, abs) == [(2, os.getpid()), (3, os.getpid())]
 
     def test_workers_clamped_to_case_count(self, monkeypatch):
         monkeypatch.setattr(pool.os, "fork", self.no_fork)
         assert pool._run_parallel(abs, [-3], 2) == [3]
 
     def test_one_worker_without_fork(self, monkeypatch):
-        monkeypatch.setattr(pool, "_usable_cpus", lambda: 4)
+        monkeypatch.setattr(cases, "_usable_cpus", lambda: 4)
         monkeypatch.delattr(pool.os, "fork")
-        assert pool._run_parallel(abs, [-1, -2, -3], 3) == [1, 2, 3]
+        assert self.pids(3, 3, abs) == [(m, os.getpid()) for m in (2, 3, 4)]
 
-    def test_results_in_item_order_past_the_token_cap(self, monkeypatch):
+    def test_results_in_item_order_past_the_token_cap(self):
         # 2500 items share the 1024 tokens: a token names a run of cases
-        monkeypatch.setattr(pool, "_usable_cpus", lambda: 3)
         items = list(range(2500))
         assert len(items) > pool._MAX_TOKENS
         assert pool._run_parallel(lambda x: -x, items, 3) == [-x for x in items]
@@ -177,9 +198,10 @@ class TestParallelRuns:
             pool._run_parallel(fail_twice, items, 3)
 
     def test_dead_worker_is_a_failure_record(self, monkeypatch, tmp_path):
-        # the parent holds its first case until the child has taken another
-        # one and killed itself on it; the child took case 1 or case 2
-        monkeypatch.setattr(pool, "_usable_cpus", lambda: 2)
+        # three cases on two processes fork at once; the parent holds its
+        # first case until the child has taken another one and killed itself
+        # on it; the child took case 1 or case 2
+        monkeypatch.setattr(cases, "_usable_cpus", lambda: 2)
         parent = os.getpid()
         died, signal_died = os.pipe()
         waited = []
@@ -210,6 +232,88 @@ class TestParallelRuns:
         with pytest.raises(ChildProcessError):
             os.waitpid(child, os.WNOHANG)  # reaped: no zombie is left
 
+    def test_slow_cases_fork(self, monkeypatch):
+        # m = 2 spins for the break-even, so the parent forks after it with
+        # five cases left; its next case waits until the child has run one
+        monkeypatch.setattr(cases, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+        ran, signal_ran = os.pipe()
+
+        def case(m):
+            if m == 2:
+                self.spin(2 * cases.FORK_SECONDS)
+            elif os.getpid() != parent:
+                os.write(signal_ran, b"x")
+            else:
+                assert select.select([ran], [], [], 60)[0], "no child took a case"
+
+        try:
+            rows = self.pids(2, 6, case)
+        finally:
+            os.close(ran)
+            os.close(signal_ran)
+        assert [m for m, _ in rows] == list(range(2, 8))
+        assert rows[0][1] == parent
+        assert len({pid for _, pid in rows}) == 2
+
+    def test_dead_worker_after_parent_cases_is_counted_over_all_cases(self, monkeypatch, tmp_path):
+        # the parent runs m = 2 past the break-even and forks for m = 3..7; it
+        # holds its next case until the child has killed itself on the first
+        # case it took, and the record counts that case from m = 2, not from
+        # the first case the pool was given
+        monkeypatch.setattr(cases, "_usable_cpus", lambda: 2)
+        parent = os.getpid()
+        died, signal_died = os.pipe()
+        waited = []
+
+        def worker(job):
+            m = job[1]
+            if os.getpid() != parent:
+                os.write(signal_died, str(m).encode())
+                os.kill(os.getpid(), signal.SIGKILL)
+            if m == 2:
+                self.spin(2 * cases.FORK_SECONDS)
+            elif not waited:
+                waited.append(m)
+                assert select.select([died], [], [], 60)[0], "no child took a case"
+            return {"characters": (("m",), [(m,)])}, {}
+
+        monkeypatch.setattr(cmd_characters, "case", worker)
+        out = tmp_path / "record.json"
+        try:
+            code = run_cli("verify-characters", "--m", "2..7", "--jobs", "2",
+                           "--format", "json", "--output", str(out))
+            child_m = int(os.read(died, 64))
+        finally:
+            os.close(died)
+            os.close(signal_died)
+        assert code == 1
+        assert json.loads(out.read_text())["failure"] == (
+            f"case {child_m - 2} has no result: worker process wait statuses {signal.SIGKILL}")
+
+    def test_orders_dump_forks_no_worker(self, tmp_path, monkeypatch):
+        # the benchmark's orders-dump run: eight cases of about a millisecond
+        # never reach the break-even, so --jobs 2 runs them in the parent
+        argv = perfbench_workloads().build("orders-dump", 0, tmp_path / "unused").invocations[0].args
+        assert argv[-2:] == ("--jobs", "2")
+        monkeypatch.setattr(cases, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(pool.os, "fork", self.no_fork)
+        outputs = []
+        # a full collection of this test process's heap is no case's work
+        gc.collect()
+        gc.disable()
+        try:
+            for jobs in ("1", "2"):
+                report, dumps = tmp_path / f"report{jobs}.csv", tmp_path / f"dumps{jobs}"
+                assert run_cli(*argv[:-1], jobs, "--dump-series", str(dumps),
+                               "--output", str(report)) == 0
+                outputs.append((report.read_bytes(),
+                                [(f.name, f.read_bytes()) for f in sorted(dumps.iterdir())]))
+        finally:
+            gc.enable()
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 44
+
     def test_failure_record_same_for_any_jobs(self, capfd, monkeypatch):
         # m = 12 and m = 13 both fail; the parent takes 13 first, so the
         # record of m = 12 comes from whichever process ran it
@@ -226,27 +330,33 @@ class TestParallelRuns:
         assert json.loads(out1.err)["failure"].startswith("m=12: ")
 
     def test_children_do_not_flush_the_parents_stdout(self):
-        # a block-buffered stdout holds a line when the workers fork; a
-        # child that flushed it on exit would print that line twice
+        # a block-buffered stdout holds a line when the worker forks; a child
+        # that flushed it on exit would print that line twice.  Two cases on
+        # two processes fork at once; the script counts the parent's forks
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         env.pop("PYTHONUNBUFFERED", None)
-        script = ("import sys; from qtheta.cli import main; print('before the cases'); "
-                  "sys.exit(main(sys.argv[1:]))")
+        script = ("import os, sys; from qtheta import cases; from qtheta.cli import main; "
+                  "cases._usable_cpus = lambda: 2; forks = []; fork = os.fork; "
+                  "os.fork = lambda: forks.append(1) or fork(); print('before the cases'); "
+                  "code = main(sys.argv[1:]); sys.stderr.write(f'forks {len(forks)}'); "
+                  "sys.exit(code)")
         outputs = []
         for jobs in ("1", "2"):
             proc = subprocess.run(
-                [sys.executable, "-c", script, "verify-wronskian", "--m", "2..6",
+                [sys.executable, "-c", script, "verify-wronskian", "--m", "2..3",
                  "--q-trunc", "8", "--format", "json", "--jobs", jobs],
                 capture_output=True, env=env, timeout=120)
             assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == f"forks {int(jobs) - 1}".encode()
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
         assert outputs[0].count(b"before the cases") == 1
 
+    # each run has fewer than three cases per process, so --jobs 2 forks at once
     @pytest.mark.parametrize("argv", [
         ("verify-wronskian", "--m", "2..4", "--q-trunc", "6", "--dump-series"),
         ("verify-orders", "--m", "2..5", "--q-trunc", "6", "--dump-series"),
-        ("verify-characters", "--m", "2..7"),
+        ("verify-characters", "--m", "2..5"),
         ("verify-identities", "--m", "2..4", "--q-trunc", "6", "--trials", "2",
          "--seed", "3", "--jacobi-file"),
     ])

@@ -3,10 +3,10 @@
 A fresh interpreter (so no cache warmed by an earlier test can hide a
 function) runs a fixed set of CLI invocations under ``sys.setprofile``:
 every subcommand and format, ``--dump-series`` and ``--jacobi-file``, one
-input for each class of exit status 2, and one check failure for exit
-status 1, made by a patch inside that interpreter.  No run forks, as
-forked workers are not profiled: the one ``--jobs 2`` run has a single case,
-which the pool module runs in process.  Each function,
+input for each class of exit status 2, one check failure for exit
+status 1, made by a patch inside that interpreter, and one ``--jobs 2`` run
+that forks, on two CPUs by a patch too.  Its worker is not profiled, but
+the parent runs the pool's code and the cases run in other runs.  Each function,
 method, nested closure and generator of the package whose code object was
 never called is mapped to ``<file>:<qualname>`` through ``ast`` (CPython
 3.10 has no ``co_qualname``; a decorated function's code starts at its
@@ -18,7 +18,6 @@ first decorator line, and its ``def`` line is taken too).  That set must equal t
     api       public API that no command calls
     failure   reached only when a check or a write fails in a way no
               invocation here provokes
-    parallel  reached only in forked workers
 
 A newly unreached function fails the test: move it into the tests,
 delete it, or list it with its reason.  A listed function that a command
@@ -40,7 +39,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qtheta"
 LISTING = Path(__file__).with_name("unreached.txt")
-REASONS = {"traced", "api", "failure", "parallel"}
+REASONS = {"traced", "api", "failure"}
 
 # an index-2 table of weight 3: the class (mu=1, disc=7) with value 1 and its
 # odd partner, every representative below n = 4
@@ -130,6 +129,12 @@ def audit(work: Path) -> dict:
     # a report written into $QTHETA_OUTPUT_DIR
     os.environ["QTHETA_OUTPUT_DIR"] = str(work / "reports")
     statuses.append(run(["verify-characters", "--m", "2..3", "--format", "csv"]))
+    # two cases on two processes fork at once, whatever CPUs the host has
+    from qtheta import cases
+    usable_cpus = cases._usable_cpus
+    cases._usable_cpus = lambda: 2
+    statuses.append(run(["verify-characters", "--m", "2..3", "--jobs", "2", "--format", "json"]))
+    cases._usable_cpus = usable_cpus
     sys.setprofile(None)
     package = str(Path(cli.__file__).parent)
     called = sorted((c.co_filename, c.co_firstlineno, c.co_name) for c in codes
@@ -175,7 +180,7 @@ def test_every_function_is_reached_or_listed(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
-    expected = [status for status, _ in invocations(tmp_path)] + [1, 0]
+    expected = [status for status, _ in invocations(tmp_path)] + [1, 0, 0]
     assert result["statuses"] == expected
 
     defs = definitions()

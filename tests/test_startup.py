@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import qtheta
-from qtheta import cli, wronskian
+from qtheta import cases, cli, wronskian
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -30,7 +30,10 @@ OPERATORS = VERIFY | {"qtheta.series", "qtheta.characters", "qtheta.theta", "qth
                       "qtheta.wronskian"}
 ORDERS = OPERATORS | {"qtheta.cmd_orders"}
 
-# each command, one per row, then --jobs above 1, which alone loads the pool
+# each command, one per row, then --jobs above 1: the pool loads only in a
+# run that forks, so two cases on two processes load it (where this process
+# may use two CPUs), while six cases of a millisecond each run in the parent
+POOL = {"qtheta.pool"} if cases._usable_cpus() > 1 else set()
 COMMANDS = [
     (["sweep", "--k", "3..5", "--m", "4..6"], SWEEP),
     (["classify", "--k", "3", "--m", "5", "--N", "1"], SWEEP | {"qtheta.cmd_classify"}),
@@ -39,7 +42,8 @@ COMMANDS = [
     (["verify-orders", "--m", "3", "--q-trunc", "4"], ORDERS),
     (["verify-identities", "--m", "3", "--q-trunc", "4", "--trials", "1"],
      OPERATORS | {"qtheta.cmd_identities", "qtheta.jacobi", "random"}),
-    (["verify-orders", "--m", "3..4", "--q-trunc", "4", "--jobs", "2"], ORDERS | {"qtheta.pool"}),
+    (["verify-orders", "--m", "3..4", "--q-trunc", "4", "--jobs", "2"], ORDERS | POOL),
+    (["verify-orders", "--m", "3..8", "--q-trunc", "4", "--jobs", "2"], ORDERS),
 ]
 
 # every name the package exported when its __init__ imported all seven modules,
