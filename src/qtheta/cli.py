@@ -16,12 +16,14 @@ checks nothing; a report or dump whose write fails anyway exits 2 with one
 
 Parsing loads this module, ``qtheta.exact`` and the classifier.  Each
 command is a module of its own, named in ``COMMANDS`` and imported when
-the command is checked; it imports its engine when it runs.
+the command is checked; it imports its engine when it runs.  As an entry
+point ``main()`` freezes the start-up heap, so no collection walks it again.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -432,7 +434,11 @@ def _check_targets(args: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     """Parse, check and run one command; the int/str digit limit is lifted for
-    the run (forked workers inherit it) and put back on every way out."""
+    the run (forked workers inherit it) and put back on every way out.  Without
+    ``argv`` it owns the process and first freezes the start-up heap, which no
+    collection then walks, not even at exit; an argv list leaves gc alone."""
+    if argv is None:
+        gc.freeze()
     saved = _lift_int_str_limit()
     try:
         parser = build_parser()

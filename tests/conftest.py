@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import math
 import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from qtheta import (CaseVerdict, InvariantViolation, PuiseuxSeries, ThetaIndex, ThetaTwoVar, dot,
                     is_squarefree, odd_theta_series, theta_series)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    """Fail the run if any in-process call froze this process's heap: only
+    ``main()`` run as an entry point, which owns its process, may."""
+    if gc.get_freeze_count():
+        pytest.exit(f"{gc.get_freeze_count()} objects of the test process were frozen",
+                    returncode=pytest.ExitCode.TESTS_FAILED)
 
 
 def random_series(rng, trunc, base_denom=4, max_terms=5, lowest=0):

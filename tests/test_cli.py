@@ -381,6 +381,67 @@ class TestParallelRuns:
             assert outputs[0][1]
 
 
+class TestEntryPoint:
+    """``main()`` reads the process's own command line and freezes the
+    start-up heap first; ``main(argv)``, this suite's way in, never does."""
+
+    def test_main_freezes_before_parsing_and_main_argv_never(self, monkeypatch, capsys):
+        calls = []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+        monkeypatch.setattr(cli, "build_parser", lambda: calls.append("parser") or build_parser())
+        monkeypatch.setattr(sys, "argv", ["qtheta", "classify", "--k", "3", "--m", "7", "--N", "1"])
+        assert main() == 0
+        assert calls == ["freeze", "parser"]
+        out = capsys.readouterr().out
+        assert run_cli("classify", "--k", "3", "--m", "7", "--N", "1") == 0
+        assert calls == ["freeze", "parser", "parser"]
+        assert capsys.readouterr().out == out
+
+    @staticmethod
+    def entry(*argv, count_forks=False):
+        """``python -m qtheta.cli argv``: the freezing entry, in a fresh process;
+        with ``count_forks`` run as ``-m`` runs it, and the parent's forks
+        are written to stderr as ``forks <n>``."""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        entry = ["-m", "qtheta.cli"]
+        if count_forks:
+            entry = ["-c", "import os, runpy, sys; forks = []; fork = os.fork; "
+                           "os.fork = lambda: forks.append(1) or fork()\n"
+                           "try: runpy.run_module('qtheta.cli', run_name='__main__', alter_sys=True)\n"
+                           "finally: sys.stderr.write(f'forks {len(forks)}')"]
+        return subprocess.run([sys.executable, *entry, *argv],
+                              capture_output=True, env=env, timeout=120)
+
+    def test_orders_dump_entry_writes_the_in_process_bytes(self, tmp_path):
+        # the report and every dump are closed by the program, not by a
+        # collection at exit, which skips the frozen heap
+        argv = perfbench_workloads().build("orders-dump", 0, tmp_path / "unused").invocations[0].args
+        outputs = []
+        for side in ("entry", "main"):
+            report, dumps = tmp_path / f"{side}.csv", tmp_path / f"{side}-dumps"
+            args = (*argv, "--output", str(report), "--dump-series", str(dumps))
+            if side == "entry":
+                proc = self.entry(*args)
+                assert (proc.returncode, proc.stdout, proc.stderr) == (0, b"", b"")
+            else:
+                assert run_cli(*args) == 0
+            outputs.append((report.read_bytes(),
+                            [(f.name, f.read_bytes()) for f in sorted(dumps.iterdir())]))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][1]) == 44
+
+    @pytest.mark.skipif(cases._usable_cpus() < 2, reason="--jobs 2 runs one process")
+    def test_workers_forked_from_the_frozen_entry_write_the_serial_bytes(self, tmp_path):
+        # 399 cases: the parent forks a worker once they outweigh it, after
+        # m = 2 on a 2-core host
+        argv = ("verify-characters", "--m", "2..400", "--format", "json")
+        assert run_cli(*argv, "--jobs", "1", "--output", str(tmp_path / "serial.json")) == 0
+        proc = self.entry(*argv, "--jobs", "2", count_forks=True)
+        assert (proc.returncode, proc.stderr) == (0, b"forks 1")
+        assert proc.stdout == (tmp_path / "serial.json").read_bytes()
+
+
 class TestMinorRoute:
     @pytest.mark.parametrize("argv", [
         ("verify-wronskian", "--m", "2..5", "--q-trunc", "6", "--dump-series"),
