@@ -10,8 +10,11 @@ from .exact import ABSENT
 
 # What one forked worker costs the run it joins: the fork itself, the
 # copy-on-write faults on the parent's heap (about 20 MB) and the pickled
-# results.  verify-orders --m 3..10 --q-trunc 10 --dump-series took 4.3 ms of
-# cases in one process and 13 ms with one worker forked (2-core host).
+# results.  The cases of verify-orders --m 3..10 --q-trunc 10 --dump-series
+# --jobs 2 took 6.2-6.5 ms in run_cases in one process and 10.4 ms with one
+# worker forked after the first case (this constant patched to 0; 15 fresh
+# interpreters each, start-up heap frozen or not, 2-core host, CPython 3.11):
+# a net cost of about 4 ms, half this bound, which errs towards not forking.
 FORK_SECONDS = 0.008
 
 

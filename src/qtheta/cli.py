@@ -67,6 +67,19 @@ def parse_levels(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(","))
 
 
+def _reason(parse):
+    """``parse`` as an argparse type: its ValueError becomes the message
+    (``argument --m: empty range '5..3'``), where argparse would print only
+    ``invalid parse_range value``."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except ValueError as error:
+            raise argparse.ArgumentTypeError(str(error)) from None
+
+    return convert
+
+
 # -- commands ------------------------------------------------------------------
 #
 # Each command's module gives ``check(args)``, which raises ValueError on
@@ -352,10 +365,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"), default="text")
 
     def common(p, q_trunc="certified window, e.g. 40 or 81/2"):
-        p.add_argument("--m", type=parse_range, default="2..8",
+        p.add_argument("--m", type=_reason(parse_range), default="2..8",
                        help="index range, e.g. 2..8 or 5")
         if q_trunc:
-            p.add_argument("--q-trunc", type=parse_rational, default=argparse.SUPPRESS,
+            p.add_argument("--q-trunc", type=_reason(parse_rational), default=argparse.SUPPRESS,
                            help=q_trunc)
         output_flags(p)
         p.add_argument("--jobs", type=int, default=1, metavar="N",
@@ -393,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     output_flags(p)
 
     p = sub.add_parser("sweep", help="classify a grid of cases")
-    p.add_argument("--k", type=parse_range, default="3..21",
+    p.add_argument("--k", type=_reason(parse_range), default="3..21",
                    help="weight range (odd values used)")
-    p.add_argument("--m", type=parse_range, default=None,
+    p.add_argument("--m", type=_reason(parse_range), default=None,
                    help="absolute index range, e.g. 4..41")
-    p.add_argument("--m-offset", type=parse_range, default=None,
+    p.add_argument("--m-offset", type=_reason(parse_range), default=None,
                    help="index range relative to k, e.g. 1..20 for m in k+1..k+20")
-    p.add_argument("--N", type=parse_levels, default="1",
+    p.add_argument("--N", type=_reason(parse_levels), default="1",
                    help="comma-separated levels, e.g. 1,6,4")
     output_flags(p)
     return parser

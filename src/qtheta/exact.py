@@ -1,6 +1,8 @@
 """What the layers share and none computes: the exception of a failed check,
-exact rationals as text and back, a window's grid key bound and report
-cells.  It imports nothing from the package, so any module loads it alone."""
+exact rationals as text and back, a window's grid key bound, the residues of
+a theta class below it, and report cells.  It imports nothing from the
+package, so any module loads it alone: the lattice sum of ``wronskian``
+reads its residues here and loads no ``theta`` code."""
 
 import math
 from fractions import Fraction
@@ -14,6 +16,15 @@ def _key_bound(tn: int, td: int, denom: int) -> int | None:
     """The integer keys n on the 1/denom grid with n/denom < tn/td are those
     below this; None when the window is +infinity."""
     return -(-tn * denom // td) if td else None
+
+
+def _residues(m: int, mu: int, bound: int) -> range:
+    """All r = mu mod 2m with r^2 below the integer key bound, in increasing order."""
+    if bound <= 0:
+        return range(0)
+    cap = math.isqrt(bound - 1)  # r^2 < bound iff |r| <= cap
+    step = 2 * m
+    return range((mu + cap) % step - cap, cap + 1, step)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -11,21 +11,22 @@ q-exponents live on the grid (1/4m)*Z.
 term sits under n, so it gives only the steps that read a key.  The series
 here are built through the trusted ``_make``, with integer coefficients
 over den 1: the term r sits at r^2 on the 1/4m grid, and r^2/4m < q_trunc
-is r^2 < ceil(4m*q_trunc), the integer key bound ``_residues`` takes.
+is r^2 < ceil(4m*q_trunc), the integer key bound ``exact._residues`` takes,
+the residue walk the lattice sum of ``wronskian`` shares.
 ``translation_eigenvalue`` of each ``odd_theta_series`` is the tests'
 reference for ``characters.odd_theta_exponents``, which builds no series.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .characters import NotAnEigenvector, UnityExponent
-from .series import (_ZERO, PuiseuxSeries, Truncation, _as_trunc, _IntStore, _key_bound,
-                     _over_lcm, _reduced, _window)
+from .exact import _key_bound, _residues
+from .series import (_ZERO, PuiseuxSeries, Truncation, _as_trunc, _IntStore, _over_lcm,
+                     _reduced, _window)
 
 
 class ThetaIndex(NamedTuple("ThetaIndex", [("index_m", int), ("residue_mu", int)])):
@@ -137,15 +138,6 @@ class ThetaTwoVar(_IntStore):
     def is_zeta_odd(self) -> bool:
         """True when negating the zeta-exponent negates every coefficient."""
         return all(self._terms.get((e, -r)) == -c for (e, r), c in self._terms.items())
-
-
-def _residues(m: int, mu: int, bound: int) -> range:
-    """All r = mu mod 2m with r^2 below the integer key bound, in increasing order."""
-    if bound <= 0:
-        return range(0)
-    cap = math.isqrt(bound - 1)  # r^2 < bound iff |r| <= cap
-    step = 2 * m
-    return range((mu + cap) % step - cap, cap + 1, step)
 
 
 def theta_series(idx: ThetaIndex, q_trunc) -> ThetaTwoVar:

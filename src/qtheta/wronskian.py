@@ -14,7 +14,11 @@ Two routes are kept only as independent oracles for the tests; no check
 takes a minor from them: the bitmask minor table of a plain
 ``SeriesMatrix``, and ``modular_wronskian``, built from the weight-stepping
 modular derivative, equal to W because row reduction removes the
-Eisenstein corrections without changing the determinant.
+Eisenstein corrections without changing the determinant.  Only they build
+theta series (``modular_wronskian`` and ``ThetaDerivativeMatrix.entries``),
+so they import ``theta`` in their bodies; the lattice sum takes its
+residues from ``exact``, and a command that checks minors loads no
+``theta`` or ``characters`` code.
 
 The checks certify, on an explicit window, that W is a constant multiple
 of eta^((m-1)(2m-1)) (``verify_eta_power``, which divides no series), that
@@ -31,10 +35,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
-from .exact import VerificationFailed
+from .exact import VerificationFailed, _residues
 from .modforms import HalfIntWeight, eta_power, modular_derivative
 from .series import PuiseuxSeries, _reduced, dot
-from .theta import ThetaIndex, _residues, odd_theta_series
 
 if TYPE_CHECKING:
     from .jacobi import ThetaComponents
@@ -162,6 +165,8 @@ class ThetaDerivativeMatrix(SeriesMatrix):
     @property
     def entries(self) -> list[list[PuiseuxSeries]]:
         if self._entries is None:
+            from .theta import ThetaIndex, odd_theta_series
+
             rows = [[odd_theta_series(ThetaIndex(self.m, mu), self.q_trunc)
                      for mu in range(1, self.m)]]
             for _ in range(self.m - 2):
@@ -237,10 +242,13 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
     bound = math.ceil(grid * trunc)  # an integer sum of r^2 is < grid*trunc iff < bound
     # rest[k]: the least sum of r^2 over the classes after position k
     rest = [sum(squares[k + 1:]) for k in range(s)]
-    candidates = [sorted(_residues(m, mu, bound - rest[k]), key=abs)
-                  for k, mu in enumerate(columns)]
+    # each level's (r, r^2), in order of |r|, so the cut at the window is one break
+    levels = [[(r, r * r) for r in sorted(_residues(m, mu, bound - rest[k]), key=abs)]
+              for k, mu in enumerate(columns)]
     top = max(s - d for d in deleted_rows)  # the highest e_j asked for
     sums: list[dict[int, int]] = [{} for _ in range(top + 1)]
+    det = sums[0]  # e_0: the minor on rows 0..s-1, the one a Wronskian asks for
+    det_get = det.get
 
     def descend(k: int, total: int, weight: int, prior: list[int]) -> None:
         room = bound - rest[k] - total
@@ -251,26 +259,27 @@ def theta_minors(m: int, q_trunc, columns, deleted_rows=None) -> list[PuiseuxSer
             for t in prior:
                 for j in range(top, 0, -1):
                     elem[j] += t * elem[j - 1]
-        for r in candidates[k]:
-            sq = r * r
+        for r, sq in levels[k]:
             if sq >= room:
                 break
-            w = weight * r
+            # r * V on small ints first, so the big weight takes one product per node
+            f = r
             for t in prior:
-                w *= sq - t
+                f *= sq - t
+            w = weight * f
             if not last:
                 descend(k + 1, total + sq, w, prior + [sq])
             elif top:
                 e = total + sq
-                sums[0][e] = sums[0].get(e, 0) + w
+                det[e] = det_get(e, 0) + w
                 for j in range(1, top + 1):
                     sums[j][e] = sums[j].get(e, 0) + w * (elem[j] + sq * elem[j - 1])
             else:
-                sums[0][total + sq] = sums[0].get(total + sq, 0) + w
+                det[total + sq] = det_get(total + sq, 0) + w
 
     descend(0, 0, 1, [])
     # the closure holds itself through its cell: empty the cell, so the walk's
-    # sums and candidates go now rather than at the next cyclic collection
+    # sums and levels go now rather than at the next cyclic collection
     del descend
     base = math.comb(s, 2)
     out = []
@@ -290,6 +299,8 @@ def modular_wronskian(m: int, q_trunc) -> PuiseuxSeries:
     """
     if m < 2:
         raise ValueError("m must be at least 2")
+    from .theta import ThetaIndex, odd_theta_series
+
     columns = [[odd_theta_series(ThetaIndex(m, mu), q_trunc) for mu in range(1, m)]]
     for step in range(1, m - 1):
         weight = HalfIntWeight(3 + 4 * (step - 1))

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from qtheta import InvariantViolation, JacobiFormData, PuiseuxSeries, ThetaComponents, theta_minors
 from qtheta.series import _as_trunc, _key_bound, _reduced, _window
-from qtheta.theta import _residues
+from qtheta.exact import _residues
 
 
 def vandermonde(nodes) -> Fraction:

@@ -55,6 +55,26 @@ class TestParsing:
         with pytest.raises(SystemExit):
             run_cli("verify-wronskian", "--m", "2", "--q-trunc", "0")
 
+    @pytest.mark.parametrize("argv, message", [
+        (("verify-wronskian", "--m", "5..3"), "argument --m: empty range '5..3'"),
+        (("verify-orders", "--m", "3..x"),
+         "argument --m: invalid literal for int() with base 10: 'x'"),
+        (("verify-wronskian", "--m", "2", "--q-trunc", "1/0"),
+         "argument --q-trunc: zero denominator in '1/0'"),
+        (("sweep", "--k", "3..5", "--m", "4..6", "--N", "1,,2"),
+         "argument --N: invalid literal for int() with base 10: ''"),
+        (("sweep", "--k", "5..3", "--m", "4..6"), "argument --k: empty range '5..3'"),
+        (("sweep", "--k", "3..5", "--m-offset", "2..1"), "argument --m-offset: empty range '2..1'"),
+    ], ids=["m", "m-int", "q-trunc", "N", "k", "m-offset"])
+    def test_bad_value_names_its_reason(self, argv, message, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli(*argv, "--output", str(tmp_path / "r.txt"))
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert f"usage: qtheta {argv[0]}" in err
+        assert err.endswith(f"qtheta {argv[0]}: error: {message}\n")
+        assert not (tmp_path / "r.txt").exists()
+
     @pytest.mark.parametrize("jobs, status", [("-1", 2), ("0", 2), ("1", 0), ("2", 0)])
     def test_jobs_validated(self, jobs, status, tmp_path):
         out = tmp_path / "r.txt"

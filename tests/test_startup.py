@@ -26,9 +26,9 @@ CLI = {"qtheta", "qtheta.cli", "qtheta.exact", "qtheta.injectivity"}
 SWEEP = CLI | {"qtheta.cmd_sweep"}
 VERIFY = CLI | {"qtheta.cases"}
 CHARACTERS = VERIFY | {"qtheta.cmd_characters", "qtheta.characters"}
-OPERATORS = VERIFY | {"qtheta.series", "qtheta.characters", "qtheta.theta", "qtheta.modforms",
-                      "qtheta.wronskian"}
-ORDERS = OPERATORS | {"qtheta.cmd_orders"}
+# the lattice-sum engine: no theta series is built, so no theta or characters code
+WRONSKIAN = VERIFY | {"qtheta.series", "qtheta.modforms", "qtheta.wronskian"}
+ORDERS = WRONSKIAN | {"qtheta.cmd_orders"}
 
 # each command, one per row, then --jobs above 1: the pool loads only in a
 # run that forks, so two cases on two processes load it (where this process
@@ -38,10 +38,11 @@ COMMANDS = [
     (["sweep", "--k", "3..5", "--m", "4..6"], SWEEP),
     (["classify", "--k", "3", "--m", "5", "--N", "1"], SWEEP | {"qtheta.cmd_classify"}),
     (["verify-characters", "--m", "2..4"], CHARACTERS),
-    (["verify-wronskian", "--m", "2..3", "--q-trunc", "4"], OPERATORS | {"qtheta.cmd_wronskian"}),
+    (["verify-wronskian", "--m", "2..3", "--q-trunc", "4"], WRONSKIAN | {"qtheta.cmd_wronskian"}),
     (["verify-orders", "--m", "3", "--q-trunc", "4"], ORDERS),
     (["verify-identities", "--m", "3", "--q-trunc", "4", "--trials", "1"],
-     OPERATORS | {"qtheta.cmd_identities", "qtheta.jacobi", "random"}),
+     WRONSKIAN | {"qtheta.cmd_identities", "qtheta.jacobi", "qtheta.theta", "qtheta.characters",
+                  "random"}),
     (["verify-orders", "--m", "3..4", "--q-trunc", "4", "--jobs", "2"], ORDERS | POOL),
     (["verify-orders", "--m", "3..8", "--q-trunc", "4", "--jobs", "2"], ORDERS),
 ]
@@ -100,6 +101,22 @@ def loaded(body: str, *argv: str) -> set:
 ])
 def test_import_loads_only_its_modules(body, expected):
     assert loaded(body) == expected
+
+
+@pytest.mark.parametrize("oracle", [
+    "SeriesMatrix(theta_derivative_matrix(4, 3).entries).det() == theta_wronskian(4, 3)",
+    "modular_wronskian(3, 4) == theta_wronskian(3, 4)",
+], ids=["entries", "modular_wronskian"])
+def test_wronskian_loads_theta_only_for_its_oracles(oracle):
+    # the lattice sum reads its residues from exact, so the Wronskian is built
+    # with no theta code; the two oracles build theta series and load it
+    body = f"""from qtheta.wronskian import *
+theta_wronskian(4, 3)
+assert "qtheta.theta" not in sys.modules
+assert {oracle}"""
+    engine = {"qtheta", "qtheta.exact", "qtheta.series", "qtheta.modforms", "qtheta.wronskian"}
+    assert loaded("import qtheta.wronskian") == engine
+    assert loaded(body) == engine | {"qtheta.theta", "qtheta.characters"}
 
 
 @pytest.mark.parametrize("argv, expected", COMMANDS,

@@ -8,7 +8,7 @@ import pytest
 from qtheta import (NotAnEigenvector, PuiseuxSeries, ThetaIndex, UnityExponent, eta,
                     eta_power_exponent, odd_theta_series, theta_series, translation_eigenvalue)
 from qtheta.characters import odd_theta_exponents
-from qtheta.theta import _residues
+from qtheta.exact import _residues
 
 F = Fraction
 
